@@ -1,14 +1,17 @@
-"""Async-engine benchmark: concurrency vs throughput under wire latency.
+"""Async multiplexing benchmark: concurrency vs throughput under latency.
 
-The async session engine multiplexes I/O-bound sessions on one event
-loop: while a session awaits a wire round-trip, the loop drives its
-siblings, so campaign wall-clock tracks the *longest* session rather
-than the summed latency.  This bench makes that claim falsifiable:
+An :class:`~repro.api.transport.InlineTransport` with ``concurrency=M``
+multiplexes M I/O-bound sessions on one event loop: while a session
+awaits a wire round-trip, the loop drives its siblings, so campaign
+wall-clock tracks the *longest* session rather than the summed
+latency.  This bench makes that claim falsifiable:
 
 * every test of an eggtimer campaign runs behind a
   :class:`~repro.executors.LatencyExecutor` injecting a deterministic
   ~``LATENCY_MS`` per protocol round-trip (the shape of a real
-  out-of-process WebDriver backend);
+  out-of-process WebDriver backend) -- the target's executor factory
+  builds it, so the concurrency-1 point drives the same sessions
+  synchronously;
 * the campaign runs at each width on the concurrency curve (default
   1, 2, 4, 8, 16) and, *before any timing claim counts*, each run's
   verdicts, per-test results and counterexample actions are
@@ -35,9 +38,9 @@ import time
 
 import pytest
 
-from repro.api import AsyncEngine, PoolMetrics, SerialEngine
+from repro.api import CheckSession, InlineTransport, SessionConfig
 from repro.apps.eggtimer import egg_timer_app
-from repro.checker import Runner, RunnerConfig
+from repro.checker import RunnerConfig
 from repro.executors import DomExecutor, LatencyExecutor
 from repro.specs import load_eggtimer_spec
 
@@ -51,25 +54,27 @@ CURVE = tuple(
 )
 TOLERANCE = float(os.environ.get("REPRO_BENCH_ASYNC_TOLERANCE", "3.0"))
 
+SPEC = load_eggtimer_spec().check_named("safety")
+CONFIG = RunnerConfig(tests=TESTS, scheduled_actions=12,
+                      demand_allowance=10, seed=11, shrink=False)
 
-def _runner() -> Runner:
-    spec = load_eggtimer_spec().check_named("safety")
-    config = RunnerConfig(tests=TESTS, scheduled_actions=12,
-                          demand_allowance=10, seed=11, shrink=False)
-    return Runner(spec, lambda: DomExecutor(egg_timer_app()), config)
+
+def _latency_session():
+    return LatencyExecutor(
+        DomExecutor(egg_timer_app()), latency_ms=LATENCY_MS, seed=1
+    )
 
 
 def _timed_async_run(concurrency: int):
-    metrics = PoolMetrics(jobs=concurrency, transport="async")
-    engine = AsyncEngine(
-        concurrency=concurrency,
-        wrap=lambda ex: LatencyExecutor(ex, latency_ms=LATENCY_MS, seed=1),
-        metrics=metrics,
-    )
-    runner = _runner()
+    session = CheckSession(_latency_session)
     start = time.perf_counter()
-    campaign = engine.run(runner)
-    return campaign, time.perf_counter() - start, metrics
+    campaign = session.check(
+        SPEC, config=CONFIG,
+        session=SessionConfig(
+            transport=InlineTransport(concurrency=concurrency)
+        ),
+    )
+    return campaign, time.perf_counter() - start, session.last_metrics
 
 
 def _assert_identical(serial, candidate, concurrency):
@@ -92,7 +97,7 @@ def _assert_identical(serial, candidate, concurrency):
 
 @pytest.mark.benchmark(group="async")
 def test_async_concurrency_curve(benchmark):
-    serial = SerialEngine().run(_runner())
+    serial = CheckSession(egg_timer_app()).check(SPEC, config=CONFIG)
 
     points = []
     timings = {}

@@ -9,7 +9,7 @@ ways:
 * **serial** -- sequential campaigns, no pool at all (the baseline the
   verdicts must match bit-for-bit);
 * **per-campaign** -- one freshly forked pool per campaign, i.e. what
-  chaining ``ParallelEngine`` audits does;
+  chaining one-target ``check_many`` audits does;
 * **pooled** -- one ``check_many`` batch on a single shared pool.
 
 It asserts (1) all three produce identical verdicts, (2) the pooled
@@ -37,7 +37,7 @@ import time
 
 import pytest
 
-from repro.api import CheckSession, CheckTarget
+from repro.api import CheckSession, CheckTarget, SessionConfig
 from repro.apps.todomvc import implementation_named
 from repro.checker import RunnerConfig
 
@@ -76,7 +76,8 @@ def _audit_serial():
     spec = todomvc_safety(SUBSCRIPT)
     start = time.perf_counter()
     batch = CheckSession().check_many(
-        _targets(), spec=spec, config=_config(), jobs=1
+        _targets(), spec=spec, config=_config(),
+        session=SessionConfig(jobs=1),
     )
     return batch, time.perf_counter() - start
 
@@ -89,7 +90,8 @@ def _audit_per_campaign_forks():
     start = time.perf_counter()
     for target in _targets():
         batch = CheckSession().check_many(
-            [target], spec=spec, config=config, jobs=JOBS
+            [target], spec=spec, config=config,
+            session=SessionConfig(jobs=JOBS),
         )
         outcomes.extend(batch.outcomes)
     return outcomes, time.perf_counter() - start
@@ -99,7 +101,8 @@ def _audit_pooled():
     spec = todomvc_safety(SUBSCRIPT)
     start = time.perf_counter()
     batch = CheckSession().check_many(
-        _targets(), spec=spec, config=_config(), jobs=JOBS
+        _targets(), spec=spec, config=_config(),
+        session=SessionConfig(jobs=JOBS),
     )
     return batch, time.perf_counter() - start
 

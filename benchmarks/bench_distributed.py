@@ -123,7 +123,7 @@ def _worker_env():
     return env
 
 
-def _run_serial():
+def _run_inline():
     start = time.perf_counter()
     batch = CheckSession().check_many(
         _targets(), session=SessionConfig(jobs=1)
@@ -182,7 +182,7 @@ def _flattening_point(curve):
 
 @pytest.mark.benchmark(group="distributed")
 def test_distributed_throughput_curve():
-    serial_batch, serial_s = _run_serial()
+    serial_batch, serial_s = _run_inline()
     total_tasks = serial_batch.metrics.tasks_completed
 
     curve = []

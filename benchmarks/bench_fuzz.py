@@ -1,10 +1,11 @@
 """Fuzzing throughput: scenario diversity per second, and its overhead.
 
-The differential fuzzer runs every generated campaign *four times*
-(serial reference, pooled, warm-reuse, full-capture for the narrowed-
-observation oracle) plus a trace-level re-evaluation under the direct
-reference semantics -- scenario diversity is only useful if that
-multiplier stays cheap enough to run at CI scale.  This bench records:
+The differential fuzzer runs every generated campaign *five times*
+(serial reference, pooled, warm-reuse, async-multiplexed, full-capture
+for the narrowed-observation oracle) plus a trace-level re-evaluation
+under the direct reference semantics -- scenario diversity is only
+useful if that multiplier stays cheap enough to run at CI scale.  This
+bench records:
 
 * **throughput**: generated campaigns (and generated tests) per second
   through the full differential harness (`run_fuzz`),
@@ -13,7 +14,7 @@ multiplier stays cheap enough to run at CI scale.  This bench records:
   an explicit, tracked number rather than folklore.
 
 The run doubles as a correctness smoke at bench scale: any divergence
-fails the bench outright (the fuzzer's whole claim is that the four
+fails the bench outright (the fuzzer's whole claim is that the five
 legs and the reference semantics agree).
 
 Results land in ``benchmarks/out/fuzz_throughput.json`` (a CI artifact).
@@ -30,7 +31,7 @@ import time
 
 import pytest
 
-from repro.api import CheckSession
+from repro.api import CheckSession, SessionConfig
 from repro.api.scheduler import CheckTarget
 from repro.fuzz import generate_campaign, machine_app, run_fuzz
 
@@ -48,14 +49,14 @@ def _reference_only_seconds() -> float:
     start = time.perf_counter()
     for index in range(CAMPAIGNS):
         campaign = generate_campaign(SEED, index)
-        check = campaign.check_spec()
+        check = campaign.check_property()
         targets = [
             CheckTarget(name, machine_app(campaign.machine, fault))
             for name, fault in campaign.targets()
         ]
         CheckSession().check_many(
-            targets, spec=check, config=campaign.config(), jobs=1,
-            reuse_executors=False,
+            targets, spec=check, config=campaign.config(),
+            session=SessionConfig(jobs=1, reuse_executors=False),
         )
     return time.perf_counter() - start
 

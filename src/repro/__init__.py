@@ -3,7 +3,7 @@ QuickLTL specifications (O'Connor & Wickstrom, PLDI 2022).
 
 Top-level convenience re-exports; see the subpackages for the full API:
 
-* :mod:`repro.api`        -- the checking API (CheckSession, engines, reporters),
+* :mod:`repro.api`        -- the checking API (CheckSession, transports, reporters),
 * :mod:`repro.quickltl`   -- the QuickLTL temporal logic,
 * :mod:`repro.specstrom`  -- the Specstrom specification language,
 * :mod:`repro.checker`    -- the test loop (runner, shrinking),
@@ -15,13 +15,10 @@ Top-level convenience re-exports; see the subpackages for the full API:
 
 from .quickltl import Verdict, FormulaChecker, parse_formula, DEFAULT_SUBSCRIPT
 from .specstrom import load_module, load_module_file, CheckSpec, SpecModule
-from .checker import Runner, RunnerConfig, CampaignResult, check_spec
+from .checker import Runner, RunnerConfig, CampaignResult
 from .executors import DomExecutor, CCSExecutor
 from .api import (
     CheckSession,
-    CampaignEngine,
-    SerialEngine,
-    ParallelEngine,
     Reporter,
     ConsoleReporter,
     JsonlReporter,
@@ -31,9 +28,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "CheckSession",
-    "CampaignEngine",
-    "SerialEngine",
-    "ParallelEngine",
     "Reporter",
     "ConsoleReporter",
     "JsonlReporter",
@@ -48,7 +42,6 @@ __all__ = [
     "Runner",
     "RunnerConfig",
     "CampaignResult",
-    "check_spec",
     "DomExecutor",
     "CCSExecutor",
     "__version__",

@@ -1,4 +1,4 @@
-"""The public checking API: session facade, engines, scheduler, reporters.
+"""The public checking API: session facade, scheduler, transports, reporters.
 
 This layer is the front door for running checking campaigns::
 
@@ -9,35 +9,26 @@ This layer is the front door for running checking campaigns::
     result = session.check("specs/todomvc.strom", property="safety")
 
 ``CheckSession`` owns executor lifecycle, spec loading and result
-aggregation; :class:`CampaignEngine` strategies decide *how* one
-campaign's test loop runs (serially, or fanned out over workers with
-identical verdicts); :meth:`CheckSession.check_many` fans *whole
-campaigns* out across one persistent :class:`WorkerPool` (the paper's
-43-implementation audit shape); :class:`Reporter` hooks observe
-progress -- console, JSON Lines, JUnit XML for CI, or a live TTY
-progress line.  The lower-level :class:`repro.checker.Runner` remains
-available as the single-test engine underneath.
+aggregation.  Every call -- :meth:`CheckSession.check`, ``check_many``
+(the paper's 43-implementation audit shape), ``check_all`` -- runs on
+one campaign loop, :class:`PooledScheduler`; a :class:`PoolTransport`
+decides *where* its tests run (the caller's thread, forked workers,
+threads, or remote TCP workers) with identical verdicts on each;
+:class:`Reporter` hooks observe progress -- console, JSON Lines, JUnit
+XML for CI, or a live TTY progress line.  The lower-level
+:class:`repro.checker.Runner` remains available as the single-test
+engine underneath.
 """
 
 from .config import SessionConfig
-from .engines import AsyncEngine, CampaignEngine, ParallelEngine, SerialEngine
 from .lease import AsyncExecutorLease, ExecutorCache, ExecutorLease
-from .pool import (
-    PoolMetrics,
-    PoolTask,
-    TaskFailure,
-    WorkerCrashed,
-    WorkerPool,
-    suggest_jobs,
-)
+from .pool import PoolMetrics, suggest_jobs
 from .reporters import (
     ConsoleReporter,
     JsonlReporter,
     JUnitXmlReporter,
-    LegacyReporterAdapter,
     ProgressReporter,
     Reporter,
-    adapt_reporter,
 )
 from .scheduler import (
     CampaignOutcome,
@@ -49,9 +40,13 @@ from .scheduler import (
 from .session import AUTO_JOBS, CheckSession
 from .transport import (
     ForkTransport,
+    InlineTransport,
+    PoolTask,
     PoolTransport,
+    TaskFailure,
     TcpTransport,
     ThreadTransport,
+    WorkerCrashed,
 )
 
 __all__ = [
@@ -59,10 +54,6 @@ __all__ = [
     "CheckSession",
     "SessionConfig",
     "suggest_jobs",
-    "AsyncEngine",
-    "CampaignEngine",
-    "SerialEngine",
-    "ParallelEngine",
     "CampaignOutcome",
     "CampaignSet",
     "CampaignSetResult",
@@ -75,16 +66,14 @@ __all__ = [
     "PoolTask",
     "PoolTransport",
     "ForkTransport",
+    "InlineTransport",
     "ThreadTransport",
     "TcpTransport",
     "TaskFailure",
     "WorkerCrashed",
-    "WorkerPool",
     "Reporter",
     "ConsoleReporter",
     "JsonlReporter",
     "JUnitXmlReporter",
-    "LegacyReporterAdapter",
     "ProgressReporter",
-    "adapt_reporter",
 ]

@@ -51,7 +51,9 @@ class SessionConfig:
     jobs: Union[int, str, None] = None
     #: Task delivery: ``None`` (platform default), ``"fork"``,
     #: ``"thread"``, or a live ``PoolTransport`` (e.g. ``TcpTransport``
-    #: serving remote ``repro worker`` processes).
+    #: serving remote ``repro worker`` processes, or
+    #: ``InlineTransport(concurrency=M)`` multiplexing M sessions in the
+    #: caller's thread).
     transport: object = None
     #: Keep executors warm between consecutive tests of one target.
     reuse_executors: bool = True

@@ -42,9 +42,13 @@ import asyncio
 import threading
 from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
-from ..executors.base import AsyncExecutor, ensure_async_executor
+from ..executors.base import (
+    AsyncExecutor,
+    ensure_async_executor,
+    ensure_sync_executor,
+)
 from ..protocol.messages import Reset, Start
-from .pool import _ThreadCounter
+from .transport.base import ThreadCounter
 
 __all__ = ["AsyncExecutorLease", "ExecutorCache", "ExecutorLease"]
 
@@ -92,12 +96,13 @@ class ExecutorCache:
     the warm path is benchmarked and equivalence-tested against.
 
     ``warm_hits`` / ``cold_starts`` may be shared counters created with
-    :meth:`~repro.api.pool.WorkerPool.make_counter` so forked workers
-    aggregate into one number; they default to in-process counters.
+    :meth:`~repro.api.transport.PoolTransport.make_counter` so forked
+    workers aggregate into one number; they default to in-process
+    counters.
 
     ``max_entries`` bounds how many warm executors the cache may hold
     at once (across all keys); checking in past the bound stops and
-    evicts the least-recently-used entry.  The pooled scheduler sets it
+    evicts the least-recently-used entry.  The scheduler sets it
     so a forked worker that serves many targets over a long audit never
     accumulates one live session per target ever seen.
 
@@ -124,10 +129,10 @@ class ExecutorCache:
         self.max_entries = max_entries
         self.depth = depth
         self.warm_hits = (
-            warm_hits if warm_hits is not None else _ThreadCounter(0)
+            warm_hits if warm_hits is not None else ThreadCounter(0)
         )
         self.cold_starts = (
-            cold_starts if cold_starts is not None else _ThreadCounter(0)
+            cold_starts if cold_starts is not None else ThreadCounter(0)
         )
         #: key -> (loop-tag, executor) pairs, oldest first; key order is
         #: recency.  The tag is the asyncio loop the executor was parked
@@ -224,14 +229,13 @@ class ExecutorCache:
     def release(self, key: Hashable) -> None:
         """Stop and drop every warm executor for ``key``.
 
-        The in-process schedulers (serial loop, thread fallback) call
-        this when a target's *last* campaign finishes, so a long batch
-        holds at most the executors of targets still in play instead of
-        one per target ever seen (dozens of concurrent browser
-        sessions, for a real WebDriver backend).  Forked workers
-        instead close their whole private cache on worker exit (the
-        pool's ``worker_exit`` hook), bounding held executors by the
-        worker's lifetime."""
+        The scheduler calls this when a target's *last* campaign
+        finishes, so a long batch holds at most the executors of targets
+        still in play instead of one per target ever seen (dozens of
+        concurrent browser sessions, for a real WebDriver backend).
+        Forked workers instead close their whole private cache on worker
+        exit (the transport's ``worker_exit`` hook), bounding held
+        executors by the worker's lifetime."""
         with self._lock:
             stack = self._entries.pop(key, [])
         for _, executor in stack:
@@ -276,7 +280,9 @@ class ExecutorLease:
 
     def checkout(self, start: Start) -> object:
         """A started executor for one test: warm-reset when possible,
-        freshly constructed otherwise."""
+        freshly constructed otherwise (an async factory's product is
+        driven on a private event loop, see
+        :func:`~repro.executors.base.ensure_sync_executor`)."""
         executor = self.cache.checkout(self.key) if self.cache.enabled else None
         if executor is not None:
             reset = getattr(executor, "reset", None)
@@ -300,12 +306,7 @@ class ExecutorLease:
                 pass  # a dead session may refuse even to stop
         self.warm = False
         _bump(self.cache.cold_starts)
-        executor = self.factory()
-        if isinstance(executor, AsyncExecutor):
-            raise TypeError(
-                "executor factory produced an AsyncExecutor; use "
-                "ExecutorCache.async_lease for async sessions"
-            )
+        executor = ensure_sync_executor(self.factory())
         executor.start(start)
         return executor
 

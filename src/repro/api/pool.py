@@ -1,60 +1,31 @@
-"""The shared worker-pool facade for campaign fan-out.
+"""Batch metrics and pool-width policy for the campaign loop.
 
-Both :class:`~repro.api.engines.ParallelEngine` (tests of one campaign)
-and :class:`~repro.api.scheduler.PooledScheduler` (whole campaigns of a
-multi-target audit) need the same machinery: spin up a bounded set of
-workers *once*, feed them tasks through a queue, collect ``(task_id,
-outcome)`` pairs, and notice -- precisely -- when a worker dies
-mid-task.  :class:`WorkerPool` is that machinery's front door; *how*
-the tasks reach workers is the
-:class:`~repro.api.transport.PoolTransport` seam behind it:
+:class:`PoolMetrics` is what one
+:class:`~repro.api.scheduler.PooledScheduler` batch reports, whichever
+:class:`~repro.api.transport.PoolTransport` ran it:
 
+* :class:`~repro.api.transport.InlineTransport` -- the caller's thread
+  (every width-1 local batch), optionally multiplexing sessions on one
+  event loop;
 * :class:`~repro.api.transport.ForkTransport` -- forked processes (the
   default on POSIX; closures ship by copy-on-write);
 * :class:`~repro.api.transport.ThreadTransport` -- identical semantics
   where ``fork`` is unavailable;
 * :class:`~repro.api.transport.TcpTransport` -- remote ``repro worker``
-  processes pulling task descriptors over TCP (see
-  :mod:`repro.api.transport.tcp`).
+  processes pulling task descriptors over TCP.
 
-The task vocabulary (:class:`PoolTask`, :data:`SKIPPED`,
-:class:`TaskFailure`, :class:`WorkerCrashed`) lives in
-:mod:`repro.api.transport.base` and is re-exported here unchanged, so
-existing imports keep working.
+:func:`resolve_jobs` validates and defaults a ``jobs=`` width, and
+:func:`suggest_jobs` is the adaptive ``--jobs auto`` heuristic that
+reads a finished batch's metrics.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional, Sequence
+from typing import Dict, List, Optional
 
-from .transport.base import (  # noqa: F401 - re-exported vocabulary
-    SKIPPED,
-    PoolTask,
-    PoolTransport,
-    TaskFailure,
-    ThreadCounter,
-    WorkerCrashed,
-    resolve_transport,
-)
-
-__all__ = [
-    "PoolMetrics",
-    "PoolTask",
-    "PoolTransport",
-    "TaskFailure",
-    "WorkerCrashed",
-    "WorkerPool",
-    "SKIPPED",
-    "resolve_jobs",
-    "resolve_transport",
-    "suggest_jobs",
-]
-
-#: Compatibility alias: the counter predates the transport package and
-#: :mod:`repro.api.lease` (among others) imports it under this name.
-_ThreadCounter = ThreadCounter
+__all__ = ["PoolMetrics", "resolve_jobs", "suggest_jobs"]
 
 #: Queue-depth sampling stops growing past this many points; enough to
 #: plot any realistic batch without unbounded memory on huge ones.
@@ -65,9 +36,9 @@ _MAX_QUEUE_SAMPLES = 4096
 class PoolMetrics:
     """Observability for one scheduled batch (pool-level backpressure).
 
-    Filled by :meth:`WorkerPool.run` (transport-level numbers) and by
-    the schedulers (campaign wall-clock, warm/cold executor counts from
-    the :class:`~repro.api.lease.ExecutorCache`), then handed to
+    Filled by the transport (per-task numbers) and by the scheduler
+    (campaign wall-clock, warm/cold executor counts from the
+    :class:`~repro.api.lease.ExecutorCache`), then handed to
     reporters through ``on_session_end`` and surfaced by
     ``JsonlReporter`` / ``--format json``.  The queue-depth and
     utilisation numbers are what guide ``--jobs`` on big machines: a
@@ -101,7 +72,7 @@ class PoolMetrics:
     """
 
     jobs: int = 1
-    transport: str = "serial"  # "serial" | "fork" | "thread" | "tcp"
+    transport: str = "serial"  # "serial" | "async" | "fork" | "thread" | "tcp"
     wall_s: float = 0.0
     tasks_total: int = 0
     tasks_completed: int = 0
@@ -118,13 +89,14 @@ class PoolMetrics:
     worker_busy_s: Dict[int, float] = field(default_factory=dict)
     worker_hosts: Dict[int, str] = field(default_factory=dict)
     campaign_wall_s: Dict[str, float] = field(default_factory=dict)
-    #: In-flight session counts, sampled by the async engine every time
-    #: a session enters or leaves its loop -- the multiplexing picture:
+    #: In-flight session counts, sampled by a multiplexing
+    #: :class:`~repro.api.transport.InlineTransport` every time a session
+    #: enters or leaves its loop -- the multiplexing picture:
     #: a mean near the configured concurrency means the loop stayed
     #: saturated, a mean near 1 means the work was CPU-bound and
     #: concurrency bought nothing.
     inflight_samples: List[int] = field(default_factory=list)
-    #: Wall-clock the async engine spent with >= 1 session in flight,
+    #: Wall-clock the multiplexed loop spent with >= 1 session in flight,
     #: and the CPU time it burned over that span; their gap is time the
     #: loop sat awaiting I/O -- see :attr:`await_ratio`.
     session_active_s: float = 0.0
@@ -166,7 +138,7 @@ class PoolMetrics:
             self.queue_depth_samples.append(depth)
 
     def sample_inflight(self, count: int) -> None:
-        """One in-flight-session observation (async engine hot path)."""
+        """One in-flight-session observation (multiplexed hot path)."""
         if len(self.inflight_samples) < _MAX_QUEUE_SAMPLES:
             self.inflight_samples.append(count)
 
@@ -178,19 +150,19 @@ class PoolMetrics:
 
     @property
     def inflight_sessions(self) -> int:
-        """Peak concurrent sessions observed by the async engine."""
+        """Peak concurrent sessions observed on the multiplexed loop."""
         return max(self.inflight_samples, default=0)
 
     @property
     def mean_concurrency(self) -> float:
-        """Mean in-flight sessions across the async engine's samples."""
+        """Mean in-flight sessions across the multiplexed samples."""
         if not self.inflight_samples:
             return 0.0
         return sum(self.inflight_samples) / len(self.inflight_samples)
 
     @property
     def await_ratio(self) -> float:
-        """Fraction of the async engine's active span spent awaiting
+        """Fraction of the multiplexed loop's active span spent awaiting
         rather than computing (``1 - cpu/active``, clamped to [0, 1]).
 
         An approximation -- process CPU time includes whatever else the
@@ -339,114 +311,3 @@ def suggest_jobs(
     if busy < 0.40 and width > 1:
         return max(1, width // 2)
     return max(1, min(width, limit))
-
-
-class WorkerPool:
-    """A bounded pool of workers fed from a task queue.
-
-    One :meth:`run` call spins up ``min(jobs, len(tasks))`` workers
-    (or, for a remote transport, uses whatever workers are connected),
-    runs every task, and returns -- local workers are created once per
-    batch, however many campaigns the batch spans.
-
-    ``transport`` picks the delivery mechanism: ``None`` for the
-    platform default (fork where available, threads otherwise),
-    ``"fork"``/``"thread"`` to force a local mode, or any
-    :class:`~repro.api.transport.PoolTransport` instance -- notably
-    :class:`~repro.api.transport.TcpTransport` for remote workers.
-    """
-
-    def __init__(
-        self,
-        jobs: Optional[int] = None,
-        transport=None,
-    ) -> None:
-        self.jobs = resolve_jobs(jobs)
-        self.transport = resolve_transport(transport, self._fork_context)
-
-    @staticmethod
-    def _fork_context():
-        # The transport-selection seam: tests monkeypatch this to None
-        # to simulate platforms without fork.
-        import multiprocessing
-
-        try:
-            return multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            return None
-
-    @property
-    def uses_fork(self) -> bool:
-        return self.transport.name == "fork"
-
-    @property
-    def last_workers(self) -> List[object]:
-        """Worker handles of the most recent :meth:`run` (processes in
-        fork mode, threads otherwise, connection records for remote
-        transports); kept for post-mortem asserts."""
-        return self.transport.last_workers
-
-    def capacity(self) -> int:
-        """The transport's useful parallel width (local CPU count, or
-        the summed slots of connected remote workers)."""
-        return self.transport.capacity()
-
-    def make_counter(self, initial: int):
-        """A shared integer (``.value`` + ``.get_lock()``) visible to
-        local task hooks.  Must be created *before* :meth:`run` forks
-        workers (fork transports return shared memory)."""
-        return self.transport.make_counter(initial)
-
-    # ------------------------------------------------------------------
-    # Running a batch
-    # ------------------------------------------------------------------
-
-    def run(
-        self,
-        tasks: Sequence[PoolTask],
-        on_result: Optional[Callable[[Hashable, object], None]] = None,
-        metrics: Optional[PoolMetrics] = None,
-        worker_exit: Optional[Callable[[], None]] = None,
-    ) -> Dict[Hashable, object]:
-        """Run every task, returning ``{task_id: outcome}``.
-
-        Outcomes are thunk return values, :data:`SKIPPED`, or
-        :class:`TaskFailure` for tasks that raised an ``Exception``
-        (the caller decides when to re-raise -- typically at its
-        deterministic merge point).  ``on_result`` observes outcomes in
-        *completion* order, as they arrive; use it for progress, not for
-        anything order-sensitive.  ``metrics`` (a :class:`PoolMetrics`)
-        accumulates queue-depth samples and per-worker task counts /
-        busy time as the batch drains.
-
-        ``worker_exit`` runs inside each *forked* worker as its loop
-        ends (best-effort: terminated workers skip it).  The scheduler
-        uses it to stop the worker's warm executors -- per-worker state
-        the parent cannot reach.  The thread fallback ignores it (thread
-        workers share the caller's state) and remote workers manage
-        their own caches.
-
-        Raises :class:`WorkerCrashed` when a worker dies without
-        finishing its announced task (remote transports first try to
-        requeue the dead worker's tasks on surviving workers).  Any
-        error -- including a ``KeyboardInterrupt`` hitting the parent --
-        tears the local workers down before propagating, so no worker
-        outlives the call.
-        """
-        tasks = list(tasks)
-        ids = [task.id for task in tasks]
-        if len(set(ids)) != len(ids):
-            raise ValueError("task ids must be unique within a batch")
-        if metrics is not None:
-            metrics.jobs = self.jobs
-            metrics.transport = self.transport.name
-            metrics.tasks_total += len(tasks)
-        if not tasks:
-            return {}
-        return self.transport.run(
-            tasks,
-            self.jobs,
-            on_result=on_result,
-            metrics=metrics,
-            worker_exit=worker_exit,
-        )

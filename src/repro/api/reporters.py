@@ -1,10 +1,11 @@
 """Reporter hooks: pluggable observers of a checking campaign.
 
-A :class:`Reporter` receives the campaign's lifecycle events from the
-engine that runs it (see :mod:`repro.api.engines`):
+A :class:`Reporter` receives the lifecycle events of every batch the
+campaign loop runs (see :mod:`repro.api.scheduler`):
 
 * :meth:`~Reporter.on_session_start` / :meth:`~Reporter.on_session_end`
-  -- bracket a multi-campaign batch (``check_many`` / the CLI run),
+  -- bracket a batch (``check``, ``check_many``, ``check_all``, the CLI
+  run),
 * :meth:`~Reporter.on_campaign_start` -- before a property's campaign,
   with the target label when many systems are audited at once,
 * :meth:`~Reporter.on_test_start` -- before a generated test runs,
@@ -15,9 +16,8 @@ engine that runs it (see :mod:`repro.api.engines`):
 * :meth:`~Reporter.on_campaign_end` -- with the final
   :class:`~repro.checker.result.CampaignResult`.
 
-Engines always deliver events in *test-index order* (and the
-cross-campaign scheduler in campaign-submission order), even when work
-runs in parallel, so a reporter never needs locking and its output is
+Events always arrive in campaign-submission order and, within a
+campaign, in *test-index order*, even when work runs in parallel, so a reporter never needs locking and its output is
 deterministic for a given seed.
 
 Four implementations ship with the reproduction: the human-readable
@@ -31,7 +31,6 @@ to plain lines when piped).
 
 from __future__ import annotations
 
-import inspect
 import json
 import sys
 from typing import IO, List, Optional, Sequence, Tuple
@@ -44,62 +43,16 @@ __all__ = [
     "ConsoleReporter",
     "JsonlReporter",
     "JUnitXmlReporter",
-    "LegacyReporterAdapter",
     "ProgressReporter",
-    "adapt_reporter",
-    "emit_session_end",
 ]
 
-#: A finished campaign with its target label (None for single-target
-#: runs); what :meth:`Reporter.on_session_end` receives.
+#: A finished campaign with its target label; what
+#: :meth:`Reporter.on_session_end` receives.
 SessionOutcome = Tuple[Optional[str], CampaignResult]
-
-#: The current reporter API: ``on_session_end(outcomes, metrics=...)``.
-#: A reporter class declares ``api_version = 2`` to promise that hook
-#: shape; anything else is treated as version 1 (pre-metrics) and goes
-#: through :class:`LegacyReporterAdapter`.
-REPORTER_API_VERSION = 2
-
-
-def adapt_reporter(reporter) -> "Reporter":
-    """A version-2 view of any reporter.
-
-    Reporters that declare ``api_version >= 2`` (every built-in; the
-    :class:`Reporter` base deliberately does *not*, so an old subclass
-    never inherits a promise its overrides don't keep) are returned
-    as-is.  Everything else is wrapped in a
-    :class:`LegacyReporterAdapter`, which decides **once** -- not per
-    call -- how to deliver ``on_session_end``.
-    """
-    if getattr(reporter, "api_version", 1) >= REPORTER_API_VERSION:
-        return reporter
-    return LegacyReporterAdapter(reporter)
-
-
-def emit_session_end(
-    reporters: Sequence["Reporter"], outcomes: Sequence[SessionOutcome],
-    metrics=None,
-) -> None:
-    """Deliver ``on_session_end`` to every reporter with the batch's
-    :class:`~repro.api.pool.PoolMetrics`; version-1 reporters (no
-    ``metrics`` parameter) keep working through their adapter."""
-    for reporter in reporters:
-        adapt_reporter(reporter).on_session_end(outcomes, metrics=metrics)
 
 
 class Reporter:
-    """Base reporter: every hook is a no-op, override what you need.
-
-    Subclasses whose ``on_session_end`` accepts the ``metrics`` keyword
-    should declare ``api_version = 2`` (see :data:`REPORTER_API_VERSION`)
-    so the schedulers call them directly; without the declaration they
-    are delivered through :class:`LegacyReporterAdapter`, which drops
-    ``metrics`` if the override doesn't take it.  The base class stays
-    at version 1 on purpose: inheriting a version claim would break
-    exactly the old subclasses the adapter exists for.
-    """
-
-    api_version = 1
+    """Base reporter: every hook is a no-op, override what you need."""
 
     def on_session_start(self, campaigns: int) -> None:
         """A batch of ``campaigns`` campaigns is about to run."""
@@ -137,82 +90,14 @@ class Reporter:
         """The whole batch is over (fires once, after every campaign).
 
         ``metrics`` is the batch's :class:`~repro.api.pool.PoolMetrics`
-        when a scheduler ran it (queue depth, worker utilisation,
-        warm-hit/cold-start counts), ``None`` otherwise.  Overrides that
-        don't declare the parameter still work -- the schedulers deliver
-        this hook through :func:`emit_session_end`.
+        (queue depth, worker utilisation, warm-hit/cold-start counts),
+        passed by keyword.
         """
-
-
-class LegacyReporterAdapter(Reporter):
-    """Explicit bridge from a version-1 reporter to the version-2 API.
-
-    The one incompatibility is ``on_session_end``: version 1 predates
-    the ``metrics`` keyword.  The adapter inspects the wrapped hook's
-    signature **at construction** and remembers the answer, replacing
-    the old per-call sniffing inside ``emit_session_end``.  Every other
-    hook is forwarded untouched (the wrapped reporter keeps receiving
-    exactly the calls it always did).
-    """
-
-    api_version = REPORTER_API_VERSION
-
-    def __init__(self, reporter) -> None:
-        self.wrapped = reporter
-        hook = getattr(reporter, "on_session_end", None)
-        if hook is None:
-            self._session_end = None
-        else:
-            try:
-                parameters = inspect.signature(hook).parameters
-                accepts_metrics = "metrics" in parameters or any(
-                    parameter.kind is inspect.Parameter.VAR_KEYWORD
-                    for parameter in parameters.values()
-                )
-            except (TypeError, ValueError):  # pragma: no cover - C callables
-                accepts_metrics = False
-            if accepts_metrics:
-                self._session_end = hook
-            else:
-                self._session_end = lambda outcomes, metrics=None: hook(outcomes)
-
-    def on_session_start(self, campaigns: int) -> None:
-        self.wrapped.on_session_start(campaigns)
-
-    def on_campaign_start(
-        self, property_name: str, tests: int, target: Optional[str] = None
-    ) -> None:
-        self.wrapped.on_campaign_start(property_name, tests, target=target)
-
-    def on_test_start(self, property_name: str, index: int, seed: object) -> None:
-        self.wrapped.on_test_start(property_name, index, seed)
-
-    def on_test_end(self, property_name: str, index: int, result: TestResult) -> None:
-        self.wrapped.on_test_end(property_name, index, result)
-
-    def on_counterexample(
-        self,
-        property_name: str,
-        counterexample: Counterexample,
-        shrunk: Optional[Counterexample],
-    ) -> None:
-        self.wrapped.on_counterexample(property_name, counterexample, shrunk)
-
-    def on_campaign_end(self, result: CampaignResult) -> None:
-        self.wrapped.on_campaign_end(result)
-
-    def on_session_end(
-        self, outcomes: Sequence[SessionOutcome], metrics=None
-    ) -> None:
-        if self._session_end is not None:
-            self._session_end(outcomes, metrics=metrics)
 
 
 class ConsoleReporter(Reporter):
     """Human-readable progress: per-test lines (verbose) and the final
     summary line that ``CampaignResult.summary()`` used to hand-print."""
-
-    api_version = REPORTER_API_VERSION
 
     def __init__(self, stream: Optional[IO[str]] = None, verbose: bool = False) -> None:
         self.stream = stream if stream is not None else sys.stdout
@@ -247,8 +132,6 @@ class ConsoleReporter(Reporter):
 
 class JsonlReporter(Reporter):
     """One JSON object per event (JSON Lines), for machine consumption."""
-
-    api_version = REPORTER_API_VERSION
 
     def __init__(self, stream: Optional[IO[str]] = None) -> None:
         self.stream = stream if stream is not None else sys.stdout
@@ -352,8 +235,6 @@ class JUnitXmlReporter(Reporter):
     elsewhere; the default is stdout.
     """
 
-    api_version = REPORTER_API_VERSION
-
     def __init__(
         self,
         stream: Optional[IO[str]] = None,
@@ -404,7 +285,7 @@ class JUnitXmlReporter(Reporter):
         shrunk: Optional[Counterexample],
     ) -> None:
         suite = self._ensure_suite(property_name)
-        # _consume_campaign fires on_test_end for the failing index just
+        # The campaign loop fires on_test_end for the failing index just
         # before recording its counterexample, so it annotates the last
         # case.
         if suite["cases"]:
@@ -543,8 +424,6 @@ class ProgressReporter(Reporter):
     in deterministic campaign/index order from the schedulers, so the
     display needs no locking.
     """
-
-    api_version = REPORTER_API_VERSION
 
     def __init__(self, stream: Optional[IO[str]] = None) -> None:
         self.stream = stream if stream is not None else sys.stderr

@@ -1,33 +1,31 @@
-"""Cross-campaign orchestration: many campaigns, one worker pool.
+"""The campaign loop: every batch, at every width, on every transport.
 
-The paper's headline workload audits all 43 TodoMVC implementations
-against one specification (Section 6) -- 43 *small* campaigns.  Running
-them through :class:`~repro.api.engines.ParallelEngine` one at a time
-parallelises only the tests within a campaign and pays a fresh fork per
-campaign; the common audit shape (few tests, many targets) spends a
-noticeable share of its wall-clock on that setup.
-
-This module schedules the whole batch instead:
+The paper's checker runs one loop per property: generate each test from
+its own seed, run it, record and shrink the first failure (Section 3.4).
+Every test seeds its RNG with ``f"{seed}/{index}"``, so no state flows
+between tests and *any* schedule that runs every index and merges the
+results in index order is observationally the serial loop.  This
+module is that loop, written once:
 
 * :class:`CheckTarget` describes one campaign (a label, the system
   under test, its spec/property/config);
 * :class:`CampaignSet` collects the targets as ready-to-run
-  ``(label, Runner)`` pairs in submission order;
+  ``(label, Runner)`` pairs in submission order -- a single
+  :meth:`~repro.api.session.CheckSession.check` is a one-entry set;
 * :class:`PooledScheduler` flattens every campaign's test indices into
-  one task list, forks the :class:`~repro.api.pool.WorkerPool` **once**,
-  and lets workers pull ``(campaign, index)`` tasks from the shared
-  queue until the batch is drained -- workers are reused across
-  campaigns, and fork cost is paid once per batch instead of once per
-  campaign.
+  one task list and hands it to one
+  :class:`~repro.api.transport.PoolTransport`: an
+  :class:`~repro.api.transport.InlineTransport` in the caller's thread
+  for width-1 local batches, a fork or thread pool started once per
+  batch (workers pull ``(campaign, index)`` tasks from a shared queue
+  and are reused across campaigns), or remote TCP workers.
 
-Determinism is non-negotiable: every task seeds its RNG with the same
-``f"{seed}/{index}"`` string the serial loop uses, and results are
-merged campaign-by-campaign in submission order, index-by-index within
-each campaign.  Pooled and serial audits therefore produce *identical*
-verdicts, counterexamples and reporter event streams (asserted in
-``tests/api/test_scheduler.py``).  The merge advances incrementally as
-results arrive, so reporters observe campaigns live, in order, while
-later campaigns are still running.
+Outcomes are merged through :class:`CampaignMerge` campaign by campaign
+in submission order, index by index within each, so every transport
+produces *identical* verdicts, counterexamples and reporter event
+streams (asserted in ``tests/api/test_transport_conformance.py``).  The
+merge advances as results arrive, so reporters observe campaigns live,
+in order, while later campaigns are still running.
 """
 
 from __future__ import annotations
@@ -37,12 +35,19 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..checker.result import CampaignResult
+from ..checker.result import CampaignResult, Counterexample, TestResult
 from ..checker.runner import Runner
-from .engines import CampaignMerge, _test_seed, campaign_tasks
 from .lease import ExecutorCache
-from .pool import PoolMetrics, WorkerPool, resolve_jobs
-from .reporters import Reporter, emit_session_end
+from .pool import PoolMetrics, resolve_jobs
+from .reporters import Reporter
+from .transport import (
+    SKIPPED,
+    InlineTransport,
+    PoolTask,
+    PoolTransport,
+    TaskFailure,
+    resolve_transport,
+)
 
 __all__ = [
     "CheckTarget",
@@ -51,6 +56,12 @@ __all__ = [
     "CampaignSetResult",
     "PooledScheduler",
 ]
+
+
+def _test_seed(seed: object, index: int) -> str:
+    """The campaign's per-test RNG seed (changing this string would
+    change every generated trace)."""
+    return f"{seed}/{index}"
 
 
 @dataclass
@@ -100,7 +111,7 @@ class CampaignSetResult:
 
     ``metrics`` carries the batch's :class:`~repro.api.pool.PoolMetrics`
     (queue depth, worker utilisation, warm-hit/cold-start counts,
-    per-campaign wall-clock) when the batch ran through a scheduler.
+    per-campaign wall-clock).
     """
 
     outcomes: List[CampaignOutcome] = field(default_factory=list)
@@ -170,22 +181,207 @@ class CampaignSet:
         return list(self._campaigns)
 
 
-def _last_use_positions(entries) -> Dict[Callable, int]:
-    """Last campaign position per executor factory: after it, a
-    target's warm executor can be released (both scheduler paths)."""
-    return {
-        runner.executor_factory: position
-        for position, (_, runner) in enumerate(entries)
-    }
+def campaign_tasks(
+    runner: Runner,
+    transport: PoolTransport,
+    label: str,
+    cache: ExecutorCache,
+) -> List[PoolTask]:
+    """The campaign's tests as pool tasks with ids ``(label, index)``,
+    so crash reports always say exactly what died.
+
+    A shared first-failure counter implements the ``stop_on_failure``
+    horizon: tasks past the earliest failure seen so far are skipped --
+    those indices are unreachable in the serial loop, so skipping them
+    never changes the outcome, it only saves work.  ``cache`` (created
+    before any worker forks) lets consecutive tasks on the same worker
+    reuse a warm executor for the campaign's target instead of paying
+    construction + ``Start`` per test.
+
+    Each task carries every face a transport may need: the ``thunk``
+    local workers run, the ``athunk`` multiplexing workers await, and
+    -- when the runner has a ``remote`` descriptor -- a JSON-able
+    ``payload`` remote workers rebuild the test from, plus the
+    ``record`` hook the coordinator uses to fold a remote result into
+    the first-failure counter (the thunks do this in-process).
+    """
+    config = runner.config
+    first_fail = transport.make_counter(config.tests)
+    # Evaluate the watched events and compile the property before any
+    # worker forks or session interleaves: forked workers inherit both
+    # copy-on-write.  A runner that came through the artifact pipeline
+    # adopted the artifact's pre-seeded bundle, so compiling is a no-op.
+    runner.watched_events()
+    runner.compiled_spec()
+    factory = runner.executor_factory
+
+    def make_task(index: int) -> PoolTask:
+        def record(result: object) -> None:
+            if getattr(result, "failed", False):
+                with first_fail.get_lock():
+                    if index < first_fail.value:
+                        first_fail.value = index
+
+        def thunk() -> TestResult:
+            result = runner.run_single_test(
+                random.Random(_test_seed(config.seed, index)),
+                lease=cache.lease(factory),
+            )
+            record(result)
+            return result
+
+        async def athunk() -> TestResult:
+            result = await runner.run_single_test_async(
+                random.Random(_test_seed(config.seed, index)),
+                lease=cache.async_lease(factory),
+            )
+            record(result)
+            return result
+
+        def past_first_failure() -> bool:
+            return index > first_fail.value
+
+        payload = None
+        if runner.remote is not None:
+            payload = {"index": index, "reuse": cache.enabled,
+                       "runner": runner.remote}
+        return PoolTask(
+            (label, index), thunk,
+            skip=past_first_failure if config.stop_on_failure else None,
+            payload=payload, record=record, athunk=athunk,
+        )
+
+    return [make_task(index) for index in range(config.tests)]
+
+
+class CampaignMerge:
+    """The campaign loop's body, as an incremental state machine.
+
+    The scheduler funnels each campaign's outcomes through one of these
+    in index order, so failure recording, shrinking, ``stop_on_failure``
+    and the reporter sequence (``on_campaign_start``, then
+    ``on_test_start`` / ``on_test_end`` per index, ``on_counterexample``
+    and ``on_campaign_end``) exist in exactly one place, whichever
+    transport produced the outcomes.  That single body is what makes
+    "pooled == serial" a structural property rather than a discipline.
+    """
+
+    def __init__(
+        self, runner: Runner, reporters: Sequence[Reporter], label: str
+    ) -> None:
+        self.runner = runner
+        self.reporters = reporters
+        self.label = label
+        self.next_index = 0
+        self.results: List[TestResult] = []
+        self.counterexample: Optional[Counterexample] = None
+        self.shrunk: Optional[Counterexample] = None
+        self._stopped = False
+        self._started = False
+        self._finished: Optional[CampaignResult] = None
+        #: Wall-clock bracket (first consumed result -> finish), for
+        #: PoolMetrics.campaign_wall_s.  Campaigns overlap under
+        #: pooling, so this measures merge-side latency, not CPU time.
+        self.started_at: Optional[float] = None
+        self.finished_at: Optional[float] = None
+
+    @property
+    def complete(self) -> bool:
+        return self._stopped or self.next_index >= self.runner.config.tests
+
+    @property
+    def wall_s(self) -> float:
+        if self.started_at is None or self.finished_at is None:
+            return 0.0
+        return self.finished_at - self.started_at
+
+    def start(self) -> None:
+        if self._started:
+            return
+        self._started = True
+        self.started_at = time.perf_counter()
+        for reporter in self.reporters:
+            reporter.on_campaign_start(
+                self.runner.spec.name,
+                self.runner.config.tests,
+                target=self.label,
+            )
+
+    def step(self, outcome: object) -> None:
+        """Consume the transport's outcome (a :class:`TestResult`,
+        ``SKIPPED`` or a ``TaskFailure``) for ``next_index``."""
+        if outcome == SKIPPED:
+            # Only indices past the first failure are skipped; the merge
+            # stops at that failure and never reaches one.
+            raise AssertionError(
+                f"campaign {self.label!r} test {self.next_index} was "
+                "skipped but the merge reached it"
+            )
+        if isinstance(outcome, TaskFailure):
+            raise outcome.error
+        self.start()
+        name = self.runner.spec.name
+        index = self.next_index
+        seed = _test_seed(self.runner.config.seed, index)
+        for reporter in self.reporters:
+            reporter.on_test_start(name, index, seed)
+        self.results.append(outcome)
+        for reporter in self.reporters:
+            reporter.on_test_end(name, index, outcome)
+        if outcome.failed:
+            self.counterexample, self.shrunk = _record_failure(
+                self.runner, outcome, self.reporters
+            )
+            if self.runner.config.stop_on_failure:
+                self._stopped = True
+        self.next_index += 1
+
+    def finish(self) -> CampaignResult:
+        if self._finished is None:
+            self.start()  # zero-test edge: events still bracket properly
+            self.finished_at = time.perf_counter()
+            self._finished = CampaignResult(
+                property_name=self.runner.spec.name,
+                results=self.results,
+                counterexample=self.counterexample,
+                shrunk_counterexample=self.shrunk,
+            )
+            for reporter in self.reporters:
+                reporter.on_campaign_end(self._finished)
+        return self._finished
+
+
+def _record_failure(
+    runner: Runner, result: TestResult, reporters: Sequence[Reporter]
+) -> Tuple[Counterexample, Optional[Counterexample]]:
+    """Build (and optionally shrink) the counterexample for a failing
+    test."""
+    counterexample = Counterexample(
+        actions=list(result.actions),
+        trace=list(result.trace),
+        verdict=result.verdict,
+    )
+    shrunk: Optional[Counterexample] = None
+    if runner.config.shrink:
+        # Looked up at call time, so a patched module attribute (a
+        # tracer, a test double) is what runs.
+        from ..checker.shrink import shrink_counterexample
+
+        shrunk = shrink_counterexample(runner, counterexample)
+    for reporter in reporters:
+        reporter.on_counterexample(runner.spec.name, counterexample, shrunk)
+    return counterexample, shrunk
 
 
 class PooledScheduler:
-    """Runs a :class:`CampaignSet` on one shared worker pool.
+    """Runs a :class:`CampaignSet` on one transport.
 
     ``jobs`` bounds the pool width across the *whole batch* (default:
-    the CPU count); ``jobs=1`` degenerates to the exact serial loop,
-    campaign by campaign, with no pool at all -- handy as the
-    equivalence baseline.
+    the CPU count).  At ``jobs=1`` a local batch runs on an
+    :class:`~repro.api.transport.InlineTransport` in the caller's
+    thread -- the serial loop, with no pool at all.  A remote transport
+    is used at any width (its capacity lives on the workers), and an
+    explicit ``InlineTransport`` keeps its own ``concurrency``.
     """
 
     def __init__(
@@ -193,6 +389,16 @@ class PooledScheduler:
     ) -> None:
         self.jobs = resolve_jobs(jobs)
         self.transport = transport
+
+    def _transport(self) -> PoolTransport:
+        transport = self.transport
+        if isinstance(transport, PoolTransport) and (
+            transport.remote or isinstance(transport, InlineTransport)
+        ):
+            return transport
+        if self.jobs <= 1:
+            return InlineTransport()
+        return resolve_transport(transport)
 
     def run(
         self,
@@ -207,115 +413,39 @@ class PooledScheduler:
         for reporter in reporters:
             reporter.on_session_start(len(entries))
         started = time.perf_counter()
-        # A remote transport means the work leaves this host: route
-        # through the pool even at width 1 (its capacity lives on the
-        # workers, not in self.jobs).
-        remote = bool(getattr(self.transport, "remote", False))
-        if len(entries) == 0 or (self.jobs <= 1 and not remote):
-            outcomes, metrics = self._run_serial(entries, reporters, reuse)
-        else:
-            outcomes, metrics = self._run_pooled(entries, reporters, reuse)
-        metrics.wall_s = time.perf_counter() - started
-        result = CampaignSetResult(outcomes, metrics=metrics)
-        session_view = [(o.target, o.result) for o in outcomes]
-        emit_session_end(reporters, session_view, metrics)
-        return result
-
-    # ------------------------------------------------------------------
-    # Serial baseline
-    # ------------------------------------------------------------------
-
-    def _run_serial(
-        self, entries, reporters: Sequence[Reporter], reuse: bool
-    ) -> Tuple[List[CampaignOutcome], PoolMetrics]:
-        metrics = PoolMetrics(jobs=1, transport="serial")
-        cache = ExecutorCache(enabled=reuse)
-        # A warm executor is held only while its target still has
-        # campaigns ahead (check_all shares one factory across every
-        # campaign; the audit has one per target, released as it ends).
-        last_use = _last_use_positions(entries)
-        # Backlog accounting mirrors the pooled path: sample the count
-        # of not-yet-finished tasks before each one runs, so a serial
-        # (jobs=1) batch still records the queue-depth signal the
-        # adaptive-width heuristic needs to scale back *up*.
-        backlog = sum(runner.config.tests for _, runner in entries)
-        outcomes = []
-        try:
-            for position, (label, runner) in enumerate(entries):
-                merge = CampaignMerge(runner, reporters, label=label,
-                                      emit_lifecycle=True)
-                metrics.tasks_total += runner.config.tests
-                for index in range(runner.config.tests):
-                    if merge.complete:
-                        break
-                    metrics.sample_queue_depth(backlog)
-                    backlog -= 1
-                    seed = _test_seed(runner.config.seed, index)
-                    lease = cache.lease(runner.executor_factory)
-                    task_started = time.perf_counter()
-                    result = runner.run_single_test(
-                        random.Random(seed), lease=lease
-                    )
-                    metrics.record_task(
-                        0, time.perf_counter() - task_started, False
-                    )
-                    metrics.record_engine(result)
-                    merge.step(result)
-                # Indices never reached (stop_on_failure): account for
-                # them exactly like the pool's SKIPPED outcomes, so the
-                # serial and pooled metrics agree for the same workload.
-                for _ in range(runner.config.tests - merge.next_index):
-                    metrics.record_task(0, 0.0, True)
-                backlog -= runner.config.tests - merge.next_index
-                outcomes.append(CampaignOutcome(label, merge.finish()))
-                metrics.campaign_wall_s[merge.label] = merge.wall_s
-                if last_use[runner.executor_factory] == position:
-                    cache.release(runner.executor_factory)
-        finally:
-            cache.close()
-        metrics.warm_hits += cache.warm_hits.value
-        metrics.cold_starts += cache.cold_starts.value
-        return outcomes, metrics
-
-    # ------------------------------------------------------------------
-    # Pooled batch
-    # ------------------------------------------------------------------
-
-    def _run_pooled(
-        self, entries, reporters: Sequence[Reporter], reuse: bool
-    ) -> Tuple[List[CampaignOutcome], PoolMetrics]:
-        pool = WorkerPool(self.jobs, transport=self.transport)
-        metrics = PoolMetrics()
-        # Warm/cold counters live in shared memory so forked workers --
-        # each owning a private copy-on-write ExecutorCache -- aggregate
-        # into one number the parent can report.
-        warm_hits = pool.make_counter(0)
-        cold_starts = pool.make_counter(0)
-        # Bound held-warm executors: a forked worker serving many
-        # targets over a long audit must not accumulate one live
-        # session per target ever seen (the parent cannot release
-        # inside workers; LRU eviction at checkin can).
-        # depth=jobs: in thread-fallback mode the cache is shared, so up
-        # to `jobs` leases of one target overlap -- with depth 1 their
-        # checkins would evict each other and reuse would degrade to
-        # cold starts.  Forked workers own private caches where depth
-        # beyond 1 is simply never filled.
+        transport = self._transport()
+        metrics = PoolMetrics(jobs=self.jobs, transport=transport.name)
+        # Warm/cold counters come from the transport, so forked workers
+        # -- each owning a private copy-on-write ExecutorCache --
+        # aggregate into one number the parent can report.
+        warm_hits = transport.make_counter(0)
+        cold_starts = transport.make_counter(0)
+        # Bound held-warm executors: a worker serving many targets over
+        # a long audit must not accumulate one live session per target
+        # ever seen (LRU eviction at checkin).  A cache shared by
+        # overlapping sessions (thread workers, multiplexed lanes) needs
+        # one warm slot per session, or their checkins evict each other
+        # and reuse degrades to cold starts.
+        width = max(self.jobs, transport.concurrency)
         cache = ExecutorCache(enabled=reuse, warm_hits=warm_hits,
                               cold_starts=cold_starts,
-                              max_entries=max(4, self.jobs),
-                              depth=self.jobs)
-        tasks = []
+                              max_entries=max(4, width), depth=width)
+        tasks: List[PoolTask] = []
         merges: List[CampaignMerge] = []
         for label, runner in entries:
-            # Shared first-failure counters must exist before the fork.
-            tasks.extend(campaign_tasks(runner, pool, label=label,
-                                        cache=cache))
-            merges.append(CampaignMerge(runner, reporters, label=label,
-                                        emit_lifecycle=True))
-        last_use = _last_use_positions(entries)
-
+            # Shared first-failure counters must exist before any fork.
+            tasks.extend(campaign_tasks(runner, transport, label, cache))
+            merges.append(CampaignMerge(runner, reporters, label))
+        metrics.tasks_total = len(tasks)
+        # A target's warm executor is held only while it still has
+        # campaigns ahead (check_all shares one factory across every
+        # campaign; an audit has one per target, released as it ends).
+        last_use = {
+            runner.executor_factory: position
+            for position, (_, runner) in enumerate(entries)
+        }
         arrived: Dict[Tuple[str, int], object] = {}
-        cursor = {"campaign": 0}
+        cursor = 0
 
         def advance() -> None:
             """Consume every outcome the deterministic cursor can reach:
@@ -323,57 +453,56 @@ class PooledScheduler:
             campaign is finished (on_campaign_end fires) the moment its
             last reachable outcome is merged, so reporter events nest
             properly even while later campaigns are still running."""
-            while cursor["campaign"] < len(merges):
-                merge = merges[cursor["campaign"]]
+            nonlocal cursor
+            while cursor < len(merges):
+                merge = merges[cursor]
                 while not merge.complete:
                     key = (merge.label, merge.next_index)
                     if key not in arrived:
                         return
-                    merge.step_outcome(arrived.pop(key))
+                    merge.step(arrived.pop(key))
                 merge.finish()
                 metrics.campaign_wall_s[merge.label] = merge.wall_s
                 factory = merge.runner.executor_factory
-                if last_use[factory] == cursor["campaign"]:
-                    # Best-effort early release of the target's warm
-                    # executor.  In thread mode the cache is shared, so
-                    # this frees it as soon as its last campaign merges
-                    # (a straggler checkin is still caught by close());
-                    # in fork mode the parent's cache is empty and the
-                    # workers' copies die with their processes.
+                if last_use[factory] == cursor:
+                    # Early release of the target's warm executor where
+                    # the cache is this process's (inline and thread
+                    # transports); forked workers' copies die with them.
                     cache.release(factory)
-                cursor["campaign"] += 1
+                cursor += 1
 
         def on_result(task_id, outcome) -> None:
-            if hasattr(outcome, "states_observed"):
-                # A TestResult: fold its compiled-engine statistics in as
-                # it arrives (SKIPPED / TaskFailure outcomes carry none).
+            if isinstance(outcome, TestResult):
                 metrics.record_engine(outcome)
             arrived[task_id] = outcome
             advance()
 
         try:
-            # worker_exit closes each forked worker's private cache
-            # (stopping its warm executors) as the worker drains its
-            # sentinel -- per-worker state the parent cannot reach.
-            pool.run(tasks, on_result=on_result, metrics=metrics,
-                     worker_exit=cache.close)
+            if tasks:
+                # worker_exit closes each forked worker's private cache
+                # (stopping its warm executors) as the worker drains its
+                # sentinel -- per-worker state the parent cannot reach.
+                transport.run(tasks, self.jobs, on_result=on_result,
+                              metrics=metrics, worker_exit=cache.close)
         finally:
-            # Thread fallback shares the cache with the workers; stop
-            # any still-warm executors the per-target release missed.
+            # Stop any still-warm executors the per-target release
+            # missed (the cache is shared with in-process workers).
             cache.close()
         advance()
-        outcomes = []
-        for merge in merges:
-            if not merge.complete:  # pragma: no cover - pool.run guarantees
-                raise AssertionError(
-                    f"campaign {merge.label!r} has unmerged tests"
-                )
-            outcomes.append(CampaignOutcome(merge.label, merge.finish()))
+        if cursor < len(merges):  # pragma: no cover - transports deliver all
+            raise AssertionError(
+                f"campaign {merges[cursor].label!r} has unmerged tests"
+            )
+        outcomes = [
+            CampaignOutcome(merge.label, merge.finish()) for merge in merges
+        ]
         # += not =: a remote transport already folded its workers'
         # per-result warm/cold deltas into the metrics as they arrived
         # (remote caches cannot share this process's counters).
         metrics.warm_hits += warm_hits.value
         metrics.cold_starts += cold_starts.value
-        return outcomes, metrics
-
-
+        metrics.wall_s = time.perf_counter() - started
+        session_view = [(o.target, o.result) for o in outcomes]
+        for reporter in reporters:
+            reporter.on_session_end(session_view, metrics=metrics)
+        return CampaignSetResult(outcomes, metrics=metrics)

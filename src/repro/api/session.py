@@ -17,14 +17,14 @@ The first argument is *what to test*: either an application factory
 (``Callable[[Page], app]``, wrapped in a fresh
 :class:`~repro.executors.DomExecutor` per test) or a zero-argument
 executor factory for any other backend -- the checker stays
-executor-agnostic (paper, Section 3.4).  ``engine`` picks the campaign
-strategy (:class:`~repro.api.engines.SerialEngine` by default, or
-``jobs=N`` as a shortcut for :class:`~repro.api.engines.ParallelEngine`)
-and ``reporters`` observe progress.
+executor-agnostic (paper, Section 3.4).  ``jobs`` sets the default
+pool width and ``reporters`` observe progress.
 
-Multi-target batches (the paper's 43-implementation audit) go through
-:meth:`CheckSession.check_many`, which fans *whole campaigns* out over
-one shared worker pool (see :mod:`repro.api.scheduler`)::
+Every call runs on the one campaign loop,
+:class:`~repro.api.scheduler.PooledScheduler`: :meth:`CheckSession.check`
+is a one-target batch, and multi-target batches (the paper's
+43-implementation audit) go through :meth:`CheckSession.check_many`,
+which fans *whole campaigns* out over one shared worker pool::
 
     session = CheckSession(jobs=8, reporters=[ProgressReporter()])
     batch = session.check_many(
@@ -64,7 +64,6 @@ from ..executors.domexec import DomExecutor
 from ..quickltl import DEFAULT_SUBSCRIPT
 from ..specstrom.module import CheckSpec, SpecModule
 from .config import SessionConfig
-from .engines import CampaignEngine, ParallelEngine, SerialEngine
 from .pool import PoolMetrics, suggest_jobs
 from .reporters import Reporter
 from .scheduler import CampaignSet, CampaignSetResult, CheckTarget, PooledScheduler
@@ -97,30 +96,23 @@ class CheckSession:
         self,
         app_or_factory: Optional[Callable] = None,
         *,
-        engine: Optional[CampaignEngine] = None,
         jobs: Optional[int] = None,
         reporters: Sequence[Reporter] = (),
         default_subscript: int = DEFAULT_SUBSCRIPT,
     ) -> None:
-        if engine is not None and jobs is not None:
-            raise ValueError("pass either engine= or jobs=, not both")
         _validate_jobs(jobs)
         self.auto_jobs = jobs == AUTO_JOBS
         if self.auto_jobs:
-            # Adaptive width applies to the scheduler (check_many /
-            # check_all) batches; single-campaign check() stays serial
-            # until a batch has recorded metrics to learn from.
+            # Each batch picks its width from the previous batch's
+            # metrics (see check_many).
             jobs = None
         if jobs is not None and jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {jobs}")
-        if engine is None:
-            engine = ParallelEngine(jobs) if jobs and jobs > 1 else SerialEngine()
         self.executor_factory = (
             None
             if app_or_factory is None
             else _coerce_executor_factory(app_or_factory)
         )
-        self.engine = engine
         self.jobs = jobs
         self.reporters: List[Reporter] = list(reporters)
         self.default_subscript = default_subscript
@@ -154,33 +146,20 @@ class CheckSession:
         For anything module-shaped, ``property`` names the check to run;
         it may be omitted when the module declares exactly one.
 
-        ``session`` (a :class:`SessionConfig`) overrides reporters and
-        runner flags for this call, and -- when it sets ``jobs`` or a
-        ``transport`` -- runs the campaign on a
-        :class:`~repro.api.engines.ParallelEngine` over that transport
-        instead of the session's engine.
+        This is a one-target :meth:`check_many`: the campaign runs on
+        the same scheduler with the same ``session`` knobs (a
+        :class:`SessionConfig`), records :attr:`last_metrics`, and
+        reporters see the same batch-shaped stream as :meth:`check_all`
+        -- ``on_session_start`` / ``on_session_end`` around the
+        campaign, whose target label is the property name.
         """
-        check_spec, compiled = self._resolve(spec, property)
-        if session is None:
-            return self.engine.run(
-                self._runner(check_spec, config, compiled), self.reporters
-            )
-        config = session.runner_config(config)
-        reporters = (
-            self.reporters if session.reporters is None
-            else list(session.reporters)
+        check, _ = self._resolve(spec, property)
+        batch = self.check_many(
+            [CheckTarget(check.name, spec=spec, property=check.name)],
+            config=config,
+            session=session,
         )
-        engine = self.engine
-        if session.jobs is not None or session.transport is not None:
-            jobs = session.jobs
-            _validate_jobs(jobs)
-            if jobs == AUTO_JOBS:
-                jobs = suggest_jobs(
-                    self.last_metrics,
-                    capacity=_transport_capacity(session.transport),
-                )
-            engine = ParallelEngine(jobs, transport=session.transport)
-        return engine.run(self._runner(check_spec, config, compiled), reporters)
+        return batch.results[0]
 
     def check_many(
         self,
@@ -256,7 +235,7 @@ class CheckSession:
             else:
                 raise ValueError(
                     f"target {target.name!r} has no app and the session was "
-                    "constructed without one"
+                    "constructed without an application"
                 )
             target_config = cfg.runner_config(
                 target.config if target.config is not None else config
@@ -309,10 +288,6 @@ class CheckSession:
                 jobs = suggest_jobs(self.last_metrics, capacity=capacity)
             elif self.jobs is not None:
                 jobs = self.jobs
-            elif isinstance(self.engine, ParallelEngine):
-                # A session configured with an explicit parallel engine
-                # asked for parallelism; honour its width for the batch.
-                jobs = self.engine.jobs
             elif capacity is not None:
                 # A capacity-reporting transport (the TCP fabric) was
                 # handed over explicitly; use the width it advertises.
@@ -361,16 +336,7 @@ class CheckSession:
         warm-up once and resets between properties instead of
         reconstructing per test.  Verdicts are identical to sequential
         :meth:`check` calls.
-
-        A session constructed with a *custom* ``engine=`` keeps its
-        engine: each property runs through ``engine.run`` exactly as
-        :meth:`check` would, one campaign at a time (the scheduler fast
-        path only replaces the built-in engines it is equivalent to).
-        On that path the custom engine owns scheduling, so the config's
-        ``jobs`` and ``reuse_executors`` do not apply; its ``reporters``
-        still override the session's.
         """
-        cfg = session if session is not None else SessionConfig()
         if self.executor_factory is None:
             raise ValueError(
                 "this session was constructed without an application; "
@@ -383,25 +349,6 @@ class CheckSession:
         else:
             bundle = self._bundle(spec)
             checks = (bundle.module if bundle is not None else self._load(spec)).checks
-        if type(self.engine) not in (SerialEngine, ParallelEngine):
-            # A user-supplied campaign strategy is an extension point;
-            # never silently bypass it.
-            active_reporters = (
-                self.reporters if cfg.reporters is None
-                else list(cfg.reporters)
-            )
-            config = cfg.runner_config(config)
-            return [
-                self.engine.run(
-                    self._runner(
-                        check,
-                        config,
-                        bundle.properties[check.name] if bundle else None,
-                    ),
-                    active_reporters,
-                )
-                for check in checks
-            ]
         batch = self.check_many(
             [
                 CheckTarget(
@@ -412,7 +359,7 @@ class CheckSession:
                 for check in checks
             ],
             config=config,
-            session=cfg,
+            session=session,
         )
         return batch.results
 

@@ -1,13 +1,16 @@
 """Pool transports: how a batch of tasks reaches its workers.
 
-The schedulers (:class:`~repro.api.engines.ParallelEngine`,
-:class:`~repro.api.scheduler.PooledScheduler`) are transport-agnostic:
-they build :class:`~repro.api.transport.base.PoolTask` batches, hand
-them to a :class:`~repro.api.transport.base.PoolTransport`, and merge
-the collected ``(worker_id, elapsed, outcome)`` stream in deterministic
-campaign/index order.  This package provides the seam and its three
+The campaign loop (:class:`~repro.api.scheduler.PooledScheduler`) is
+transport-agnostic: it builds
+:class:`~repro.api.transport.base.PoolTask` batches, hands them to a
+:class:`~repro.api.transport.base.PoolTransport`, and merges the
+collected ``(worker_id, elapsed, outcome)`` stream in deterministic
+campaign/index order.  This package provides the seam and its four
 implementations:
 
+* :class:`~repro.api.transport.local.InlineTransport` -- the caller's
+  thread: the serial loop at ``concurrency=1``, or that many I/O-bound
+  sessions multiplexed on one event loop,
 * :class:`~repro.api.transport.local.ForkTransport` -- the classic
   fork-once worker pool (POSIX; ships closures for free via CoW),
 * :class:`~repro.api.transport.local.ThreadTransport` -- identical
@@ -30,9 +33,10 @@ from .base import (
     TaskFailure,
     ThreadCounter,
     WorkerCrashed,
+    fork_context,
     resolve_transport,
 )
-from .local import ForkTransport, ThreadTransport
+from .local import ForkTransport, InlineTransport, ThreadTransport
 from .tcp import TcpTransport
 
 __all__ = [
@@ -42,8 +46,10 @@ __all__ = [
     "TaskFailure",
     "ThreadCounter",
     "WorkerCrashed",
+    "fork_context",
     "resolve_transport",
     "ForkTransport",
+    "InlineTransport",
     "ThreadTransport",
     "TcpTransport",
 ]

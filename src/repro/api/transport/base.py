@@ -22,8 +22,9 @@ behind :class:`PoolTransport`:
 
 The task vocabulary (:class:`PoolTask`, :data:`SKIPPED`,
 :class:`TaskFailure`, :class:`WorkerCrashed`) is shared by every
-transport so the schedulers cannot drift apart; :mod:`repro.api.pool`
-re-exports it for compatibility.
+transport, so the one campaign loop
+(:class:`~repro.api.scheduler.PooledScheduler`) speaks to all of them
+alike.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "TaskFailure",
     "ThreadCounter",
     "WorkerCrashed",
+    "fork_context",
     "resolve_transport",
     "run_task",
     "run_task_async",
@@ -91,8 +93,8 @@ class PoolTask:
     worker for local transports, on the coordinator at dispatch time
     for remote ones; when it returns true the task's outcome is
     :data:`SKIPPED`.  Skip predicates typically read a shared counter
-    made with :meth:`~repro.api.pool.WorkerPool.make_counter` (a
-    stop-on-failure horizon).
+    made with :meth:`PoolTransport.make_counter` (a stop-on-failure
+    horizon).
 
     ``payload`` is a JSON-able description of the work for transports
     whose workers cannot run the closure (remote hosts re-create the
@@ -208,6 +210,10 @@ class PoolTransport(ABC):
     #: transport outlives individual ``run`` calls).
     remote: bool = False
 
+    #: Sessions each worker multiplexes on its event loop (1 = one
+    #: task at a time).
+    concurrency: int = 1
+
     #: Worker handles of the most recent run (processes, threads, or
     #: remote-connection records); kept for post-mortem asserts.
     last_workers: List[object] = []
@@ -256,15 +262,23 @@ class PoolTransport(ABC):
         return time.monotonic()
 
 
-def resolve_transport(transport, fork_context: Callable[[], object]):
+def fork_context():
+    """The ``fork`` multiprocessing context, or None where the platform
+    has none (the seam tests monkeypatch to simulate such platforms)."""
+    import multiprocessing
+
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX platforms
+        return None
+
+
+def resolve_transport(transport) -> PoolTransport:
     """Turn a ``transport=`` knob into a :class:`PoolTransport`.
 
     ``None`` picks the platform default (fork where available, threads
-    otherwise -- exactly the old ``WorkerPool`` behaviour);  ``"fork"``
-    and ``"thread"`` force a local mode; a :class:`PoolTransport`
-    instance is used as-is.  ``fork_context`` supplies the
-    multiprocessing context (the seam tests monkeypatch to simulate
-    fork-less platforms).
+    otherwise); ``"fork"`` and ``"thread"`` force a local mode; a
+    :class:`PoolTransport` instance is used as-is.
     """
     from .local import ForkTransport, ThreadTransport
 

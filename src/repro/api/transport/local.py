@@ -1,8 +1,8 @@
-"""The local transports: forked processes and the thread fallback.
+"""The local transports: the caller's thread, forked processes, threads.
 
-This is the machinery that used to live inside ``WorkerPool`` verbatim,
-now behind the :class:`~repro.api.transport.base.PoolTransport` seam:
-
+* :class:`InlineTransport` -- no workers at all: tasks run in the
+  caller's thread, one at a time (the serial loop every width-1 local
+  batch uses) or ``concurrency`` sessions multiplexed on one event loop.
 * :class:`ForkTransport` -- workers are created with the ``fork`` start
   method.  Task bodies are closures over executor factories, which
   ``spawn`` cannot pickle; fork ships them for free.  All tasks must
@@ -14,10 +14,11 @@ now behind the :class:`~repro.api.transport.base.PoolTransport` seam:
   way a process can, so task-level ``BaseException``\\ s are modelled as
   worker crashes for behavioural parity.
 
-Dispatch is dynamic in both: task ids flow through a queue and workers
-pull the next id when free, so a slow campaign cannot strand the pool
-the way static round-robin can.  Determinism is unaffected -- outcomes
-are keyed by task id and merged in submission order by the caller.
+Dispatch is dynamic in the fork and thread transports: task ids flow
+through a queue and workers pull the next id when free, so a slow
+campaign cannot strand the pool the way static round-robin can.
+Determinism is unaffected -- outcomes are keyed by task id and merged
+in submission order by the caller.
 
 ``KeyboardInterrupt``/``SystemExit`` inside a task are deliberately not
 caught in the worker: they must kill it promptly.  The parent's collect
@@ -42,7 +43,7 @@ from .base import (
     run_task_async,
 )
 
-__all__ = ["ForkTransport", "ThreadTransport"]
+__all__ = ["ForkTransport", "InlineTransport", "ThreadTransport"]
 
 #: Host label for local workers in ``PoolMetrics.worker_hosts``.
 LOCAL_HOST = "local"
@@ -79,6 +80,91 @@ async def _serve_lanes(task_queue, concurrency, lane_body) -> None:
             await lane_body(lane_id, position)
 
     await asyncio.gather(*(lane(lane_id) for lane_id in range(concurrency)))
+
+
+class InlineTransport(PoolTransport):
+    """Runs the batch in the caller's thread.
+
+    ``concurrency`` is the number of sessions in flight.  At 1 (what
+    every width-1 local batch uses) each task's synchronous thunk runs
+    in submission order, so a test starts through
+    ``Runner.run_single_test`` in the caller's thread exactly as in a
+    plain loop.  Above 1, that many lanes drive the tasks' awaitable
+    faces through :func:`_serve_lanes` on one ``asyncio.run`` loop:
+    while one session awaits a wire round-trip (a
+    :class:`~repro.executors.LatencyExecutor`, a remote browser) the
+    loop drives the others, and ``metrics`` receives the in-flight
+    gauges that show how far they overlapped.  Outcomes are handed to
+    ``on_result`` once the loop has finished, so merging -- shrinking
+    included -- never runs inside it.
+
+    ``jobs`` and ``worker_exit`` do not apply: there are no workers.
+    """
+
+    def __init__(self, concurrency: int = 1) -> None:
+        self.concurrency = _check_concurrency(concurrency)
+        self.name = "serial" if concurrency == 1 else "async"
+
+    def capacity(self) -> int:
+        return self.concurrency
+
+    def run(
+        self, tasks, jobs, on_result=None, metrics=None, worker_exit=None
+    ) -> Dict[Hashable, object]:
+        outcomes: Dict[Hashable, object] = {}
+
+        def finish(task, outcome, elapsed: float) -> None:
+            outcomes[task.id] = outcome
+            if metrics is not None:
+                metrics.record_task(0, elapsed, outcome == SKIPPED)
+            if on_result is not None:
+                on_result(task.id, outcome)
+
+        if self.concurrency == 1:
+            for position, task in enumerate(tasks):
+                if metrics is not None:
+                    metrics.sample_queue_depth(len(tasks) - position)
+                started = time.perf_counter()
+                outcome = run_task(task)
+                finish(task, outcome, time.perf_counter() - started)
+            return outcomes
+        done = []
+        asyncio.run(self._multiplex(tasks, done, metrics))
+        for task, outcome, elapsed in done:
+            finish(task, outcome, elapsed)
+        return outcomes
+
+    async def _multiplex(self, tasks, done, metrics) -> None:
+        task_queue: queue_module.Queue = queue_module.Queue()
+        for position in range(len(tasks)):
+            task_queue.put(position)
+        for _ in range(self.concurrency):
+            task_queue.put(-1)
+        inflight = 0
+
+        def sample() -> None:
+            if metrics is not None:
+                metrics.sample_inflight(inflight)
+
+        async def lane_body(lane_id: int, position: int) -> None:
+            nonlocal inflight
+            task = tasks[position]
+            started = time.perf_counter()
+            inflight += 1
+            sample()
+            try:
+                outcome = await run_task_async(task)
+            finally:
+                inflight -= 1
+                sample()
+            done.append((task, outcome, time.perf_counter() - started))
+
+        active0 = time.perf_counter()
+        cpu0 = time.process_time()
+        await _serve_lanes(task_queue, self.concurrency, lane_body)
+        if metrics is not None:
+            metrics.session_active_s += time.perf_counter() - active0
+            metrics.session_cpu_s += time.process_time() - cpu0
 
 
 class ForkTransport(PoolTransport):

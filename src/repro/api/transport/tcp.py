@@ -11,7 +11,7 @@ Design points, in the order they bite:
 
 * **Determinism is the coordinator's job.**  Workers get ``(campaign,
   index)`` descriptors and derive the same per-index seed the serial
-  engine would; arrival order is scheduling noise that the caller's
+  loop would; arrival order is scheduling noise that the caller's
   ordered merge erases.  Nothing here needs to care which host ran
   what.
 * **Closures cannot travel.**  Remote tasks run from

@@ -9,7 +9,7 @@ pulls tasks until told to stop::
          -> shutdown              (batch fabric is closing)
 
 A task ``body`` is the JSON descriptor built by
-:func:`~repro.api.engines.campaign_tasks` on the coordinator: which
+:func:`~repro.api.scheduler.campaign_tasks` on the coordinator: which
 ``.strom`` file, which property, which application (a registry string,
 see :func:`resolve_app`), the full ``RunnerConfig``, and the test
 index.  A remote process cannot inherit the coordinator's compiled
@@ -23,7 +23,7 @@ file -- compiles at most once per host, while an *edited* file under
 the same path is never served stale.
 
 Determinism: the worker seeds each test with the same
-``f"{seed}/{index}"`` string every other engine uses, so a task's
+``f"{seed}/{index}"`` string every other transport uses, so a task's
 :class:`~repro.checker.result.TestResult` -- streamed back as the very
 pickle bytes a fork-pool worker would enqueue -- is byte-identical no
 matter which host ran it.
@@ -297,7 +297,7 @@ def _serve_slot(
 
 def _run_one(message: dict, runners: _RunnerCache, cache, send, log) -> None:
     """Execute one task frame and stream its outcome back."""
-    from ..engines import _test_seed
+    from ..scheduler import _test_seed
 
     body = message.get("body") or {}
     started = time.perf_counter()
@@ -437,7 +437,7 @@ async def _run_one_async(
     the session runs under ``run_single_test_async`` so this lane's
     wire waits interleave with its siblings'."""
     from ...executors import LatencyExecutor
-    from ..engines import _test_seed
+    from ..scheduler import _test_seed
 
     body = message.get("body") or {}
     started = time.perf_counter()

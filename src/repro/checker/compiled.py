@@ -7,8 +7,8 @@ pipeline hangs its shared state off:
   :class:`~repro.quickltl.FormulaChecker` the property's campaign
   creates -- simplify/step/valuation are pure over hash-consed nodes, so
   the second test of a campaign replays the first test's progression
-  work as dict hits.  The bundle is plain per-process state: the pooled
-  schedulers compile *before* the worker pool forks, so every forked
+  work as dict hits.  The bundle is plain per-process state: the
+  scheduler compiles *before* the worker pool forks, so every forked
   worker inherits a warm copy-on-write instance (fork-safe by
   construction; the thread fallback shares one, which is safe because
   entries are deterministic functions of their keys);
@@ -24,8 +24,7 @@ Building one is cheap (one footprint walk over the action expressions);
 ahead-of-time pipeline (:mod:`repro.artifact`) persists one per check
 with its caches pre-seeded so cold processes skip even that.
 
-``CompiledSpec`` remains as an alias for the old per-property name; the
-whole-module bundle that an artifact stores lives in
+The whole-module bundle that an artifact stores is
 :class:`repro.artifact.build.CompiledSpec`.
 """
 
@@ -37,7 +36,7 @@ from ..quickltl import Formula, FormulaChecker, ProgressionCaches
 from ..specstrom.analysis import expr_selector_footprint, live_queries
 from ..specstrom.module import CheckSpec
 
-__all__ = ["CompiledProperty", "CompiledSpec"]
+__all__ = ["CompiledProperty"]
 
 
 class CompiledProperty:
@@ -90,7 +89,3 @@ class CompiledProperty:
             (self.action_dependencies | live) & self.spec.dependencies
         )
 
-
-#: Backwards-compatible alias (the name ``CompiledSpec`` now primarily
-#: refers to the artifact-level module bundle).
-CompiledSpec = CompiledProperty

@@ -24,7 +24,12 @@ import random
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
-from ..executors.base import ActionFailed, AsyncExecutor, ensure_async_executor
+from ..executors.base import (
+    ActionFailed,
+    AsyncExecutor,
+    ensure_async_executor,
+    ensure_sync_executor,
+)
 from ..protocol.messages import Acted, Act, Narrow, Start, Timeout
 from ..protocol.session import TraceEntry
 from ..quickltl import (
@@ -42,9 +47,9 @@ from ..specstrom.state import StateSnapshot
 from ..specstrom.values import ActionValue
 from .compiled import CompiledProperty
 from .config import RunnerConfig
-from .result import CampaignResult, TestResult
+from .result import TestResult
 
-__all__ = ["Runner", "TraceAccumulator", "QueryNarrower", "check_spec"]
+__all__ = ["Runner", "TraceAccumulator", "QueryNarrower"]
 
 
 @dataclass
@@ -255,7 +260,7 @@ class Runner:
     which ``.strom`` file, property, application registry string and
     config -- for transports whose workers cannot receive the factory
     closure itself (see :mod:`repro.api.transport.worker`).  Runners
-    without one can only run on local (fork/thread/serial) engines.
+    without one can only run on local (inline/fork/thread) transports.
 
     ``compiled`` is an optional pre-built :class:`CompiledProperty` for
     the same spec -- the ahead-of-time pipeline (:mod:`repro.artifact`)
@@ -278,23 +283,6 @@ class Runner:
         self.remote = remote
         self._watched_events: Optional[Tuple[Tuple[str, PrimitiveEvent], ...]] = None
         self._compiled: Optional[CompiledProperty] = compiled
-
-    # ------------------------------------------------------------------
-    # Campaign
-    # ------------------------------------------------------------------
-
-    def run(self) -> CampaignResult:
-        """Run the campaign serially.
-
-        Deprecated entry point: the campaign loop lives in
-        :mod:`repro.api.engines` now (`SerialEngine` preserves this
-        method's exact behaviour; `ParallelEngine` fans it out).  Prefer
-        :class:`repro.api.CheckSession` for new code; ``Runner`` remains
-        the single-test engine (:meth:`run_single_test`, :meth:`replay`).
-        """
-        from ..api.engines import SerialEngine
-
-        return SerialEngine().run(self)
 
     # ------------------------------------------------------------------
     # Single test
@@ -350,7 +338,9 @@ class Runner:
         ``lease`` (an :class:`~repro.api.lease.ExecutorLease`) checks a
         possibly-warm executor out of its cache and parks it again after
         the test; without one, a fresh executor is constructed and
-        stopped, exactly as before.  Verdicts are identical either way.
+        stopped.  Verdicts are identical either way.  A factory that
+        produces an :class:`AsyncExecutor` is driven on a private event
+        loop (:func:`~repro.executors.base.ensure_sync_executor`).
 
         This is the synchronous face of :meth:`run_single_test_async`:
         the same driver coroutine runs over an inline (never-yielding)
@@ -359,12 +349,7 @@ class Runner:
         if lease is not None:
             executor = lease.checkout(self._start_message())
         else:
-            executor = self.executor_factory()
-            if isinstance(executor, AsyncExecutor):
-                raise TypeError(
-                    "executor_factory produced an AsyncExecutor; drive it "
-                    "with run_single_test_async instead"
-                )
+            executor = ensure_sync_executor(self.executor_factory())
             executor.start(self._start_message())
         try:
             result = _drive_inline(
@@ -559,7 +544,7 @@ class Runner:
     def replay(self, actions: List[Tuple[str, ResolvedAction]]) -> Optional[TestResult]:
         """Re-run a concrete action sequence; returns the result, or None
         when the sequence is not replayable (an action lost its target)."""
-        executor = self.executor_factory()
+        executor = ensure_sync_executor(self.executor_factory())
         executor.start(self._start_message())
         checker = self.compiled_spec().checker()
         config = self.config
@@ -629,11 +614,3 @@ class Runner:
             query_width_sum=acc.query_width_sum,
         )
 
-
-def check_spec(
-    spec: CheckSpec,
-    executor_factory: Callable[[], object],
-    config: Optional[RunnerConfig] = None,
-) -> CampaignResult:
-    """Convenience wrapper: build a runner and run the campaign."""
-    return Runner(spec, executor_factory, config).run()

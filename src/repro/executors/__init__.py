@@ -3,10 +3,12 @@
 from .base import (
     ActionFailed,
     AsyncExecutor,
+    BlockingExecutor,
     Executor,
     LatencyExecutor,
     SyncExecutorAdapter,
     ensure_async_executor,
+    ensure_sync_executor,
 )
 from .domexec import DomExecutor
 from .ccs import (
@@ -31,9 +33,11 @@ from .ccsexec import CCSExecutor
 __all__ = [
     "Executor",
     "AsyncExecutor",
+    "BlockingExecutor",
     "SyncExecutorAdapter",
     "LatencyExecutor",
     "ensure_async_executor",
+    "ensure_sync_executor",
     "DomExecutor",
     "ActionFailed",
     "CCSDefinitions",

@@ -28,10 +28,12 @@ from ..protocol.messages import Act, Narrow, Reset, Start
 __all__ = [
     "ActionFailed",
     "AsyncExecutor",
+    "BlockingExecutor",
     "Executor",
     "LatencyExecutor",
     "SyncExecutorAdapter",
     "ensure_async_executor",
+    "ensure_sync_executor",
 ]
 
 
@@ -381,3 +383,72 @@ def ensure_async_executor(executor) -> AsyncExecutor:
     if isinstance(executor, AsyncExecutor):
         return executor
     return SyncExecutorAdapter(executor)
+
+
+class BlockingExecutor(Executor):
+    """An :class:`AsyncExecutor` driven from synchronous code.
+
+    The synchronous test driver (a width-1 batch, shrinking's replays)
+    cannot await, so an async session reaching it runs each protocol
+    call to completion on a private event loop, created with the
+    session and closed by :meth:`stop`.  Call order and results are the
+    async session's own, so verdicts are unchanged.
+    """
+
+    __slots__ = ("inner", "_loop")
+
+    def __init__(self, inner: AsyncExecutor) -> None:
+        self.inner = inner
+        self._loop = asyncio.new_event_loop()
+
+    def _run(self, coro):
+        return self._loop.run_until_complete(coro)
+
+    def start(self, start: Start) -> None:
+        self._run(self.inner.start(start))
+
+    def drain(self) -> List[object]:
+        return self._run(self.inner.drain())
+
+    def act(self, act: Act) -> bool:
+        return self._run(self.inner.act(act))
+
+    def pass_time(self, delta_ms: float) -> None:
+        self._run(self.inner.pass_time(delta_ms))
+
+    def await_events(self, timeout_ms: float) -> None:
+        self._run(self.inner.await_events(timeout_ms))
+
+    def narrow(self, narrow: Narrow) -> bool:
+        return self._run(self.inner.narrow(narrow))
+
+    def reset(self, reset: Reset) -> bool:
+        return self._run(self.inner.reset(reset))
+
+    def stop(self) -> None:
+        try:
+            self._run(self.inner.stop())
+        finally:
+            self._run(self._loop.shutdown_default_executor())
+            self._loop.close()
+
+    @property
+    def version(self) -> int:
+        return self.inner.version
+
+    @property
+    def now_ms(self) -> float:
+        return self.inner.now_ms
+
+    @property
+    def recorder(self):
+        return getattr(self.inner, "recorder", None)
+
+
+def ensure_sync_executor(executor) -> Executor:
+    """Adapt ``executor`` for the synchronous driver: async executors
+    are wrapped in a :class:`BlockingExecutor`, everything else passes
+    through."""
+    if isinstance(executor, AsyncExecutor):
+        return BlockingExecutor(executor)
+    return executor

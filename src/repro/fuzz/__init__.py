@@ -22,13 +22,13 @@ Property-Based Testing" in PAPERS.md):
   trace is re-evaluated with the independent reference semantics
   (:func:`repro.quickltl.direct_eval` over trace prefixes) and the
   end-to-end verdict must match; every campaign is run serial vs pooled
-  vs warm-reuse and verdicts, counterexamples and reporter event
-  streams must be identical.
+  vs warm-reuse vs async-multiplexed and verdicts, counterexamples and
+  reporter event streams must be identical.
 * :mod:`repro.fuzz.corpus` -- any divergence is shrunk and persisted as
   a replayable JSONL corpus entry (`repro fuzz --replay` re-runs it).
 * :mod:`repro.fuzz.campaigns` -- the campaign generator and the
-  ``repro fuzz`` driver, running batches on the shared
-  :class:`~repro.api.pool.WorkerPool` scheduler.
+  ``repro fuzz`` driver, running batches on the
+  :class:`~repro.api.scheduler.PooledScheduler` over several transports.
 """
 
 from .machine import (

@@ -2,37 +2,35 @@
 
 One *fuzz campaign* is a generated machine, a generated specification
 and a family of twins -- the correct app plus up to a few faulty
-mutants.  :func:`run_campaign` runs the family as one batch four times:
+mutants.  :func:`run_campaign` runs the family as one batch on five
+legs, rows of one ``(jobs, reuse_executors, transport)`` table:
 
 * ``serial``  -- ``jobs=1``, cold executors (the reference schedule;
   residual-driven query narrowing on, like production defaults),
-* ``pooled``  -- the :class:`~repro.api.scheduler.PooledScheduler` on a
-  forked worker pool, cold executors,
+* ``pooled``  -- a forked worker pool, cold executors,
 * ``warm``    -- the pooled schedule with warm executor reuse
   (the ``Reset`` protocol path),
+* ``async``   -- an :class:`~repro.api.transport.InlineTransport`
+  multiplexing four sessions on one event loop, each target's session
+  driven by the awaitable protocol through a
+  :class:`~repro.executors.base.SyncExecutorAdapter` under a
+  pass-through :class:`~repro.executors.base.LatencyExecutor`,
 * ``full``    -- ``jobs=1``, cold, with query narrowing *off*: every
   snapshot captures the whole dependency set (the narrowed-observation
   oracle's reference, and the leg the direct-semantics trace oracle
   reads, since the reference evaluator may touch queries the residual
   provably cannot).
 
-All four must agree -- verdicts, per-test results, counterexamples,
+All five must agree -- verdicts, per-test results, counterexamples,
 reporter event streams -- the narrowed traces must be exactly the full
 traces restricted to their capture sets
 (:func:`~repro.fuzz.oracles.narrowing_mismatch`), and every test of the
-full run must agree with the direct-semantics trace oracle.  A fifth
+full run must agree with the direct-semantics trace oracle.  A further
 differential leg then replays the full leg's recorded traces through
 the *online monitor* (:func:`~repro.fuzz.oracles.monitor_oracle_mismatch`):
 each test becomes one concurrent monitor session, and the per-session
-verdicts must equal the offline per-test verdicts.  A sixth leg
-(``async``) runs every target through the
-:class:`~repro.api.engines.AsyncEngine` -- each session driven by the
-awaitable protocol through a
-:class:`~repro.executors.base.SyncExecutorAdapter` under a
-pass-through :class:`~repro.executors.base.LatencyExecutor` -- and its
-campaign results must equal the serial leg's exactly.  Model-spec
-campaigns
-additionally feed the fault-detection scoreboard (the generated
+verdicts must equal the offline per-test verdicts.  Model-spec
+campaigns additionally feed the fault-detection scoreboard (the generated
 analogue of the paper's Table 2): the correct twin must pass, and a
 failing faulty twin counts as a detection whose minimized
 counterexample is persisted to the corpus.
@@ -49,8 +47,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..api.config import SessionConfig
 from ..api.scheduler import CampaignSetResult, CheckTarget
-from ..api.session import CheckSession
+from ..api.session import CheckSession, _coerce_executor_factory
+from ..api.transport import InlineTransport
 from ..checker.config import RunnerConfig
+from ..executors import LatencyExecutor, SyncExecutorAdapter
 from ..specstrom.module import CheckSpec, load_module
 from .corpus import CorpusEntry, append_entry
 from .machine import (
@@ -108,7 +108,7 @@ class FuzzCampaign:
             shrink=True,
         )
 
-    def check_spec(self) -> CheckSpec:
+    def check_property(self) -> CheckSpec:
         module = load_module(
             self.spec_source, default_subscript=self.default_subscript
         )
@@ -186,52 +186,14 @@ class CampaignOutcomeSummary:
     nonreplayable: int = 0
 
 
-class _AsyncOutcome:
-    """Target/result pair shaped like a ``CampaignSet`` outcome, so the
-    async leg zips against the serial batch like every other path."""
-
-    __slots__ = ("target", "result")
-
-    def __init__(self, target: str, result) -> None:
-        self.target = target
-        self.result = result
-
-
-def _async_leg(
-    machine: MachineSpec,
-    named_faults,
-    check: CheckSpec,
-    config: RunnerConfig,
-) -> Tuple[List[_AsyncOutcome], None]:
-    """The sixth leg: every target's campaign on the
-    :class:`~repro.api.engines.AsyncEngine`.
-
-    Sessions go through the full async stack -- ``SyncExecutorAdapter``
-    (protocol calls hop through the loop's thread pool) under a
-    pass-through ``LatencyExecutor`` -- with several sessions genuinely
-    interleaving on the loop, so any verdict drift the async driver
-    could introduce shows up as a campaign-result difference against
-    serial.  The reporter stream is engine-shaped rather than
-    batch-shaped, so only results are compared (the stream oracle
-    already runs on the pooled/warm/full legs).
-    """
-    from ..api.engines import AsyncEngine
-    from ..api.session import _coerce_executor_factory
-    from ..checker.runner import Runner
-    from ..executors import LatencyExecutor, SyncExecutorAdapter
-
-    engine = AsyncEngine(
-        concurrency=4,
-        wrap=lambda executor: LatencyExecutor(
-            SyncExecutorAdapter(executor), latency_ms=0
-        ),
+def _latency_wrapped(app) -> Callable[[], object]:
+    """The async leg's target: each session behind a pass-through
+    ``LatencyExecutor`` over a ``SyncExecutorAdapter``, so every
+    protocol call takes the awaitable path."""
+    factory = _coerce_executor_factory(app)
+    return lambda: LatencyExecutor(
+        SyncExecutorAdapter(factory()), latency_ms=0
     )
-    outcomes = []
-    for name, fault in named_faults:
-        factory = _coerce_executor_factory(machine_app(machine, fault))
-        runner = Runner(check, factory, config)
-        outcomes.append(_AsyncOutcome(name, engine.run(runner)))
-    return outcomes, None
 
 
 def _run_paths(
@@ -247,26 +209,29 @@ def _run_paths(
         config if not config.narrow_queries
         else replace(config, narrow_queries=False)
     )
-    for path, (path_jobs, reuse, path_config) in (
-        ("serial", (1, False, config)),
-        ("pooled", (jobs, False, config)),
-        ("warm", (jobs, True, config)),
-        ("full", (1, False, full_config)),
+    for path, path_jobs, reuse, transport, path_config in (
+        ("serial", 1, False, None, config),
+        ("pooled", jobs, False, None, config),
+        ("warm", jobs, True, None, config),
+        ("async", 1, False, InlineTransport(concurrency=4), config),
+        ("full", 1, False, None, full_config),
     ):
         recorder = RecordingReporter()
         session = CheckSession(reporters=[recorder])
-        targets = [
-            CheckTarget(name, machine_app(machine, fault))
-            for name, fault in named_faults
-        ]
+        targets = []
+        for name, fault in named_faults:
+            app = machine_app(machine, fault)
+            if path == "async":
+                app = _latency_wrapped(app)
+            targets.append(CheckTarget(name, app))
         batch = session.check_many(
             targets,
             spec=check,
             config=path_config,
-            session=SessionConfig(jobs=path_jobs, reuse_executors=reuse),
+            session=SessionConfig(jobs=path_jobs, reuse_executors=reuse,
+                                  transport=transport),
         )
         runs[path] = (batch, recorder)
-    runs["async"] = _async_leg(machine, named_faults, check, config)
     return runs
 
 
@@ -295,7 +260,7 @@ def _campaign_divergences(
             )
         )
 
-    for path in ("pooled", "warm"):
+    for path in ("pooled", "warm", "async"):
         batch, recorder = runs[path]
         for baseline, candidate in zip(serial_batch, batch):
             difference = compare_campaigns(
@@ -359,17 +324,6 @@ def _campaign_divergences(
         mismatch = monitor_oracle_mismatch(check, outcome.result.results)
         if mismatch is not None:
             record(outcome.target, "monitor", mismatch)
-    # The sixth leg: the async session engine must reproduce the serial
-    # schedule exactly (verdicts, per-test results, counterexamples).
-    async_batch, _ = runs["async"]
-    for baseline, candidate in zip(serial_batch, async_batch):
-        difference = compare_campaigns(
-            f"async vs serial on {baseline.target!r}",
-            baseline.result,
-            candidate.result,
-        )
-        if difference is not None:
-            record(baseline.target, "async", difference)
     return divergences
 
 
@@ -444,7 +398,7 @@ def _target_diverges(entry: CorpusEntry, jobs: Optional[int] = None) -> bool:
             if compare_campaigns("replay", baseline.result,
                                  candidate.result) is not None:
                 return True
-        if recorder is not None and recorder.events != serial_recorder.events:
+        if recorder.events != serial_recorder.events:
             return True
     full_batch, _ = runs["full"]
     for full_outcome, narrowed_outcome in zip(full_batch, serial_batch):
@@ -522,7 +476,7 @@ def run_campaign(
     shrink_divergences: bool = True,
 ) -> CampaignOutcomeSummary:
     """Run one fuzz campaign through every oracle."""
-    check = campaign.check_spec()
+    check = campaign.check_property()
     config = campaign.config()
     named_faults = [
         (name, fault)

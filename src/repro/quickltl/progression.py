@@ -20,10 +20,10 @@ With hash-consed nodes (:mod:`repro.quickltl.syntax`) the three phases
 memoize by node identity through a :class:`ProgressionCaches` bundle:
 ``simplify``/``step``/``presumptive_valuation`` are pure, so their
 caches persist across states *and across the checkers of a whole
-campaign* (``repro.checker.compiled.CompiledSpec`` shares one bundle per
-spec).  The caches are ordinary per-process dicts -- forked pool workers
-each inherit a copy-on-write instance, which is what makes sharing them
-fork-safe without any locking.  The unroll memo is state-dependent and
+campaign* (``repro.checker.compiled.CompiledProperty`` shares one
+bundle per spec).  The caches are ordinary per-process dicts -- forked
+pool workers each inherit a copy-on-write instance, which is what makes
+sharing them fork-safe without any locking.  The unroll memo is state-dependent and
 therefore lives only for a single ``observe``.
 """
 
@@ -256,7 +256,7 @@ class FormulaChecker:
 
     ``caches`` is an optional :class:`ProgressionCaches` bundle; passing
     one shared across the checkers of a campaign (what
-    ``CompiledSpec.checker()`` does) means later tests replay earlier
+    ``CompiledProperty.checker()`` does) means later tests replay earlier
     tests' simplify/step work as dict hits.  Without one the checker
     builds a private bundle, so memoization is always on.
 

@@ -1,20 +1,30 @@
-"""Engine equivalence: parallel campaigns are observationally serial.
+"""Campaign equivalence: a pooled campaign is observationally serial.
 
-The acceptance bar for the parallel engine is *bit-for-bit agreement*
-with the serial loop for the same seed: identical verdicts, identical
-counterexample action sequences, identical per-test results, identical
-``tests_run`` -- the first failing index wins stop_on_failure and
-shrinking, not the first failure to arrive.
+One campaign through ``check`` on a worker pool must agree *bit for
+bit* with the same campaign on the width-1 inline loop for the same
+seed: identical verdicts, identical counterexample action sequences,
+identical per-test results, identical ``tests_run`` -- the first
+failing index wins stop_on_failure and shrinking, not the first failure
+to arrive.
 """
 
 import pytest
 
-from repro.api import ParallelEngine, SerialEngine
+from repro.api import CheckSession, PooledScheduler, SessionConfig
+from repro.api.transport import base as transport_base
 from repro.apps.eggtimer import egg_timer_app
 from repro.apps.todomvc import implementation_named
-from repro.checker import Runner, RunnerConfig
-from repro.executors import DomExecutor
+from repro.checker import RunnerConfig
 from repro.specs import load_eggtimer_spec, load_todomvc_spec
+
+
+def run_campaign(app, spec, config, **session):
+    """``check`` of one campaign with the given SessionConfig knobs
+    (``jobs=1`` -- the inline serial loop -- by default)."""
+    session.setdefault("jobs", 1)
+    return CheckSession(app).check(
+        spec, config=config, session=SessionConfig(**session)
+    )
 
 
 def assert_campaigns_identical(serial, parallel):
@@ -53,9 +63,8 @@ class TestEggTimerEquivalence:
         spec = load_eggtimer_spec().check_named("safety")
         config = RunnerConfig(tests=4, scheduled_actions=15,
                               demand_allowance=10, seed=seed, shrink=False)
-        runner = Runner(spec, lambda: DomExecutor(egg_timer_app()), config)
-        serial = SerialEngine().run(runner)
-        parallel = ParallelEngine(jobs=4).run(runner)
+        serial = run_campaign(egg_timer_app(), spec, config)
+        parallel = run_campaign(egg_timer_app(), spec, config, jobs=4)
         assert_campaigns_identical(serial, parallel)
         assert serial.tests_run == 4
 
@@ -63,11 +72,9 @@ class TestEggTimerEquivalence:
         spec = load_eggtimer_spec().check_named("safety")
         config = RunnerConfig(tests=5, scheduled_actions=20,
                               demand_allowance=10, seed=7, shrink=True)
-        runner = Runner(
-            spec, lambda: DomExecutor(egg_timer_app(decrement=2)), config
-        )
-        serial = SerialEngine().run(runner)
-        parallel = ParallelEngine(jobs=4).run(runner)
+        app = egg_timer_app(decrement=2)
+        serial = run_campaign(app, spec, config)
+        parallel = run_campaign(app, spec, config, jobs=4)
         assert not serial.passed
         assert_campaigns_identical(serial, parallel)
         assert [n for n, _ in parallel.shrunk_counterexample.actions] == [
@@ -81,11 +88,8 @@ class TestTodoMvcEquivalence:
         impl = implementation_named("polymer")
         config = RunnerConfig(tests=12, scheduled_actions=60,
                               demand_allowance=20, seed=2, shrink=True)
-        runner = Runner(
-            spec, lambda: DomExecutor(impl.app_factory()), config
-        )
-        serial = SerialEngine().run(runner)
-        parallel = ParallelEngine(jobs=4).run(runner)
+        serial = run_campaign(impl.app_factory(), spec, config)
+        parallel = run_campaign(impl.app_factory(), spec, config, jobs=4)
         assert not serial.passed
         assert_campaigns_identical(serial, parallel)
 
@@ -97,67 +101,67 @@ class TestTodoMvcEquivalence:
         config = RunnerConfig(tests=6, scheduled_actions=40,
                               demand_allowance=20, seed=2, shrink=False,
                               stop_on_failure=False)
-        runner = Runner(
-            spec, lambda: DomExecutor(impl.app_factory()), config
-        )
-        serial = SerialEngine().run(runner)
-        parallel = ParallelEngine(jobs=4).run(runner)
+        serial = run_campaign(impl.app_factory(), spec, config)
+        parallel = run_campaign(impl.app_factory(), spec, config, jobs=4)
         assert serial.tests_run == 6
         assert_campaigns_identical(serial, parallel)
 
 
 class TestEngineConfiguration:
     def test_single_job_falls_back_to_serial_semantics(self):
+        """A width-1 batch on a pool transport still runs inline."""
         spec = load_eggtimer_spec().check_named("safety")
         config = RunnerConfig(tests=2, scheduled_actions=10,
                               demand_allowance=5, seed=1, shrink=False)
-        runner = Runner(spec, lambda: DomExecutor(egg_timer_app()), config)
-        serial = SerialEngine().run(runner)
-        one_job = ParallelEngine(jobs=1).run(runner)
+        session = CheckSession(egg_timer_app())
+        one_job = session.check(
+            spec, config=config,
+            session=SessionConfig(jobs=1, transport="thread"),
+        )
+        assert session.last_metrics.transport == "serial"
+        serial = run_campaign(egg_timer_app(), spec, config)
         assert_campaigns_identical(serial, one_job)
 
     def test_more_jobs_than_tests(self):
         spec = load_eggtimer_spec().check_named("safety")
         config = RunnerConfig(tests=2, scheduled_actions=10,
                               demand_allowance=5, seed=1, shrink=False)
-        runner = Runner(spec, lambda: DomExecutor(egg_timer_app()), config)
-        serial = SerialEngine().run(runner)
-        wide = ParallelEngine(jobs=16).run(runner)
+        serial = run_campaign(egg_timer_app(), spec, config)
+        wide = run_campaign(egg_timer_app(), spec, config, jobs=16)
         assert_campaigns_identical(serial, wide)
 
     def test_rejects_non_positive_jobs(self):
         with pytest.raises(ValueError):
-            ParallelEngine(jobs=0)
+            PooledScheduler(jobs=0)
 
     def test_default_jobs_uses_cpu_count(self):
-        engine = ParallelEngine()
-        assert engine.jobs >= 1
+        import os
+
+        assert PooledScheduler().jobs == (os.cpu_count() or 1)
 
     def test_threaded_path_matches_serial(self, monkeypatch):
         """The fork-free fallback must be equivalent too."""
-        from repro.api import pool as pool_module
-
         spec = load_eggtimer_spec().check_named("safety")
         config = RunnerConfig(tests=4, scheduled_actions=12,
                               demand_allowance=5, seed=3, shrink=False)
-        runner = Runner(spec, lambda: DomExecutor(egg_timer_app()), config)
-        serial = SerialEngine().run(runner)
-        monkeypatch.setattr(
-            pool_module.WorkerPool, "_fork_context", staticmethod(lambda: None)
+        serial = run_campaign(egg_timer_app(), spec, config)
+        monkeypatch.setattr(transport_base, "fork_context", lambda: None)
+        session = CheckSession(egg_timer_app())
+        threaded = session.check(
+            spec, config=config, session=SessionConfig(jobs=4)
         )
-        threaded = ParallelEngine(jobs=4).run(runner)
+        assert session.last_metrics.transport == "thread"
         assert_campaigns_identical(serial, threaded)
 
     def test_worker_exception_propagates(self):
-        class ExplodingRunner:
-            class _Spec:
-                name = "boom"
-
-            spec = _Spec()
-            config = RunnerConfig(tests=4, seed=0)
-
-            def run_single_test(self, rng):
+        class ExplodingExecutor:
+            def start(self, _start):
                 raise RuntimeError("executor exploded")
 
+            def stop(self):
+                pass
+
+        spec = load_eggtimer_spec().check_named("safety")
         with pytest.raises(RuntimeError, match="executor exploded"):
-            ParallelEngine(jobs=2).run(ExplodingRunner())
+            run_campaign(ExplodingExecutor, spec,
+                         RunnerConfig(tests=4, seed=0), jobs=2)

@@ -264,15 +264,13 @@ class TestSchedulerReleasesFinishedTargets:
         """Thread fallback shares the cache: a target's warm executor
         is freed when its last campaign merges, not at batch end."""
         from repro.api import CheckSession, CheckTarget, SessionConfig
-        from repro.api.pool import WorkerPool
+        from repro.api.transport import base as transport_base
         from repro.apps.eggtimer import egg_timer_app
         from repro.checker import RunnerConfig
         from repro.executors import DomExecutor
         from repro.specs import load_eggtimer_spec
 
-        monkeypatch.setattr(
-            WorkerPool, "_fork_context", staticmethod(lambda: None)
-        )
+        monkeypatch.setattr(transport_base, "fork_context", lambda: None)
         stopped = []
 
         class TrackedExecutor(DomExecutor):

@@ -1,10 +1,12 @@
-"""The shared worker-pool transport.
+"""The local pool transports, as the scheduler gets them.
 
-The pool is the load-bearing wall under both `ParallelEngine` and the
-cross-campaign `PooledScheduler`: these tests pin down worker reuse
-across campaigns (the fork-amortisation the scheduler exists for),
-exception/skip transport, precise crash attribution, and that no worker
-ever survives an aborted batch (KeyboardInterrupt included).
+``PooledScheduler`` hands every batch wider than one to
+``resolve_transport(...)`` -- a fork pool where the platform has one, the
+thread fallback otherwise -- and calls its ``run`` directly.  These
+tests pin down, on exactly those transports, worker reuse across
+campaigns (the fork-amortisation the scheduler exists for),
+exception/skip transport, precise crash attribution, metrics, and that
+no worker ever survives an aborted batch (KeyboardInterrupt included).
 """
 
 import os
@@ -12,13 +14,20 @@ import time
 
 import pytest
 
-from repro.api.pool import (
+from repro.api.pool import PoolMetrics, resolve_jobs
+from repro.api.transport import (
     SKIPPED,
+    InlineTransport,
     PoolTask,
     TaskFailure,
     WorkerCrashed,
-    WorkerPool,
+    resolve_transport,
 )
+from repro.api.transport import base as transport_base
+
+
+def _no_fork(monkeypatch):
+    monkeypatch.setattr(transport_base, "fork_context", lambda: None)
 
 
 def _no_alive_workers(pool):
@@ -27,47 +36,44 @@ def _no_alive_workers(pool):
 
 class TestBasics:
     def test_runs_every_task_and_keys_by_id(self):
-        pool = WorkerPool(2)
+        pool = resolve_transport(None)
         tasks = [PoolTask(i, (lambda i=i: i * i)) for i in range(7)]
-        outcomes = pool.run(tasks)
+        outcomes = pool.run(tasks, 2)
         assert outcomes == {i: i * i for i in range(7)}
 
     def test_empty_batch(self):
-        assert WorkerPool(2).run([]) == {}
-
-    def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValueError, match="unique"):
-            WorkerPool(2).run([PoolTask(0, int), PoolTask(0, int)])
+        assert resolve_transport(None).run([], 2) == {}
 
     def test_rejects_non_positive_jobs(self):
         with pytest.raises(ValueError):
-            WorkerPool(0)
+            resolve_jobs(0)
 
     def test_exceptions_are_transported_not_raised(self):
         def boom():
             raise RuntimeError("inside the worker")
 
-        outcomes = WorkerPool(2).run(
-            [PoolTask("ok", lambda: 1), PoolTask("bad", boom)]
+        outcomes = resolve_transport(None).run(
+            [PoolTask("ok", lambda: 1), PoolTask("bad", boom)], 2
         )
         assert outcomes["ok"] == 1
         assert isinstance(outcomes["bad"], TaskFailure)
         assert "inside the worker" in str(outcomes["bad"].error)
 
     def test_skip_predicate_short_circuits(self):
-        outcomes = WorkerPool(2).run(
+        outcomes = resolve_transport(None).run(
             [
                 PoolTask("run", lambda: "ran"),
                 PoolTask("skip", lambda: "ran", skip=lambda: True),
-            ]
+            ],
+            2,
         )
         assert outcomes["run"] == "ran"
         assert outcomes["skip"] == SKIPPED
 
     def test_on_result_sees_every_completion(self):
         seen = {}
-        WorkerPool(2).run(
-            [PoolTask(i, (lambda i=i: -i)) for i in range(5)],
+        resolve_transport(None).run(
+            [PoolTask(i, (lambda i=i: -i)) for i in range(5)], 2,
             on_result=lambda task_id, outcome: seen.__setitem__(task_id, outcome),
         )
         assert seen == {i: -i for i in range(5)}
@@ -79,8 +85,8 @@ class TestWorkerReuse:
         runs in one of at most two forked children (not the parent), and
         by pigeonhole some child serves more than one campaign -- the
         fork-amortisation that one-pool-per-campaign cannot give."""
-        pool = WorkerPool(2)
-        if not pool.uses_fork:
+        pool = resolve_transport(None)
+        if pool.name != "fork":
             pytest.skip("fork transport unavailable on this platform")
         campaigns = ["alpha", "beta", "gamma"]
         tasks = [
@@ -88,7 +94,7 @@ class TestWorkerReuse:
             for campaign in campaigns
             for index in range(3)
         ]
-        outcomes = pool.run(tasks)
+        outcomes = pool.run(tasks, 2)
         pids = set(outcomes.values())
         assert len(pids) <= 2
         assert os.getpid() not in pids
@@ -98,7 +104,7 @@ class TestWorkerReuse:
         assert any(len(served) >= 2 for served in campaigns_by_pid.values())
 
     def test_shared_counter_is_visible_to_workers(self):
-        pool = WorkerPool(2)
+        pool = resolve_transport(None)
         counter = pool.make_counter(100)
 
         def bump():
@@ -106,7 +112,7 @@ class TestWorkerReuse:
                 counter.value -= 1
             return counter.value
 
-        pool.run([PoolTask(i, bump) for i in range(4)])
+        pool.run([PoolTask(i, bump) for i in range(4)], 2)
         assert counter.value == 96
 
 
@@ -115,8 +121,8 @@ class TestCrashAttribution:
     running, instead of losing the index."""
 
     def test_worker_death_names_the_in_flight_task(self):
-        pool = WorkerPool(2)
-        if not pool.uses_fork:
+        pool = resolve_transport(None)
+        if pool.name != "fork":
             pytest.skip("fork transport unavailable on this platform")
 
         def die():
@@ -127,36 +133,35 @@ class TestCrashAttribution:
             PoolTask(("todomvc:angular", 1), die),
         ]
         with pytest.raises(WorkerCrashed) as excinfo:
-            pool.run(tasks)
+            pool.run(tasks, 2)
         assert "('todomvc:angular', 1)" in str(excinfo.value)
         assert ("todomvc:angular", 1) in excinfo.value.in_flight
         assert _no_alive_workers(pool)
 
     def test_keyboard_interrupt_in_worker_kills_it_and_is_attributed(self):
-        pool = WorkerPool(2)
+        pool = resolve_transport(None)
 
         def interrupted():
             raise KeyboardInterrupt()
 
         with pytest.raises(WorkerCrashed) as excinfo:
             pool.run(
-                [PoolTask("calm", lambda: 1), PoolTask("ctrl-c", interrupted)]
+                [PoolTask("calm", lambda: 1), PoolTask("ctrl-c", interrupted)],
+                2,
             )
         assert "ctrl-c" in str(excinfo.value)
         assert _no_alive_workers(pool)
 
     def test_thread_fallback_attributes_crashes_too(self, monkeypatch):
-        monkeypatch.setattr(
-            WorkerPool, "_fork_context", staticmethod(lambda: None)
-        )
-        pool = WorkerPool(2)
-        assert not pool.uses_fork
+        _no_fork(monkeypatch)
+        pool = resolve_transport(None)
+        assert pool.name != "fork"
 
         def explode():
             raise SystemExit(2)
 
         with pytest.raises(WorkerCrashed, match="boom-task"):
-            pool.run([PoolTask("boom-task", explode)])
+            pool.run([PoolTask("boom-task", explode)], 2)
         assert _no_alive_workers(pool)
 
 
@@ -165,7 +170,7 @@ class TestCleanShutdown:
         """A Ctrl-C landing in the parent's collect loop (modelled by a
         reporter callback raising KeyboardInterrupt) must terminate and
         join every worker before propagating."""
-        pool = WorkerPool(2)
+        pool = resolve_transport(None)
 
         def slow(value):
             time.sleep(0.05)
@@ -177,22 +182,21 @@ class TestCleanShutdown:
             raise KeyboardInterrupt()
 
         with pytest.raises(KeyboardInterrupt):
-            pool.run(tasks, on_result=interrupt_on_first)
+            pool.run(tasks, 2, on_result=interrupt_on_first)
         assert _no_alive_workers(pool)
 
     def test_normal_completion_leaves_no_workers(self):
-        pool = WorkerPool(3)
-        pool.run([PoolTask(i, (lambda i=i: i)) for i in range(6)])
+        pool = resolve_transport(None)
+        pool.run([PoolTask(i, (lambda i=i: i)) for i in range(6)], 3)
         assert _no_alive_workers(pool)
 
     def test_thread_fallback_matches_fork_outcomes(self, monkeypatch):
-        monkeypatch.setattr(
-            WorkerPool, "_fork_context", staticmethod(lambda: None)
-        )
-        pool = WorkerPool(3)
+        _no_fork(monkeypatch)
+        pool = resolve_transport(None)
         outcomes = pool.run(
             [PoolTask(i, (lambda i=i: i + 10)) for i in range(5)]
-            + [PoolTask("skipped", lambda: 0, skip=lambda: True)]
+            + [PoolTask("skipped", lambda: 0, skip=lambda: True)],
+            3,
         )
         assert outcomes == {**{i: i + 10 for i in range(5)}, "skipped": SKIPPED}
         assert _no_alive_workers(pool)
@@ -202,16 +206,14 @@ class TestThreadFallbackCrashReporting:
     """The `"crash"` branch of _run_threaded, in detail: attribution,
     unreported accounting, and that completed work is not misreported."""
 
-    def _thread_pool(self, monkeypatch, jobs):
-        monkeypatch.setattr(
-            WorkerPool, "_fork_context", staticmethod(lambda: None)
-        )
-        pool = WorkerPool(jobs)
-        assert not pool.uses_fork
+    def _thread_pool(self, monkeypatch):
+        _no_fork(monkeypatch)
+        pool = resolve_transport(None)
+        assert pool.name != "fork"
         return pool
 
     def test_crash_lists_in_flight_and_unreported(self, monkeypatch):
-        pool = self._thread_pool(monkeypatch, 1)
+        pool = self._thread_pool(monkeypatch)
 
         def boom():
             raise KeyboardInterrupt()
@@ -222,7 +224,7 @@ class TestThreadFallbackCrashReporting:
             PoolTask("never-ran", lambda: "unreachable"),
         ]
         with pytest.raises(WorkerCrashed) as excinfo:
-            pool.run(tasks)
+            pool.run(tasks, 1)
         crash = excinfo.value
         # One worker runs the queue in order: the finished task is not
         # reported lost, the crashing one is in-flight, and everything
@@ -233,19 +235,19 @@ class TestThreadFallbackCrashReporting:
         assert _no_alive_workers(pool)
 
     def test_crash_chains_the_original_error(self, monkeypatch):
-        pool = self._thread_pool(monkeypatch, 1)
+        pool = self._thread_pool(monkeypatch)
 
         def explode():
             raise SystemExit(3)
 
         with pytest.raises(WorkerCrashed) as excinfo:
-            pool.run([PoolTask("t", explode)])
+            pool.run([PoolTask("t", explode)], 1)
         assert isinstance(excinfo.value.__cause__, SystemExit)
 
     def test_surviving_threads_are_starved_after_crash(self, monkeypatch):
         """Other workers exit at their next queue read instead of
         draining the doomed batch."""
-        pool = self._thread_pool(monkeypatch, 2)
+        pool = self._thread_pool(monkeypatch)
 
         def boom():
             raise KeyboardInterrupt()
@@ -254,26 +256,24 @@ class TestThreadFallbackCrashReporting:
             PoolTask(i, time.monotonic) for i in range(20)
         ]
         with pytest.raises(WorkerCrashed):
-            pool.run(tasks)
+            pool.run(tasks, 2)
         assert _no_alive_workers(pool)
 
 
 class TestPoolMetrics:
     def _metrics(self):
-        from repro.api.pool import PoolMetrics
-
         return PoolMetrics()
 
     def test_fork_mode_fills_transport_and_worker_stats(self):
-        pool = WorkerPool(2)
+        pool = resolve_transport(None)
         metrics = self._metrics()
         outcomes = pool.run(
-            [PoolTask(i, (lambda i=i: i)) for i in range(6)], metrics=metrics
+            [PoolTask(i, (lambda i=i: i)) for i in range(6)], 2, metrics=metrics
         )
         assert len(outcomes) == 6
-        assert metrics.transport == ("fork" if pool.uses_fork else "thread")
-        assert metrics.jobs == 2
-        assert metrics.tasks_total == 6
+        assert pool.name == (
+            "fork" if transport_base.fork_context() is not None else "thread"
+        )
         assert metrics.tasks_completed == 6
         assert metrics.tasks_skipped == 0
         assert sum(metrics.worker_tasks.values()) == 6
@@ -284,25 +284,25 @@ class TestPoolMetrics:
 
     def test_skipped_tasks_are_counted(self):
         metrics = self._metrics()
-        WorkerPool(2).run(
+        resolve_transport(None).run(
             [
                 PoolTask("run", lambda: 1),
                 PoolTask("skip", lambda: 1, skip=lambda: True),
             ],
+            2,
             metrics=metrics,
         )
         assert metrics.tasks_skipped == 1
         assert metrics.tasks_completed == 2
 
     def test_thread_mode_fills_the_same_fields(self, monkeypatch):
-        monkeypatch.setattr(
-            WorkerPool, "_fork_context", staticmethod(lambda: None)
-        )
+        _no_fork(monkeypatch)
         metrics = self._metrics()
-        WorkerPool(2).run(
-            [PoolTask(i, (lambda i=i: i)) for i in range(5)], metrics=metrics
+        pool = resolve_transport(None)
+        pool.run(
+            [PoolTask(i, (lambda i=i: i)) for i in range(5)], 2, metrics=metrics
         )
-        assert metrics.transport == "thread"
+        assert pool.name == "thread"
         assert metrics.tasks_completed == 5
         assert sum(metrics.worker_tasks.values()) == 5
         assert metrics.queue_depth_samples
@@ -311,8 +311,8 @@ class TestPoolMetrics:
         import json
 
         metrics = self._metrics()
-        WorkerPool(2).run(
-            [PoolTask(i, (lambda i=i: i)) for i in range(3)], metrics=metrics
+        resolve_transport(None).run(
+            [PoolTask(i, (lambda i=i: i)) for i in range(3)], 2, metrics=metrics
         )
         metrics.wall_s = 0.5
         payload = metrics.to_dict()
@@ -324,8 +324,6 @@ class TestPoolMetrics:
             assert key in payload
 
     def test_utilisation_is_busy_over_wall(self):
-        from repro.api.pool import PoolMetrics
-
         metrics = PoolMetrics(jobs=2, transport="fork")
         metrics.record_task(0, 0.25, False)
         metrics.record_task(1, 0.75, False)
@@ -336,8 +334,8 @@ class TestPoolMetrics:
 
 class TestWorkerExit:
     def test_worker_exit_runs_in_every_forked_worker(self):
-        pool = WorkerPool(2)
-        if not pool.uses_fork:
+        pool = resolve_transport(None)
+        if pool.name != "fork":
             pytest.skip("fork transport unavailable on this platform")
         ran = pool.make_counter(0)
 
@@ -346,11 +344,83 @@ class TestWorkerExit:
                 ran.value += 1
 
         pool.run(
-            [PoolTask(i, (lambda i=i: i)) for i in range(6)],
+            [PoolTask(i, (lambda i=i: i)) for i in range(6)], 2,
             worker_exit=cleanup,
         )
         assert ran.value == 2  # once per worker, in the children
 
     def test_worker_exit_is_optional(self):
-        outcomes = WorkerPool(2).run([PoolTask(0, lambda: 1)])
+        outcomes = resolve_transport(None).run([PoolTask(0, lambda: 1)], 2)
         assert outcomes == {0: 1}
+
+
+class TestInlineTransport:
+    """The transport every width-1 local batch runs on."""
+
+    def test_runs_thunks_in_order_in_the_callers_thread(self):
+        import threading
+
+        seen = []
+        tasks = [
+            PoolTask(i, (lambda i=i: seen.append((i, threading.get_ident()))))
+            for i in range(4)
+        ]
+        order = []
+        InlineTransport().run(
+            tasks, 1, on_result=lambda task_id, _: order.append(task_id)
+        )
+        assert seen == [(i, threading.get_ident()) for i in range(4)]
+        assert order == [0, 1, 2, 3]
+
+    def test_outcome_vocabulary_matches_the_pools(self):
+        def boom():
+            raise RuntimeError("inside the task")
+
+        for transport in (InlineTransport(), InlineTransport(concurrency=2)):
+            outcomes = transport.run(
+                [PoolTask("ok", lambda: 1), PoolTask("bad", boom),
+                 PoolTask("skip", lambda: 1, skip=lambda: True)],
+                1,
+            )
+            assert outcomes["ok"] == 1
+            assert isinstance(outcomes["bad"], TaskFailure)
+            assert outcomes["skip"] == SKIPPED
+
+    def test_interrupts_propagate_unwrapped(self):
+        def interrupted():
+            raise KeyboardInterrupt()
+
+        with pytest.raises(KeyboardInterrupt):
+            InlineTransport().run([PoolTask("ctrl-c", interrupted)], 1)
+
+    def test_serial_metrics(self):
+        metrics = PoolMetrics()
+        InlineTransport().run(
+            [PoolTask(i, (lambda i=i: i)) for i in range(3)]
+            + [PoolTask("skip", lambda: 0, skip=lambda: True)],
+            1, metrics=metrics,
+        )
+        assert InlineTransport().name == "serial"
+        assert metrics.tasks_completed == 4
+        assert metrics.tasks_skipped == 1
+        assert metrics.queue_depth_samples == [4, 3, 2, 1]
+        assert set(metrics.worker_tasks) == {0}
+
+    def test_lanes_overlap_awaiting_tasks(self):
+        import asyncio
+
+        async def nap():
+            await asyncio.sleep(0.02)
+            return "done"
+
+        metrics = PoolMetrics()
+        transport = InlineTransport(concurrency=4)
+        outcomes = transport.run(
+            [PoolTask(i, lambda: "sync", athunk=nap) for i in range(8)],
+            1, metrics=metrics,
+        )
+        assert outcomes == {i: "done" for i in range(8)}
+        assert transport.name == "async"
+        assert transport.capacity() == 4
+        assert 2 <= metrics.inflight_sessions <= 4
+        assert metrics.session_active_s > 0.0

@@ -8,17 +8,17 @@ from xml.etree import ElementTree
 import pytest
 
 from repro.api import (
+    CheckSession,
+    CheckTarget,
     ConsoleReporter,
     JsonlReporter,
     JUnitXmlReporter,
     ProgressReporter,
     Reporter,
-    SerialEngine,
+    SessionConfig,
 )
-from repro.api import ParallelEngine
 from repro.apps.eggtimer import egg_timer_app
-from repro.checker import Runner, RunnerConfig
-from repro.executors import DomExecutor
+from repro.checker import RunnerConfig
 from repro.specs import load_eggtimer_spec
 
 
@@ -39,19 +39,33 @@ class RecordingReporter(Reporter):
         self.events.append(("campaign_end", result.tests_run))
 
 
-def eggtimer_runner(app_factory=None, **config_kwargs):
-    spec = load_eggtimer_spec().check_named("safety")
+SPEC = load_eggtimer_spec().check_named("safety")
+
+
+def eggtimer_target(app_factory=None, **config_kwargs):
+    """A ``CheckTarget`` labelled like ``check``'s single campaign."""
     defaults = dict(tests=3, scheduled_actions=10, demand_allowance=5,
                     seed=1, shrink=False)
     defaults.update(config_kwargs)
-    factory = app_factory or egg_timer_app()
-    return Runner(spec, lambda: DomExecutor(factory), RunnerConfig(**defaults))
+    return CheckTarget("safety", app_factory or egg_timer_app(), spec=SPEC,
+                       config=RunnerConfig(**defaults))
+
+
+def run(targets, reporters=(), jobs=1):
+    """One batch of ``targets`` (a target, or a list) with
+    ``reporters`` attached; returns the first campaign's result."""
+    if isinstance(targets, CheckTarget):
+        targets = [targets]
+    batch = CheckSession().check_many(
+        targets, session=SessionConfig(jobs=jobs, reporters=list(reporters))
+    )
+    return batch.results[0]
 
 
 class TestLifecycle:
     def test_events_in_index_order(self):
         reporter = RecordingReporter()
-        SerialEngine().run(eggtimer_runner(), [reporter])
+        run(eggtimer_target(), [reporter])
         kinds = [e[0] for e in reporter.events]
         assert kinds == ["test_start", "test_end"] * 3 + ["campaign_end"]
         assert [e[1] for e in reporter.events if e[0] == "test_start"] == [0, 1, 2]
@@ -59,15 +73,15 @@ class TestLifecycle:
 
     def test_parallel_reports_in_index_order_too(self):
         serial, parallel = RecordingReporter(), RecordingReporter()
-        SerialEngine().run(eggtimer_runner(), [serial])
-        ParallelEngine(jobs=3).run(eggtimer_runner(), [parallel])
+        run(eggtimer_target(), [serial])
+        run(eggtimer_target(), [parallel], jobs=3)
         assert serial.events == parallel.events
 
     def test_counterexample_hook_fires_on_failure(self):
         reporter = RecordingReporter()
-        runner = eggtimer_runner(egg_timer_app(decrement=2), tests=5,
+        target = eggtimer_target(egg_timer_app(decrement=2), tests=5,
                                  scheduled_actions=20, seed=7)
-        result = SerialEngine().run(runner, [reporter])
+        result = run(target, [reporter])
         assert not result.passed
         assert any(e[0] == "counterexample" for e in reporter.events)
         # stop_on_failure: the campaign ends at the first failing index.
@@ -77,23 +91,19 @@ class TestLifecycle:
 class TestConsoleReporter:
     def test_summary_printed(self):
         stream = io.StringIO()
-        SerialEngine().run(
-            eggtimer_runner(), [ConsoleReporter(stream=stream)]
-        )
+        run(eggtimer_target(), [ConsoleReporter(stream=stream)])
         assert "safety: PASSED after 3 test(s)" in stream.getvalue()
 
     def test_verbose_prints_per_test_lines(self):
         stream = io.StringIO()
-        SerialEngine().run(
-            eggtimer_runner(), [ConsoleReporter(stream=stream, verbose=True)]
-        )
+        run(eggtimer_target(), [ConsoleReporter(stream=stream, verbose=True)])
         assert "test 0:" in stream.getvalue()
 
     def test_counterexample_described(self):
         stream = io.StringIO()
-        runner = eggtimer_runner(egg_timer_app(decrement=2), tests=5,
+        target = eggtimer_target(egg_timer_app(decrement=2), tests=5,
                                  scheduled_actions=20, seed=7, shrink=True)
-        SerialEngine().run(runner, [ConsoleReporter(stream=stream)])
+        run(target, [ConsoleReporter(stream=stream)])
         out = stream.getvalue()
         assert "counterexample" in out
         assert "FAILED" in out
@@ -102,18 +112,19 @@ class TestConsoleReporter:
 class TestJsonlReporter:
     def test_every_line_is_json(self):
         stream = io.StringIO()
-        runner = eggtimer_runner(egg_timer_app(decrement=2), tests=5,
+        target = eggtimer_target(egg_timer_app(decrement=2), tests=5,
                                  scheduled_actions=20, seed=7, shrink=True)
-        SerialEngine().run(runner, [JsonlReporter(stream=stream)])
+        run(target, [JsonlReporter(stream=stream)])
         lines = [l for l in stream.getvalue().splitlines() if l]
         records = [json.loads(line) for line in lines]
         kinds = [r["event"] for r in records]
         assert kinds[0] == "campaign_start"
         assert kinds[1] == "test_start"
-        assert kinds[-1] == "campaign_end"
+        assert kinds[-2:] == ["campaign_end", "session_end"]
         assert "counterexample" in kinds
-        end = records[-1]
+        end = records[-2]
         assert end["passed"] is False
+        assert records[-1]["pool"]["transport"] == "serial"
         cex = next(r for r in records if r["event"] == "counterexample")
         assert cex["verdict"] == "DEFINITELY_FALSE"
         assert cex["shrunk_actions"] is not None
@@ -121,7 +132,7 @@ class TestJsonlReporter:
 
     def test_test_end_record_carries_metrics(self):
         stream = io.StringIO()
-        SerialEngine().run(eggtimer_runner(), [JsonlReporter(stream=stream)])
+        run(eggtimer_target(), [JsonlReporter(stream=stream)])
         records = [json.loads(l) for l in stream.getvalue().splitlines() if l]
         test_end = next(r for r in records if r["event"] == "test_end")
         for key in ("verdict", "passed", "forced", "actions_taken",
@@ -131,11 +142,9 @@ class TestJsonlReporter:
 
 class TestJUnitXmlReporter:
     def _run_campaigns(self, reporter):
-        SerialEngine().run(eggtimer_runner(), [reporter])
-        failing = eggtimer_runner(egg_timer_app(decrement=2), tests=5,
+        failing = eggtimer_target(egg_timer_app(decrement=2), tests=5,
                                   scheduled_actions=20, seed=7, shrink=True)
-        result = SerialEngine().run(failing, [reporter])
-        reporter.on_session_end([(None, result)])
+        run([eggtimer_target(), failing], [reporter])
 
     def test_document_shape(self):
         stream = io.StringIO()
@@ -182,7 +191,7 @@ class TestJUnitXmlReporter:
     def test_write_is_idempotent(self):
         stream = io.StringIO()
         reporter = JUnitXmlReporter(stream=stream)
-        SerialEngine().run(eggtimer_runner(), [reporter])
+        run(eggtimer_target(), [reporter])
         reporter.write()
         reporter.write()
         assert stream.getvalue().count("<testsuites") == 1
@@ -196,9 +205,7 @@ class TestJUnitXmlReporter:
         and the verdict, matching the TestResult bit for bit."""
         stream = io.StringIO()
         reporter = JUnitXmlReporter(stream=stream)
-        runner = eggtimer_runner()
-        result = SerialEngine().run(runner, [reporter])
-        reporter.on_session_end([(None, result)])
+        result = run(eggtimer_target(), [reporter])
         root = ElementTree.fromstring(stream.getvalue())
         cases = list(root.iter("testcase"))
         assert len(cases) == len(result.results)
@@ -228,7 +235,7 @@ class TestJUnitXmlReporter:
     def test_target_label_names_the_suite(self):
         reporter = JUnitXmlReporter(stream=io.StringIO())
         reporter.on_campaign_start("safety", 1, target="todomvc:vue")
-        result = SerialEngine().run(eggtimer_runner(tests=1))
+        result = run(eggtimer_target(tests=1))
         reporter.on_test_end("safety", 0, result.results[0])
         reporter.on_campaign_end(result)
         root = ElementTree.fromstring(reporter.to_xml())
@@ -241,12 +248,9 @@ class TestProgressReporter:
     def test_non_tty_prints_one_line_per_campaign(self):
         stream = io.StringIO()  # not a TTY
         reporter = ProgressReporter(stream=stream)
-        reporter.on_session_start(2)
-        SerialEngine().run(eggtimer_runner(), [reporter])
-        failing = eggtimer_runner(egg_timer_app(decrement=2), tests=5,
+        failing = eggtimer_target(egg_timer_app(decrement=2), tests=5,
                                   scheduled_actions=20, seed=7)
-        result = SerialEngine().run(failing, [reporter])
-        reporter.on_session_end([(None, result), (None, result)])
+        run([eggtimer_target(), failing], [reporter])
         lines = stream.getvalue().splitlines()
         assert "[1/2] safety: ok (3 tests)" in lines
         assert any("FAIL" in line for line in lines)
@@ -258,7 +262,7 @@ class TestProgressReporter:
                 return True
 
         stream = Tty()
-        SerialEngine().run(eggtimer_runner(), [ProgressReporter(stream=stream)])
+        run(eggtimer_target(), [ProgressReporter(stream=stream)])
         out = stream.getvalue()
         assert "\r" in out
         assert "test 1/3" in out
@@ -270,7 +274,7 @@ class TestProgressReporter:
         stream = io.StringIO()
         reporter = ProgressReporter(stream=stream)
         reporter.on_campaign_start("safety", 3)
-        result = SerialEngine().run(eggtimer_runner(tests=1))
+        result = run(eggtimer_target(tests=1))
         reporter.on_test_end("safety", 0, result.results[0])
         assert stream.getvalue() == ""  # nothing until the campaign ends
         reporter.on_campaign_end(result)
@@ -289,7 +293,7 @@ class TestProgressReporter:
         stream = Tty()
         reporter = ProgressReporter(stream=stream)
         reporter.on_campaign_start("a-very-long-property-name", 2)
-        result = SerialEngine().run(eggtimer_runner(tests=1))
+        result = run(eggtimer_target(tests=1))
         reporter.on_test_end("a-very-long-property-name", 0,
                              result.results[0])
         long_line = stream.getvalue().split("\r")[-1]
@@ -309,143 +313,19 @@ class TestProgressReporter:
 
         stream = Tty()
         reporter = ProgressReporter(stream=stream)
-        failing = eggtimer_runner(egg_timer_app(decrement=2), tests=5,
+        failing = eggtimer_target(egg_timer_app(decrement=2), tests=5,
                                   scheduled_actions=20, seed=7)
-        result = SerialEngine().run(failing, [reporter])
+        result = run(failing, [reporter])
         assert not result.passed
         out = stream.getvalue()
         fail_chunk = [part for part in out.split("\r") if "FAIL" in part][-1]
         assert fail_chunk.endswith("\n")
-        reporter.on_session_end([(None, result)])
         # The summary rewrites the (now empty) live line and terminates it.
         assert stream.getvalue().endswith("1 failed\n")
 
     def test_piped_session_summary_is_a_plain_line(self):
         stream = io.StringIO()
-        reporter = ProgressReporter(stream=stream)
-        reporter.on_session_start(1)
-        result = SerialEngine().run(eggtimer_runner(tests=1), [reporter])
-        reporter.on_session_end([(None, result)])
+        run(eggtimer_target(tests=1), [ProgressReporter(stream=stream)])
         assert stream.getvalue().splitlines()[-1] == (
             "1 campaign(s): 1 passed, 0 failed"
         )
-
-
-class TestReporterVersioning:
-    """The versioned Reporter ABC: ``api_version`` + explicit adapter
-    replace the old per-call ``on_session_end`` signature sniffing."""
-
-    def test_builtins_declare_version_2(self):
-        from repro.api.reporters import REPORTER_API_VERSION
-
-        for cls in (ConsoleReporter, JsonlReporter, JUnitXmlReporter,
-                    ProgressReporter):
-            assert cls.api_version == REPORTER_API_VERSION
-
-    def test_base_class_stays_version_1(self):
-        # Deliberate: an old subclass overriding on_session_end(outcomes)
-        # must not inherit a version-2 promise its override doesn't keep.
-        assert Reporter.api_version == 1
-
-    def test_version_2_reporters_are_used_directly(self):
-        from repro.api import adapt_reporter
-
-        reporter = JsonlReporter(stream=io.StringIO())
-        assert adapt_reporter(reporter) is reporter
-
-    def test_version_1_reporters_are_wrapped(self):
-        from repro.api import LegacyReporterAdapter, adapt_reporter
-
-        class Old(Reporter):
-            def on_session_end(self, outcomes):  # pre-metrics signature
-                self.seen = outcomes
-
-        old = Old()
-        adapted = adapt_reporter(old)
-        assert isinstance(adapted, LegacyReporterAdapter)
-        assert adapted.wrapped is old
-
-    def test_adapter_drops_metrics_for_old_signatures(self):
-        from repro.api import PoolMetrics
-        from repro.api.reporters import emit_session_end
-
-        calls = []
-
-        class Old(Reporter):
-            def on_session_end(self, outcomes):
-                calls.append(outcomes)
-
-        emit_session_end([Old()], [("x", object())],
-                         metrics=PoolMetrics(jobs=2))
-        assert len(calls) == 1 and calls[0][0][0] == "x"
-
-    def test_adapter_passes_metrics_when_accepted(self):
-        from repro.api import PoolMetrics
-        from repro.api.reporters import emit_session_end
-
-        calls = []
-
-        class Declared(Reporter):
-            api_version = 2
-
-            def on_session_end(self, outcomes, metrics=None):
-                calls.append(metrics)
-
-        class Sniffed(Reporter):  # version 1, but takes the keyword
-            def on_session_end(self, outcomes, metrics=None):
-                calls.append(metrics)
-
-        metrics = PoolMetrics(jobs=3)
-        emit_session_end([Declared(), Sniffed()], [], metrics=metrics)
-        assert calls == [metrics, metrics]
-
-    def test_adapter_forwards_every_other_hook(self):
-        from repro.api import adapt_reporter
-
-        events = []
-
-        class Old(Reporter):
-            def on_session_start(self, campaigns):
-                events.append(("session_start", campaigns))
-
-            def on_campaign_start(self, property_name, tests, target=None):
-                events.append(("campaign_start", property_name, tests,
-                               target))
-
-            def on_test_start(self, property_name, index, seed):
-                events.append(("test_start", index))
-
-            def on_session_end(self, outcomes):
-                events.append(("session_end", len(outcomes)))
-
-        adapted = adapt_reporter(Old())
-        adapted.on_session_start(2)
-        adapted.on_campaign_start("p", 4, target="t")
-        adapted.on_test_start("p", 0, "seed/0")
-        adapted.on_session_end([], metrics=None)
-        assert events == [("session_start", 2),
-                          ("campaign_start", "p", 4, "t"),
-                          ("test_start", 0),
-                          ("session_end", 0)]
-
-    def test_legacy_reporter_rides_a_real_batch(self):
-        """End to end: a pre-metrics reporter attached to check_many
-        still receives its session_end, with no TypeError."""
-        from repro.api import CheckSession, SessionConfig
-        from repro.specs import load_eggtimer_spec
-
-        seen = []
-
-        class Old(Reporter):
-            def on_session_end(self, outcomes):
-                seen.append([target for target, _ in outcomes])
-
-        session = CheckSession(egg_timer_app(), reporters=[Old()])
-        session.check_many(
-            [("egg", egg_timer_app())],
-            spec=load_eggtimer_spec().check_named("safety"),
-            config=RunnerConfig(tests=2, scheduled_actions=10,
-                                demand_allowance=5, shrink=False),
-            session=SessionConfig(jobs=1),
-        )
-        assert seen == [["egg"]]

@@ -1,6 +1,6 @@
 """Cross-campaign orchestration: check_many on one shared pool.
 
-The acceptance bar mirrors the engine equivalence suite one level up:
+The acceptance bar mirrors the single-campaign suite one level up:
 a pooled multi-campaign audit must be *observationally identical* to
 running each campaign serially with the same seed -- same verdicts,
 same per-test results, same counterexamples, same deterministic
@@ -103,7 +103,7 @@ class RecordingReporter(Reporter):
         self.events.append(("campaign_end", result.property_name,
                             result.tests_run))
 
-    def on_session_end(self, outcomes):
+    def on_session_end(self, outcomes, metrics=None):
         self.events.append(
             ("session_end", [(target, r.passed) for target, r in outcomes])
         )
@@ -248,21 +248,6 @@ class TestSchedulerConfiguration:
         CheckSession(jobs=3).check_many(three_targets()[:1])
         assert observed["jobs"] == 3
 
-    def test_explicit_parallel_engine_sets_the_pool_width(self, monkeypatch):
-        from repro.api import ParallelEngine
-
-        observed = {}
-        original = PooledScheduler.__init__
-
-        def spy(self, jobs=None, transport=None):
-            observed["jobs"] = jobs
-            original(self, jobs, transport=transport)
-
-        monkeypatch.setattr(PooledScheduler, "__init__", spy)
-        session = CheckSession(engine=ParallelEngine(jobs=5))
-        session.check_many(three_targets()[:1])
-        assert observed["jobs"] == 5
-
 
 class TestCrashAttribution:
     def test_dead_campaign_is_named_with_its_index(self):
@@ -285,6 +270,65 @@ class TestCrashAttribution:
         assert any(
             task_id[0] == "killer" for task_id in excinfo.value.in_flight
         )
+
+
+class TestInlineWidthOne:
+    """What profilers hook: a width-1 batch starts every test it reaches
+    through ``Runner.run_single_test`` in the caller's thread (never the
+    async face), looks shrinking up at call time, and lets an executor
+    error escape ``check_many`` as itself."""
+
+    def test_each_reached_test_starts_through_run_single_test(
+        self, monkeypatch
+    ):
+        import threading
+
+        calls = []
+        original = Runner.run_single_test
+
+        def spy(runner, rng, lease=None):
+            calls.append(threading.get_ident())
+            return original(runner, rng, lease)
+
+        async def forbidden(*args, **kwargs):
+            raise AssertionError("a width-1 batch awaited a session")
+
+        monkeypatch.setattr(Runner, "run_single_test", spy)
+        monkeypatch.setattr(Runner, "run_single_test_async", forbidden)
+        batch = CheckSession().check_many(
+            three_targets(), session=SessionConfig(jobs=1)
+        )
+        assert len(calls) == sum(o.result.tests_run for o in batch)
+        assert set(calls) == {threading.get_ident()}
+
+    def test_shrinking_is_looked_up_at_call_time(self, monkeypatch):
+        import repro.checker.shrink as shrink_module
+
+        shrunk_for = []
+        original = shrink_module.shrink_counterexample
+
+        def spy(runner, counterexample):
+            shrunk_for.append(runner.spec.name)
+            return original(runner, counterexample)
+
+        monkeypatch.setattr(shrink_module, "shrink_counterexample", spy)
+        CheckSession().check_many(
+            three_targets()[1:2], session=SessionConfig(jobs=1)
+        )
+        assert shrunk_for == ["safety"]
+
+    def test_first_executor_start_error_propagates(self, monkeypatch):
+        class Dispatched(Exception):
+            pass
+
+        def first_start(executor, message):
+            raise Dispatched
+
+        monkeypatch.setattr(DomExecutor, "start", first_start)
+        with pytest.raises(Dispatched):
+            CheckSession().check_many(
+                three_targets()[:1], session=SessionConfig(jobs=1)
+            )
 
 
 class TestEngineMetrics:

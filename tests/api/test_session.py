@@ -1,8 +1,8 @@
-"""The CheckSession facade: spec resolution, executor coercion, engines."""
+"""The CheckSession facade: spec resolution, executor coercion, widths."""
 
 import pytest
 
-from repro.api import CheckSession, ParallelEngine, SerialEngine
+from repro.api import CheckSession
 from repro.apps.eggtimer import egg_timer_app
 from repro.checker import RunnerConfig, Runner
 from repro.executors import CCSExecutor, DomExecutor, parse_definitions
@@ -95,27 +95,69 @@ class TestExecutorCoercion:
 
 
 class TestEngineSelection:
+    """``check`` runs on the scheduler at the session's width."""
+
+    def _width(self, session):
+        session.check(load_eggtimer_spec().check_named("safety"),
+                      config=QUICK)
+        metrics = session.last_metrics
+        return metrics.jobs, metrics.transport
+
     def test_default_engine_is_serial(self):
-        assert isinstance(CheckSession(egg_timer_app()).engine, SerialEngine)
+        assert self._width(CheckSession(egg_timer_app())) == (1, "serial")
 
     def test_jobs_selects_parallel(self):
-        session = CheckSession(egg_timer_app(), jobs=4)
-        assert isinstance(session.engine, ParallelEngine)
-        assert session.engine.jobs == 4
+        jobs, transport = self._width(CheckSession(egg_timer_app(), jobs=4))
+        assert jobs == 4
+        assert transport in ("fork", "thread")
 
     def test_jobs_one_stays_serial(self):
-        assert isinstance(
-            CheckSession(egg_timer_app(), jobs=1).engine, SerialEngine
-        )
+        session = CheckSession(egg_timer_app(), jobs=1)
+        assert self._width(session) == (1, "serial")
 
     def test_engine_and_jobs_conflict(self):
-        with pytest.raises(ValueError, match="not both"):
-            CheckSession(egg_timer_app(), engine=SerialEngine(), jobs=2)
+        """``engine=`` is gone: jobs and transports are the only knobs,
+        so passing an engine (with or without jobs) is a TypeError."""
+        with pytest.raises(TypeError):
+            CheckSession(egg_timer_app(), engine=object(), jobs=2)
+        with pytest.raises(TypeError):
+            CheckSession(egg_timer_app(), engine=object())
 
-    def test_explicit_engine_used(self):
-        engine = ParallelEngine(jobs=2)
-        session = CheckSession(egg_timer_app(), engine=engine)
-        assert session.engine is engine
+
+class TestCheckIsAOneTargetBatch:
+    """``check`` rides ``check_many``: it honours the session's
+    ``reuse_executors``, records ``last_metrics`` and brackets the
+    campaign with session events."""
+
+    def test_check_reuses_warm_executors_and_records_metrics(self):
+        from repro.api import SessionConfig
+
+        spec = load_eggtimer_spec().check_named("safety")
+        config = RunnerConfig(tests=5, scheduled_actions=10, seed=1,
+                              shrink=False)
+        session = CheckSession(egg_timer_app())
+        assert session.last_metrics is None
+        result = session.check(
+            spec, config=config,
+            session=SessionConfig(reuse_executors=True),
+        )
+        assert result.tests_run == 5
+        metrics = session.last_metrics
+        assert metrics is not None
+        assert (metrics.cold_starts, metrics.warm_hits) == (1, 4)
+
+    def test_check_emits_the_batch_shaped_stream(self):
+        from repro.fuzz.oracles import RecordingReporter
+
+        recorder = RecordingReporter()
+        CheckSession(egg_timer_app(), reporters=[recorder]).check(
+            load_eggtimer_spec(), property="safety", config=QUICK
+        )
+        kinds = [event[0] for event in recorder.events]
+        assert kinds[0] == "session_start"
+        assert kinds[-1] == "session_end"
+        assert recorder.events[1] == ("campaign_start", "safety",
+                                      QUICK.tests, "safety")
 
 
 class TestRunnerAccess:
@@ -125,21 +167,6 @@ class TestRunnerAccess:
                                 config=QUICK)
         assert isinstance(runner, Runner)
         assert runner.spec.name == "safety"
-
-
-class TestLegacyCompat:
-    def test_runner_run_still_works(self):
-        """Runner.run() (deprecated) delegates to the serial engine."""
-        spec = load_eggtimer_spec().check_named("safety")
-        runner = Runner(spec, lambda: DomExecutor(egg_timer_app()), QUICK)
-        legacy = runner.run()
-        modern = CheckSession(egg_timer_app()).check(spec, config=QUICK)
-        assert [r.verdict for r in legacy.results] == [
-            r.verdict for r in modern.results
-        ]
-        assert [r.actions for r in legacy.results] == [
-            r.actions for r in modern.results
-        ]
 
 
 class TestSpecModuleMemoization:
@@ -210,28 +237,6 @@ class TestSpecModuleMemoization:
         spec_file.write_text(source + "\n// touched\n")
         session.check(str(spec_file), property="safety", config=QUICK)
         assert len(calls) == 2  # edited content recompiles
-
-
-class TestCustomEngineHonoured:
-    def test_check_all_runs_a_custom_engine_per_property(self):
-        """engine= is an extension point; check_all's scheduler fast
-        path must only replace the built-in engines."""
-        from repro.api import CampaignEngine, SerialEngine
-
-        class CountingEngine(CampaignEngine):
-            def __init__(self):
-                self.runs = []
-                self._serial = SerialEngine()
-
-            def run(self, runner, reporters=(), cache=None):
-                self.runs.append(runner.spec.name)
-                return self._serial.run(runner, reporters)
-
-        engine = CountingEngine()
-        session = CheckSession(egg_timer_app(), engine=engine)
-        results = session.check_all(load_eggtimer_spec(), config=QUICK)
-        assert engine.runs == ["safety", "liveness", "timeUp"]
-        assert [r.property_name for r in results] == engine.runs
 
 
 class TestSessionConfig:
@@ -310,8 +315,6 @@ class TestSessionConfig:
         seen = []
 
         class Probe(Reporter):
-            api_version = 2
-
             def on_session_end(self, outcomes, metrics=None):
                 seen.append(len(outcomes))
 

@@ -8,7 +8,8 @@ stream must be byte-identical to the serial loop with the same seeds.
 
 This suite runs one mixed batch (a passing campaign, a failing+shrunk
 campaign via the ``import:`` app registry, and a failing TodoMVC
-implementation) through every transport and compares against serial.
+implementation) through every transport -- the inline one at one and
+at four sessions in flight included -- and compares against serial.
 The TCP half additionally pins the fabric's failure semantics with a
 hand-rolled fake worker speaking the wire protocol:
 
@@ -36,6 +37,7 @@ import pytest
 from repro.api import (
     CheckSession,
     CheckTarget,
+    InlineTransport,
     Reporter,
     SessionConfig,
     TcpTransport,
@@ -194,6 +196,18 @@ class TestTransportIdentity:
         assert_batches_identical(serial_batch, batch)
         assert events == serial_events
         assert batch.metrics.transport == kind
+
+    @pytest.mark.parametrize("concurrency", [1, 4])
+    def test_inline_transport_matches_serial(self, concurrency, serial):
+        serial_batch, serial_events = serial
+        batch, events = run_batch(SessionConfig(
+            transport=InlineTransport(concurrency=concurrency)
+        ))
+        assert_batches_identical(serial_batch, batch)
+        assert events == serial_events
+        assert batch.metrics.transport == (
+            "serial" if concurrency == 1 else "async"
+        )
 
     def test_tcp_sharded_over_two_workers_matches_serial(
         self, serial, tcp_fabric

@@ -8,6 +8,7 @@ while the reference application passes.
 
 import pytest
 
+from repro.api import CheckSession
 from repro.apps.todomvc import (
     FAULT_DESCRIPTIONS,
     Faults,
@@ -40,7 +41,7 @@ def campaign(check, faults, tests=25, actions=50, seed=0):
         tests=tests, scheduled_actions=actions, demand_allowance=20,
         seed=seed, shrink=False,
     )
-    return Runner(check, factory, config).run()
+    return CheckSession(factory).check(check, config=config)
 
 
 class TestReferencePasses:
@@ -108,7 +109,7 @@ def campaign_with(check, faults, tests, actions, seed):
         tests=tests, scheduled_actions=actions, demand_allowance=20,
         seed=seed, shrink=False,
     )
-    return Runner(check, factory, config).run()
+    return CheckSession(factory).check(check, config=config)
 
 
 class TestPersistenceExtension:

@@ -66,7 +66,7 @@ class TestWorkerArtifactPath:
         source-compiled runner."""
         import random
 
-        from repro.api.engines import _test_seed
+        from repro.api.scheduler import _test_seed
         from repro.api.transport.worker import _RunnerCache
 
         bundle = compile_spec(spec_path("eggtimer.strom"))

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api.engines import _test_seed
+from repro.api.scheduler import _test_seed
 from repro.api.lease import ExecutorCache
 from repro.api.session import _coerce_executor_factory
 from repro.apps.eggtimer import egg_timer_app
@@ -33,7 +33,7 @@ from repro.specs import load_eggtimer_spec
 
 def _fuzz_runner(campaign, fault):
     factory = _coerce_executor_factory(machine_app(campaign.machine, fault))
-    return Runner(campaign.check_spec(), factory, campaign.config())
+    return Runner(campaign.check_property(), factory, campaign.config())
 
 
 def _comparable(result):
@@ -133,28 +133,46 @@ class TestAsyncSyncEquivalence:
 
 
 class TestSeamGuards:
-    """Misuse fails loudly rather than deadlocking or diverging."""
+    """The sync face takes async sessions too, and misuse fails loudly
+    rather than deadlocking or diverging."""
 
-    def test_sync_entry_rejects_async_factories(self):
+    def _runner(self, factory):
         spec = load_eggtimer_spec().check_named("safety")
-        runner = Runner(
-            spec,
-            lambda: SyncExecutorAdapter(DomExecutor(egg_timer_app())),
+        return Runner(
+            spec, factory,
             RunnerConfig(tests=1, scheduled_actions=4,
                          demand_allowance=4, seed=0, shrink=False),
         )
-        with pytest.raises(TypeError, match="run_single_test_async"):
-            runner.run_single_test(random.Random(0))
 
-    def test_sync_lease_rejects_async_factories(self):
+    def test_sync_entry_drives_async_factories(self):
+        plain = self._runner(lambda: DomExecutor(egg_timer_app()))
+        wrapped = self._runner(
+            lambda: LatencyExecutor(
+                SyncExecutorAdapter(DomExecutor(egg_timer_app())),
+                latency_ms=1,
+            )
+        )
+        expected = plain.run_single_test(random.Random(0))
+        assert _comparable(wrapped.run_single_test(random.Random(0))) == (
+            _comparable(expected)
+        )
+        # Shrinking's replays take the same path.
+        replayed = wrapped.replay(list(expected.actions))
+        assert replayed.trace == plain.replay(list(expected.actions)).trace
+
+    def test_sync_lease_drives_async_factories(self):
+        from repro.executors import BlockingExecutor
         from repro.protocol.messages import Start
 
         cache = ExecutorCache(enabled=True)
         lease = cache.lease(
             lambda: SyncExecutorAdapter(DomExecutor(egg_timer_app()))
         )
-        with pytest.raises(TypeError):
-            lease.checkout(Start(frozenset(), ()))
+        executor = lease.checkout(Start(frozenset(), ()))
+        assert isinstance(executor, BlockingExecutor)
+        assert [m.state.happened for m in executor.drain()]
+        lease.checkin(executor)
+        cache.close()
 
     def test_drive_inline_raises_on_a_yielding_executor(self):
         async def actually_blocks():

@@ -11,7 +11,8 @@ import random
 
 import pytest
 
-from repro.checker import CompiledSpec, Runner, RunnerConfig
+from repro.api import CheckSession
+from repro.checker import CompiledProperty, Runner, RunnerConfig
 from repro.dom import Element
 from repro.executors import DomExecutor
 from repro.fuzz.oracles import narrowing_mismatch
@@ -131,13 +132,13 @@ class TestConservativeFallbacks:
         # A hand-built atom is opaque to the liveness analysis...
         assert live_queries(atom("p")) is None
         # ...so the compiled spec reports "no narrowed set" for it.
-        compiled = CompiledSpec(two_phase_check)
+        compiled = CompiledProperty(two_phase_check)
         assert compiled.narrowed_dependencies(atom("p")) is None
 
     def test_always_specs_never_narrow_below_their_reads(
         self, two_phase_check
     ):
-        compiled = CompiledSpec(two_phase_check)
+        compiled = CompiledProperty(two_phase_check)
         assert compiled.supports_narrowing
         narrowed = compiled.narrowed_dependencies(
             two_phase_check.formula
@@ -152,13 +153,14 @@ class TestCampaignEquivalence:
     ):
         results = {}
         for narrow in (False, True):
-            runner = Runner(
-                two_phase_check, lambda: DomExecutor(two_phase_app),
-                RunnerConfig(tests=4, scheduled_actions=8,
-                             demand_allowance=6, seed=7, shrink=False,
-                             narrow_queries=narrow),
+            results[narrow] = CheckSession(
+                lambda: DomExecutor(two_phase_app)
+            ).check(
+                two_phase_check,
+                config=RunnerConfig(tests=4, scheduled_actions=8,
+                                    demand_allowance=6, seed=7, shrink=False,
+                                    narrow_queries=narrow),
             )
-            results[narrow] = runner.run()
         full, narrowed = results[False], results[True]
         assert narrowed.passed == full.passed
         assert [r.verdict for r in narrowed.results] == [

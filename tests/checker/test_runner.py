@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import CheckSession
 from repro.apps.eggtimer import egg_timer_app
 from repro.checker import Runner, RunnerConfig
 from repro.dom import Element
@@ -42,13 +43,18 @@ def counter_module():
     return load_module(COUNTER_SPEC)
 
 
+def check(spec, executor_factory, config):
+    """One campaign on the serial loop."""
+    return CheckSession(executor_factory).check(spec, config=config)
+
+
 def run_counter(check_name, module, **kwargs):
     spec = module.check_named(check_name)
     defaults = dict(tests=3, scheduled_actions=10, demand_allowance=15,
                     seed=1, shrink=False)
     defaults.update(kwargs)
-    return Runner(spec, lambda: DomExecutor(counter_app),
-                  RunnerConfig(**defaults)).run()
+    return check(spec, lambda: DomExecutor(counter_app),
+                 RunnerConfig(**defaults))
 
 
 class TestBasicCampaigns:
@@ -121,11 +127,11 @@ class TestFailureHandling:
 
     def test_counterexample_recorded_and_shrunk(self, counter_module):
         spec = counter_module.check_named("safety")
-        result = Runner(
+        result = check(
             spec,
             lambda: DomExecutor(self.broken_counter),
             RunnerConfig(tests=5, scheduled_actions=10, seed=3, shrink=True),
-        ).run()
+        )
         assert not result.passed
         assert result.counterexample is not None
         assert result.counterexample.verdict is Verdict.DEFINITELY_FALSE
@@ -134,22 +140,22 @@ class TestFailureHandling:
 
     def test_stop_on_failure(self, counter_module):
         spec = counter_module.check_named("safety")
-        result = Runner(
+        result = check(
             spec,
             lambda: DomExecutor(self.broken_counter),
             RunnerConfig(tests=10, scheduled_actions=10, seed=3,
                          shrink=False, stop_on_failure=True),
-        ).run()
+        )
         assert result.tests_run == 1
 
     def test_continue_after_failure(self, counter_module):
         spec = counter_module.check_named("safety")
-        result = Runner(
+        result = check(
             spec,
             lambda: DomExecutor(self.broken_counter),
             RunnerConfig(tests=4, scheduled_actions=10, seed=3,
                          shrink=False, stop_on_failure=False),
-        ).run()
+        )
         assert result.tests_run == 4
         assert all(t.failed for t in result.results)
 
@@ -168,11 +174,11 @@ class TestStalling:
             check prop;
             """
         )
-        result = Runner(
+        result = check(
             module.checks[0],
             lambda: DomExecutor(self.dead_app),
             RunnerConfig(tests=1, scheduled_actions=5, seed=0, shrink=False),
-        ).run()
+        )
         test = result.results[0]
         assert test.stall_reason is not None
         assert test.verdict is Verdict.PROBABLY_TRUE  # forced, no violation
@@ -184,12 +190,12 @@ class TestEggTimerEndToEnd:
     def test_wait_actions_collect_tick_events(self):
         module = load_eggtimer_spec()
         spec = module.check_named("safety")
-        result = Runner(
+        result = check(
             spec,
             lambda: DomExecutor(egg_timer_app()),
             RunnerConfig(tests=2, scheduled_actions=20, demand_allowance=10,
                          seed=7, shrink=False),
-        ).run()
+        )
         assert result.passed
         # Every test observed more states than actions: tick events count.
         for test in result.results:
@@ -211,7 +217,7 @@ class TestReplayAccounting:
 
     def test_replay_counts_only_dispatched_actions(self):
         runner = self._failing_runner()
-        campaign = runner.run()
+        campaign = check(runner.spec, runner.executor_factory, runner.config)
         assert not campaign.passed
         shrunk = campaign.shrunk_counterexample
         assert shrunk is not None
@@ -230,7 +236,7 @@ class TestReplayAccounting:
 
     def test_full_replay_still_counts_everything(self):
         runner = self._failing_runner()
-        campaign = runner.run()
+        campaign = check(runner.spec, runner.executor_factory, runner.config)
         shrunk = campaign.shrunk_counterexample
         prefix = list(shrunk.actions)[:-1]  # stop short of the failure
         replayed = runner.replay(prefix)
@@ -243,15 +249,7 @@ class TestWatchedEventsCache:
     per campaign, not one per test."""
 
     def test_evaluated_exactly_once_per_campaign(self, monkeypatch):
-        from repro.api import SerialEngine
-
         spec = load_eggtimer_spec().check_named("safety")  # has tick?
-        runner = Runner(
-            spec,
-            lambda: DomExecutor(egg_timer_app()),
-            RunnerConfig(tests=3, scheduled_actions=8, demand_allowance=5,
-                         seed=1, shrink=False),
-        )
         calls = []
         original = Runner._evaluate_watched_events
 
@@ -260,7 +258,12 @@ class TestWatchedEventsCache:
             return original(self)
 
         monkeypatch.setattr(Runner, "_evaluate_watched_events", counting)
-        result = SerialEngine().run(runner)
+        result = check(
+            spec,
+            lambda: DomExecutor(egg_timer_app()),
+            RunnerConfig(tests=3, scheduled_actions=8, demand_allowance=5,
+                         seed=1, shrink=False),
+        )
         assert result.tests_run == 3
         assert len(calls) == 1
 

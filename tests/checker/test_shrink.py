@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import CheckSession
 from repro.apps.eggtimer import egg_timer_app
 from repro.checker import Runner, RunnerConfig
 from repro.executors import DomExecutor
@@ -17,7 +18,7 @@ def failing_campaign(safety, **app_kwargs):
     factory = lambda: DomExecutor(egg_timer_app(**app_kwargs))
     config = RunnerConfig(tests=5, scheduled_actions=20, demand_allowance=10,
                           seed=3, shrink=True)
-    return Runner(safety, factory, config).run()
+    return CheckSession(factory).check(safety, config=config)
 
 
 class TestShrinking:

@@ -19,10 +19,12 @@ import pytest
 from repro.apps.eggtimer import egg_timer_app
 from repro.executors import (
     AsyncExecutor,
+    BlockingExecutor,
     DomExecutor,
     LatencyExecutor,
     SyncExecutorAdapter,
     ensure_async_executor,
+    ensure_sync_executor,
 )
 from repro.protocol.messages import Act, Narrow, Reset, Start
 
@@ -240,3 +242,39 @@ class TestEnsureAsyncExecutor:
     def test_protocol_marker(self):
         assert isinstance(SyncExecutorAdapter(RecordingSync()), AsyncExecutor)
         assert not isinstance(RecordingSync(), AsyncExecutor)
+
+
+class TestBlockingExecutor:
+    """The sync driver's view of an async session: every call runs to
+    completion on the session's private loop, in the caller's order."""
+
+    def test_delegates_every_protocol_call_in_order(self):
+        inner = RecordingSync()
+        executor = ensure_sync_executor(
+            LatencyExecutor(SyncExecutorAdapter(inner), latency_ms=0)
+        )
+        assert isinstance(executor, BlockingExecutor)
+        start = Start(frozenset({"#a"}), ())
+        executor.start(start)
+        assert executor.drain() == ["m1", "m2"]
+        assert executor.act(Act(None, "poke!", 0)) is True
+        executor.pass_time(5.0)
+        executor.await_events(7.0)
+        assert executor.narrow(Narrow(frozenset())) is True
+        assert executor.reset(Reset(frozenset(), ())) is True
+        assert (executor.version, executor.now_ms) == (3, 120.0)
+        executor.stop()
+        assert [call[0] for call in inner.calls] == [
+            "start", "drain", "act", "pass_time", "await_events",
+            "narrow", "reset", "stop",
+        ]
+
+    def test_stop_closes_the_private_loop(self):
+        executor = BlockingExecutor(SyncExecutorAdapter(RecordingSync()))
+        loop = executor._loop
+        executor.stop()
+        assert loop.is_closed()
+
+    def test_sync_executors_pass_through(self):
+        inner = RecordingSync()
+        assert ensure_sync_executor(inner) is inner

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.api import CheckSession
 from repro.apps.eggtimer import egg_timer_app
-from repro.checker import Runner, RunnerConfig
+from repro.checker import RunnerConfig
 from repro.executors import DomExecutor
 from repro.quickltl import Verdict
 from repro.specs import load_eggtimer_spec
@@ -18,8 +19,9 @@ def campaign(check, app_factory, **kwargs):
     defaults = dict(tests=3, scheduled_actions=25, demand_allowance=10,
                     seed=7, shrink=True)
     defaults.update(kwargs)
-    return Runner(check, lambda: DomExecutor(app_factory),
-                  RunnerConfig(**defaults)).run()
+    return CheckSession(lambda: DomExecutor(app_factory)).check(
+        check, config=RunnerConfig(**defaults)
+    )
 
 
 class TestSafety:

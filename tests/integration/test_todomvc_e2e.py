@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.api import CheckSession
 from repro.apps.todomvc import implementation_named
-from repro.checker import Runner, RunnerConfig
+from repro.checker import RunnerConfig
 from repro.executors import DomExecutor
 from repro.specs import load_todomvc_spec
 
@@ -17,9 +18,9 @@ def audit(safety, name, tests=12, seed=2):
     impl = implementation_named(name)
     config = RunnerConfig(tests=tests, scheduled_actions=60,
                           demand_allowance=20, seed=seed, shrink=True)
-    return impl, Runner(
-        safety, lambda: DomExecutor(impl.app_factory()), config
-    ).run()
+    return impl, CheckSession(lambda: DomExecutor(impl.app_factory())).check(
+        safety, config=config
+    )
 
 
 class TestPassingImplementations:

@@ -8,8 +8,9 @@ campaign.
 
 import pytest
 
+from repro.api import CheckSession
 from repro.apps.eggtimer import egg_timer_app
-from repro.checker import Runner, RunnerConfig
+from repro.checker import RunnerConfig
 from repro.executors import DomExecutor
 from repro.fuzz.campaigns import generate_campaign, run_campaign
 from repro.fuzz.oracles import monitor_oracle_mismatch
@@ -28,8 +29,9 @@ def recorded_campaign(check, app_factory, **kwargs):
     defaults = dict(tests=3, scheduled_actions=25, demand_allowance=10,
                     seed=7, shrink=False, narrow_queries=False)
     defaults.update(kwargs)
-    return Runner(check, lambda: DomExecutor(app_factory),
-                  RunnerConfig(**defaults)).run()
+    return CheckSession(lambda: DomExecutor(app_factory)).check(
+        check, config=RunnerConfig(**defaults)
+    )
 
 
 class TestOfflineEquivalence:
