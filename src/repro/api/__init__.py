@@ -21,7 +21,7 @@ engine underneath.
 """
 
 from .config import SessionConfig
-from .lease import AsyncExecutorLease, ExecutorCache, ExecutorLease
+from .lease import ExecutorCache, ExecutorLease
 from .pool import PoolMetrics, suggest_jobs
 from .reporters import (
     ConsoleReporter,
@@ -60,7 +60,6 @@ __all__ = [
     "CheckTarget",
     "PooledScheduler",
     "ExecutorCache",
-    "AsyncExecutorLease",
     "ExecutorLease",
     "PoolMetrics",
     "PoolTask",

@@ -7,21 +7,24 @@ exactly the shape of the paper's 43-implementation audit and of
 ``check_all``'s many-properties x one-app batches).  This module
 amortises it:
 
-* :class:`ExecutorCache` holds at most one *warm* executor per target
+* :class:`ExecutorCache` holds a few *warm* executors per target
   identity.  One cache is created (empty) per batch, **before** the
   worker pool forks: each forked worker then owns a private
   copy-on-write instance, so warm executors never cross process
-  boundaries, while the thread fallback and the serial loop share a
+  boundaries, while thread workers and the caller's thread share a
   single locked instance.  Remote ``repro worker`` processes (the TCP
   transport) are not forked from the coordinator at all -- each builds
   its *own* per-process cache from the task's remote descriptor and
-  reports warm-hit/cold-start deltas back inside result frames, so the
+  reports each lease's warm flag back inside result frames, so the
   batch metrics still add up.
-* :class:`ExecutorLease` is one test's claim on an executor.
-  ``checkout`` prefers a warm executor from the cache and asks it to
-  :meth:`~repro.executors.base.Executor.reset` (the new ``Reset``
-  protocol message); a backend that declines -- or a cache miss -- falls
-  back to the classic construct + ``Start`` path, so reuse is always an
+* :class:`ExecutorLease` is one test's claim on an executor, in the
+  async protocol on both faces: ``checkout`` and ``checkin`` are
+  coroutines, which ``Runner.run_single_test`` drives inline and
+  ``run_single_test_async`` awaits.  ``checkout`` prefers a warm
+  executor from the cache and asks it to
+  :meth:`~repro.executors.base.Executor.reset` (the ``Reset`` protocol
+  message); a backend that declines -- or a cache miss -- falls back to
+  the classic construct + ``Start`` path, so reuse is always an
   optimisation, never a semantics change.  ``checkin`` parks the
   executor for the next test instead of stopping it.
 
@@ -38,19 +41,19 @@ Warm hits and cold starts are counted through shared counters (a
 
 from __future__ import annotations
 
-import asyncio
 import threading
 from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from ..executors.base import (
     AsyncExecutor,
-    ensure_async_executor,
-    ensure_sync_executor,
+    InlineAsyncExecutor,
+    ensure_drivable_executor,
+    running_loop,
 )
 from ..protocol.messages import Reset, Start
 from .transport.base import ThreadCounter
 
-__all__ = ["AsyncExecutorLease", "ExecutorCache", "ExecutorLease"]
+__all__ = ["ExecutorCache", "ExecutorLease"]
 
 
 def _bump(counter) -> None:
@@ -58,25 +61,11 @@ def _bump(counter) -> None:
         counter.value += 1
 
 
-def _retire(executor) -> None:
-    """Stop an executor from a context that cannot await: async
-    executors offer ``stop_nowait`` for exactly this, synchronous ones
-    just stop."""
-    stop_nowait = getattr(executor, "stop_nowait", None)
-    if stop_nowait is not None:
-        stop_nowait()
-    else:
-        executor.stop()
-
-
-async def _stop_parked(executor) -> None:
-    """Stop a parked executor from async code, whichever protocol it
-    speaks; a dead session refusing to stop must not fail the test."""
+async def _stop_parked(executor: AsyncExecutor) -> None:
+    """Stop a parked executor; a dead session refusing to stop must
+    not fail the test."""
     try:
-        if isinstance(executor, AsyncExecutor):
-            await executor.stop()
-        else:
-            executor.stop()
+        await executor.stop()
     except Exception:
         pass
 
@@ -135,10 +124,10 @@ class ExecutorCache:
             cold_starts if cold_starts is not None else ThreadCounter(0)
         )
         #: key -> (loop-tag, executor) pairs, oldest first; key order is
-        #: recency.  The tag is the asyncio loop the executor was parked
-        #: from, or None for synchronous parks: an executor never crosses
-        #: from one loop to another (or between sync and async use) --
-        #: its adapter's in-flight machinery belongs to one loop.
+        #: recency.  The tag is the event loop an awaiting session was
+        #: parked from -- its in-flight machinery never crosses to
+        #: another loop -- or None for a session run inline, which no
+        #: loop owns.
         self._entries: Dict[Hashable, List[Tuple[object, object]]] = {}
         self._lock = threading.Lock()
 
@@ -149,27 +138,15 @@ class ExecutorCache:
         overrides the identity when factories are built per-call)."""
         return ExecutorLease(self, factory, factory if key is None else key)
 
-    def async_lease(
-        self, factory: Callable[[], object], key: Optional[Hashable] = None
-    ) -> "AsyncExecutorLease":
-        """The awaitable counterpart of :meth:`lease`: checkout/checkin
-        are coroutines and the parked executors are loop-tagged so
-        concurrent sessions on one loop share warmth safely."""
-        return AsyncExecutorLease(self, factory, factory if key is None else key)
-
-    def checkout(self, key: Hashable) -> Optional[object]:
-        """Claim a warm executor for ``key``, or None on a miss.  The
-        entry is *removed*: an executor is only ever owned by one task.
-        The most recently parked executor is claimed first (LIFO), so
-        sequential reuse keeps touching the same warm session."""
-        return self._checkout_tagged(key, None)
-
     def _checkout_tagged(self, key: Hashable, loop) -> Optional[object]:
-        """Claim the most recent warm executor parked under the same
-        loop tag.  Entries with a *different* tag are retired on sight:
-        their loop is gone (or they belong to the other driving mode)
-        and a cross-loop checkout would hand a task an executor whose
-        coroutines can never run."""
+        """Claim the most recent warm executor for ``key`` that ``loop``
+        (None: no loop runs here) can drive -- one parked untagged or
+        under ``loop`` itself -- or None on a miss.  The entry is
+        *removed*: an executor is only ever owned by one task, and LIFO
+        order keeps sequential reuse on the same warm session.  Entries
+        tagged with another loop are retired on sight: that loop is gone
+        (or runs in another thread) and a checkout would hand a task an
+        executor whose coroutines can never run here."""
         mismatched = []
         found = None
         with self._lock:
@@ -177,27 +154,21 @@ class ExecutorCache:
             if stack:
                 while stack:
                     tag, executor = stack.pop()
-                    if tag is loop:
+                    if tag is None or tag is loop:
                         found = executor
                         break
                     mismatched.append(executor)
                 if not stack:
                     del self._entries[key]
         for stale in mismatched:
-            _retire(stale)
+            stale.stop_nowait()
         return found
 
-    def checkin(self, key: Hashable, executor: object) -> None:
-        """Park a still-warm executor for the next test of ``key``."""
-        for stale in self._checkin_collect(key, executor, None):
-            _retire(stale)
-
     def _checkin_collect(
-        self, key: Hashable, executor: object, loop
+        self, key: Hashable, executor: object, tag
     ) -> List[object]:
-        """Park ``executor`` under its loop tag; returns the executors
-        evicted by the depth/size bounds for the caller to stop in its
-        own idiom (sync call or await)."""
+        """Park ``executor`` under ``tag``; returns the executors evicted
+        by the depth/size bounds for the caller to stop."""
         evicted: List[object] = []
         with self._lock:
             stack = self._entries.pop(key, None)
@@ -208,7 +179,7 @@ class ExecutorCache:
                 # but a double checkin must not double-park a session.
                 self._entries[key] = stack
                 return evicted
-            stack.append((loop, executor))
+            stack.append((tag, executor))
             while len(stack) > self.depth:
                 evicted.append(stack.pop(0)[1])
             # Key insertion order doubles as recency: checkout/checkin
@@ -239,7 +210,7 @@ class ExecutorCache:
         with self._lock:
             stack = self._entries.pop(key, [])
         for _, executor in stack:
-            _retire(executor)
+            executor.stop_nowait()
 
     def close(self) -> None:
         """Stop and drop every warm executor (end of batch)."""
@@ -251,7 +222,7 @@ class ExecutorCache:
             ]
             self._entries.clear()
         for executor in entries:
-            _retire(executor)
+            executor.stop_nowait()
 
     def __len__(self) -> int:
         """Number of parked warm executors (across all keys)."""
@@ -262,75 +233,14 @@ class ExecutorCache:
 class ExecutorLease:
     """One test's claim on a (possibly warm) executor.
 
-    The runner calls :meth:`checkout` with its ``Start`` message in
+    The runner awaits :meth:`checkout` with its ``Start`` message in
     place of ``factory() + start()``, and :meth:`checkin` in place of
-    ``stop()``; everything between is unchanged.  ``warm`` records
-    which path the checkout took (benchmarks and tests read it).
-    """
-
-    __slots__ = ("cache", "factory", "key", "warm")
-
-    def __init__(
-        self, cache: ExecutorCache, factory: Callable[[], object], key: Hashable
-    ) -> None:
-        self.cache = cache
-        self.factory = factory
-        self.key = key
-        self.warm = False
-
-    def checkout(self, start: Start) -> object:
-        """A started executor for one test: warm-reset when possible,
-        freshly constructed otherwise (an async factory's product is
-        driven on a private event loop, see
-        :func:`~repro.executors.base.ensure_sync_executor`)."""
-        executor = self.cache.checkout(self.key) if self.cache.enabled else None
-        if executor is not None:
-            reset = getattr(executor, "reset", None)
-            try:
-                was_reset = reset is not None and reset(
-                    Reset(start.dependencies, start.events)
-                )
-            except Exception:
-                # A reset blowing up (e.g. the warm session died) must
-                # not fail the test: reuse is an optimisation, never a
-                # semantics change.  Retire the executor and go cold.
-                was_reset = False
-            if was_reset:
-                self.warm = True
-                _bump(self.cache.warm_hits)
-                return executor
-            # The backend cannot reset: retire it and start cold.
-            try:
-                executor.stop()
-            except Exception:
-                pass  # a dead session may refuse even to stop
-        self.warm = False
-        _bump(self.cache.cold_starts)
-        executor = ensure_sync_executor(self.factory())
-        executor.start(start)
-        return executor
-
-    def checkin(self, executor: object) -> None:
-        """Return the executor after the test: parked warm for the next
-        lease of the same target, or stopped when reuse is disabled."""
-        if self.cache.enabled:
-            self.cache.checkin(self.key, executor)
-        else:
-            executor.stop()
-
-
-class AsyncExecutorLease:
-    """One async session's claim on a (possibly warm) executor.
-
-    The awaitable mirror of :class:`ExecutorLease`, used by
-    :meth:`Runner.run_single_test_async
-    <repro.checker.runner.Runner.run_single_test_async>`: checkout and
-    checkin await the ``Reset``/``stop`` round-trips, and parked
-    executors carry the running loop as their tag so a cache shared by
-    several loops (or by sync and async callers) never hands a session
-    across the boundary.  The factory's product is adapted through
-    :func:`~repro.executors.base.ensure_async_executor`, so plain
-    synchronous factories work unchanged.
+    ``stop()``; everything between is unchanged.  Both are coroutines on
+    either face: with no loop running in this thread (a width-1 batch in
+    the caller's thread) every executor reaches the runner inline, so
+    ``Runner.run_single_test`` drives them with a single ``send``.
+    ``warm`` records which path the checkout took (benchmarks, tests and
+    remote workers' result frames read it).
     """
 
     __slots__ = ("cache", "factory", "key", "warm")
@@ -344,41 +254,48 @@ class AsyncExecutorLease:
         self.warm = False
 
     async def checkout(self, start: Start) -> AsyncExecutor:
-        """A started async executor for one session: warm-reset when
-        possible, freshly constructed (and adapted) otherwise."""
+        """A started executor for one test: warm-reset when possible,
+        freshly constructed otherwise (adapted for this thread by
+        :func:`~repro.executors.base.ensure_drivable_executor`)."""
         cache = self.cache
         executor = None
         if cache.enabled:
-            executor = cache._checkout_tagged(
-                self.key, asyncio.get_running_loop()
-            )
+            executor = cache._checkout_tagged(self.key, running_loop())
         if executor is not None:
             try:
                 was_reset = await executor.reset(
                     Reset(start.dependencies, start.events)
                 )
             except Exception:
-                # Same contract as the sync lease: a warm session dying
-                # mid-reset costs a cold start, never a failed test.
+                # A reset blowing up (e.g. the warm session died) must
+                # not fail the test: reuse is an optimisation, never a
+                # semantics change.  Retire the executor and go cold.
                 was_reset = False
             if was_reset:
                 self.warm = True
                 _bump(cache.warm_hits)
                 return executor
+            # The backend cannot reset: retire it and start cold.
             await _stop_parked(executor)
         self.warm = False
         _bump(cache.cold_starts)
-        executor = ensure_async_executor(self.factory())
+        executor = ensure_drivable_executor(self.factory())
         await executor.start(start)
         return executor
 
     async def checkin(self, executor: AsyncExecutor) -> None:
-        """Park the executor under this loop's tag (stopping whatever
-        the bounds evict), or stop it when reuse is disabled."""
+        """Park the executor for the next lease of the same target
+        (stopping whatever the bounds evict), or stop it when reuse is
+        disabled."""
         if self.cache.enabled:
-            evicted = self.cache._checkin_collect(
-                self.key, executor, asyncio.get_running_loop()
+            # A synchronous session runs inline: it belongs to no loop,
+            # so it parks untagged and a sibling thread's loop may take
+            # it warm.  Anything that awaits stays with this loop.
+            tag = (
+                None if isinstance(executor, InlineAsyncExecutor)
+                else running_loop()
             )
+            evicted = self.cache._checkin_collect(self.key, executor, tag)
             for stale in evicted:
                 await _stop_parked(stale)
         else:

@@ -233,7 +233,7 @@ def campaign_tasks(
         async def athunk() -> TestResult:
             result = await runner.run_single_test_async(
                 random.Random(_test_seed(config.seed, index)),
-                lease=cache.async_lease(factory),
+                lease=cache.lease(factory),
             )
             record(result)
             return result

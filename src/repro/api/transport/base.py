@@ -104,12 +104,13 @@ class PoolTask:
     transport calls ``record(result)`` as each remote result arrives
     (local transports never call it -- their thunks already ran it).
 
-    ``athunk`` is the task's awaitable face, for workers multiplexing
-    several sessions on one event loop (``concurrency > 1``): an async
-    callable that produces the *same* outcome as ``thunk``.  Tasks
-    without one still run under a multiplexed worker -- the thunk is
-    shipped to the loop's thread pool by :func:`run_task_async` -- they
-    just cannot interleave at protocol-call granularity.
+    ``athunk`` is the task's awaitable face, for workers that serve
+    tasks from an event loop's lanes (every fork and thread worker, and
+    an ``InlineTransport`` above one lane): an async callable that
+    produces the *same* outcome as ``thunk``.  Tasks without one still
+    run there -- the thunk is shipped to the loop's thread pool by
+    :func:`run_task_async` -- they just cannot interleave at
+    protocol-call granularity.
     """
 
     __slots__ = ("id", "thunk", "skip", "payload", "record", "athunk")
@@ -176,7 +177,7 @@ def run_task(task: PoolTask) -> object:
 
 
 async def run_task_async(task: PoolTask) -> object:
-    """:func:`run_task` for multiplexed workers: prefers the task's
+    """:func:`run_task` for a worker's lanes: prefers the task's
     ``athunk`` (true protocol-level interleaving); tasks that only have
     a sync thunk run it on the loop's thread pool so the lane still
     frees the loop while it blocks.  Outcome vocabulary is identical.

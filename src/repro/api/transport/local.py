@@ -56,14 +56,17 @@ def _check_concurrency(concurrency: int) -> int:
 
 
 async def _serve_lanes(task_queue, concurrency, lane_body) -> None:
-    """Body of a multiplexed worker slot: ``concurrency`` interchangeable
-    lanes pull positions from ``task_queue`` until each eats a sentinel.
+    """Body of every worker: ``concurrency`` interchangeable lanes pull
+    positions from ``task_queue`` until each eats a sentinel.  One lane
+    is the serial worker; more multiplex sessions on the one loop.
 
-    Lanes block in ``queue.get`` on the loop's executor threads, and the
-    sessions themselves (``SyncExecutorAdapter``) need executor threads
-    for their protocol calls, so the default pool is resized to hold
-    both populations -- otherwise lanes parked in ``get`` could starve
-    the very calls that would let them finish.
+    Lanes block in ``queue.get`` on the loop's executor threads, and
+    tasks with only a synchronous thunk run there too
+    (:func:`~repro.api.transport.base.run_task_async`), so the default
+    pool is resized to hold both populations -- otherwise lanes parked
+    in ``get`` could starve the very thunks that would let them finish.
+    Sessions themselves run on the loop's thread: synchronous executors
+    inline, async ones awaited.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -170,14 +173,14 @@ class InlineTransport(PoolTransport):
 class ForkTransport(PoolTransport):
     """A bounded set of forked workers fed from a task queue.
 
-    ``concurrency`` multiplexes that many concurrent sessions on an
-    event loop inside *each* forked worker: positions are pulled by
-    interchangeable lanes and run through
-    :func:`~repro.api.transport.base.run_task_async`, so a worker slot
-    pinned on I/O-bound sessions keeps its CPU busy.  ``capacity()``
-    reports cores x concurrency accordingly.  With the default
-    (``concurrency=1``) the classic synchronous worker body runs,
-    byte-for-byte.
+    Every forked worker runs an event loop of ``concurrency`` lanes
+    (:func:`_serve_lanes`): positions are pulled by interchangeable
+    lanes and run through
+    :func:`~repro.api.transport.base.run_task_async`.  The default
+    (``concurrency=1``) is one lane, each test running start to finish
+    on the worker's thread; more lanes let a worker pinned on I/O-bound
+    sessions keep its CPU busy.  ``capacity()`` reports cores x
+    concurrency accordingly.
     """
 
     name = "fork"
@@ -207,11 +210,11 @@ class ForkTransport(PoolTransport):
         by_position = {position: task for position, task in enumerate(tasks)}
         task_queue = ctx.Queue()
         result_queue = ctx.Queue()
-        # Per-lane announcement slots (one per worker when concurrency
-        # is 1), written through shared memory *synchronously* before a
-        # task runs.  A queue message could be lost when ``os._exit``
-        # kills the feeder thread mid-flush; the shared write cannot, so
-        # crash attribution survives even the rudest deaths.
+        # Per-lane announcement slots, written through shared memory
+        # *synchronously* before a task runs.  A queue message could be
+        # lost when ``os._exit`` kills the feeder thread mid-flush; the
+        # shared write cannot, so crash attribution survives even the
+        # rudest deaths.
         announce = ctx.Array("i", [-1] * (workers * concurrency), lock=False)
         for position in range(len(tasks)):
             task_queue.put(position)
@@ -220,26 +223,14 @@ class ForkTransport(PoolTransport):
             task_queue.put(-1)
 
         def work(worker_id: int) -> None:
+            async def lane_body(lane_id: int, position: int) -> None:
+                announce[worker_id * concurrency + lane_id] = position
+                started = time.perf_counter()
+                outcome = await run_task_async(by_position[position])
+                elapsed = time.perf_counter() - started
+                result_queue.put((position, outcome, worker_id, elapsed))
+
             try:
-                if concurrency == 1:
-                    while True:
-                        position = task_queue.get()
-                        if position < 0:
-                            break
-                        announce[worker_id] = position
-                        started = time.perf_counter()
-                        outcome = run_task(by_position[position])
-                        elapsed = time.perf_counter() - started
-                        result_queue.put((position, outcome, worker_id, elapsed))
-                    return
-
-                async def lane_body(lane_id: int, position: int) -> None:
-                    announce[worker_id * concurrency + lane_id] = position
-                    started = time.perf_counter()
-                    outcome = await run_task_async(by_position[position])
-                    elapsed = time.perf_counter() - started
-                    result_queue.put((position, outcome, worker_id, elapsed))
-
                 asyncio.run(_serve_lanes(task_queue, concurrency, lane_body))
             finally:
                 # Clean worker shutdown: release per-worker state (warm
@@ -371,7 +362,8 @@ class ThreadTransport(PoolTransport):
     """The thread fallback: same dispatch, same crash semantics.
 
     ``concurrency`` mirrors :class:`ForkTransport`: each worker thread
-    runs an event loop multiplexing that many session lanes.
+    runs an event loop of that many session lanes, so a session's
+    protocol calls stay on its worker's thread.
     """
 
     name = "thread"
@@ -407,28 +399,13 @@ class ThreadTransport(PoolTransport):
             task_queue.put(-1)
 
         def work(worker_id: int) -> None:
-            if concurrency == 1:
-                while True:
-                    position = task_queue.get()
-                    if position < 0:
-                        break
-                    started = time.perf_counter()
-                    try:
-                        outcome = run_task(tasks[position])
-                    except BaseException as err:  # noqa: BLE001 - crash parity
-                        # A thread cannot die like a process; model the
-                        # fork-mode crash so callers see one behaviour.
-                        result_queue.put(("crash", worker_id, position, err, 0.0))
-                        break
-                    elapsed = time.perf_counter() - started
-                    result_queue.put(("done", worker_id, position, outcome, elapsed))
-                return
-
             async def lane_body(lane_id: int, position: int) -> None:
                 started = time.perf_counter()
                 try:
                     outcome = await run_task_async(tasks[position])
                 except BaseException as err:  # noqa: BLE001 - crash parity
+                    # A thread cannot die like a process; model the
+                    # fork-mode crash so callers see one behaviour.
                     result_queue.put(("crash", worker_id, position, err, 0.0))
                     raise
                 elapsed = time.perf_counter() - started

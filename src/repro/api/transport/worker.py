@@ -31,17 +31,21 @@ matter which host ran it.
 Executor reuse is per-process (a private
 :class:`~repro.api.lease.ExecutorCache`): warm executors never cross
 the wire, matching the fork pool where they never cross process
-boundaries.  ``--slots N`` forks N serving processes (threads where
-``fork`` is unavailable), each with its own connection, cache and
-runner cache.
+boundaries.  Every test is leased -- from a disabled cache when the
+batch turned reuse off -- and its result frame reports the lease's own
+warm flag, so the coordinator's warm/cold counts match a local run's.
+``--slots N`` forks N serving processes (threads where ``fork`` is
+unavailable), each with its own connection, cache and runner cache.
 
-``--concurrency M`` multiplexes M sessions on *one* connection: the
-slot runs an event loop with M lanes, each holding one ``next`` ->
-frame exchange in flight, and drives tests through
-``run_single_test_async`` so wire waits interleave instead of
-serialising.  The slot announces ``concurrency`` in its hello, so the
-coordinator's ``capacity()`` (and ``--jobs auto``) sees slots x
-concurrency.  ``--latency-ms D`` wraps every session in a
+Every slot runs one event loop of ``--concurrency M`` lanes (default
+1) on *one* connection: each lane holds one ``next`` -> frame exchange
+in flight and drives its test through ``run_single_test_async``.
+Synchronous executors run inline on the loop, so one lane is the plain
+serial worker; with more lanes, sessions whose executors really await
+interleave their wire waits instead of serialising.  The slot
+announces ``concurrency`` in its hello, so the coordinator's
+``capacity()`` (and ``--jobs auto``) sees slots x concurrency.
+``--latency-ms D`` wraps every session in a
 :class:`~repro.executors.base.LatencyExecutor` -- deterministic
 wall-clock round-trip injection that never touches virtual time, so
 verdicts stay byte-identical while the worker behaves like one talking
@@ -64,7 +68,7 @@ import socket
 import sys
 import threading
 import time
-from typing import Dict, Optional
+from typing import Dict
 
 from .wire import PROTOCOL_VERSION, FrameError, pack, recv_frame, send_frame
 
@@ -205,9 +209,8 @@ def _serve_slot(
     concurrency: int = 1,
     latency_ms: float = 0.0,
 ) -> int:
-    """One slot: one connection, one pull loop (or, with ``concurrency
-    > 1`` / injected latency, one event loop multiplexing that many
-    lanes).  Returns an exit code."""
+    """One slot: one connection, one event loop of ``concurrency``
+    lanes.  Returns an exit code."""
     from ..lease import ExecutorCache
 
     # The dial timeout stays armed through the handshake: a coordinator
@@ -260,32 +263,11 @@ def _serve_slot(
                      name=f"worker-{worker_id}-ping").start()
 
     runners = _RunnerCache()
-    multiplexed = concurrency > 1 or latency_ms > 0
-    cache = ExecutorCache(
-        enabled=True, depth=concurrency if multiplexed else 1
-    )
+    cache = ExecutorCache(enabled=True, depth=concurrency)
     try:
-        if multiplexed:
-            return asyncio.run(_serve_multiplexed(
-                sock, send, runners, cache, log, concurrency, latency_ms
-            ))
-        while True:
-            send({"type": "next"})
-            message = recv_frame(sock)
-            mtype = message.get("type")
-            if mtype == "wait":
-                time.sleep(float(message.get("for_s", 0.2)))
-                continue
-            if mtype == "shutdown":
-                log("coordinator said shutdown")
-                return 0
-            if mtype != "task":
-                log(f"ignoring unexpected frame {mtype!r}")
-                continue
-            _run_one(message, runners, cache, send, log)
-    except (OSError, FrameError) as err:
-        log(f"connection lost: {err!r}")
-        return 1
+        return asyncio.run(_serve_multiplexed(
+            sock, send, runners, cache, log, concurrency, latency_ms
+        ))
     finally:
         stop_pinging.set()
         cache.close()
@@ -293,49 +275,6 @@ def _serve_slot(
             sock.close()
         except OSError:
             pass
-
-
-def _run_one(message: dict, runners: _RunnerCache, cache, send, log) -> None:
-    """Execute one task frame and stream its outcome back."""
-    from ..scheduler import _test_seed
-
-    body = message.get("body") or {}
-    started = time.perf_counter()
-    warm0 = cache.warm_hits.value
-    cold0 = cache.cold_starts.value
-    try:
-        runner = runners.runner_for(body["runner"])
-        index = int(body["index"])
-        rng = random.Random(_test_seed(runner.config.seed, index))
-        if body.get("reuse", True):
-            result = runner.run_single_test(
-                rng, lease=cache.lease(runner.executor_factory)
-            )
-        else:
-            result = runner.run_single_test(rng)
-    except Exception as err:
-        try:
-            payload = pack(err)
-        except (pickle.PicklingError, TypeError, AttributeError):
-            payload = pack(RuntimeError(repr(err)))
-        send({
-            "type": "failure",
-            "id": message["id"],
-            "epoch": message.get("epoch"),
-            "elapsed": time.perf_counter() - started,
-            "error": repr(err),
-            "payload": payload,
-        })
-        return
-    send({
-        "type": "result",
-        "id": message["id"],
-        "epoch": message.get("epoch"),
-        "elapsed": time.perf_counter() - started,
-        "warm_hits": cache.warm_hits.value - warm0,
-        "cold_starts": cache.cold_starts.value - cold0,
-        "payload": pack(result),
-    })
 
 
 async def _serve_multiplexed(
@@ -347,8 +286,8 @@ async def _serve_multiplexed(
     concurrency: int,
     latency_ms: float,
 ) -> int:
-    """The multiplexed pull loop: ``concurrency`` lanes on one event
-    loop, one connection.
+    """The slot's pull loop: ``concurrency`` lanes on one event loop,
+    one connection.
 
     Each lane keeps exactly one ``next`` outstanding and consumes
     exactly one reply frame, so the wire stays 1:1 even though replies
@@ -362,8 +301,8 @@ async def _serve_multiplexed(
     import concurrent.futures
 
     loop = asyncio.get_running_loop()
-    # Lanes running sync-executor protocol calls (and sends) through
-    # run_in_executor must never starve for threads behind each other.
+    # Lanes sending through run_in_executor must never starve for
+    # threads behind each other.
     loop.set_default_executor(concurrent.futures.ThreadPoolExecutor(
         max_workers=2 * concurrency + 4,
         thread_name_prefix="worker-lane",
@@ -416,9 +355,7 @@ async def _serve_multiplexed(
                 if ftype != "task":
                     log(f"ignoring unexpected frame {ftype!r}")
                     continue
-                await _run_one_async(
-                    frame, runners, cache, asend, latency_ms
-                )
+                await _run_one(frame, runners, cache, asend, latency_ms)
         except (OSError, FrameError) as err:
             # A send failing after shutdown is the normal close race.
             if saw_shutdown:
@@ -430,18 +367,19 @@ async def _serve_multiplexed(
     return max(codes)
 
 
-async def _run_one_async(
+async def _run_one(
     message: dict, runners: _RunnerCache, cache, asend, latency_ms: float
 ) -> None:
-    """:func:`_run_one` on the event loop: same frames, same seeds, but
-    the session runs under ``run_single_test_async`` so this lane's
-    wire waits interleave with its siblings'."""
+    """Execute one task frame and stream its outcome back: the same
+    seeds as every other transport, the session driven by
+    ``run_single_test_async`` so this lane's wire waits interleave with
+    its siblings'."""
     from ...executors import LatencyExecutor
+    from ..lease import ExecutorCache
     from ..scheduler import _test_seed
 
     body = message.get("body") or {}
     started = time.perf_counter()
-    warm_delta = cold_delta = 0
     try:
         runner = runners.runner_for(body["runner"])
         index = int(body["index"])
@@ -454,18 +392,15 @@ async def _run_one_async(
                 )
         else:
             factory = base
+        # Leased even with reuse off (a disabled cache: every checkout
+        # is a cold start), and counted by the lease's own warm flag,
+        # not counter deltas: with lanes interleaving, a shared
+        # counter's delta would count the siblings' checkouts too.
         if body.get("reuse", True):
-            # The lease's own warm flag, not counter deltas: with
-            # lanes interleaving, a shared counter's delta would count
-            # the siblings' checkouts too.
-            lease = cache.async_lease(factory, key=base)
-            result = await runner.run_single_test_async(rng, lease=lease)
-            warm_delta = 1 if lease.warm else 0
-            cold_delta = 1 - warm_delta
+            lease = cache.lease(factory, key=base)
         else:
-            result = await runner.run_single_test_async(
-                rng, executor_factory=factory
-            )
+            lease = ExecutorCache(enabled=False).lease(factory)
+        result = await runner.run_single_test_async(rng, lease=lease)
     except Exception as err:
         try:
             payload = pack(err)
@@ -485,8 +420,8 @@ async def _run_one_async(
         "id": message["id"],
         "epoch": message.get("epoch"),
         "elapsed": time.perf_counter() - started,
-        "warm_hits": warm_delta,
-        "cold_starts": cold_delta,
+        "warm_hits": int(lease.warm),
+        "cold_starts": int(not lease.warm),
         "payload": pack(result),
     })
 

@@ -26,8 +26,7 @@ from typing import Callable, List, Optional, Tuple
 
 from ..executors.base import (
     ActionFailed,
-    AsyncExecutor,
-    ensure_async_executor,
+    ensure_drivable_executor,
     ensure_sync_executor,
 )
 from ..protocol.messages import Acted, Act, Narrow, Start, Timeout
@@ -158,7 +157,7 @@ class QueryNarrower:
             self.active = self.full
 
     async def update_async(self) -> None:
-        """:meth:`update` against an :class:`AsyncExecutor` -- same
+        """:meth:`update` against an async executor -- same
         decisions, awaited ``Narrow`` round-trips."""
         target = self._pending_target()
         if target is None:
@@ -173,73 +172,14 @@ class QueryNarrower:
             self.active = self.full
 
 
-class _InlineAsyncExecutor(AsyncExecutor):
-    """A synchronous executor presented through the async protocol
-    without ever yielding: every coroutine method completes inline, so
-    :func:`_drive_inline` runs the async driver to completion with a
-    single ``send``.  This is how the sync entry point shares the async
-    driver's code path while paying no event-loop tax -- and why the
-    two are byte-identical by construction rather than by testing.
-    """
-
-    __slots__ = ("inner",)
-
-    def __init__(self, inner) -> None:
-        self.inner = inner
-
-    async def start(self, start: Start) -> None:
-        self.inner.start(start)
-
-    async def drain(self) -> List[object]:
-        return self.inner.drain()
-
-    async def act(self, act: Act) -> bool:
-        return self.inner.act(act)
-
-    async def pass_time(self, delta_ms: float) -> None:
-        self.inner.pass_time(delta_ms)
-
-    async def await_events(self, timeout_ms: float) -> None:
-        self.inner.await_events(timeout_ms)
-
-    async def stop(self) -> None:
-        self.inner.stop()
-
-    def stop_nowait(self) -> None:
-        self.inner.stop()
-
-    async def narrow(self, narrow: Narrow) -> bool:
-        fn = getattr(self.inner, "narrow", None)
-        if fn is None:
-            return False
-        return fn(narrow)
-
-    async def reset(self, reset) -> bool:
-        fn = getattr(self.inner, "reset", None)
-        if fn is None:
-            return False
-        return fn(reset)
-
-    @property
-    def version(self) -> int:
-        return self.inner.version
-
-    @property
-    def now_ms(self) -> float:
-        return self.inner.now_ms
-
-    @property
-    def recorder(self):
-        return getattr(self.inner, "recorder", None)
-
-
 def _drive_inline(coro):
     """Run a coroutine that never awaits anything to completion.
 
-    The async test driver only suspends inside executor protocol calls;
-    over an :class:`_InlineAsyncExecutor` none of those yield, so the
-    whole drive resolves on the first ``send``.  A yield here would mean
-    a synchronous entry point was handed an executor that actually
+    The session coroutine only suspends inside executor protocol calls;
+    with no loop running in this thread every executor reaches it
+    inline (:func:`~repro.executors.base.ensure_drivable_executor`), so
+    the whole drive resolves on the first ``send``.  A yield here would
+    mean a synchronous entry point was handed an executor that actually
     blocks -- a programming error worth failing loudly on.
     """
     try:
@@ -333,61 +273,53 @@ class Runner:
         return QueryNarrower(self.compiled_spec(), executor, checker)
 
     def run_single_test(self, rng: random.Random, lease=None) -> TestResult:
-        """Run one generated test.
+        """Run one generated test from synchronous code.
 
         ``lease`` (an :class:`~repro.api.lease.ExecutorLease`) checks a
         possibly-warm executor out of its cache and parks it again after
         the test; without one, a fresh executor is constructed and
         stopped.  Verdicts are identical either way.  A factory that
-        produces an :class:`AsyncExecutor` is driven on a private event
-        loop (:func:`~repro.executors.base.ensure_sync_executor`).
+        produces an async executor is driven on a private event loop
+        (:class:`~repro.executors.base.BlockingExecutor`).
 
         This is the synchronous face of :meth:`run_single_test_async`:
-        the same driver coroutine runs over an inline (never-yielding)
-        adapter, so there is exactly one session loop in the codebase.
+        it drives the same session coroutine with :func:`_drive_inline`,
+        so there is exactly one session loop in the codebase.
         """
-        if lease is not None:
-            executor = lease.checkout(self._start_message())
-        else:
-            executor = ensure_sync_executor(self.executor_factory())
-            executor.start(self._start_message())
-        try:
-            result = _drive_inline(
-                self._drive_test_async(_InlineAsyncExecutor(executor), rng)
-            )
-        except BaseException:
-            # The session is in an unknown state (e.g. ActionFailed from
-            # a vanished target): never park it warm, never leak it.
-            executor.stop()
-            raise
-        if lease is not None:
-            lease.checkin(executor)
-        else:
-            executor.stop()
-        return result
+        return _drive_inline(self._session(rng, lease, self.executor_factory))
 
     async def run_single_test_async(
         self, rng: random.Random, lease=None, executor_factory=None
     ) -> TestResult:
         """Run one generated test from an event loop.
 
-        The asynchronous face of :meth:`run_single_test`: same driver,
-        awaited protocol calls, so hundreds of I/O-bound sessions can
-        share one loop.  ``lease`` is an
-        :class:`~repro.api.lease.AsyncExecutorLease`; without one,
-        ``executor_factory`` (default: the runner's own) is called and
-        its product adapted via
-        :func:`~repro.executors.base.ensure_async_executor`.
+        The asynchronous face of :meth:`run_single_test`: same session
+        coroutine, same ``lease``; without one, ``executor_factory``
+        (default: the runner's own) supplies the executor.  Synchronous
+        executors run inline on the loop, so only executors that really
+        await (a :class:`~repro.executors.LatencyExecutor`, a remote
+        browser) let other sessions on the loop interleave.
         """
+        return await self._session(
+            rng, lease, executor_factory or self.executor_factory
+        )
+
+    async def _session(self, rng: random.Random, lease, factory) -> TestResult:
+        """One test's executor lifecycle around the session loop, shared
+        by both faces: check out (or construct, adapted for this thread
+        by :func:`~repro.executors.base.ensure_drivable_executor`, and
+        start), drive, then check in (or stop)."""
+        start = self._start_message()
         if lease is not None:
-            executor = await lease.checkout(self._start_message())
+            executor = await lease.checkout(start)
         else:
-            factory = executor_factory or self.executor_factory
-            executor = ensure_async_executor(factory())
-            await executor.start(self._start_message())
+            executor = ensure_drivable_executor(factory())
+            await executor.start(start)
         try:
             result = await self._drive_test_async(executor, rng)
         except BaseException:
+            # The session is in an unknown state (e.g. ActionFailed from
+            # a vanished target): never park it warm, never leak it.
             await executor.stop()
             raise
         if lease is not None:
@@ -398,9 +330,10 @@ class Runner:
 
     async def _drive_test_async(self, executor, rng: random.Random) -> TestResult:
         """THE session loop (paper, Sections 2.3 and 3.4), written once
-        against :class:`AsyncExecutor`.  Synchronous callers reach it
-        through :class:`_InlineAsyncExecutor`, where no call yields and
-        the coroutine resolves in a single ``send``.
+        against the async executor protocol.  Synchronous executors
+        reach it through
+        :class:`~repro.executors.base.InlineAsyncExecutor`, where no
+        call yields.
 
         Interning is counted on a task-local counter (not the global
         table deltas) so concurrent sessions multiplexed on one loop

@@ -18,7 +18,6 @@ the staleness scenario of Figure 10 arises.
 from __future__ import annotations
 
 import asyncio
-import functools
 import random
 from abc import ABC, abstractmethod
 from typing import List, Optional
@@ -30,10 +29,12 @@ __all__ = [
     "AsyncExecutor",
     "BlockingExecutor",
     "Executor",
+    "InlineAsyncExecutor",
     "LatencyExecutor",
-    "SyncExecutorAdapter",
     "ensure_async_executor",
+    "ensure_drivable_executor",
     "ensure_sync_executor",
+    "running_loop",
 ]
 
 
@@ -109,7 +110,8 @@ class Executor(ABC):
         Returns True when the reset happened (the initial ``loaded?``
         event is enqueued, as after :meth:`start`); False when the
         backend cannot reset -- the caller (an
-        :class:`~repro.api.lease.ExecutorLease`) then falls back to
+        :class:`~repro.api.lease.ExecutorLease`, which reaches this
+        method through :class:`InlineAsyncExecutor`) then falls back to
         :meth:`stop` plus a freshly constructed executor, so warm reuse
         is always an optimisation, never a semantics change.
         """
@@ -190,17 +192,20 @@ class AsyncExecutor(ABC):
         return False
 
 
-class SyncExecutorAdapter(AsyncExecutor):
-    """Runs a synchronous executor's protocol calls on the event loop's
-    default thread pool.
+class InlineAsyncExecutor(AsyncExecutor):
+    """A synchronous executor presented through the async protocol.
 
-    This is how the simulated Dom/CCS backends (and any other
-    :class:`Executor`) join an async session engine: each protocol call
-    becomes ``loop.run_in_executor``, so while one session blocks in a
-    (real or injected) wait, the loop keeps every other session moving.
-    Per-call semantics are untouched -- one call in flight per session
-    at a time, exactly the order the driver issues them -- so verdicts,
-    traces and event streams are byte-identical to the sync runner.
+    Every coroutine method calls the wrapped executor inline and
+    completes without yielding.  On an event loop that makes a
+    synchronous session one lane like any other (concurrency 1 is just
+    the narrowest loop), and it keeps every call on the loop's own
+    thread: the shipped executors are CPU-bound Python, so a thread-pool
+    hop would buy no overlap under the GIL, only cost.  With no loop
+    running, :func:`~repro.checker.runner._drive_inline` resolves a
+    whole session over this adapter with a single ``send`` -- which is
+    how the synchronous entry point shares the async driver.  Overlap
+    comes from executors that really await, such as
+    :class:`LatencyExecutor`.
     """
 
     __slots__ = ("inner",)
@@ -208,29 +213,23 @@ class SyncExecutorAdapter(AsyncExecutor):
     def __init__(self, inner: Executor) -> None:
         self.inner = inner
 
-    async def _call(self, fn, *args):
-        loop = asyncio.get_running_loop()
-        if args:
-            fn = functools.partial(fn, *args)
-        return await loop.run_in_executor(None, fn)
-
     async def start(self, start: Start) -> None:
-        await self._call(self.inner.start, start)
+        self.inner.start(start)
 
     async def drain(self) -> List[object]:
-        return await self._call(self.inner.drain)
+        return self.inner.drain()
 
     async def act(self, act: Act) -> bool:
-        return await self._call(self.inner.act, act)
+        return self.inner.act(act)
 
     async def pass_time(self, delta_ms: float) -> None:
-        await self._call(self.inner.pass_time, delta_ms)
+        self.inner.pass_time(delta_ms)
 
     async def await_events(self, timeout_ms: float) -> None:
-        await self._call(self.inner.await_events, timeout_ms)
+        self.inner.await_events(timeout_ms)
 
     async def stop(self) -> None:
-        await self._call(self.inner.stop)
+        self.inner.stop()
 
     def stop_nowait(self) -> None:
         self.inner.stop()
@@ -239,13 +238,13 @@ class SyncExecutorAdapter(AsyncExecutor):
         fn = getattr(self.inner, "narrow", None)
         if fn is None:
             return False
-        return await self._call(fn, narrow)
+        return fn(narrow)
 
     async def reset(self, reset: Reset) -> bool:
         fn = getattr(self.inner, "reset", None)
         if fn is None:
             return False
-        return await self._call(fn, reset)
+        return fn(reset)
 
     @property
     def version(self) -> int:
@@ -275,14 +274,15 @@ class LatencyExecutor(AsyncExecutor):
     by construction -- which is what lets benchmarks hard-assert
     verdict identity before timing the concurrency curve.
 
-    ``inner`` may be a synchronous :class:`Executor` (called inline
-    after the sleep -- simulated backends are CPU-cheap) or another
+    ``inner`` may be a synchronous :class:`Executor` (adapted once, by
+    :func:`ensure_async_executor`, and so called inline after the sleep
+    -- simulated backends are CPU-cheap) or another
     :class:`AsyncExecutor` (awaited).  ``latency_ms=0`` disables the
     sleeps entirely, leaving a pass-through used by differential legs
     that only want the async code path exercised.
     """
 
-    __slots__ = ("inner", "latency_ms", "jitter", "_rng", "_async")
+    __slots__ = ("inner", "latency_ms", "jitter", "_rng")
 
     def __init__(
         self,
@@ -295,11 +295,10 @@ class LatencyExecutor(AsyncExecutor):
             raise ValueError(f"latency_ms must be >= 0, got {latency_ms}")
         if not 0.0 <= jitter <= 1.0:
             raise ValueError(f"jitter must be within [0, 1], got {jitter}")
-        self.inner = inner
+        self.inner = ensure_async_executor(inner)
         self.latency_ms = latency_ms
         self.jitter = jitter
         self._rng = random.Random(f"latency/{seed}")
-        self._async = isinstance(inner, AsyncExecutor)
 
     def next_delay_ms(self) -> float:
         """The next injected delay (milliseconds); 0 when disabled.
@@ -316,11 +315,7 @@ class LatencyExecutor(AsyncExecutor):
         delay_ms = self.next_delay_ms()
         if delay_ms > 0:
             await asyncio.sleep(delay_ms / 1000.0)
-        fn = getattr(self.inner, name)
-        result = fn(*args)
-        if self._async:
-            result = await result
-        return result
+        return await getattr(self.inner, name)(*args)
 
     async def start(self, start: Start) -> None:
         await self._round_trip("start", start)
@@ -333,34 +328,21 @@ class LatencyExecutor(AsyncExecutor):
 
     async def pass_time(self, delta_ms: float) -> None:
         # Virtual-time bookkeeping, not a wire call: no injected delay.
-        result = self.inner.pass_time(delta_ms)
-        if self._async:
-            await result
+        await self.inner.pass_time(delta_ms)
 
     async def await_events(self, timeout_ms: float) -> None:
         await self._round_trip("await_events", timeout_ms)
 
     async def stop(self) -> None:
-        result = self.inner.stop()
-        if self._async:
-            await result
+        await self.inner.stop()
 
     def stop_nowait(self) -> None:
-        if self._async:
-            self.inner.stop_nowait()
-        else:
-            self.inner.stop()
+        self.inner.stop_nowait()
 
     async def narrow(self, narrow: Narrow) -> bool:
-        fn = getattr(self.inner, "narrow", None)
-        if fn is None:
-            return False
         return await self._round_trip("narrow", narrow)
 
     async def reset(self, reset: Reset) -> bool:
-        fn = getattr(self.inner, "reset", None)
-        if fn is None:
-            return False
         return await self._round_trip("reset", reset)
 
     @property
@@ -378,11 +360,34 @@ class LatencyExecutor(AsyncExecutor):
 
 def ensure_async_executor(executor) -> AsyncExecutor:
     """Adapt ``executor`` for the async driver: :class:`AsyncExecutor`
-    instances pass through, synchronous executors are wrapped in a
-    :class:`SyncExecutorAdapter`."""
+    instances pass through, synchronous executors run inline through
+    an :class:`InlineAsyncExecutor`."""
     if isinstance(executor, AsyncExecutor):
         return executor
-    return SyncExecutorAdapter(executor)
+    return InlineAsyncExecutor(executor)
+
+
+def running_loop() -> Optional[asyncio.AbstractEventLoop]:
+    """The event loop running in this thread, or None: the synchronous
+    face, which drives a session coroutine with a single ``send``."""
+    try:
+        return asyncio.get_running_loop()
+    except RuntimeError:
+        return None
+
+
+def ensure_drivable_executor(executor) -> AsyncExecutor:
+    """Adapt a factory's product for the session coroutine on this
+    thread.
+
+    Synchronous executors run inline on either face.  An
+    :class:`AsyncExecutor` passes through on an event loop; with none
+    running here it runs on a private loop through
+    :class:`BlockingExecutor`, itself presented inline, so the
+    synchronous face's coroutine still never suspends."""
+    if isinstance(executor, AsyncExecutor) and running_loop() is None:
+        executor = BlockingExecutor(executor)
+    return ensure_async_executor(executor)
 
 
 class BlockingExecutor(Executor):

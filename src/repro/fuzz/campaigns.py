@@ -12,9 +12,8 @@ legs, rows of one ``(jobs, reuse_executors, transport)`` table:
   (the ``Reset`` protocol path),
 * ``async``   -- an :class:`~repro.api.transport.InlineTransport`
   multiplexing four sessions on one event loop, each target's session
-  driven by the awaitable protocol through a
-  :class:`~repro.executors.base.SyncExecutorAdapter` under a
-  pass-through :class:`~repro.executors.base.LatencyExecutor`,
+  driven by the awaitable protocol through a pass-through
+  :class:`~repro.executors.base.LatencyExecutor`,
 * ``full``    -- ``jobs=1``, cold, with query narrowing *off*: every
   snapshot captures the whole dependency set (the narrowed-observation
   oracle's reference, and the leg the direct-semantics trace oracle
@@ -50,7 +49,7 @@ from ..api.scheduler import CampaignSetResult, CheckTarget
 from ..api.session import CheckSession, _coerce_executor_factory
 from ..api.transport import InlineTransport
 from ..checker.config import RunnerConfig
-from ..executors import LatencyExecutor, SyncExecutorAdapter
+from ..executors import LatencyExecutor
 from ..specstrom.module import CheckSpec, load_module
 from .corpus import CorpusEntry, append_entry
 from .machine import (
@@ -188,12 +187,10 @@ class CampaignOutcomeSummary:
 
 def _latency_wrapped(app) -> Callable[[], object]:
     """The async leg's target: each session behind a pass-through
-    ``LatencyExecutor`` over a ``SyncExecutorAdapter``, so every
-    protocol call takes the awaitable path."""
+    ``LatencyExecutor``, so every protocol call takes the awaitable
+    path."""
     factory = _coerce_executor_factory(app)
-    return lambda: LatencyExecutor(
-        SyncExecutorAdapter(factory()), latency_ms=0
-    )
+    return lambda: LatencyExecutor(factory(), latency_ms=0)
 
 
 def _run_paths(

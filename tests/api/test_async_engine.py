@@ -11,6 +11,8 @@ injected latency (that is the point) and report the in-flight gauges
 that prove it did.
 """
 
+import threading
+
 import pytest
 
 from repro.api import CheckSession, InlineTransport, SessionConfig
@@ -122,6 +124,25 @@ class TestAsyncMetrics:
         for key in ("inflight_sessions", "mean_concurrency",
                     "session_active_s", "await_ratio"):
             assert key in snapshot
+
+
+class TestLaneThreads:
+    def test_sync_executor_calls_run_on_the_callers_thread(self, monkeypatch):
+        """A synchronous executor runs inline on the loop: four lanes
+        keep every protocol call on the thread that runs the batch, not
+        on a thread pool."""
+        threads = []
+        act = DomExecutor.act
+
+        def spy(self, message):
+            threads.append(threading.get_ident())
+            return act(self, message)
+
+        monkeypatch.setattr(DomExecutor, "act", spy)
+        campaign, _ = run(eggtimer_config(seed=7, tests=6), concurrency=4)
+        assert campaign.tests_run == 6
+        assert threads
+        assert set(threads) == {threading.get_ident()}
 
 
 class TestAsyncConfiguration:

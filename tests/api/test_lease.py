@@ -6,9 +6,20 @@ to cold-start verdicts -- lives in ``test_warm_reuse.py``.
 """
 
 from repro.api.lease import ExecutorCache, ExecutorLease
+from repro.checker.runner import _drive_inline
 from repro.protocol.messages import Reset, Start
 
 START = Start(frozenset({"#x"}), ())
+
+
+def checkout(lease):
+    """Drive the checkout coroutine as the synchronous face does; the
+    fake behind the returned inline adapter is its ``inner``."""
+    return _drive_inline(lease.checkout(START))
+
+
+def checkin(lease, executor):
+    _drive_inline(lease.checkin(executor))
 
 
 class FakeExecutor:
@@ -64,8 +75,8 @@ class TestCheckout:
         cache = ExecutorCache()
         factory = make_factory()
         lease = cache.lease(factory)
-        executor = lease.checkout(START)
-        assert executor.started == 1
+        executor = checkout(lease)
+        assert executor.inner.started == 1
         assert not lease.warm
         assert cache.cold_starts.value == 1
         assert cache.warm_hits.value == 0
@@ -74,16 +85,17 @@ class TestCheckout:
         cache = ExecutorCache()
         factory = make_factory()
         first = cache.lease(factory)
-        executor = first.checkout(START)
-        first.checkin(executor)
+        executor = checkout(first)
+        checkin(first, executor)
         assert len(cache) == 1
         second = cache.lease(factory)
-        again = second.checkout(START)
+        again = checkout(second)
         assert again is executor
         assert second.warm
-        assert executor.stopped == 0
-        assert executor.resets and isinstance(executor.resets[0], Reset)
-        assert executor.resets[0].dependencies == START.dependencies
+        assert executor.inner.stopped == 0
+        resets = executor.inner.resets
+        assert resets and isinstance(resets[0], Reset)
+        assert resets[0].dependencies == START.dependencies
         assert cache.warm_hits.value == 1
         assert cache.cold_starts.value == 1
         assert len(factory.made) == 1  # the factory ran exactly once
@@ -93,21 +105,21 @@ class TestCheckout:
         cache = ExecutorCache()
         factory = make_factory()
         lease = cache.lease(factory)
-        lease.checkin(lease.checkout(START))
-        a = cache.lease(factory).checkout(START)
-        b = cache.lease(factory).checkout(START)
+        checkin(lease, checkout(lease))
+        a = checkout(cache.lease(factory))
+        b = checkout(cache.lease(factory))
         assert a is not b
 
     def test_backend_that_declines_reset_is_retired(self):
         cache = ExecutorCache()
         factory = make_factory(resettable=False)
         lease = cache.lease(factory)
-        executor = lease.checkout(START)
-        lease.checkin(executor)
-        replacement = cache.lease(factory).checkout(START)
+        executor = checkout(lease)
+        checkin(lease, executor)
+        replacement = checkout(cache.lease(factory))
         assert replacement is not executor
-        assert executor.stopped == 1  # retired, not leaked
-        assert replacement.started == 1
+        assert executor.inner.stopped == 1  # retired, not leaked
+        assert replacement.inner.started == 1
         assert cache.cold_starts.value == 2
         assert cache.warm_hits.value == 0
 
@@ -117,20 +129,20 @@ class TestCheckout:
         cache = ExecutorCache()
         factory = make_factory(cls=NoResetExecutor)
         lease = cache.lease(factory)
-        executor = lease.checkout(START)
-        lease.checkin(executor)
-        replacement = cache.lease(factory).checkout(START)
+        executor = checkout(lease)
+        checkin(lease, executor)
+        replacement = checkout(cache.lease(factory))
         assert replacement is not executor
-        assert executor.stopped == 1
+        assert executor.inner.stopped == 1
         assert cache.warm_hits.value == 0
 
     def test_distinct_factories_never_share_executors(self):
         cache = ExecutorCache()
         factory_a, factory_b = make_factory(), make_factory()
         lease_a = cache.lease(factory_a)
-        executor_a = lease_a.checkout(START)
-        lease_a.checkin(executor_a)
-        executor_b = cache.lease(factory_b).checkout(START)
+        executor_a = checkout(lease_a)
+        checkin(lease_a, executor_a)
+        executor_b = checkout(cache.lease(factory_b))
         assert executor_b is not executor_a
         assert len(factory_b.made) == 1
 
@@ -140,11 +152,11 @@ class TestDisabled:
         cache = ExecutorCache(enabled=False)
         factory = make_factory()
         lease = cache.lease(factory)
-        executor = lease.checkout(START)
-        lease.checkin(executor)
-        assert executor.stopped == 1
+        executor = checkout(lease)
+        checkin(lease, executor)
+        assert executor.inner.stopped == 1
         assert len(cache) == 0
-        again = cache.lease(factory).checkout(START)
+        again = checkout(cache.lease(factory))
         assert again is not executor
         assert cache.cold_starts.value == 2
 
@@ -155,7 +167,7 @@ class TestClose:
         factory_a, factory_b = make_factory(), make_factory()
         for factory in (factory_a, factory_b):
             lease = cache.lease(factory)
-            lease.checkin(lease.checkout(START))
+            checkin(lease, checkout(lease))
         assert len(cache) == 2
         cache.close()
         assert len(cache) == 0
@@ -170,7 +182,7 @@ class TestCountersAcrossLeases:
         factory = make_factory()
         for _ in range(5):
             lease = cache.lease(factory)
-            lease.checkin(lease.checkout(START))
+            checkin(lease, checkout(lease))
         assert cache.cold_starts.value == 1
         assert cache.warm_hits.value == 4
         assert len(factory.made) == 1
@@ -182,8 +194,8 @@ class TestCountersAcrossLeases:
         for _ in range(3):
             factory = make_factory()  # a fresh factory object each time
             lease = cache.lease(factory, key="shared-target")
-            executors.append(lease.checkout(START))
-            lease.checkin(executors[-1])
+            executors.append(checkout(lease))
+            checkin(lease, executors[-1])
         assert executors[1] is executors[0]
         assert executors[2] is executors[0]
         assert cache.warm_hits.value == 2
@@ -198,7 +210,7 @@ class TestRelease:
         cache = ExecutorCache()
         factory = make_factory()
         lease = cache.lease(factory)
-        lease.checkin(lease.checkout(START))
+        checkin(lease, checkout(lease))
         assert len(cache) == 1
         cache.release(factory)
         assert len(cache) == 0
@@ -320,10 +332,10 @@ class TestResetFailureFallback:
         cache = ExecutorCache()
         factory = make_factory(cls=DyingExecutor)
         lease = cache.lease(factory)
-        lease.checkin(lease.checkout(START))
-        replacement = cache.lease(factory).checkout(START)
-        assert replacement is not factory.made[0]
-        assert replacement.started == 1
+        checkin(lease, checkout(lease))
+        replacement = checkout(cache.lease(factory))
+        assert replacement.inner is not factory.made[0]
+        assert replacement.inner.started == 1
         assert factory.made[0].stopped == 1  # retirement was attempted
         assert cache.warm_hits.value == 0
         assert cache.cold_starts.value == 2
@@ -335,7 +347,7 @@ class TestBoundedCache:
         factories = [make_factory() for _ in range(3)]
         for factory in factories:
             lease = cache.lease(factory)
-            lease.checkin(lease.checkout(START))
+            checkin(lease, checkout(lease))
         assert len(cache) == 2
         # The first-parked executor was evicted and stopped.
         assert factories[0].made[0].stopped == 1
@@ -347,12 +359,12 @@ class TestBoundedCache:
         factory_a, factory_b, factory_c = (make_factory() for _ in range(3))
         for factory in (factory_a, factory_b):
             lease = cache.lease(factory)
-            lease.checkin(lease.checkout(START))
+            checkin(lease, checkout(lease))
         # Touch A again: it becomes most recently used.
         lease = cache.lease(factory_a)
-        lease.checkin(lease.checkout(START))
+        checkin(lease, checkout(lease))
         lease = cache.lease(factory_c)
-        lease.checkin(lease.checkout(START))
+        checkin(lease, checkout(lease))
         # B (least recently used) was evicted; A survived.
         assert factory_b.made[0].stopped == 1
         assert factory_a.made[0].stopped == 0
@@ -362,7 +374,7 @@ class TestBoundedCache:
         factories = [make_factory() for _ in range(10)]
         for factory in factories:
             lease = cache.lease(factory)
-            lease.checkin(lease.checkout(START))
+            checkin(lease, checkout(lease))
         assert len(cache) == 10
 
 
@@ -379,12 +391,12 @@ class TestDepth:
         cache = ExecutorCache()
         factory = make_factory()
         lease_a, lease_b = cache.lease(factory), cache.lease(factory)
-        executor_a = lease_a.checkout(START)
-        executor_b = lease_b.checkout(START)  # cache empty: both cold
-        lease_a.checkin(executor_a)
-        lease_b.checkin(executor_b)
+        executor_a = checkout(lease_a)
+        executor_b = checkout(lease_b)  # cache empty: both cold
+        checkin(lease_a, executor_a)
+        checkin(lease_b, executor_b)
         assert len(cache) == 1
-        assert executor_a.stopped == 1  # evicted by the deeper checkin
+        assert executor_a.inner.stopped == 1  # evicted by the deeper checkin
 
     def test_depth_two_keeps_overlapping_leases_warm(self):
         """A worker interleaving two tasks of the same target (thread
@@ -392,17 +404,17 @@ class TestDepth:
         cache = ExecutorCache(depth=2)
         factory = make_factory()
         lease_a, lease_b = cache.lease(factory), cache.lease(factory)
-        executor_a = lease_a.checkout(START)
-        executor_b = lease_b.checkout(START)
-        lease_a.checkin(executor_a)
-        lease_b.checkin(executor_b)
+        executor_a = checkout(lease_a)
+        executor_b = checkout(lease_b)
+        checkin(lease_a, executor_a)
+        checkin(lease_b, executor_b)
         assert len(cache) == 2
-        assert executor_a.stopped == 0 and executor_b.stopped == 0
+        assert executor_a.inner.stopped == 0 and executor_b.inner.stopped == 0
         # The next overlapping pair is served entirely warm, LIFO:
         # the most recently parked executor comes back first.
         lease_c, lease_d = cache.lease(factory), cache.lease(factory)
-        assert lease_c.checkout(START) is executor_b
-        assert lease_d.checkout(START) is executor_a
+        assert checkout(lease_c) is executor_b
+        assert checkout(lease_d) is executor_a
         assert lease_c.warm and lease_d.warm
         assert cache.cold_starts.value == 2
         assert cache.warm_hits.value == 2
@@ -412,13 +424,13 @@ class TestDepth:
         cache = ExecutorCache(depth=3)
         factory = make_factory()
         leases = [cache.lease(factory) for _ in range(3)]
-        executors = [lease.checkout(START) for lease in leases]
+        executors = [checkout(lease) for lease in leases]
         for lease, executor in zip(leases, executors):
-            lease.checkin(executor)
+            checkin(lease, executor)
         assert len(cache) == 3
         cache.release(factory)
         assert len(cache) == 0
-        assert all(executor.stopped == 1 for executor in executors)
+        assert all(executor.inner.stopped == 1 for executor in executors)
 
     def test_max_entries_counts_executors_not_keys(self):
         """The global bound is on live sessions: a deep key's oldest
@@ -426,12 +438,12 @@ class TestDepth:
         cache = ExecutorCache(depth=2, max_entries=2)
         factory_a, factory_b = make_factory(), make_factory()
         lease_1, lease_2 = cache.lease(factory_a), cache.lease(factory_a)
-        executor_1, executor_2 = lease_1.checkout(START), lease_2.checkout(START)
-        lease_1.checkin(executor_1)
-        lease_2.checkin(executor_2)
+        executor_1, executor_2 = checkout(lease_1), checkout(lease_2)
+        checkin(lease_1, executor_1)
+        checkin(lease_2, executor_2)
         lease_3 = cache.lease(factory_b)
-        lease_3.checkin(lease_3.checkout(START))
+        checkin(lease_3, checkout(lease_3))
         assert len(cache) == 2
-        assert executor_1.stopped == 1  # key A's oldest went first
-        assert executor_2.stopped == 0
+        assert executor_1.inner.stopped == 1  # key A's oldest went first
+        assert executor_2.inner.stopped == 0
         assert factory_b.made[0].stopped == 0

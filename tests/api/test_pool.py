@@ -354,6 +354,49 @@ class TestWorkerExit:
         assert outcomes == {0: 1}
 
 
+class TestWorkerThreads:
+    def test_thread_workers_keep_each_session_on_their_thread(
+        self, monkeypatch
+    ):
+        """Concurrency 1 is one lane of the worker's loop: every
+        protocol call of a session runs on the worker thread that
+        pulled its test."""
+        import threading
+
+        from repro.api import CheckSession, SessionConfig, ThreadTransport
+        from repro.apps.eggtimer import egg_timer_app
+        from repro.checker import RunnerConfig
+        from repro.executors import DomExecutor
+        from repro.specs import load_eggtimer_spec
+
+        calls = []
+        act = DomExecutor.act
+
+        def spy(self, message):
+            # Holding the executor keeps its id unique for the test.
+            calls.append((self, threading.get_ident()))
+            return act(self, message)
+
+        monkeypatch.setattr(DomExecutor, "act", spy)
+        transport = ThreadTransport()
+        # Cold executors, one per test: a session is one executor.
+        CheckSession(egg_timer_app()).check(
+            load_eggtimer_spec().check_named("safety"),
+            config=RunnerConfig(tests=6, scheduled_actions=8,
+                                demand_allowance=5, seed=3, shrink=False),
+            session=SessionConfig(jobs=2, transport=transport,
+                                  reuse_executors=False),
+        )
+        workers = {thread.ident for thread in transport.last_workers}
+        threads_by_session = {}
+        for executor, thread in calls:
+            threads_by_session.setdefault(id(executor), set()).add(thread)
+        assert len(threads_by_session) == 6
+        for threads in threads_by_session.values():
+            assert len(threads) == 1
+            assert threads <= workers
+
+
 class TestInlineTransport:
     """The transport every width-1 local batch runs on."""
 

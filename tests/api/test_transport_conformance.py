@@ -273,6 +273,35 @@ class TestTransportIdentity:
         assert_batches_identical(serial_batch, second)
 
 
+class TestTcpExecutorCounts:
+    """A remote worker counts executor starts as a local run does."""
+
+    @staticmethod
+    def _egg_batch(transport, reuse):
+        target = CheckTarget(
+            "egg", egg_timer_app(),
+            spec=load_eggtimer_spec().check_named("safety"),
+            config=RunnerConfig(tests=3, scheduled_actions=8,
+                                demand_allowance=5, seed=3, shrink=False),
+            remote={"spec": spec_path("eggtimer.strom"), "app": "eggtimer"},
+        )
+        return CheckSession().check_many([target], session=SessionConfig(
+            transport=transport, reuse_executors=reuse,
+        )).metrics
+
+    @pytest.mark.parametrize(
+        "reuse, counts", [(False, (0, 3)), (True, (2, 1))]
+    )
+    def test_warm_and_cold_counts_match_the_inline_transport(
+        self, tcp_fabric, reuse, counts
+    ):
+        inline = self._egg_batch(InlineTransport(), reuse)
+        assert (inline.warm_hits, inline.cold_starts) == counts
+        remote = self._egg_batch(tcp_fabric(workers=1), reuse)
+        assert remote.transport == "tcp"
+        assert (remote.warm_hits, remote.cold_starts) == counts
+
+
 class TestTcpFailureSemantics:
     def test_dead_worker_task_is_requeued_and_attributed(self, tcp_fabric):
         serial_batch, _ = run_batch(SessionConfig(jobs=1))

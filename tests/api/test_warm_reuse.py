@@ -11,6 +11,8 @@ path.
 
 import random
 
+import pytest
+
 from repro.api import CheckSession, CheckTarget, ExecutorCache, SessionConfig
 from repro.api.lease import ExecutorLease
 from repro.apps.eggtimer import egg_timer_app
@@ -169,6 +171,26 @@ class TestBatchEquivalence:
         completed = metrics.tasks_completed - metrics.tasks_skipped
         assert metrics.warm_hits + metrics.cold_starts == completed
         assert metrics.transport in ("fork", "thread")
+
+
+class TestWorkerWarmCounts:
+    @pytest.mark.parametrize("transport", ["thread", "fork"])
+    def test_each_worker_starts_each_target_at_most_once(self, transport):
+        """3 targets x 6 tests on two workers.  Synchronous sessions
+        park untagged, so a thread worker's loop takes the executor its
+        sibling parked instead of retiring it."""
+        spec = load_eggtimer_spec().check_named("safety")
+        config = RunnerConfig(tests=6, scheduled_actions=8,
+                              demand_allowance=5, seed=3, shrink=False)
+        targets = [
+            CheckTarget(f"egg-{i}", egg_timer_app(), spec=spec, config=config)
+            for i in range(3)
+        ]
+        metrics = CheckSession().check_many(
+            targets, session=SessionConfig(jobs=2, transport=transport)
+        ).metrics
+        assert metrics.warm_hits + metrics.cold_starts == 18
+        assert metrics.cold_starts <= 6
 
 
 class TestManyPropertiesOneApp:

@@ -1,12 +1,13 @@
 """The async/sync seam: one session loop, two faces.
 
-``Runner.run_single_test`` drives the *same* ``_drive_test_async``
-coroutine as ``run_single_test_async`` -- the sync face runs it over a
-never-yielding inline adapter.  Identity is therefore by construction,
-but these tests pin it observationally anyway: hypothesis-generated
-fuzz machines (the same generator the differential fuzzer uses) must
-produce byte-identical :class:`TestResult`\\ s through both entry
-points, with and without latency injection.
+``Runner.run_single_test`` drives the *same* session coroutine as
+``run_single_test_async``, with a single ``send``: with no loop
+running, every executor reaches it inline, so nothing it awaits ever
+suspends.  Identity is therefore by construction, but these tests pin
+it observationally anyway: hypothesis-generated fuzz machines (the same
+generator the differential fuzzer uses) must produce byte-identical
+:class:`TestResult`\\ s through both entry points, with and without
+latency injection.
 """
 
 import asyncio
@@ -22,11 +23,7 @@ from repro.api.session import _coerce_executor_factory
 from repro.apps.eggtimer import egg_timer_app
 from repro.checker import Runner, RunnerConfig
 from repro.checker.runner import _drive_inline
-from repro.executors import (
-    DomExecutor,
-    LatencyExecutor,
-    SyncExecutorAdapter,
-)
+from repro.executors import DomExecutor, LatencyExecutor
 from repro.fuzz import generate_campaign, machine_app
 from repro.specs import load_eggtimer_spec
 
@@ -81,9 +78,7 @@ class TestAsyncSyncEquivalence:
             runner.run_single_test_async(
                 random.Random(test_seed),
                 executor_factory=lambda: LatencyExecutor(
-                    SyncExecutorAdapter(runner.executor_factory()),
-                    latency_ms=0,
-                    seed=seed,
+                    runner.executor_factory(), latency_ms=0, seed=seed
                 ),
             )
         )
@@ -113,12 +108,12 @@ class TestAsyncSyncEquivalence:
 
         async def leased_pair():
             cache = ExecutorCache(enabled=True, depth=2)
-            lease = cache.async_lease(runner.executor_factory)
+            lease = cache.lease(runner.executor_factory)
             first = await runner.run_single_test_async(
                 random.Random(test_seed), lease=lease
             )
             cold_warm = lease.warm
-            lease = cache.async_lease(runner.executor_factory)
+            lease = cache.lease(runner.executor_factory)
             second = await runner.run_single_test_async(
                 random.Random(test_seed), lease=lease
             )
@@ -147,10 +142,7 @@ class TestSeamGuards:
     def test_sync_entry_drives_async_factories(self):
         plain = self._runner(lambda: DomExecutor(egg_timer_app()))
         wrapped = self._runner(
-            lambda: LatencyExecutor(
-                SyncExecutorAdapter(DomExecutor(egg_timer_app())),
-                latency_ms=1,
-            )
+            lambda: LatencyExecutor(DomExecutor(egg_timer_app()), latency_ms=1)
         )
         expected = plain.run_single_test(random.Random(0))
         assert _comparable(wrapped.run_single_test(random.Random(0))) == (
@@ -166,12 +158,13 @@ class TestSeamGuards:
 
         cache = ExecutorCache(enabled=True)
         lease = cache.lease(
-            lambda: SyncExecutorAdapter(DomExecutor(egg_timer_app()))
+            lambda: LatencyExecutor(DomExecutor(egg_timer_app()), latency_ms=1)
         )
-        executor = lease.checkout(Start(frozenset(), ()))
-        assert isinstance(executor, BlockingExecutor)
-        assert [m.state.happened for m in executor.drain()]
-        lease.checkin(executor)
+        # No loop runs here: the async session gets a private one.
+        executor = _drive_inline(lease.checkout(Start(frozenset(), ())))
+        assert isinstance(executor.inner, BlockingExecutor)
+        assert [m.state.happened for m in _drive_inline(executor.drain())]
+        _drive_inline(lease.checkin(executor))
         cache.close()
 
     def test_drive_inline_raises_on_a_yielding_executor(self):

@@ -3,8 +3,8 @@
 ``AsyncExecutor`` is the awaitable mirror of ``Executor``; these tests
 pin the two shipped wrappers:
 
-* ``SyncExecutorAdapter`` -- every protocol call delegates to the
-  wrapped synchronous executor (through the loop's thread pool) with
+* ``InlineAsyncExecutor`` -- every protocol call delegates inline to
+  the wrapped synchronous executor, on the calling thread, with
   identical arguments and return values;
 * ``LatencyExecutor`` -- injects *deterministic wall-clock* round-trip
   delay while leaving virtual time, the trace, and the test's RNG
@@ -12,6 +12,7 @@ pin the two shipped wrappers:
 """
 
 import asyncio
+import threading
 import time
 
 import pytest
@@ -21,9 +22,10 @@ from repro.executors import (
     AsyncExecutor,
     BlockingExecutor,
     DomExecutor,
+    InlineAsyncExecutor,
     LatencyExecutor,
-    SyncExecutorAdapter,
     ensure_async_executor,
+    ensure_drivable_executor,
     ensure_sync_executor,
 )
 from repro.protocol.messages import Act, Narrow, Reset, Start
@@ -70,10 +72,18 @@ def drive(coro):
     return asyncio.run(coro)
 
 
-class TestSyncExecutorAdapter:
+class TestInlineAsyncExecutor:
     def test_delegates_every_protocol_call(self):
+        threads = set()
+
+        class ThreadLog(list):
+            def append(self, call):
+                threads.add(threading.get_ident())
+                super().append(call)
+
         inner = RecordingSync()
-        adapter = SyncExecutorAdapter(inner)
+        inner.calls = ThreadLog()
+        adapter = InlineAsyncExecutor(inner)
         start = Start(dependencies=frozenset(), events=())
 
         async def session():
@@ -91,6 +101,8 @@ class TestSyncExecutorAdapter:
             "start", "drain", "act", "pass_time", "await_events",
             "narrow", "reset", "stop",
         ]
+        # Inline: every call ran on the thread running the loop.
+        assert threads == {threading.get_ident()}
         assert adapter.version == 3
         assert adapter.now_ms == 120.0
 
@@ -102,7 +114,7 @@ class TestSyncExecutorAdapter:
             def stop(self):
                 pass
 
-        adapter = SyncExecutorAdapter(Bare())
+        adapter = InlineAsyncExecutor(Bare())
 
         async def session():
             assert await adapter.narrow(None) is False
@@ -112,19 +124,19 @@ class TestSyncExecutorAdapter:
 
     def test_stop_nowait_stops_the_inner_executor(self):
         inner = RecordingSync()
-        SyncExecutorAdapter(inner).stop_nowait()
+        InlineAsyncExecutor(inner).stop_nowait()
         assert inner.calls == [("stop",)]
 
     def test_recorder_reads_through(self):
         inner = RecordingSync()
         inner.recorder = object()
-        assert SyncExecutorAdapter(inner).recorder is inner.recorder
+        assert InlineAsyncExecutor(inner).recorder is inner.recorder
 
         class NoRecorder:
             version = 0
             now_ms = 0.0
 
-        assert SyncExecutorAdapter(NoRecorder()).recorder is None
+        assert InlineAsyncExecutor(NoRecorder()).recorder is None
 
 
 class TestLatencyExecutor:
@@ -187,8 +199,9 @@ class TestLatencyExecutor:
         assert wrapped.next_delay_ms() == probe.next_delay_ms()
 
     def test_wraps_async_executors_too(self):
-        inner = SyncExecutorAdapter(RecordingSync())
+        inner = LatencyExecutor(RecordingSync(), latency_ms=0)
         wrapped = LatencyExecutor(inner, latency_ms=0, seed=0)
+        assert wrapped.inner is inner
 
         async def session():
             assert await wrapped.drain() == ["m1", "m2"]
@@ -202,7 +215,7 @@ class TestLatencyExecutor:
         assert sync_inner.calls == [("stop",)]
         adapted = RecordingSync()
         LatencyExecutor(
-            SyncExecutorAdapter(adapted), latency_ms=0
+            LatencyExecutor(adapted, latency_ms=0), latency_ms=0
         ).stop_nowait()
         assert adapted.calls == [("stop",)]
 
@@ -228,7 +241,7 @@ class TestLatencyExecutor:
 
 class TestEnsureAsyncExecutor:
     def test_async_executors_pass_through(self):
-        adapter = SyncExecutorAdapter(RecordingSync())
+        adapter = InlineAsyncExecutor(RecordingSync())
         assert ensure_async_executor(adapter) is adapter
         wrapped = LatencyExecutor(RecordingSync(), latency_ms=0)
         assert ensure_async_executor(wrapped) is wrapped
@@ -236,12 +249,31 @@ class TestEnsureAsyncExecutor:
     def test_sync_executors_are_adapted(self):
         inner = RecordingSync()
         adapted = ensure_async_executor(inner)
-        assert isinstance(adapted, SyncExecutorAdapter)
+        assert isinstance(adapted, InlineAsyncExecutor)
         assert adapted.inner is inner
 
     def test_protocol_marker(self):
-        assert isinstance(SyncExecutorAdapter(RecordingSync()), AsyncExecutor)
+        assert isinstance(InlineAsyncExecutor(RecordingSync()), AsyncExecutor)
         assert not isinstance(RecordingSync(), AsyncExecutor)
+
+    def test_drivable_adapts_async_executors_for_the_sync_face(self):
+        """With no loop running, an async session runs on a private
+        loop behind the inline adapter; on a loop it passes through.
+        Synchronous executors run inline on both faces."""
+        wrapped = LatencyExecutor(RecordingSync(), latency_ms=0)
+        sync_face = ensure_drivable_executor(wrapped)
+        assert isinstance(sync_face, InlineAsyncExecutor)
+        assert isinstance(sync_face.inner, BlockingExecutor)
+        assert sync_face.inner.inner is wrapped
+        sync_face.stop_nowait()
+
+        async def on_a_loop(executor):
+            return ensure_drivable_executor(executor)
+
+        assert drive(on_a_loop(wrapped)) is wrapped
+        inner = RecordingSync()
+        assert ensure_drivable_executor(inner).inner is inner
+        assert drive(on_a_loop(inner)).inner is inner
 
 
 class TestBlockingExecutor:
@@ -251,7 +283,7 @@ class TestBlockingExecutor:
     def test_delegates_every_protocol_call_in_order(self):
         inner = RecordingSync()
         executor = ensure_sync_executor(
-            LatencyExecutor(SyncExecutorAdapter(inner), latency_ms=0)
+            LatencyExecutor(inner, latency_ms=0)
         )
         assert isinstance(executor, BlockingExecutor)
         start = Start(frozenset({"#a"}), ())
@@ -270,7 +302,9 @@ class TestBlockingExecutor:
         ]
 
     def test_stop_closes_the_private_loop(self):
-        executor = BlockingExecutor(SyncExecutorAdapter(RecordingSync()))
+        executor = BlockingExecutor(
+            LatencyExecutor(RecordingSync(), latency_ms=0)
+        )
         loop = executor._loop
         executor.stop()
         assert loop.is_closed()
