@@ -16,12 +16,15 @@ Layers, bottom up:
 * :mod:`.table`   -- the LRU/TTL-bounded per-session residual table;
 * :mod:`.batch`   -- cohort-grouped progression;
 * :mod:`.metrics` -- counters, heartbeat, JSON summary;
-* :mod:`.service` -- the :class:`Monitor` orchestrator;
+* :mod:`.service` -- the :class:`Monitor` orchestrator and the one
+  monitor loop (:meth:`Monitor.run_queue`);
 * :mod:`.checkpoint` -- atomic snapshot/restore of the session table
-  (``repro monitor --checkpoint DIR`` / ``--restore``);
+  (``repro monitor --checkpoint DIR`` / ``--restore``), one file per
+  shard at every width -- a single-process monitor is shard 0 of 1;
 * :mod:`.shard`   -- the multi-process :class:`ShardedMonitor`: a
-  session-hash router over N worker processes, each running a
-  ``Monitor`` over shipped artifact bytes (``--shards N``);
+  session-hash router over N shards, each a ``Monitor`` (in a worker
+  process over shipped artifact bytes, or inline) served by one
+  message handler, driven by ``Monitor``'s loop (``--shards N``);
 * :mod:`.replay`  -- recorded traces through the real ingest path (the
   monitor == checker equivalence harness, also the fuzzer's fifth leg);
 * :mod:`.synth`   -- deterministic synthetic egg-timer streams for
@@ -31,12 +34,7 @@ Driven by ``repro monitor`` (see :mod:`repro.cli`).
 """
 
 from .batch import BatchProgressor, StepOutcome
-from .checkpoint import (
-    CHECKPOINT_FILENAME,
-    checkpoint_path,
-    read_checkpoint_header,
-    save_checkpoint,
-)
+from .checkpoint import list_shard_checkpoints, read_checkpoint_header
 from .ingest import IngestQueue, SocketIngestServer, StreamProducer, feed_lines
 from .metrics import MonitorMetrics
 from .records import (
@@ -62,10 +60,8 @@ from .table import SessionEntry, SessionTable
 __all__ = [
     "BatchProgressor",
     "StepOutcome",
-    "CHECKPOINT_FILENAME",
-    "checkpoint_path",
+    "list_shard_checkpoints",
     "read_checkpoint_header",
-    "save_checkpoint",
     "IngestQueue",
     "SocketIngestServer",
     "StreamProducer",

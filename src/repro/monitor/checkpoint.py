@@ -11,11 +11,24 @@ the artifact codec's re-interning payload encoding
 process-wide hash-cons table, so a million structurally identical
 restored sessions still intern to one node.
 
+One layout serves every width: a checkpoint directory holds one file
+per shard, named by index and width (``shard-00-of-04.qsc`` ...
+``shard-03-of-04.qsc``).  A single-process monitor is shard 0 of width
+1 (``shard-00-of-01.qsc``).  A round prunes other widths' files only
+after all of its own shards have written, so a width change never
+destroys the previous complete round before the new one exists.
+:func:`load_checkpoint` keeps each width whose every index is present,
+takes the one covering the most records, and merges its shards into one
+whole-monitor snapshot; the restoring monitor re-partitions that
+through its router, so the width may change across a restart.  A
+directory with no complete width -- including one that holds only an
+older ``monitor.qsc`` -- is refused, never restored empty.
+
 Discipline:
 
-* **atomic**: :func:`save_checkpoint` writes tmp + fsync + rename, so a
-  crash mid-write leaves the previous checkpoint intact, never a torn
-  one;
+* **atomic**: :func:`save_shard_checkpoint` writes tmp + fsync +
+  rename, so a crash mid-write leaves the previous checkpoint intact,
+  never a torn one;
 * **quiescent**: a checkpoint is taken between processing rounds (the
   service flushes first), so there is no in-flight record to lose --
   the header's ``records_ingested`` is exact;
@@ -37,100 +50,89 @@ from __future__ import annotations
 
 import os
 import re
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..artifact.codec import decode, encode
 from ..artifact.errors import ArtifactFormatError
 from ..artifact.format import CHECKPOINT_MAGIC, pack, sniff, unpack, write_atomic
 from ..quickltl import Verdict
+from .metrics import MonitorMetrics
 from .table import SessionEntry
 
 __all__ = [
-    "CHECKPOINT_FILENAME",
     "checkpoint_bytes",
-    "checkpoint_path",
     "list_shard_checkpoints",
+    "load_checkpoint",
     "load_checkpoint_payload",
     "merge_snapshots",
     "prune_shard_checkpoints",
     "read_checkpoint_header",
-    "restore_monitor",
     "restore_snapshot",
-    "save_checkpoint",
     "save_shard_checkpoint",
     "shard_checkpoint_path",
     "snapshot_monitor",
 ]
 
-#: The well-known filename inside a ``--checkpoint DIR``.
-CHECKPOINT_FILENAME = "monitor.qsc"
+#: Shard checkpoint files: ``shard-<index>-of-<width>.qsc``.
+_SHARD_PATTERN = re.compile(r"^shard-(\d+)-of-(\d+)\.qsc$")
 
-#: Per-shard checkpoint files inside the same directory.
-_SHARD_PATTERN = re.compile(r"^shard-(\d+)\.qsc$")
-
-#: Counters that checkpoint and restore verbatim (the service-derived
-#: ones -- intern/cache deltas and wall clock -- restore as *baselines*
-#: instead, see :func:`restore_snapshot`).
-_COUNTER_FIELDS = (
-    "records_ingested",
-    "malformed_records",
-    "dropped_records",
-    "late_records",
-    "states_applied",
-    "cohort_steps",
-    "sessions_started",
-    "sessions_live",
-    "sessions_finished",
-    "sessions_evicted",
-    "evicted_lru",
-    "evicted_idle",
-    "sessions_errored",
-    "max_formula_size",
-    "ticks",
-)
+_FORMAT = "repro-monitor-checkpoint"
 
 
-def checkpoint_path(directory: str) -> str:
-    """The checkpoint file inside ``directory``."""
-    return os.path.join(directory, CHECKPOINT_FILENAME)
+def shard_checkpoint_path(directory: str, index: int, shards: int) -> str:
+    """Shard ``index`` of a ``shards``-wide round inside ``directory``."""
+    return os.path.join(directory, f"shard-{index:02d}-of-{shards:02d}.qsc")
 
 
-def shard_checkpoint_path(directory: str, index: int) -> str:
-    """Shard ``index``'s checkpoint file inside ``directory``."""
-    return os.path.join(directory, f"shard-{index:02d}.qsc")
-
-
-def list_shard_checkpoints(directory: str) -> List[Tuple[int, str]]:
-    """``(shard_index, path)`` pairs present under ``directory``, sorted."""
-    found: List[Tuple[int, str]] = []
+def _widths(directory: str) -> Dict[int, Dict[int, str]]:
+    """``{width: {index: path}}`` for every shard file under ``directory``."""
+    widths: Dict[int, Dict[int, str]] = {}
     try:
         names = os.listdir(directory)
     except OSError:
-        return found
+        return widths
     for name in names:
         match = _SHARD_PATTERN.match(name)
         if match:
-            found.append((int(match.group(1)), os.path.join(directory, name)))
-    found.sort()
-    return found
+            index, shards = int(match.group(1)), int(match.group(2))
+            widths.setdefault(shards, {})[index] = os.path.join(directory, name)
+    return widths
 
 
-def prune_shard_checkpoints(
-    directory: str, keep: Tuple[int, ...] = ()
-) -> None:
-    """Delete shard checkpoint files not in ``keep``.
+def list_shard_checkpoints(directory: str) -> List[Tuple[int, str]]:
+    """``(shard_index, path)`` pairs under ``directory``, by width, then index."""
+    return [
+        (index, path)
+        for _shards, files in sorted(_widths(directory).items())
+        for index, path in sorted(files.items())
+    ]
 
-    Called only after a complete checkpoint round has been written:
-    stale files from a previous (wider) shard layout -- or from a
-    single-process run that later switched to sharded -- must not
-    survive to poison a future restore.
+
+def prune_shard_checkpoints(directory: str, shards: int) -> None:
+    """Delete the shard files of every width but ``shards``.
+
+    Called only after a complete ``shards``-wide round has been
+    written: the previous width's files must survive until then, and
+    must not survive afterwards to be restored in place of the newer
+    round.
     """
-    for index, path in list_shard_checkpoints(directory):
-        if index not in keep:
+    for width, files in _widths(directory).items():
+        if width == shards:
+            continue
+        for path in files.values():
             try:
                 os.unlink(path)
             except OSError:  # pragma: no cover - raced by another pruner
                 pass
+
+
+def _empty_snapshot() -> dict:
+    return {
+        "entries": [],
+        "retired": [],
+        "metrics": MonitorMetrics(),
+        "quarantine": [],
+    }
 
 
 def snapshot_monitor(monitor) -> dict:
@@ -140,7 +142,6 @@ def snapshot_monitor(monitor) -> dict:
     (the service's drivers checkpoint only between rounds).
     """
     report = monitor.report()  # folds intern/cache deltas into metrics
-    metrics = report.metrics
     return {
         "entries": [
             {
@@ -154,48 +155,24 @@ def snapshot_monitor(monitor) -> dict:
             for entry in monitor.table.live_sessions()
         ],
         "retired": list(monitor.table._retired.items()),
-        "counters": {
-            name: getattr(metrics, name) for name in _COUNTER_FIELDS
-        },
-        "verdicts": dict(metrics.verdicts),
-        "queue_depth_samples": list(metrics.queue_depth_samples),
-        "intern_hits": metrics.intern_hits,
-        "intern_misses": metrics.intern_misses,
-        "cache_evictions": metrics.cache_evictions,
-        "cache_trims": metrics.cache_trims,
-        "wall_s": metrics.wall_s,
-        "quarantine": list(monitor._quarantine),
+        "metrics": report.metrics,
+        "quarantine": list(report.quarantine),
     }
 
 
-def checkpoint_bytes(monitor, extra_header: Optional[dict] = None) -> bytes:
-    """Serialize a flushed monitor to checkpoint container bytes."""
+def checkpoint_bytes(monitor, index: int, shards: int) -> bytes:
+    """Serialize a flushed monitor, shard ``index`` of ``shards``, to
+    checkpoint container bytes."""
     snapshot = snapshot_monitor(monitor)
     header = {
-        "format": "repro-monitor-checkpoint",
+        "format": _FORMAT,
         "property": monitor.property_name,
-        "records_ingested": snapshot["counters"]["records_ingested"],
+        "records_ingested": snapshot["metrics"].records_ingested,
         "sessions_live": len(snapshot["entries"]),
+        "shard": index,
+        "shards": shards,
     }
-    if extra_header:
-        header.update(extra_header)
     return pack(header, encode(snapshot), magic=CHECKPOINT_MAGIC)
-
-
-def save_checkpoint(monitor, directory: str) -> str:
-    """Atomically write ``monitor``'s checkpoint under ``directory``.
-
-    Returns the checkpoint path.  The directory is created on first
-    use; the write is tmp + fsync + rename so readers (and crashes)
-    only ever see a complete checkpoint.  Shard checkpoint files from a
-    previous sharded run are pruned once the whole-monitor file is
-    down: the single file now owns every session.
-    """
-    os.makedirs(directory, exist_ok=True)
-    path = checkpoint_path(directory)
-    write_atomic(path, checkpoint_bytes(monitor))
-    prune_shard_checkpoints(directory)
-    return path
 
 
 def save_shard_checkpoint(
@@ -203,16 +180,13 @@ def save_shard_checkpoint(
 ) -> str:
     """Atomically write one shard's checkpoint under ``directory``.
 
-    The header carries ``{"shard": index, "shards": shards}`` so a
-    restore can tell whether the on-disk layout matches the requested
-    width (mismatches re-shard through the router instead).
+    Returns the path.  The directory is created on first use; the write
+    is tmp + fsync + rename so readers (and crashes) only ever see a
+    complete file.
     """
     os.makedirs(directory, exist_ok=True)
-    path = shard_checkpoint_path(directory, index)
-    write_atomic(
-        path,
-        checkpoint_bytes(monitor, {"shard": index, "shards": shards}),
-    )
+    path = shard_checkpoint_path(directory, index, shards)
+    write_atomic(path, checkpoint_bytes(monitor, index, shards))
     return path
 
 
@@ -233,9 +207,8 @@ def read_checkpoint_header(path: str) -> dict:
 def load_checkpoint_payload(path: str) -> Tuple[dict, dict]:
     """Read one checkpoint file: ``(header, decoded_snapshot)``.
 
-    Raises on a missing, foreign or torn file, like
-    :func:`restore_monitor` -- a restore must never silently start
-    empty.
+    Raises on a missing, foreign or torn file -- a restore must never
+    silently start empty.
     """
     with open(path, "rb") as handle:
         data = handle.read()
@@ -245,49 +218,73 @@ def load_checkpoint_payload(path: str) -> Tuple[dict, dict]:
     return header, decode(payload)
 
 
+def load_checkpoint(directory: str, property_name: str) -> Tuple[dict, dict]:
+    """The checkpoint under ``directory``: ``(header, merged_snapshot)``.
+
+    Of the widths whose every shard file is present, the one whose
+    headers sum the most ``records_ingested`` wins: a crash between a
+    round's last write and its prune leaves two complete widths of the
+    same sessions, and restoring both would count every session twice.
+    The winner's shards merge into one whole-monitor snapshot.
+
+    Raises :class:`~repro.artifact.ArtifactFormatError` when no width
+    is complete or a shard checks another property, and
+    :class:`~repro.artifact.ArtifactCorruptError` on a torn file.
+    """
+    best: Optional[Tuple[int, int, List[str]]] = None
+    for shards, files in _widths(directory).items():
+        if any(index not in files for index in range(shards)):
+            continue
+        paths = [files[index] for index in range(shards)]
+        covered = sum(
+            read_checkpoint_header(path)["records_ingested"]
+            for path in paths
+        )
+        if best is None or (covered, shards) > best[:2]:
+            best = (covered, shards, paths)
+    if best is None:
+        raise ArtifactFormatError(
+            f"no monitor checkpoint found under {directory}"
+        )
+    snapshots = []
+    for path in best[2]:
+        header, snapshot = load_checkpoint_payload(path)
+        if header.get("property") != property_name:
+            raise ArtifactFormatError(
+                f"checkpoint is for property {header.get('property')!r}, "
+                f"monitor checks {property_name!r}"
+            )
+        snapshots.append(snapshot)
+    merged = merge_snapshots(snapshots)
+    return {
+        "format": _FORMAT,
+        "property": property_name,
+        "records_ingested": merged["metrics"].records_ingested,
+        "sessions_live": len(merged["entries"]),
+        "shards": best[1],
+    }, merged
+
+
 def merge_snapshots(parts: List[dict]) -> dict:
     """Fold per-shard snapshots into one whole-monitor snapshot.
 
     Sessions are disjoint across shards (the router partitions by id),
-    so entries and retired rings concatenate; counters and verdict
-    tallies sum; ``wall_s`` and ``max_formula_size`` take the max;
-    quarantine samples concatenate (the restoring monitor re-caps).
+    so entries, retired rings and quarantine samples concatenate (the
+    restoring monitor re-caps the samples); metrics merge by
+    :meth:`MonitorMetrics.merged`.
     """
-    merged: dict = {
-        "entries": [],
-        "retired": [],
-        "counters": {name: 0 for name in _COUNTER_FIELDS},
-        "verdicts": {},
-        "queue_depth_samples": [],
-        "intern_hits": 0,
-        "intern_misses": 0,
-        "cache_evictions": 0,
-        "cache_trims": 0,
-        "wall_s": 0.0,
-        "quarantine": [],
-    }
+    merged = _empty_snapshot()
     for part in parts:
         merged["entries"].extend(part["entries"])
         merged["retired"].extend(part["retired"])
-        for name, value in part["counters"].items():
-            if name in ("max_formula_size",):
-                if value > merged["counters"][name]:
-                    merged["counters"][name] = value
-            else:
-                merged["counters"][name] = merged["counters"].get(name, 0) + value
-        for label, count in part["verdicts"].items():
-            merged["verdicts"][label] = merged["verdicts"].get(label, 0) + count
-        merged["queue_depth_samples"].extend(part["queue_depth_samples"])
-        for name in ("intern_hits", "intern_misses",
-                     "cache_evictions", "cache_trims"):
-            merged[name] += part[name]
-        if part["wall_s"] > merged["wall_s"]:
-            merged["wall_s"] = part["wall_s"]
         merged["quarantine"].extend(part["quarantine"])
+    merged["metrics"] = MonitorMetrics.merged(
+        [part["metrics"] for part in parts]
+    )
     return merged
 
 
-def restore_snapshot(monitor, snapshot: dict, header: dict) -> None:
+def restore_snapshot(monitor, snapshot: dict) -> None:
     """Load a decoded snapshot into a freshly constructed monitor.
 
     The monitor must be new (same spec, empty table); restored state
@@ -300,12 +297,6 @@ def restore_snapshot(monitor, snapshot: dict, header: dict) -> None:
       restore as baselines the new process's deltas add to, so the
       final report covers the whole logical stream.
     """
-    expected = monitor.property_name
-    if header.get("property") not in (None, expected):
-        raise ArtifactFormatError(
-            f"checkpoint is for property {header.get('property')!r}, "
-            f"monitor checks {expected!r}"
-        )
     now = monitor._clock()
     for item in snapshot["entries"]:
         entry = SessionEntry(
@@ -319,67 +310,23 @@ def restore_snapshot(monitor, snapshot: dict, header: dict) -> None:
         monitor.table._entries[entry.session_id] = entry
     for session_id, reason in snapshot["retired"]:
         monitor.table._remember(session_id, reason)
-    metrics = monitor.metrics
-    for name, value in snapshot["counters"].items():
-        setattr(metrics, name, value)
-    metrics.verdicts.update(snapshot["verdicts"])
-    metrics.queue_depth_samples.extend(snapshot["queue_depth_samples"])
+    metrics = snapshot["metrics"]
     metrics.sessions_live = len(monitor.table)
+    monitor.metrics = metrics
     # Deltas measured against process-wide tables restart at zero in a
     # new process; fold the checkpointed totals in as baselines.
-    monitor._intern_base_hits = snapshot["intern_hits"]
-    monitor._intern_base_misses = snapshot["intern_misses"]
-    monitor._cache_base_evictions = snapshot["cache_evictions"]
-    monitor._cache_base_trims = snapshot["cache_trims"]
-    monitor._started = now - snapshot["wall_s"]
+    monitor._intern_base_hits = metrics.intern_hits
+    monitor._intern_base_misses = metrics.intern_misses
+    monitor._cache_base_evictions = metrics.cache_evictions
+    monitor._cache_base_trims = metrics.cache_trims
+    monitor._started = now - metrics.wall_s
     # The batcher's counters are the metrics' source of truth for
     # states_applied/cohort_steps on the next round; seed them.
-    monitor.batcher.session_steps = snapshot["counters"]["states_applied"]
-    monitor.batcher.cohort_steps = snapshot["counters"]["cohort_steps"]
+    monitor.batcher.session_steps = metrics.states_applied
+    monitor.batcher.cohort_steps = metrics.cohort_steps
     from .service import _QUARANTINE_SAMPLES
 
     for line, error in snapshot["quarantine"]:
         if len(monitor._quarantine) >= _QUARANTINE_SAMPLES:
             break
         monitor._quarantine.append((line, error))
-
-
-def restore_monitor(monitor, directory: str) -> dict:
-    """Restore ``monitor`` from the checkpoint under ``directory``.
-
-    Returns the checkpoint header.  Raises
-    :class:`~repro.artifact.ArtifactFormatError` /
-    :class:`~repro.artifact.ArtifactCorruptError` on a missing, foreign
-    or torn file -- a restore must never silently start empty.
-
-    When ``monitor.qsc`` is absent but per-shard files exist (the
-    directory was last written by a sharded run), the shard snapshots
-    merge into one whole-monitor restore -- switching between sharded
-    and single-process across a restart is always legal.
-    """
-    path = checkpoint_path(directory)
-    if not os.path.exists(path):
-        shard_files = list_shard_checkpoints(directory)
-        if shard_files:
-            headers: List[dict] = []
-            snapshots: List[dict] = []
-            for _index, shard_path in shard_files:
-                header, snapshot = load_checkpoint_payload(shard_path)
-                headers.append(header)
-                snapshots.append(snapshot)
-            merged = merge_snapshots(snapshots)
-            restore_snapshot(monitor, merged, headers[0])
-            return {
-                "format": "repro-monitor-checkpoint",
-                "property": headers[0].get("property"),
-                "records_ingested": merged["counters"]["records_ingested"],
-                "sessions_live": len(merged["entries"]),
-                "shards": len(shard_files),
-            }
-    with open(path, "rb") as handle:
-        data = handle.read()
-    if not sniff(data, magic=CHECKPOINT_MAGIC):
-        raise ArtifactFormatError(f"{path} is not a monitor checkpoint")
-    header, payload = unpack(data, magic=CHECKPOINT_MAGIC)
-    restore_snapshot(monitor, decode(payload), header)
-    return header

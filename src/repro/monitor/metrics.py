@@ -19,7 +19,8 @@ __all__ = ["MonitorMetrics"]
 #: Queue-depth sample cap (mirrors PoolMetrics' bound).
 _MAX_QUEUE_SAMPLES = 10_000
 
-#: Counter fields summed when merging per-shard metrics.
+#: Counter fields summed when merging per-shard metrics or checkpoint
+#: snapshots (``max_formula_size`` and ``wall_s`` take the max instead).
 _SUMMED_FIELDS = (
     "records_ingested",
     "malformed_records",
@@ -108,9 +109,10 @@ class MonitorMetrics:
 
         Counters and verdict tallies sum; ``max_formula_size`` takes
         the max; ``wall_s`` takes the max (shards run concurrently, so
-        the slowest shard *is* the run's wall clock); queue-depth
-        samples concatenate up to the usual cap (the sharded report
-        additionally keeps them tagged per shard).
+        the slowest shard *is* the run's wall clock); ingest-queue
+        depth samples concatenate up to the usual cap (in a sharded
+        run they live on shard 0, whose ticks carry the dispatcher's
+        samples).
         """
         out = cls()
         for part in parts:

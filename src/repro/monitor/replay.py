@@ -71,9 +71,9 @@ def monitor_verdicts(
 
     ``shards`` > 1 replays through an inline-transport
     :class:`~repro.monitor.shard.ShardedMonitor` instead -- the same
-    router and merge logic as ``--shards N`` without worker processes,
-    which is how the equivalence tests and the fuzzer's monitor oracle
-    assert sharded ≡ single-process verdicts.
+    router, shard handler and merge as ``--shards N`` without worker
+    processes, which is how the equivalence tests and the fuzzer's
+    monitor oracle assert sharded ≡ single-process verdicts.
     """
     encoded = {
         session: trace_records(session, trace, end=True)

@@ -47,6 +47,10 @@ __all__ = ["SessionVerdict", "MonitorReport", "Monitor"]
 #: How many quarantined lines are kept verbatim for the report.
 _QUARANTINE_SAMPLES = 20
 
+#: The longest a quiet stream defers TTL sweeps, heartbeats and
+#: periodic checkpoints.
+_IDLE_WAIT_S = 0.5
+
 
 @dataclass(frozen=True)
 class SessionVerdict:
@@ -172,6 +176,14 @@ class Monitor:
             return
         if record is not None:
             self.feed_record(record)
+
+    def count_ingest(self, dropped: int, depth: Optional[int] = None) -> None:
+        """Add ``dropped`` lines shed before parsing; sample the ingest
+        queue's ``depth`` when given (:meth:`run_queue` calls this per
+        batch)."""
+        self.metrics.dropped_records += dropped
+        if depth is not None:
+            self.metrics.sample_queue_depth(depth)
 
     def feed_record(self, record: MonitorRecord) -> None:
         self.metrics.records_ingested += 1
@@ -313,19 +325,24 @@ class Monitor:
 
     def checkpoint_to(self, directory: str) -> str:
         """Flush, then atomically snapshot this monitor's state under
-        ``directory`` (see :mod:`repro.monitor.checkpoint`).
+        ``directory`` as shard 0 of width 1 (see
+        :mod:`repro.monitor.checkpoint`).
 
         Returns the checkpoint path.  Safe to call on any cadence: the
         flush makes the snapshot quiescent, the write is atomic, and a
-        crash mid-write leaves the previous checkpoint intact.
+        crash mid-write leaves the previous checkpoint intact.  Other
+        widths' files are pruned once this one is down.
         """
-        from .checkpoint import save_checkpoint
+        from .checkpoint import prune_shard_checkpoints, save_shard_checkpoint
 
         self.flush()
-        return save_checkpoint(self, directory)
+        path = save_shard_checkpoint(self, directory, 0, 1)
+        prune_shard_checkpoints(directory, 1)
+        return path
 
     def restore_from(self, directory: str) -> dict:
-        """Resume from the checkpoint under ``directory``.
+        """Resume from the checkpoint under ``directory``, whatever
+        width wrote it (the shards merge into this one monitor).
 
         Must be called on a *fresh* monitor for the same property:
         live sessions re-enter the table with their residuals, the
@@ -334,9 +351,11 @@ class Monitor:
         stream, as if the process had never died.  Returns the
         checkpoint header.
         """
-        from .checkpoint import restore_monitor
+        from .checkpoint import load_checkpoint, restore_snapshot
 
-        return restore_monitor(self, directory)
+        header, snapshot = load_checkpoint(directory, self.property_name)
+        restore_snapshot(self, snapshot)
+        return header
 
     # -- finishing -----------------------------------------------------
 
@@ -346,16 +365,13 @@ class Monitor:
         The checkpoint-enabled EOF path -- open sessions were just
         checkpointed, so resolving them ``inconclusive`` would be a
         lie; a later ``--restore`` run picks them up instead.  Passing
-        ``checkpoint_dir`` saves a final checkpoint before reporting
-        (the same shape :class:`~repro.monitor.shard.ShardedMonitor`
-        exposes, so drivers treat both uniformly).
+        ``checkpoint_dir`` saves a final checkpoint (:meth:`checkpoint_to`)
+        before reporting.
         """
-        self.flush()
         if checkpoint_dir is not None:
-            from .checkpoint import save_checkpoint
-
-            save_checkpoint(self, checkpoint_dir)
-        self.metrics.sessions_live = len(self.table)
+            self.checkpoint_to(checkpoint_dir)
+        else:
+            self.flush()
         return self.report()
 
     def finish(self) -> MonitorReport:
@@ -398,7 +414,16 @@ class Monitor:
             metrics=metrics, quarantine=list(self._quarantine)
         )
 
+    def heartbeat_line(self, queue_depth: int) -> str:
+        """The periodic stderr one-liner (:meth:`MonitorMetrics.heartbeat_line`)."""
+        return self.metrics.heartbeat_line(queue_depth)
+
     # -- drivers -------------------------------------------------------
+    #
+    # The only monitor loop: ShardedMonitor binds these two functions
+    # too, so they use nothing but feed_line, count_ingest, flush,
+    # checkpoint_to, suspend, finish, heartbeat_line, batch_size and
+    # _clock.
 
     def run_lines(self, lines: Iterable[str]) -> MonitorReport:
         """Drive a finite in-memory/file stream to completion."""
@@ -412,15 +437,16 @@ class Monitor:
         *,
         heartbeat_s: Optional[float] = None,
         heartbeat_stream: Optional[IO[str]] = None,
-        idle_wait_s: float = 0.5,
         checkpoint_dir: Optional[str] = None,
         checkpoint_period_s: float = 5.0,
     ) -> MonitorReport:
         """Drain an :class:`IngestQueue` until its producers close it.
 
-        ``heartbeat_s`` emits :meth:`MonitorMetrics.heartbeat_line` to
-        ``heartbeat_stream`` on that period; the idle wait bounds how
-        long a quiet stream can defer TTL sweeps and heartbeats.
+        Each batch is fed, counted (the lines the queue shed since the
+        last batch, and its depth) and flushed; the flush runs even
+        when the wait comes back empty, so TTL sweeps never wait for
+        traffic.  ``heartbeat_s`` prints :meth:`heartbeat_line` to
+        ``heartbeat_stream`` on that period.
 
         ``checkpoint_dir`` snapshots the monitor there every
         ``checkpoint_period_s`` (between drains, so every checkpoint is
@@ -429,42 +455,35 @@ class Monitor:
         final checkpoint instead of resolving ``inconclusive``, so a
         ``--restore`` run continues them seamlessly.
         """
-        from .checkpoint import save_checkpoint
-
-        last_beat = self._clock()
-        last_checkpoint = self._clock()
+        wait = _IDLE_WAIT_S
+        if heartbeat_s is not None:
+            wait = min(wait, heartbeat_s)
+        if checkpoint_dir is not None:
+            wait = min(wait, checkpoint_period_s)
+        last_beat = last_checkpoint = self._clock()
+        counted = 0
         while True:
-            wait = idle_wait_s
-            if heartbeat_s is not None:
-                wait = min(wait, heartbeat_s)
-            if checkpoint_dir is not None:
-                wait = min(wait, checkpoint_period_s)
             batch = queue.get_batch(self.batch_size, timeout_s=wait)
             if batch is None:
                 break
-            if batch:
-                self.metrics.sample_queue_depth(queue.depth() + len(batch))
-                for line in batch:
-                    self.feed_line(line)
-            # Flush even when idle: TTL evictions must not wait for
-            # traffic.
+            depth = queue.depth() + len(batch) if batch else None
+            for line in batch:
+                self.feed_line(line)
+            dropped = queue.dropped
+            self.count_ingest(dropped - counted, depth)
+            counted = dropped
             self.flush()
-            self.metrics.dropped_records = queue.dropped
-            if checkpoint_dir is not None:
-                now = self._clock()
-                if now - last_checkpoint >= checkpoint_period_s:
-                    last_checkpoint = now
-                    save_checkpoint(self, checkpoint_dir)
-            if heartbeat_s is not None and heartbeat_stream is not None:
-                now = self._clock()
-                if now - last_beat >= heartbeat_s:
-                    last_beat = now
-                    print(
-                        self.metrics.heartbeat_line(queue.depth()),
-                        file=heartbeat_stream,
-                        flush=True,
-                    )
-        self.metrics.dropped_records = queue.dropped
+            now = self._clock()
+            if (checkpoint_dir is not None
+                    and now - last_checkpoint >= checkpoint_period_s):
+                last_checkpoint = now
+                self.checkpoint_to(checkpoint_dir)
+            if (heartbeat_s is not None and heartbeat_stream is not None
+                    and now - last_beat >= heartbeat_s):
+                last_beat = now
+                print(self.heartbeat_line(queue.depth()),
+                      file=heartbeat_stream, flush=True)
+        self.count_ingest(queue.dropped - counted)
         if checkpoint_dir is not None:
             return self.suspend(checkpoint_dir)
         return self.finish()

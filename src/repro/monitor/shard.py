@@ -29,39 +29,43 @@ incoming chunk (counted, surfaced as ``dropped_records``).  Control
 messages (ticks, checkpoints, shutdown) always block -- backpressure
 may shed data, never protocol.
 
-Checkpoints are per shard: a checkpoint directory holds one ``QSRC``
-file per worker (``shard-NN.qsc``).  Restore merges whatever layout is
-on disk -- N shard files or a single-process ``monitor.qsc`` -- and
-re-partitions the merged snapshot through the router, so shard count
-may change (and sharded/unsharded may swap) across a restart.
+The dispatcher is no second monitor loop: :class:`ShardedMonitor`
+binds :meth:`Monitor.run_queue` and :meth:`Monitor.run_lines`, and
+every shard -- a worker process, or a ``Monitor`` in the caller's
+thread under the ``inline`` transport -- serves the dispatcher's
+messages through one handler, :func:`serve_shard`.  Lines the ingest
+queue or a ``drop`` channel shed, and the ingest depth samples, ride to
+shard 0 with the next tick, so they are checkpointed, restored and
+merged like every other counter.
+
+Checkpoints use the one layout of :mod:`repro.monitor.checkpoint`: one
+``QSRC`` file per shard (``shard-NN-of-WW.qsc``).  Restore loads the
+complete width on disk that covers the most records -- N shard files,
+or a single-process monitor's width-1 file -- and re-partitions the
+merged snapshot through the router, so the shard count may change
+across a restart.
 """
 
 from __future__ import annotations
 
 import json
 import multiprocessing
-import os
 import queue as queue_module
 import threading
 import time
 import traceback
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, IO, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..artifact.codec import decode, encode
-from ..artifact.errors import ArtifactFormatError
 from .checkpoint import (
-    _COUNTER_FIELDS,
-    checkpoint_path,
-    list_shard_checkpoints,
-    load_checkpoint_payload,
-    merge_snapshots,
+    _empty_snapshot,
+    load_checkpoint,
     prune_shard_checkpoints,
     restore_snapshot,
     save_shard_checkpoint,
 )
-from .ingest import IngestQueue
 from .metrics import MonitorMetrics
 from .service import (
     _QUARANTINE_SAMPLES,
@@ -75,8 +79,16 @@ __all__ = [
     "ShardedMonitor",
     "ShardedMonitorReport",
     "peek_session_id",
+    "serve_shard",
     "split_snapshot",
 ]
+
+#: Chunks a dispatch channel holds before ``block`` stalls the
+#: dispatcher (or ``drop`` sheds).
+_CHANNEL_CAPACITY = 64
+
+#: Lines per dispatched chunk.
+_CHUNK_SIZE = 256
 
 
 # ----------------------------------------------------------------------
@@ -199,31 +211,9 @@ def split_snapshot(snapshot: dict, router: ShardRouter) -> List[dict]:
         parts[router.shard_of(session_id)]["retired"].append(
             (session_id, reason)
         )
-    aggregate = parts[0]
-    aggregate["counters"] = dict(snapshot["counters"])
-    aggregate["verdicts"] = dict(snapshot["verdicts"])
-    aggregate["queue_depth_samples"] = list(snapshot["queue_depth_samples"])
-    for name in ("intern_hits", "intern_misses",
-                 "cache_evictions", "cache_trims", "wall_s"):
-        aggregate[name] = snapshot[name]
-    aggregate["quarantine"] = list(snapshot["quarantine"])
+    parts[0]["metrics"] = snapshot["metrics"]
+    parts[0]["quarantine"] = list(snapshot["quarantine"])
     return parts
-
-
-def _empty_snapshot() -> dict:
-    return {
-        "entries": [],
-        "retired": [],
-        "counters": {name: 0 for name in _COUNTER_FIELDS},
-        "verdicts": {},
-        "queue_depth_samples": [],
-        "intern_hits": 0,
-        "intern_misses": 0,
-        "cache_evictions": 0,
-        "cache_trims": 0,
-        "wall_s": 0.0,
-        "quarantine": [],
-    }
 
 
 # ----------------------------------------------------------------------
@@ -268,8 +258,44 @@ class ShardChannel:
 
 
 # ----------------------------------------------------------------------
-# Worker process
+# The shard handler
 # ----------------------------------------------------------------------
+
+
+def serve_shard(
+    monitor: Monitor, index: int, shards: int, message: tuple
+) -> Optional[Tuple[str, object]]:
+    """Serve one dispatcher message on shard ``index``'s monitor.
+
+    Worker processes call this in their loop; inline shards are called
+    directly.  Returns the ``(kind, payload)`` reply for the dispatcher
+    (an ack, or the final ``report`` after ``suspend``/``finish``), or
+    ``None`` when the message has none.
+    """
+    kind = message[0]
+    if kind == "lines":
+        for line in message[1]:
+            monitor.feed_line(line)
+    elif kind == "tick":
+        monitor.count_ingest(message[1], message[2])
+        monitor.flush()
+    elif kind == "checkpoint":
+        monitor.flush()
+        save_shard_checkpoint(monitor, message[1], index, shards)
+        return "checkpointed", None
+    elif kind == "restore":
+        restore_snapshot(monitor, decode(message[1]))
+        return "restored", None
+    elif kind == "suspend":
+        monitor.flush()
+        if message[1] is not None:
+            save_shard_checkpoint(monitor, message[1], index, shards)
+        report = monitor.suspend()
+        return "report", (report.metrics, report.quarantine)
+    else:  # "finish"
+        report = monitor.finish()
+        return "report", (report.metrics, report.quarantine)
+    return None
 
 
 def _shard_worker_main(
@@ -277,7 +303,7 @@ def _shard_worker_main(
     shards: int,
     artifact: bytes,
     source_hash: str,
-    property_name: Optional[str],
+    property_name: str,
     monitor_kwargs: dict,
     inbox,
     outbox,
@@ -285,9 +311,8 @@ def _shard_worker_main(
     """One shard worker: an ordinary :class:`Monitor` behind a channel.
 
     Loads the shipped artifact bytes (never re-elaborates), then serves
-    its inbox until a ``suspend``/``finish`` message, answering with a
-    final ``report``.  Any exception surfaces as an ``error`` message
-    -- a shard must fail loudly, not hang the merge.
+    its inbox until the final ``report``.  Any exception surfaces as an
+    ``error`` message -- a shard must fail loudly, not hang the merge.
     """
     try:
         from ..artifact.resolver import SpecResolver
@@ -303,36 +328,11 @@ def _shard_worker_main(
             check, compiled=compiled, on_verdict=emit, **monitor_kwargs
         )
         while True:
-            message = inbox.get()
-            kind = message[0]
-            if kind == "lines":
-                for line in message[1]:
-                    monitor.feed_line(line)
-            elif kind == "tick":
-                monitor.flush()
-            elif kind == "checkpoint":
-                monitor.flush()
-                path = save_shard_checkpoint(
-                    monitor, message[1], index, shards
-                )
-                outbox.put((index, "checkpointed", path))
-            elif kind == "restore":
-                restore_snapshot(monitor, decode(message[2]), message[1])
-                outbox.put((index, "restored", dict(message[1])))
-            elif kind in ("suspend", "finish"):
-                if kind == "suspend":
-                    monitor.flush()
-                    if message[1] is not None:
-                        save_shard_checkpoint(
-                            monitor, message[1], index, shards
-                        )
-                    report = monitor.suspend()
-                else:
-                    report = monitor.finish()
-                outbox.put(
-                    (index, "report", (report.metrics, report.quarantine))
-                )
-                break
+            reply = serve_shard(monitor, index, shards, inbox.get())
+            if reply is not None:
+                outbox.put((index, *reply))
+                if reply[0] == "report":
+                    break
     except BaseException:  # pragma: no cover - exercised via error tests
         outbox.put((index, "error", traceback.format_exc()))
 
@@ -368,14 +368,15 @@ class ShardedMonitorReport(MonitorReport):
 
 
 class ShardedMonitor:
-    """N shard workers behind one dispatcher, reporting as one monitor.
+    """N shards behind one dispatcher, reporting as one monitor.
 
     ``spec`` is a :class:`~repro.artifact.build.CompiledSpec` bundle
     (required for the ``process`` transport -- workers receive its
     artifact bytes) or a bare :class:`~repro.specstrom.module.CheckSpec`
     (``inline`` transport only -- the in-process twin used by the
-    equivalence tests and the fuzz oracle, same router and merge logic
-    without the processes).
+    equivalence tests and the fuzz oracle: same router, handler and
+    merge, with each shard's ``Monitor`` served in the caller's
+    thread).
     """
 
     def __init__(
@@ -392,8 +393,6 @@ class ShardedMonitor:
         cache_entries: Optional[int] = None,
         resolve_at_eof: bool = False,
         on_verdict: Optional[Callable[[SessionVerdict], None]] = None,
-        channel_capacity: int = 64,
-        chunk_size: int = 256,
         channel_policy: str = "block",
         resolver=None,
     ) -> None:
@@ -401,14 +400,46 @@ class ShardedMonitor:
             raise ValueError(
                 f"transport must be 'process' or 'inline', got {transport!r}"
             )
+        from ..artifact.build import CompiledSpec
+
+        if isinstance(spec, CompiledSpec):
+            check = spec.check_named(property_name)
+            compiled = spec.property_named(property_name)
+        elif transport == "inline":
+            check, compiled = spec, None
+        else:
+            raise TypeError(
+                "the process transport ships artifact bytes; pass a "
+                "CompiledSpec bundle (compile the spec first) or use "
+                "transport='inline'"
+            )
         self.router = ShardRouter(shards)
         self.shards = shards
         self.transport = transport
-        self.property_name = property_name
+        self.property_name = check.name
         self.on_verdict = on_verdict
-        self.chunk_size = max(1, chunk_size)
+        self.batch_size = max(1, batch_size)
+        self._clock = time.monotonic
         self._buffers: List[List[str]] = [[] for _ in range(shards)]
-        self._monitor_kwargs = dict(
+        self._dispatched = 0
+        # Ingest drops run_queue counted, how many drops (ingest plus
+        # channel) shard 0 has been sent, and the ingest depth to send.
+        self._ingest_dropped = 0
+        self._forwarded_dropped = 0
+        self._unsent_depth: Optional[int] = None
+        self._depth_samples: Dict[int, List[int]] = {
+            index: [] for index in range(shards)
+        }
+        self._finished: Optional[ShardedMonitorReport] = None
+        self._cond = threading.Condition(threading.Lock())
+        self._acks: Dict[str, List[int]] = {"checkpointed": [], "restored": []}
+        self._reports: Dict[int, Tuple[MonitorMetrics, list]] = {}
+        self._errors: List[Tuple[int, str]] = []
+        self._collector_stop = threading.Event()
+        self._monitors: List[Monitor] = []
+        self._channels: List[ShardChannel] = []
+        self._workers: list = []
+        monitor_kwargs = dict(
             max_sessions=max_sessions,
             idle_ttl_s=idle_ttl_s,
             batch=batch,
@@ -416,40 +447,15 @@ class ShardedMonitor:
             cache_entries=cache_entries,
             resolve_at_eof=resolve_at_eof,
         )
-        self.batch_size = max(1, batch_size)
-        self._ingest_dropped = 0
-        self._depth_samples: Dict[int, List[int]] = {
-            index: [] for index in range(shards)
-        }
-        self._finished: Optional[ShardedMonitorReport] = None
-
-        from ..artifact.build import CompiledSpec
 
         if transport == "inline":
-            if isinstance(spec, CompiledSpec):
-                check = spec.check_named(property_name)
-                compiled = spec.property_named(property_name)
-            else:
-                check, compiled = spec, None
-            self._resolved_property = check.name
             self._monitors = [
-                Monitor(
-                    check,
-                    compiled=compiled,
-                    on_verdict=self._emit,
-                    **self._monitor_kwargs,
-                )
+                Monitor(check, compiled=compiled, on_verdict=self._emit,
+                        **monitor_kwargs)
                 for _ in range(shards)
             ]
             return
 
-        if not isinstance(spec, CompiledSpec):
-            raise TypeError(
-                "the process transport ships artifact bytes; pass a "
-                "CompiledSpec bundle (compile the spec first) or use "
-                "transport='inline'"
-            )
-        self._resolved_property = spec.check_named(property_name).name
         if resolver is None:
             from ..artifact.resolver import SpecResolver
 
@@ -461,7 +467,7 @@ class ShardedMonitor:
         ctx = multiprocessing.get_context("fork")
         self._outbox = ctx.Queue()
         self._channels = [
-            ShardChannel(ctx, channel_capacity, channel_policy)
+            ShardChannel(ctx, _CHANNEL_CAPACITY, channel_policy)
             for _ in range(shards)
         ]
         self._workers = [
@@ -472,8 +478,8 @@ class ShardedMonitor:
                     shards,
                     artifact,
                     spec.source_hash,
-                    property_name,
-                    self._monitor_kwargs,
+                    self.property_name,
+                    monitor_kwargs,
                     self._channels[index].queue,
                     self._outbox,
                 ),
@@ -482,21 +488,12 @@ class ShardedMonitor:
             )
             for index in range(shards)
         ]
-        self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
-        self._acks: Dict[str, List[Tuple[int, object]]] = {
-            "checkpointed": [],
-            "restored": [],
-        }
-        self._reports: Dict[int, Tuple[MonitorMetrics, list]] = {}
-        self._errors: List[Tuple[int, str]] = []
-        self._collector_stop = threading.Event()
-        self._collector = threading.Thread(
+        collector = threading.Thread(
             target=self._collect, daemon=True, name="monitor-shard-collect"
         )
         for worker in self._workers:
             worker.start()
-        self._collector.start()
+        collector.start()
 
     # -- verdict / message plumbing ------------------------------------
 
@@ -504,8 +501,38 @@ class ShardedMonitor:
         if self.on_verdict is not None:
             self.on_verdict(verdict)
 
+    def _send(self, index: int, message: tuple) -> None:
+        """Deliver one message to shard ``index``.
+
+        Process shards get it through their channel (only ``lines``
+        may be shed); inline shards serve it at once, and their reply
+        goes where the collector puts the workers' replies.
+        """
+        if self.transport == "inline":
+            reply = serve_shard(self._monitors[index], index, self.shards,
+                                message)
+            if reply is not None:
+                self._deliver(index, *reply)
+        elif message[0] == "lines":
+            self._channels[index].send_lines(message[1])
+        else:
+            self._channels[index].send_control(message)
+
+    def _deliver(self, index: int, kind: str, payload) -> None:
+        if kind == "verdict":
+            self._emit(payload)
+            return
+        with self._cond:
+            if kind == "report":
+                self._reports[index] = payload
+            elif kind == "error":
+                self._errors.append((index, payload))
+            else:
+                self._acks[kind].append(index)
+            self._cond.notify_all()
+
     def _collect(self) -> None:
-        pending = len(self._workers)
+        pending = self.shards
         while pending:
             try:
                 index, kind, payload = self._outbox.get(timeout=0.2)
@@ -513,162 +540,123 @@ class ShardedMonitor:
                 if self._collector_stop.is_set():
                     return
                 continue
-            if kind == "verdict":
-                self._emit(payload)
-                continue
-            with self._cond:
-                if kind == "report":
-                    self._reports[index] = payload
-                    pending -= 1
-                elif kind == "error":
-                    self._errors.append((index, payload))
-                    pending -= 1
-                else:
-                    self._acks[kind].append((index, payload))
-                self._cond.notify_all()
-
-    def _check_errors_locked(self) -> None:
-        if self._errors:
-            index, text = self._errors[0]
-            raise RuntimeError(f"monitor shard {index} failed:\n{text}")
+            self._deliver(index, kind, payload)
+            if kind in ("report", "error"):
+                pending -= 1
 
     def _wait(self, predicate, timeout_s: float = 120.0) -> None:
         with self._cond:
             done = self._cond.wait_for(
                 lambda: bool(self._errors) or predicate(), timeout_s
             )
-            self._check_errors_locked()
+            if self._errors:
+                index, text = self._errors[0]
+                raise RuntimeError(f"monitor shard {index} failed:\n{text}")
             if not done:
                 raise RuntimeError(
                     "timed out waiting for monitor shard workers"
                 )
+
+    def _round(self, ack: str, messages: List[tuple]) -> None:
+        """Send shard ``i`` ``messages[i]``; wait for every ``ack``."""
+        with self._cond:
+            self._acks[ack] = []
+        for index, message in enumerate(messages):
+            self._send(index, message)
+        self._wait(lambda: len(self._acks[ack]) >= self.shards)
 
     # -- feeding -------------------------------------------------------
 
     def feed_line(self, line: str) -> None:
         """Route one wire line to its session's shard."""
         index = self.router.route(line)
-        if self.transport == "inline":
-            self._monitors[index].feed_line(line)
-            return
         buffer = self._buffers[index]
         buffer.append(line)
-        if len(buffer) >= self.chunk_size:
-            self._buffers[index] = []
-            self._channels[index].send_lines(buffer)
+        if len(buffer) >= _CHUNK_SIZE:
+            self._ship(index)
 
     def feed_lines(self, lines: Iterable[str]) -> None:
         for line in lines:
             self.feed_line(line)
 
-    def flush(self) -> None:
-        """Ship partial chunks and have every shard run its rounds."""
-        if self.transport == "inline":
-            for monitor in self._monitors:
-                monitor.flush()
-            return
-        for index, buffer in enumerate(self._buffers):
-            if buffer:
-                self._buffers[index] = []
-                self._channels[index].send_lines(buffer)
-        self._broadcast(("tick",))
+    def _ship(self, index: int) -> None:
+        chunk = self._buffers[index]
+        self._buffers[index] = []
+        self._dispatched += len(chunk)
+        self._send(index, ("lines", chunk))
 
-    def _broadcast(self, message: tuple) -> None:
-        for channel in self._channels:
-            channel.send_control(message)
-
-    def _sample_depths(self) -> None:
-        if self.transport == "inline":
+    def count_ingest(self, dropped: int, depth: Optional[int] = None) -> None:
+        """Hold ingest counts for shard 0's next tick (see
+        :meth:`Monitor.count_ingest`); sample the channels' depths."""
+        self._ingest_dropped += dropped
+        if depth is None:
             return
+        self._unsent_depth = max(depth, self._unsent_depth or 0)
         for index, channel in enumerate(self._channels):
             samples = self._depth_samples[index]
             if len(samples) < 10_000:
-                samples.append(channel.depth() * self.chunk_size)
+                samples.append(channel.depth() * _CHUNK_SIZE)
+
+    def flush(self) -> None:
+        """Ship partial chunks and have every shard run its rounds.
+
+        Shard 0's tick carries the ingest and channel drops since the
+        last tick, and the newest ingest depth.
+        """
+        for index, buffer in enumerate(self._buffers):
+            if buffer:
+                self._ship(index)
+        dropped = self._ingest_dropped + self.channel_dropped
+        self._send(0, ("tick", dropped - self._forwarded_dropped,
+                       self._unsent_depth))
+        self._forwarded_dropped = dropped
+        self._unsent_depth = None
+        for index in range(1, self.shards):
+            self._send(index, ("tick", 0, None))
+
+    @property
+    def channel_dropped(self) -> int:
+        """Lines shed by ``drop``-policy dispatch channels."""
+        return sum(channel.dropped for channel in self._channels)
+
+    def heartbeat_line(self, queue_depth: int) -> str:
+        """The dispatcher-side stderr one-liner (per-shard metrics
+        arrive with the final merged report)."""
+        return (
+            f"[monitor] shards={self.shards} "
+            f"dispatched={self._dispatched} "
+            f"queue={queue_depth} "
+            f"shed={self.channel_dropped} "
+            f"dropped={self._ingest_dropped}"
+        )
 
     # -- checkpoint / restore ------------------------------------------
 
     def checkpoint_to(self, directory: str) -> str:
         """Flush, then checkpoint every shard (one ``QSRC`` file each).
 
-        Only after *all* shards ack does the round prune stale layout
-        (a previous run's ``monitor.qsc`` or wider shard files) -- a
-        crash mid-round leaves a restorable mixture, never an empty
-        directory.
+        Only after *all* shards ack does the round prune other widths'
+        files -- a crash mid-round leaves the previous complete round
+        restorable, never an empty directory.
         """
         self.flush()
-        if self.transport == "inline":
-            for index, monitor in enumerate(self._monitors):
-                monitor.flush()
-                save_shard_checkpoint(monitor, directory, index, self.shards)
-        else:
-            with self._cond:
-                self._acks["checkpointed"] = []
-            self._broadcast(("checkpoint", directory))
-            self._wait(lambda: len(self._acks["checkpointed"]) >= self.shards)
-        self._prune_stale(directory)
+        self._round("checkpointed",
+                    [("checkpoint", directory)] * self.shards)
+        prune_shard_checkpoints(directory, self.shards)
         return directory
 
-    def _prune_stale(self, directory: str) -> None:
-        prune_shard_checkpoints(directory, keep=tuple(range(self.shards)))
-        stale_single = checkpoint_path(directory)
-        try:
-            os.unlink(stale_single)
-        except OSError:
-            pass
-
     def restore_from(self, directory: str) -> dict:
-        """Resume from ``directory``, whatever layout it holds.
+        """Resume from ``directory``, whatever width wrote it.
 
-        Merges the on-disk snapshots (N shard files, or a
-        single-process ``monitor.qsc``) and re-partitions through the
-        router, so restoring under a different shard count -- or from
-        an unsharded run -- is the same code path as the exact-match
-        case.  Returns a summary header.
+        Loads the merged snapshot (:func:`load_checkpoint`) and
+        re-partitions it through the router, so restoring under a
+        different shard count -- or from a single-process run -- is the
+        same code path as the exact-match case.  Returns the header.
         """
-        snapshots: List[dict] = []
-        headers: List[dict] = []
-        single = checkpoint_path(directory)
-        if os.path.exists(single):
-            header, snapshot = load_checkpoint_payload(single)
-            headers.append(header)
-            snapshots.append(snapshot)
-        for _index, path in list_shard_checkpoints(directory):
-            header, snapshot = load_checkpoint_payload(path)
-            headers.append(header)
-            snapshots.append(snapshot)
-        if not snapshots:
-            raise ArtifactFormatError(
-                f"no monitor checkpoint found under {directory}"
-            )
-        for header in headers:
-            if header.get("property") not in (None, self._resolved_property):
-                raise ArtifactFormatError(
-                    f"checkpoint is for property {header.get('property')!r}, "
-                    f"monitor checks {self._resolved_property!r}"
-                )
-        merged = merge_snapshots(snapshots)
-        parts = split_snapshot(merged, self.router)
-        base_header = {
-            "format": "repro-monitor-checkpoint",
-            "property": self._resolved_property,
-        }
-        if self.transport == "inline":
-            for index, monitor in enumerate(self._monitors):
-                restore_snapshot(monitor, parts[index], dict(base_header))
-        else:
-            with self._cond:
-                self._acks["restored"] = []
-            for index, channel in enumerate(self._channels):
-                channel.send_control(
-                    ("restore", dict(base_header), encode(parts[index]))
-                )
-            self._wait(lambda: len(self._acks["restored"]) >= self.shards)
-        return {
-            **base_header,
-            "records_ingested": merged["counters"]["records_ingested"],
-            "sessions_live": len(merged["entries"]),
-            "shards": self.shards,
-        }
+        header, snapshot = load_checkpoint(directory, self.property_name)
+        parts = split_snapshot(snapshot, self.router)
+        self._round("restored", [("restore", encode(part)) for part in parts])
+        return header
 
     # -- finishing -----------------------------------------------------
 
@@ -676,81 +664,33 @@ class ShardedMonitor:
         self, checkpoint_dir: Optional[str] = None
     ) -> "ShardedMonitorReport":
         """Report without draining (checkpointing first when asked)."""
-        return self._shutdown("suspend", checkpoint_dir)
+        return self._shutdown(("suspend", checkpoint_dir))
 
     def finish(self) -> "ShardedMonitorReport":
         """Resolve/discard remaining sessions on every shard; merge."""
-        return self._shutdown("finish", None)
+        return self._shutdown(("finish",))
 
-    def _shutdown(
-        self, kind: str, checkpoint_dir: Optional[str]
-    ) -> "ShardedMonitorReport":
+    def _shutdown(self, message: tuple) -> "ShardedMonitorReport":
         if self._finished is not None:
             return self._finished
-        if self.transport == "inline":
-            reports = []
-            for index, monitor in enumerate(self._monitors):
-                if kind == "suspend":
-                    if checkpoint_dir is not None:
-                        monitor.flush()
-                        save_shard_checkpoint(
-                            monitor, checkpoint_dir, index, self.shards
-                        )
-                    reports.append(monitor.suspend())
-                else:
-                    reports.append(monitor.finish())
-            if kind == "suspend" and checkpoint_dir is not None:
-                self._prune_stale(checkpoint_dir)
-            self._finished = self._merge_reports(
-                [report.metrics for report in reports],
-                [report.quarantine for report in reports],
-            )
-            return self._finished
         self.flush()
-        if kind == "suspend":
-            self._broadcast(("suspend", checkpoint_dir))
-        else:
-            self._broadcast(("finish",))
+        for index in range(self.shards):
+            self._send(index, message)
         self._wait(lambda: len(self._reports) >= self.shards)
         self._collector_stop.set()
-        self._collector.join(timeout=10.0)
         for worker in self._workers:
             worker.join(timeout=10.0)
-        if kind == "suspend" and checkpoint_dir is not None:
-            self._prune_stale(checkpoint_dir)
-        ordered = [self._reports[index] for index in sorted(self._reports)]
-        self._finished = self._merge_reports(
-            [metrics for metrics, _quarantine in ordered],
-            [quarantine for _metrics, quarantine in ordered],
-        )
-        return self._finished
-
-    def stop(self) -> None:
-        """Hard-stop workers (error paths/tests); no report."""
-        if self.transport == "inline":
-            return
-        self._collector_stop.set()
-        for worker in self._workers:
-            if worker.is_alive():
-                worker.terminate()
-        for worker in self._workers:
-            worker.join(timeout=5.0)
-
-    def _merge_reports(
-        self,
-        shard_metrics: List[MonitorMetrics],
-        quarantines: List[list],
-    ) -> "ShardedMonitorReport":
-        merged = MonitorMetrics.merged(shard_metrics)
-        merged.dropped_records += self._ingest_dropped + self.channel_dropped
+        if message[0] == "suspend" and message[1] is not None:
+            prune_shard_checkpoints(message[1], self.shards)
+        shard_metrics = [self._reports[i][0] for i in range(self.shards)]
         quarantine: List[Tuple[str, str]] = []
-        for part in quarantines:
-            for line, error in part:
+        for index in range(self.shards):
+            for line, error in self._reports[index][1]:
                 if len(quarantine) >= _QUARANTINE_SAMPLES:
                     break
                 quarantine.append((line, error))
-        return ShardedMonitorReport(
-            metrics=merged,
+        self._finished = ShardedMonitorReport(
+            metrics=MonitorMetrics.merged(shard_metrics),
             quarantine=quarantine,
             shard_metrics=shard_metrics,
             queue_depth_by_shard={
@@ -758,79 +698,18 @@ class ShardedMonitor:
                 for index, samples in self._depth_samples.items()
             },
         )
+        return self._finished
 
-    @property
-    def channel_dropped(self) -> int:
-        """Lines shed by ``drop``-policy dispatch channels."""
-        if self.transport == "inline":
-            return 0
-        return sum(channel.dropped for channel in self._channels)
+    def stop(self) -> None:
+        """Hard-stop workers (error paths/tests); no report."""
+        self._collector_stop.set()
+        for worker in self._workers:
+            if worker.is_alive():
+                worker.terminate()
+        for worker in self._workers:
+            worker.join(timeout=5.0)
 
-    # -- drivers -------------------------------------------------------
+    # -- Monitor's own loop --------------------------------------------
 
-    def run_lines(self, lines: Iterable[str]) -> "ShardedMonitorReport":
-        """Drive a finite stream to completion across the shards."""
-        self.feed_lines(lines)
-        return self.finish()
-
-    def run_queue(
-        self,
-        queue: IngestQueue,
-        *,
-        heartbeat_s: Optional[float] = None,
-        heartbeat_stream: Optional[IO[str]] = None,
-        idle_wait_s: float = 0.5,
-        checkpoint_dir: Optional[str] = None,
-        checkpoint_period_s: float = 5.0,
-    ) -> "ShardedMonitorReport":
-        """Drain an :class:`IngestQueue` until its producers close it.
-
-        The dispatcher loop mirrors :meth:`Monitor.run_queue`:
-        heartbeats and periodic checkpoints on the same cadence, ticks
-        so idle shards still sweep their TTLs, and the checkpointed EOF
-        suspending instead of finishing.  The heartbeat line is
-        dispatcher-side (routed counts and queue depth); per-shard
-        metrics arrive with the final merged report.
-        """
-        dispatched = 0
-        last_beat = time.monotonic()
-        last_checkpoint = time.monotonic()
-        while True:
-            wait = idle_wait_s
-            if heartbeat_s is not None:
-                wait = min(wait, heartbeat_s)
-            if checkpoint_dir is not None:
-                wait = min(wait, checkpoint_period_s)
-            batch = queue.get_batch(self.batch_size, timeout_s=wait)
-            if batch is None:
-                break
-            if batch:
-                dispatched += len(batch)
-                for line in batch:
-                    self.feed_line(line)
-                self._sample_depths()
-            # Tick even when idle: per-shard TTL sweeps must not wait
-            # for traffic.
-            self.flush()
-            self._ingest_dropped = queue.dropped
-            now = time.monotonic()
-            if checkpoint_dir is not None:
-                if now - last_checkpoint >= checkpoint_period_s:
-                    last_checkpoint = now
-                    self.checkpoint_to(checkpoint_dir)
-            if heartbeat_s is not None and heartbeat_stream is not None:
-                if now - last_beat >= heartbeat_s:
-                    last_beat = now
-                    print(
-                        f"[monitor] shards={self.shards} "
-                        f"dispatched={dispatched} "
-                        f"queue={queue.depth()} "
-                        f"shed={self.channel_dropped} "
-                        f"dropped={queue.dropped}",
-                        file=heartbeat_stream,
-                        flush=True,
-                    )
-        self._ingest_dropped = queue.dropped
-        if checkpoint_dir is not None:
-            return self.suspend(checkpoint_dir)
-        return self.finish()
+    run_lines = Monitor.run_lines
+    run_queue = Monitor.run_queue

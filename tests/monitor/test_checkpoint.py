@@ -9,11 +9,17 @@ import os
 
 import pytest
 
-from repro.artifact import ArtifactCorruptError, ArtifactFormatError
-from repro.monitor import Monitor, read_checkpoint_header, checkpoint_path
-from repro.monitor.checkpoint import CHECKPOINT_FILENAME
+from repro.artifact import ArtifactCorruptError, ArtifactFormatError, SpecResolver
+from repro.monitor import (
+    IngestQueue,
+    Monitor,
+    ShardedMonitor,
+    feed_lines,
+    read_checkpoint_header,
+)
+from repro.monitor.checkpoint import shard_checkpoint_path
 from repro.monitor.synth import synth_lines
-from repro.specs import load_eggtimer_spec
+from repro.specs import load_eggtimer_spec, spec_path
 
 #: Metrics keys that legitimately differ across a process restart
 #: (cache warmth, round counts, wall clock).
@@ -129,7 +135,7 @@ class TestCheckpointContainer:
         for line in lines[:20]:
             monitor.feed_line(line)
         path = monitor.checkpoint_to(directory)
-        assert os.path.basename(path) == CHECKPOINT_FILENAME
+        assert path == shard_checkpoint_path(directory, 0, 1)
         header = read_checkpoint_header(path)
         assert header["records_ingested"] == 20
         assert header["property"] == "safety"
@@ -142,9 +148,10 @@ class TestCheckpointContainer:
             monitor.feed_line(line)
             if index in (5, 15):
                 monitor.checkpoint_to(directory)
-        header = read_checkpoint_header(checkpoint_path(directory))
+        path = shard_checkpoint_path(directory, 0, 1)
+        header = read_checkpoint_header(path)
         assert header["records_ingested"] == 16  # the latest snapshot
-        assert os.listdir(directory) == [CHECKPOINT_FILENAME]  # no tmp junk
+        assert os.listdir(directory) == [os.path.basename(path)]  # no tmp junk
 
     def test_torn_checkpoint_is_a_typed_error(self, check, lines, tmp_path):
         directory = str(tmp_path / "ckpt")
@@ -162,9 +169,21 @@ class TestCheckpointContainer:
     def test_foreign_file_is_a_format_error(self, check, tmp_path):
         directory = str(tmp_path / "ckpt")
         os.makedirs(directory)
-        with open(checkpoint_path(directory), "wb") as handle:
+        with open(shard_checkpoint_path(directory, 0, 1), "wb") as handle:
             handle.write(b"definitely not a checkpoint")
         with pytest.raises(ArtifactFormatError):
+            Monitor(check).restore_from(directory)
+
+    def test_older_single_file_layout_is_refused(self, check, lines, tmp_path):
+        # An older release's ``monitor.qsc`` is no complete width: the
+        # restore refuses it rather than starting empty.
+        directory = str(tmp_path / "ckpt")
+        monitor = Monitor(check)
+        for line in lines[:10]:
+            monitor.feed_line(line)
+        path = monitor.checkpoint_to(directory)
+        os.rename(path, os.path.join(directory, "monitor.qsc"))
+        with pytest.raises(ArtifactFormatError, match="no monitor checkpoint"):
             Monitor(check).restore_from(directory)
 
     def test_wrong_property_is_rejected(self, check, lines, tmp_path):
@@ -196,3 +215,45 @@ class TestSuspend:
         monitor.suspend()
         report = monitor.finish()
         assert report.metrics.sessions_live == 0
+
+
+class TestIngestCounts:
+    """Ingest drops and depth samples are counters like the rest:
+    checkpointed, restored and merged, at every width."""
+
+    @pytest.fixture(scope="class")
+    def bundle(self):
+        return SpecResolver().load(spec_path("eggtimer.strom"))
+
+    def _monitor(self, kind, bundle):
+        if kind == "single":
+            return Monitor(bundle.check_named("safety"),
+                           compiled=bundle.property_named("safety"))
+        return ShardedMonitor(bundle, shards=2, property_name="safety",
+                              transport=kind)
+
+    @pytest.mark.parametrize("kind", ["single", "inline", "process"])
+    def test_drops_and_queue_depth_survive_a_restore(
+        self, bundle, kind, tmp_path
+    ):
+        lines = list(synth_lines(seed=0, sessions=20, fault_rate=0.2))
+        directory = str(tmp_path / "ckpt")
+        shedding = IngestQueue(maxsize=60, policy="drop")
+        assert feed_lines(lines[:65], shedding) == (60, 5)
+        shedding.close()
+        first = self._monitor(kind, bundle).run_queue(
+            shedding, checkpoint_dir=directory
+        )
+        assert first.metrics.dropped_records == 5
+        assert first.metrics.max_queue_depth == 60
+
+        rest = IngestQueue()
+        feed_lines(lines[65:], rest)
+        rest.close()
+        resumed = self._monitor(kind, bundle)
+        resumed.restore_from(directory)
+        report = resumed.run_queue(rest)
+        assert report.metrics.records_ingested == len(lines) - 5
+        assert report.metrics.dropped_records == 5
+        assert not report.ok
+        assert report.metrics.max_queue_depth == len(lines) - 65

@@ -1,4 +1,4 @@
-"""The sharded monitor: routing, equivalence, merge, checkpoint layouts."""
+"""The sharded monitor: routing, equivalence, merge, checkpoint widths."""
 
 import collections
 import multiprocessing
@@ -8,12 +8,13 @@ import pytest
 
 from repro.artifact.resolver import SpecResolver
 from repro.monitor.checkpoint import (
-    checkpoint_path,
     list_shard_checkpoints,
     merge_snapshots,
     prune_shard_checkpoints,
+    save_shard_checkpoint,
     shard_checkpoint_path,
 )
+from repro.monitor.metrics import MonitorMetrics
 from repro.monitor.replay import monitor_verdicts
 from repro.monitor.service import Monitor
 from repro.monitor.shard import (
@@ -209,13 +210,11 @@ class TestSplitSnapshot:
         snapshot = {
             "entries": [{"session_id": f"s{i}"} for i in range(9)],
             "retired": [(f"r{i}", "finished") for i in range(9)],
-            "counters": {"records_ingested": 90, "states_applied": 81,
-                         "max_formula_size": 7},
-            "verdicts": {"PROBABLY_TRUE": 9},
-            "queue_depth_samples": [1, 2],
-            "intern_hits": 5, "intern_misses": 2,
-            "cache_evictions": 0, "cache_trims": 0,
-            "wall_s": 3.5,
+            "metrics": MonitorMetrics(
+                records_ingested=90, states_applied=81, max_formula_size=7,
+                verdicts={"PROBABLY_TRUE": 9}, queue_depth_samples=[1, 2],
+                intern_hits=5, intern_misses=2, wall_s=3.5,
+            ),
             "quarantine": [("bad", "err")],
         }
         parts = split_snapshot(snapshot, router)
@@ -229,10 +228,10 @@ class TestSplitSnapshot:
         assert sum(len(p["retired"]) for p in parts) == 9
         # Aggregates ride on shard 0; the merged totals are preserved.
         remerged = merge_snapshots(parts)
-        assert remerged["counters"]["records_ingested"] == 90
-        assert remerged["counters"]["max_formula_size"] == 7
-        assert remerged["verdicts"] == {"PROBABLY_TRUE": 9}
-        assert remerged["wall_s"] == 3.5
+        assert remerged["metrics"].records_ingested == 90
+        assert remerged["metrics"].max_formula_size == 7
+        assert remerged["metrics"].verdicts == {"PROBABLY_TRUE": 9}
+        assert remerged["metrics"].wall_s == 3.5
         assert remerged["quarantine"] == [("bad", "err")]
 
 
@@ -249,7 +248,6 @@ class TestShardedCheckpoint:
         monitor.suspend(str(tmp_path))
         files = list_shard_checkpoints(str(tmp_path))
         assert [index for index, _path in files] == [0, 1, 2]
-        assert not os.path.exists(checkpoint_path(str(tmp_path)))
 
     def test_restore_with_same_shard_count(self, bundle, safety, tmp_path):
         lines, cut = self._split()
@@ -314,10 +312,9 @@ class TestShardedCheckpoint:
         report = resumed.finish()
         assert verdict_multiset(first + second) == verdict_multiset(single)
         assert report.metrics.records_ingested == len(lines)
-        # A later single-process checkpoint owns the directory again.
-        resumed.checkpoint_to(str(tmp_path))
-        assert os.path.exists(checkpoint_path(str(tmp_path)))
-        assert list_shard_checkpoints(str(tmp_path)) == []
+        # A later single-process checkpoint (width 1) prunes width 3.
+        path = resumed.checkpoint_to(str(tmp_path))
+        assert list_shard_checkpoints(str(tmp_path)) == [(0, path)]
 
     def test_sharded_restores_a_single_process_checkpoint(
         self, bundle, safety, tmp_path
@@ -360,11 +357,49 @@ class TestShardedCheckpoint:
             monitor.restore_from(str(tmp_path))
 
     def test_prune_helpers(self, tmp_path):
-        for index in range(4):
-            path = shard_checkpoint_path(str(tmp_path), index)
-            with open(path, "wb") as handle:
-                handle.write(b"QSRC....")
-        prune_shard_checkpoints(str(tmp_path), keep=(0, 1))
-        assert [i for i, _p in list_shard_checkpoints(str(tmp_path))] == [0, 1]
-        prune_shard_checkpoints(str(tmp_path))
+        for shards in (4, 2):
+            for index in range(shards):
+                path = shard_checkpoint_path(str(tmp_path), index, shards)
+                with open(path, "wb") as handle:
+                    handle.write(b"QSRC....")
+        prune_shard_checkpoints(str(tmp_path), 2)
+        assert list_shard_checkpoints(str(tmp_path)) == [
+            (index, shard_checkpoint_path(str(tmp_path), index, 2))
+            for index in range(2)
+        ]
+        prune_shard_checkpoints(str(tmp_path), 1)
         assert list_shard_checkpoints(str(tmp_path)) == []
+
+    @pytest.mark.parametrize("newer_incomplete", [False, True],
+                             ids=["both-complete", "newer-incomplete"])
+    def test_mid_width_change_restores_each_session_once(
+        self, bundle, safety, tmp_path, newer_incomplete
+    ):
+        # A crash between a round's last write and its prune leaves the
+        # older width's complete round beside the newer one (both are
+        # written here with no prune after the width-1 file).
+        directory = str(tmp_path)
+        lines = list(synth_lines(seed=0, sessions=20, fault_rate=0.2))[:65]
+        newer = ShardedMonitor(bundle, shards=2, property_name="safety",
+                               transport="inline")
+        newer.feed_lines(lines)
+        newer.checkpoint_to(directory)
+        older = Monitor(safety)
+        for line in lines:
+            older.feed_line(line)
+        older.flush()
+        save_shard_checkpoint(older, directory, 0, 1)
+        if newer_incomplete:
+            os.unlink(shard_checkpoint_path(directory, 1, 2))
+        for resumed in (
+            Monitor(safety),
+            ShardedMonitor(bundle, shards=2, property_name="safety",
+                           transport="inline"),
+        ):
+            header = resumed.restore_from(directory)
+            assert header["shards"] == (1 if newer_incomplete else 2)
+            assert (header["records_ingested"], header["sessions_live"]) == (
+                65, 20)
+            metrics = resumed.suspend().metrics
+            assert (metrics.records_ingested, metrics.sessions_live) == (
+                65, 20)

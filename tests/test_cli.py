@@ -118,7 +118,13 @@ class TestCompileInspect:
 
 
 class TestMonitorCheckpointCLI:
-    def test_split_run_with_restore_matches_full_run(self, capsys, tmp_path):
+    # (part-1 shards, part-2 shards): the checkpoint layout is one file
+    # per shard at every width, so a restore may change the width.
+    @pytest.mark.parametrize("widths", [(1, 1), (2, 1), (1, 2)],
+                             ids=["1-1", "2-1", "1-2"])
+    def test_split_run_with_restore_matches_full_run(
+        self, capsys, tmp_path, widths
+    ):
         from repro.monitor.synth import synth_lines
 
         lines = list(synth_lines(sessions=8, seed=3))
@@ -136,7 +142,7 @@ class TestMonitorCheckpointCLI:
 
         def verdict_lines(out):
             records = [json.loads(line) for line in out.splitlines() if line]
-            return [r for r in records if "event" not in r]
+            return [r for r in records if r["event"] == "verdict"]
 
         def end_event(out):
             records = [json.loads(line) for line in out.splitlines() if line]
@@ -145,17 +151,23 @@ class TestMonitorCheckpointCLI:
         assert main(base + ["--input", str(tmp_path / "full.jsonl")]) == 0
         full_out = capsys.readouterr().out
 
+        first, second = widths
         assert main(base + ["--input", str(tmp_path / "part1.jsonl"),
-                            "--checkpoint", ckpt]) == 0
+                            "--checkpoint", ckpt,
+                            "--shards", str(first)]) == 0
         part1_out = capsys.readouterr().out
         assert main(base + ["--input", str(tmp_path / "part2.jsonl"),
-                            "--checkpoint", ckpt, "--restore"]) == 0
+                            "--checkpoint", ckpt, "--restore",
+                            "--shards", str(second)]) == 0
         part2_out = capsys.readouterr().out
-        # The verdict stream is byte-identical across the split; the
+        # The verdicts across the split are the uninterrupted run's
+        # (shards interleave their order, never their content); the
         # trailing monitor_end metrics line differs only in
         # restart-sensitive counters (wall clock, cache warmth).
-        assert (verdict_lines(part1_out) + verdict_lines(part2_out)
-                == verdict_lines(full_out))
+        resumed = verdict_lines(part1_out) + verdict_lines(part2_out)
+        assert resumed
+        assert (sorted(resumed, key=lambda r: r["session"])
+                == sorted(verdict_lines(full_out), key=lambda r: r["session"]))
         full_end = end_event(full_out)["metrics"]
         resumed_end = end_event(part2_out)["metrics"]
         for key in ("records_ingested", "sessions_started",
