@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from .events import Event, EventTarget, dispatch
 from .node import Element, Node
-from .selector import query_all, query_one
+from .selector import filter_candidates, parse_selector, rightmost_key
 
 __all__ = ["Document"]
 
@@ -17,6 +17,12 @@ class Document:
     The document also tracks a *location hash* (for TodoMVC's filter
     routing) and notifies mutation observers, which the executor uses to
     pick up asynchronous UI changes.
+
+    ``generation`` counts mutations: every mutator in :mod:`repro.dom.node`
+    and every focus change bumps it, batched or not.  Query results are
+    cached per generation, so the tree must only change through those
+    mutators; writing ``Element.children`` or ``_attrs`` directly leaves
+    the generation, and with it the cached answers, stale.
     """
 
     def __init__(self) -> None:
@@ -27,22 +33,75 @@ class Document:
         self._mutation_observers: List[Callable[[Node], None]] = []
         self._location_hash = ""
         self._muted = 0
+        self.generation = 0
+        #: The generation the fields below describe.
+        self._indexed = -1
+        #: Every element, in document order.
+        self._elements: List[Element] = []
+        #: ``"id"``/``"class"``/``"tag"`` -> name -> the elements that
+        #: carry it, in document order.
+        self._buckets: Dict[str, Dict[str, List[Element]]] = {}
+        #: Selector (source string or parsed) -> its matches.
+        self._results: Dict[object, List[Element]] = {}
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
 
     def query_all(self, selector) -> List[Element]:
-        return query_all(self.root, selector, self)
+        """All elements matching ``selector``, in document order.
+
+        Served from a cache that lives for one ``generation``: its first
+        query walks the tree once into buckets by id, class and tag, and
+        each distinct selector is matched once, against the bucket of its
+        rightmost compound's key (the whole tree when it has none).  The
+        result is a fresh list the caller may keep or change.  Equal to
+        the uncached :func:`repro.dom.selector.query_all` on ``root``.
+        """
+        return list(self._matches(selector))
 
     def query_one(self, selector) -> Optional[Element]:
-        return query_one(self.root, selector, self)
+        hits = self._matches(selector)
+        return hits[0] if hits else None
 
     def get_element_by_id(self, element_id: str) -> Optional[Element]:
-        for el in self.root.iter_elements():
-            if el.id == element_id:
-                return el
-        return None
+        self._index()
+        hits = self._buckets["id"].get(element_id)
+        return hits[0] if hits else None
+
+    def _matches(self, selector) -> List[Element]:
+        """The cached (shared, not to be mutated) matches of ``selector``."""
+        self._index()
+        hits = self._results.get(selector)
+        if hits is None:
+            parsed = parse_selector(selector) if isinstance(selector, str) else selector
+            key = rightmost_key(parsed)
+            if key is None:
+                candidates = self._elements
+            else:
+                candidates = self._buckets[key[0]].get(key[1], ())
+            hits = self._results[selector] = filter_candidates(candidates, parsed, self)
+        return hits
+
+    def _index(self) -> None:
+        """Walk the tree into this generation's buckets, unless done."""
+        if self._indexed == self.generation:
+            return
+        elements = list(self.root.iter_elements())
+        by_id: Dict[str, List[Element]] = {}
+        by_class: Dict[str, List[Element]] = {}
+        by_tag: Dict[str, List[Element]] = {}
+        for el in elements:
+            by_tag.setdefault(el.tag, []).append(el)
+            element_id = el.id
+            if element_id is not None:
+                by_id.setdefault(element_id, []).append(el)
+            for name in dict.fromkeys(el.classes):
+                by_class.setdefault(name, []).append(el)
+        self._elements = elements
+        self._buckets = {"id": by_id, "class": by_class, "tag": by_tag}
+        self._results = {}
+        self._indexed = self.generation
 
     def create_element(self, tag: str, **kwargs) -> Element:
         return Element(tag, **kwargs)
@@ -57,6 +116,8 @@ class Document:
             return
         previous = self.active_element
         self.active_element = element
+        # ``:focus`` answers change now, before the handlers below run.
+        self.generation += 1
         if previous is not None and previous.document is self:
             dispatch(self.events, Event("blur", target=previous, bubbles=False))
         if element is not None:
@@ -105,6 +166,14 @@ class Document:
         return unsubscribe
 
     def notify_mutation(self, node: Node) -> None:
+        """Record a mutation of ``node``: bump ``generation``, then tell
+        the observers unless inside :meth:`batched`.
+
+        The bump comes first because renderers mutate inside ``batched``
+        and notify once afterwards; a muted mutation still changes what
+        queries return.
+        """
+        self.generation += 1
         if self._muted:
             return
         for observer in list(self._mutation_observers):

@@ -10,7 +10,10 @@ exactly the surface Quickstrom observes and drives:
 * inline ``style="display: none"`` handling and the derived ``visible``
   property used by state queries and by action enabledness,
 * mutation notification hooks, which the executor uses to detect
-  asynchronous state changes (the ``changed?`` events of Specstrom).
+  asynchronous state changes (the ``changed?`` events of Specstrom), and
+  which bump the document's mutation ``generation`` that its query cache
+  and the executor's snapshot memo are keyed on.  So every change to the
+  tree goes through the mutators here.
 """
 
 from __future__ import annotations
@@ -93,6 +96,11 @@ class Element(Node):
         super().__init__()
         self.tag = tag.lower()
         self._attrs: Dict[str, str] = dict(attrs or {})
+        #: Child nodes in document order.  Read freely, but change them
+        #: only through the mutators below (``append_child``,
+        #: ``insert_before``, ``remove_child``, ...): they bump the owning
+        #: document's ``generation``, which its query cache is keyed on,
+        #: and a direct write to this list (or to ``_attrs``) does not.
         self.children: List[Node] = []
         self._value: str = ""
         self._checked: bool = False

@@ -15,18 +15,32 @@ Supports the selector subset needed by acceptance-testing specifications
 
 The matcher is right-to-left, like production engines: the rightmost
 compound is matched against a candidate element and the remaining
-combinators walk outwards.
+combinators walk outwards.  :func:`rightmost_key` names the id, class
+or tag every match of a selector carries, so a document index can hand
+:func:`filter_candidates` only the elements that bear it (the rule
+hashing browsers do); the module-level :func:`query_all` filters the
+whole tree and is the uncached reference for
+:meth:`repro.dom.Document.query_all`.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .node import Element
 
-__all__ = ["SelectorError", "parse_selector", "matches", "query_all", "query_one"]
+__all__ = [
+    "SelectorError",
+    "parse_selector",
+    "matches",
+    "filter_candidates",
+    "rightmost_key",
+    "query_all",
+    "query_one",
+]
 
 
 class SelectorError(ValueError):
@@ -111,8 +125,14 @@ _SUPPORTED_PSEUDOS = {
 }
 
 
+@functools.lru_cache(maxsize=1024)
 def parse_selector(source: str) -> SelectorList:
-    """Parse a selector list; raises :class:`SelectorError` on bad input."""
+    """Parse a selector list; raises :class:`SelectorError` on bad input.
+
+    Memoized by source string: a spec's selector set is fixed, so every
+    query after the first reuses the (frozen) parse.  Errors are not
+    cached; a bad selector raises on every call.
+    """
     source = source.strip()
     if not source:
         raise SelectorError("empty selector")
@@ -382,11 +402,44 @@ def matches(element: Element, selector, document=None) -> bool:
     return any(_matches_selector(element, s, document) for s in selector.selectors)
 
 
+def filter_candidates(
+    candidates: Iterable[Element], selector: SelectorList, document=None
+) -> List[Element]:
+    """The candidates matching the parsed ``selector``, in their order."""
+    return [
+        el
+        for el in candidates
+        if any(_matches_selector(el, s, document) for s in selector.selectors)
+    ]
+
+
+def rightmost_key(selector: SelectorList) -> Optional[Tuple[str, str]]:
+    """``("id" | "class" | "tag", name)`` that every element matching
+    ``selector`` carries, taken from its rightmost compound (an id before
+    a class before a tag); None for a list of several selectors and for a
+    rightmost compound with none of the three (universal, attribute- or
+    pseudo-class-only), which must be matched against every element."""
+    if len(selector.selectors) != 1:
+        return None
+    compound = selector.selectors[0].parts[-1]
+    if compound.element_id is not None:
+        return "id", compound.element_id
+    if compound.classes:
+        return "class", compound.classes[0]
+    if compound.tag is not None:
+        return "tag", compound.tag
+    return None
+
+
 def query_all(root: Element, selector, document=None) -> List[Element]:
-    """All descendant elements of ``root`` matching, in document order."""
+    """All descendant elements of ``root`` matching, in document order.
+
+    Walks and matches the whole tree on every call: the reference the
+    document's generation-keyed cache is tested against.
+    """
     if isinstance(selector, str):
         selector = parse_selector(selector)
-    return [el for el in root.iter_elements() if matches(el, selector, document)]
+    return filter_candidates(root.iter_elements(), selector, document)
 
 
 def query_one(root: Element, selector, document=None) -> Optional[Element]:

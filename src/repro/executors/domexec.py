@@ -8,7 +8,12 @@ asynchronous changes, and implements the version/staleness rule.
 Snapshot discipline: a state is snapshotted immediately after the
 triggering activity (action performed, event batch fired, timeout
 elapsed) and is deeply immutable, so later DOM changes cannot leak into
-already-reported states.
+already-reported states.  Snapshot cost follows DOM mutations, not
+selectors times states: the document answers each selector from a cache
+kept per mutation ``generation``, and state and watch snapshots share one
+:class:`ElementSnapshot` per element and (document, generation) -- keyed
+on the document too, because ``reload`` and ``reset`` mount a fresh
+document whose generation starts over.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..browser.webdriver import Browser, NotInteractableError, Page
+from ..dom import Document, Element
 from ..protocol.messages import Acted, Act, Event, Narrow, Reset, Start, Timeout
 from ..protocol.session import TraceRecorder
 from ..specstrom.actions import PrimitiveEvent, ResolvedAction
@@ -43,6 +49,9 @@ class DomExecutor(Executor):
         self._active: Tuple[str, ...] = ()
         self._watched: Tuple[Tuple[str, PrimitiveEvent], ...] = ()
         self._last_watch_state: Dict[str, Tuple[ElementSnapshot, ...]] = {}
+        #: The (document, generation) ``_element_snapshots`` belong to.
+        self._snapshots_of: Tuple[Optional[Document], int] = (None, -1)
+        self._element_snapshots: Dict[Element, ElementSnapshot] = {}
 
     # ------------------------------------------------------------------
     # Executor interface
@@ -104,7 +113,6 @@ class DomExecutor(Executor):
         happened: Tuple[str, ...] = (act.name,)
         if act.action.kind == "reload":
             happened = (act.name, "loaded?")
-            self._remember_watches()
         self._report("acted", happened)
         return True
 
@@ -182,16 +190,8 @@ class DomExecutor(Executor):
     # ------------------------------------------------------------------
 
     def _snapshot(self, happened: Tuple[str, ...]) -> StateSnapshot:
-        browser = self._require_browser()
-        document = browser.document
-        queries = {}
-        for selector in self._active:
-            queries[selector] = tuple(
-                ElementSnapshot.of_element(el, document)
-                for el in document.query_all(selector)
-            )
         return StateSnapshot(
-            queries=queries,
+            queries={selector: self._query(selector) for selector in self._active},
             happened=happened,
             version=self.recorder.length + 1,
             timestamp_ms=self._clock_now(),
@@ -208,16 +208,25 @@ class DomExecutor(Executor):
             self._outbox.append(Event(happened[0] if happened else "event?", state))
         self._remember_watches()
 
-    def _watch_snapshot(self, css: str) -> Tuple[ElementSnapshot, ...]:
-        browser = self._require_browser()
-        document = browser.document
-        return tuple(
-            ElementSnapshot.of_element(el, document) for el in document.query_all(css)
-        )
+    def _query(self, css: str) -> Tuple[ElementSnapshot, ...]:
+        """Snapshots of the elements ``css`` matches now, in document order."""
+        document = self._require_browser().document
+        key = (document, document.generation)
+        if self._snapshots_of != key:
+            self._snapshots_of = key
+            self._element_snapshots = {}
+        memo = self._element_snapshots
+        snapshots = []
+        for el in document.query_all(css):
+            snapshot = memo.get(el)
+            if snapshot is None:
+                snapshot = memo[el] = ElementSnapshot.of_element(el, document)
+            snapshots.append(snapshot)
+        return tuple(snapshots)
 
     def _remember_watches(self) -> None:
         self._last_watch_state = {
-            event.selector: self._watch_snapshot(event.selector)
+            event.selector: self._query(event.selector)
             for _, event in self._watched
             if event.selector is not None
         }
@@ -228,7 +237,7 @@ class DomExecutor(Executor):
         for name, event in self._watched:
             if event.selector is None:
                 continue
-            current = self._watch_snapshot(event.selector)
+            current = self._query(event.selector)
             if current != self._last_watch_state.get(event.selector):
                 changed.append(name)
         return tuple(changed)

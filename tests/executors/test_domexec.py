@@ -2,10 +2,15 @@
 
 import pytest
 
-from repro.dom import Element
+from repro.api import CheckSession, CheckTarget, SessionConfig
+from repro.apps.todomvc import implementation_named
+from repro.checker import RunnerConfig
+from repro.dom import Document, Element, parse_selector
 from repro.executors import ActionFailed, DomExecutor
 from repro.protocol.messages import Act, Start
+from repro.specs import load_todomvc_spec
 from repro.specstrom.actions import ResolvedAction
+from repro.specstrom.state import ElementSnapshot
 
 
 def form_app(page):
@@ -167,3 +172,58 @@ class TestNarrowing:
         assert executor.reset(Reset(frozenset({"#field", "#go"}))) is True
         (loaded,) = executor.drain()
         assert set(loaded.state.queries) == {"#field", "#go"}
+
+
+class TestSnapshotWork:
+    """Snapshot work follows DOM mutations, counted on a fixed-seed vue
+    campaign: one tree walk per queried document generation, one
+    ``ElementSnapshot`` per element and generation, one parse per
+    selector source."""
+
+    def test_vue_campaign_counts(self, monkeypatch):
+        walks = 0
+        generations = set()  # (document, generation) pairs queried
+        sources = set()
+        snapshotted = []  # (element, document, generation) per snapshot
+
+        iter_elements = Element.iter_elements
+        query_all = Document.query_all
+        of_element = ElementSnapshot.of_element
+
+        def counting_iter_elements(self):
+            nonlocal walks
+            if self._document is not None:  # only a document root has one
+                walks += 1
+            return iter_elements(self)
+
+        def recording_query_all(self, selector):
+            generations.add((self, self.generation))
+            sources.add(selector)
+            return query_all(self, selector)
+
+        def recording_of_element(cls, element, document):
+            snapshotted.append((element, document, document.generation))
+            return of_element(element, document)
+
+        monkeypatch.setattr(Element, "iter_elements", counting_iter_elements)
+        monkeypatch.setattr(Document, "query_all", recording_query_all)
+        monkeypatch.setattr(
+            ElementSnapshot, "of_element", classmethod(recording_of_element)
+        )
+        parse_selector.cache_clear()
+        batch = CheckSession().check_many(
+            [
+                CheckTarget(
+                    "vue",
+                    implementation_named("vue").app_factory(),
+                    spec=load_todomvc_spec().check_named("safety"),
+                )
+            ],
+            config=RunnerConfig(tests=3, scheduled_actions=30, seed=0,
+                                shrink=False),
+            session=SessionConfig(jobs=1),
+        )
+        assert batch.results[0].passed
+        assert 0 < walks <= len(generations)
+        assert 0 < len(snapshotted) <= len(set(snapshotted))
+        assert 0 < parse_selector.cache_info().misses <= len(sources)
