@@ -1,8 +1,8 @@
 """Fuzzing throughput: scenario diversity per second, and its overhead.
 
-The differential fuzzer runs every generated campaign *five times*
-(serial reference, pooled, warm-reuse, async-multiplexed, full-capture
-for the narrowed-observation oracle) plus a trace-level re-evaluation
+The differential fuzzer runs every generated campaign *four times*
+(serial reference, pooled, warm-reuse, full-capture for the
+narrowed-observation oracle) plus a trace-level re-evaluation
 under the direct reference semantics -- scenario diversity is only
 useful if that multiplier stays cheap enough to run at CI scale.  This
 bench records:
@@ -14,7 +14,7 @@ bench records:
   an explicit, tracked number rather than folklore.
 
 The run doubles as a correctness smoke at bench scale: any divergence
-fails the bench outright (the fuzzer's whole claim is that the five
+fails the bench outright (the fuzzer's whole claim is that the four
 legs and the reference semantics agree).
 
 Results land in ``benchmarks/out/fuzz_throughput.json`` (a CI artifact).

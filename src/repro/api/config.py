@@ -51,9 +51,8 @@ class SessionConfig:
     jobs: Union[int, str, None] = None
     #: Task delivery: ``None`` (platform default), ``"fork"``,
     #: ``"thread"``, or a live ``PoolTransport`` (e.g. ``TcpTransport``
-    #: serving remote ``repro worker`` processes, or
-    #: ``InlineTransport(concurrency=M)`` multiplexing M sessions in the
-    #: caller's thread).
+    #: serving remote ``repro worker`` processes, or ``InlineTransport()``
+    #: keeping the batch in the caller's thread at any width).
     transport: object = None
     #: Keep executors warm between consecutive tests of one target.
     reuse_executors: bool = True

@@ -17,16 +17,20 @@ amortises it:
   its *own* per-process cache from the task's remote descriptor and
   reports each lease's warm flag back inside result frames, so the
   batch metrics still add up.
-* :class:`ExecutorLease` is one test's claim on an executor, in the
-  async protocol on both faces: ``checkout`` and ``checkin`` are
-  coroutines, which ``Runner.run_single_test`` drives inline and
-  ``run_single_test_async`` awaits.  ``checkout`` prefers a warm
-  executor from the cache and asks it to
+* :class:`ExecutorLease` is one test's claim on an executor.
+  ``Runner.run_single_test`` calls ``checkout`` in place of construct +
+  ``Start`` and ``checkin`` in place of ``stop``.  ``checkout`` prefers
+  a warm executor from the cache and asks it to
   :meth:`~repro.executors.base.Executor.reset` (the ``Reset`` protocol
   message); a backend that declines -- or a cache miss -- falls back to
   the classic construct + ``Start`` path, so reuse is always an
   optimisation, never a semantics change.  ``checkin`` parks the
   executor for the next test instead of stopping it.
+
+A parked executor that refuses to stop (its session died) never fails a
+test or a batch: eviction, :meth:`ExecutorCache.release` and
+:meth:`ExecutorCache.close` all stop through one error-swallowing
+helper, so one dead session cannot leak the executors parked after it.
 
 Determinism is non-negotiable: ``reset`` contracts an observationally
 identical session (same initial state, virtual time origin and trace
@@ -42,14 +46,8 @@ Warm hits and cold starts are counted through shared counters (a
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Optional
 
-from ..executors.base import (
-    AsyncExecutor,
-    InlineAsyncExecutor,
-    ensure_drivable_executor,
-    running_loop,
-)
 from ..protocol.messages import Reset, Start
 from .transport.base import ThreadCounter
 
@@ -61,11 +59,11 @@ def _bump(counter) -> None:
         counter.value += 1
 
 
-async def _stop_parked(executor: AsyncExecutor) -> None:
+def _stop_parked(executor) -> None:
     """Stop a parked executor; a dead session refusing to stop must
-    not fail the test."""
+    not fail the test or the batch."""
     try:
-        await executor.stop()
+        executor.stop()
     except Exception:
         pass
 
@@ -123,12 +121,8 @@ class ExecutorCache:
         self.cold_starts = (
             cold_starts if cold_starts is not None else ThreadCounter(0)
         )
-        #: key -> (loop-tag, executor) pairs, oldest first; key order is
-        #: recency.  The tag is the event loop an awaiting session was
-        #: parked from -- its in-flight machinery never crosses to
-        #: another loop -- or None for a session run inline, which no
-        #: loop owns.
-        self._entries: Dict[Hashable, List[Tuple[object, object]]] = {}
+        #: key -> parked executors, oldest first; key order is recency.
+        self._entries: Dict[Hashable, List[object]] = {}
         self._lock = threading.Lock()
 
     def lease(
@@ -138,50 +132,36 @@ class ExecutorCache:
         overrides the identity when factories are built per-call)."""
         return ExecutorLease(self, factory, factory if key is None else key)
 
-    def _checkout_tagged(self, key: Hashable, loop) -> Optional[object]:
-        """Claim the most recent warm executor for ``key`` that ``loop``
-        (None: no loop runs here) can drive -- one parked untagged or
-        under ``loop`` itself -- or None on a miss.  The entry is
-        *removed*: an executor is only ever owned by one task, and LIFO
-        order keeps sequential reuse on the same warm session.  Entries
-        tagged with another loop are retired on sight: that loop is gone
-        (or runs in another thread) and a checkout would hand a task an
-        executor whose coroutines can never run here."""
-        mismatched = []
-        found = None
+    def _checkout(self, key: Hashable) -> Optional[object]:
+        """Claim the most recent warm executor for ``key``, or None on a
+        miss.  The entry is *removed*: an executor is only ever owned by
+        one test, and LIFO order keeps sequential reuse on the same warm
+        session."""
         with self._lock:
             stack = self._entries.get(key)
-            if stack:
-                while stack:
-                    tag, executor = stack.pop()
-                    if tag is None or tag is loop:
-                        found = executor
-                        break
-                    mismatched.append(executor)
-                if not stack:
-                    del self._entries[key]
-        for stale in mismatched:
-            stale.stop_nowait()
-        return found
+            if not stack:
+                return None
+            executor = stack.pop()
+            if not stack:
+                del self._entries[key]
+            return executor
 
-    def _checkin_collect(
-        self, key: Hashable, executor: object, tag
-    ) -> List[object]:
-        """Park ``executor`` under ``tag``; returns the executors evicted
-        by the depth/size bounds for the caller to stop."""
+    def _checkin_collect(self, key: Hashable, executor: object) -> List[object]:
+        """Park ``executor``; returns the executors evicted by the
+        depth/size bounds for the caller to stop."""
         evicted: List[object] = []
         with self._lock:
             stack = self._entries.pop(key, None)
             if stack is None:
                 stack = []
-            if any(parked is executor for _, parked in stack):
+            if any(parked is executor for parked in stack):
                 # Cannot happen under the checkout-removes discipline,
                 # but a double checkin must not double-park a session.
                 self._entries[key] = stack
                 return evicted
-            stack.append((tag, executor))
+            stack.append(executor)
             while len(stack) > self.depth:
-                evicted.append(stack.pop(0)[1])
+                evicted.append(stack.pop(0))
             # Key insertion order doubles as recency: checkout/checkin
             # re-append, so the front key is least recently used.
             self._entries[key] = stack
@@ -192,7 +172,7 @@ class ExecutorCache:
             ):
                 oldest_key = next(iter(self._entries))
                 oldest = self._entries[oldest_key]
-                evicted.append(oldest.pop(0)[1])
+                evicted.append(oldest.pop(0))
                 if not oldest:
                     del self._entries[oldest_key]
         return evicted
@@ -209,8 +189,8 @@ class ExecutorCache:
         executors by the worker's lifetime."""
         with self._lock:
             stack = self._entries.pop(key, [])
-        for _, executor in stack:
-            executor.stop_nowait()
+        for executor in stack:
+            _stop_parked(executor)
 
     def close(self) -> None:
         """Stop and drop every warm executor (end of batch)."""
@@ -218,11 +198,11 @@ class ExecutorCache:
             entries = [
                 executor
                 for stack in self._entries.values()
-                for _, executor in stack
+                for executor in stack
             ]
             self._entries.clear()
         for executor in entries:
-            executor.stop_nowait()
+            _stop_parked(executor)
 
     def __len__(self) -> int:
         """Number of parked warm executors (across all keys)."""
@@ -233,14 +213,11 @@ class ExecutorCache:
 class ExecutorLease:
     """One test's claim on a (possibly warm) executor.
 
-    The runner awaits :meth:`checkout` with its ``Start`` message in
+    The runner calls :meth:`checkout` with its ``Start`` message in
     place of ``factory() + start()``, and :meth:`checkin` in place of
-    ``stop()``; everything between is unchanged.  Both are coroutines on
-    either face: with no loop running in this thread (a width-1 batch in
-    the caller's thread) every executor reaches the runner inline, so
-    ``Runner.run_single_test`` drives them with a single ``send``.
-    ``warm`` records which path the checkout took (benchmarks, tests and
-    remote workers' result frames read it).
+    ``stop()``; everything between is unchanged.  ``warm`` records which
+    path the checkout took (benchmarks, tests and remote workers' result
+    frames read it).
     """
 
     __slots__ = ("cache", "factory", "key", "warm")
@@ -253,17 +230,17 @@ class ExecutorLease:
         self.key = key
         self.warm = False
 
-    async def checkout(self, start: Start) -> AsyncExecutor:
+    def checkout(self, start: Start):
         """A started executor for one test: warm-reset when possible,
-        freshly constructed otherwise (adapted for this thread by
-        :func:`~repro.executors.base.ensure_drivable_executor`)."""
+        freshly constructed otherwise."""
         cache = self.cache
-        executor = None
-        if cache.enabled:
-            executor = cache._checkout_tagged(self.key, running_loop())
+        executor = cache._checkout(self.key) if cache.enabled else None
         if executor is not None:
+            # Backends without a reset method (duck-typed executors from
+            # before the Reset protocol) always fall back cold.
+            reset = getattr(executor, "reset", None)
             try:
-                was_reset = await executor.reset(
+                was_reset = reset is not None and reset(
                     Reset(start.dependencies, start.events)
                 )
             except Exception:
@@ -276,27 +253,19 @@ class ExecutorLease:
                 _bump(cache.warm_hits)
                 return executor
             # The backend cannot reset: retire it and start cold.
-            await _stop_parked(executor)
+            _stop_parked(executor)
         self.warm = False
         _bump(cache.cold_starts)
-        executor = ensure_drivable_executor(self.factory())
-        await executor.start(start)
+        executor = self.factory()
+        executor.start(start)
         return executor
 
-    async def checkin(self, executor: AsyncExecutor) -> None:
+    def checkin(self, executor) -> None:
         """Park the executor for the next lease of the same target
         (stopping whatever the bounds evict), or stop it when reuse is
         disabled."""
         if self.cache.enabled:
-            # A synchronous session runs inline: it belongs to no loop,
-            # so it parks untagged and a sibling thread's loop may take
-            # it warm.  Anything that awaits stays with this loop.
-            tag = (
-                None if isinstance(executor, InlineAsyncExecutor)
-                else running_loop()
-            )
-            evicted = self.cache._checkin_collect(self.key, executor, tag)
-            for stale in evicted:
-                await _stop_parked(stale)
+            for stale in self.cache._checkin_collect(self.key, executor):
+                _stop_parked(stale)
         else:
-            await executor.stop()
+            executor.stop()

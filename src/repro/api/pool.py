@@ -5,8 +5,7 @@
 :class:`~repro.api.transport.PoolTransport` ran it:
 
 * :class:`~repro.api.transport.InlineTransport` -- the caller's thread
-  (every width-1 local batch), optionally multiplexing sessions on one
-  event loop;
+  (every width-1 local batch);
 * :class:`~repro.api.transport.ForkTransport` -- forked processes (the
   default on POSIX; closures ship by copy-on-write);
 * :class:`~repro.api.transport.ThreadTransport` -- identical semantics
@@ -72,7 +71,7 @@ class PoolMetrics:
     """
 
     jobs: int = 1
-    transport: str = "serial"  # "serial" | "async" | "fork" | "thread" | "tcp"
+    transport: str = "serial"  # "serial" | "fork" | "thread" | "tcp"
     wall_s: float = 0.0
     tasks_total: int = 0
     tasks_completed: int = 0
@@ -89,18 +88,6 @@ class PoolMetrics:
     worker_busy_s: Dict[int, float] = field(default_factory=dict)
     worker_hosts: Dict[int, str] = field(default_factory=dict)
     campaign_wall_s: Dict[str, float] = field(default_factory=dict)
-    #: In-flight session counts, sampled by a multiplexing
-    #: :class:`~repro.api.transport.InlineTransport` every time a session
-    #: enters or leaves its loop -- the multiplexing picture:
-    #: a mean near the configured concurrency means the loop stayed
-    #: saturated, a mean near 1 means the work was CPU-bound and
-    #: concurrency bought nothing.
-    inflight_samples: List[int] = field(default_factory=list)
-    #: Wall-clock the multiplexed loop spent with >= 1 session in flight,
-    #: and the CPU time it burned over that span; their gap is time the
-    #: loop sat awaiting I/O -- see :attr:`await_ratio`.
-    session_active_s: float = 0.0
-    session_cpu_s: float = 0.0
 
     # -- recording (hot path: keep cheap) ------------------------------
 
@@ -137,43 +124,11 @@ class PoolMetrics:
         if len(self.queue_depth_samples) < _MAX_QUEUE_SAMPLES:
             self.queue_depth_samples.append(depth)
 
-    def sample_inflight(self, count: int) -> None:
-        """One in-flight-session observation (multiplexed hot path)."""
-        if len(self.inflight_samples) < _MAX_QUEUE_SAMPLES:
-            self.inflight_samples.append(count)
-
     # -- derived views -------------------------------------------------
 
     @property
     def max_queue_depth(self) -> int:
         return max(self.queue_depth_samples, default=0)
-
-    @property
-    def inflight_sessions(self) -> int:
-        """Peak concurrent sessions observed on the multiplexed loop."""
-        return max(self.inflight_samples, default=0)
-
-    @property
-    def mean_concurrency(self) -> float:
-        """Mean in-flight sessions across the multiplexed samples."""
-        if not self.inflight_samples:
-            return 0.0
-        return sum(self.inflight_samples) / len(self.inflight_samples)
-
-    @property
-    def await_ratio(self) -> float:
-        """Fraction of the multiplexed loop's active span spent awaiting
-        rather than computing (``1 - cpu/active``, clamped to [0, 1]).
-
-        An approximation -- process CPU time includes whatever else the
-        process did while sessions were active -- but high values read
-        reliably: I/O-bound batches sit near 1.0 and concurrency helps,
-        CPU-bound ones sit near 0.0 and it cannot.
-        """
-        if self.session_active_s <= 0:
-            return 0.0
-        ratio = 1.0 - self.session_cpu_s / self.session_active_s
-        return min(1.0, max(0.0, ratio))
 
     @property
     def warm_hit_ratio(self) -> float:
@@ -237,11 +192,6 @@ class PoolMetrics:
             "max_formula_size": self.max_formula_size,
             "mean_query_width": round(self.mean_query_width, 4),
             "max_queue_depth": self.max_queue_depth,
-            "inflight_sessions": self.inflight_sessions,
-            "mean_concurrency": round(self.mean_concurrency, 4),
-            "session_active_s": round(self.session_active_s, 4),
-            "session_cpu_s": round(self.session_cpu_s, 4),
-            "await_ratio": round(self.await_ratio, 4),
             "worker_tasks": {
                 str(worker): count
                 for worker, count in sorted(self.worker_tasks.items())

@@ -199,16 +199,16 @@ def campaign_tasks(
     construction + ``Start`` per test.
 
     Each task carries every face a transport may need: the ``thunk``
-    local workers run, the ``athunk`` multiplexing workers await, and
-    -- when the runner has a ``remote`` descriptor -- a JSON-able
-    ``payload`` remote workers rebuild the test from, plus the
-    ``record`` hook the coordinator uses to fold a remote result into
-    the first-failure counter (the thunks do this in-process).
+    local workers run and -- when the runner has a ``remote``
+    descriptor -- a JSON-able ``payload`` remote workers rebuild the
+    test from, plus the ``record`` hook the coordinator uses to fold a
+    remote result into the first-failure counter (the thunk does this
+    in-process).
     """
     config = runner.config
     first_fail = transport.make_counter(config.tests)
     # Evaluate the watched events and compile the property before any
-    # worker forks or session interleaves: forked workers inherit both
+    # worker forks or thread starts: forked workers inherit both
     # copy-on-write.  A runner that came through the artifact pipeline
     # adopted the artifact's pre-seeded bundle, so compiling is a no-op.
     runner.watched_events()
@@ -230,14 +230,6 @@ def campaign_tasks(
             record(result)
             return result
 
-        async def athunk() -> TestResult:
-            result = await runner.run_single_test_async(
-                random.Random(_test_seed(config.seed, index)),
-                lease=cache.lease(factory),
-            )
-            record(result)
-            return result
-
         def past_first_failure() -> bool:
             return index > first_fail.value
 
@@ -248,7 +240,7 @@ def campaign_tasks(
         return PoolTask(
             (label, index), thunk,
             skip=past_first_failure if config.stop_on_failure else None,
-            payload=payload, record=record, athunk=athunk,
+            payload=payload, record=record,
         )
 
     return [make_task(index) for index in range(config.tests)]
@@ -380,8 +372,8 @@ class PooledScheduler:
     the CPU count).  At ``jobs=1`` a local batch runs on an
     :class:`~repro.api.transport.InlineTransport` in the caller's
     thread -- the serial loop, with no pool at all.  A remote transport
-    is used at any width (its capacity lives on the workers), and an
-    explicit ``InlineTransport`` keeps its own ``concurrency``.
+    is used at any width (its capacity lives on the workers), and so is
+    an explicit ``InlineTransport``.
     """
 
     def __init__(
@@ -423,13 +415,12 @@ class PooledScheduler:
         # Bound held-warm executors: a worker serving many targets over
         # a long audit must not accumulate one live session per target
         # ever seen (LRU eviction at checkin).  A cache shared by
-        # overlapping sessions (thread workers, multiplexed lanes) needs
-        # one warm slot per session, or their checkins evict each other
-        # and reuse degrades to cold starts.
-        width = max(self.jobs, transport.concurrency)
+        # overlapping sessions (thread workers) needs one warm slot per
+        # worker, or their checkins evict each other and reuse degrades
+        # to cold starts.
         cache = ExecutorCache(enabled=reuse, warm_hits=warm_hits,
                               cold_starts=cold_starts,
-                              max_entries=max(4, width), depth=width)
+                              max_entries=max(4, self.jobs), depth=self.jobs)
         tasks: List[PoolTask] = []
         merges: List[CampaignMerge] = []
         for label, runner in entries:

@@ -5,12 +5,13 @@ transport-agnostic: it builds
 :class:`~repro.api.transport.base.PoolTask` batches, hands them to a
 :class:`~repro.api.transport.base.PoolTransport`, and merges the
 collected ``(worker_id, elapsed, outcome)`` stream in deterministic
-campaign/index order.  This package provides the seam and its four
+campaign/index order.  Every worker behind it is a plain pull loop
+that runs one test at a time, start to finish; parallelism comes from
+more workers.  This package provides the seam and its four
 implementations:
 
 * :class:`~repro.api.transport.local.InlineTransport` -- the caller's
-  thread: the serial loop at ``concurrency=1``, or that many I/O-bound
-  sessions multiplexed on one event loop,
+  thread: the serial loop,
 * :class:`~repro.api.transport.local.ForkTransport` -- the classic
   fork-once worker pool (POSIX; ships closures for free via CoW),
 * :class:`~repro.api.transport.local.ThreadTransport` -- identical

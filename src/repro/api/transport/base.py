@@ -29,7 +29,6 @@ alike.
 
 from __future__ import annotations
 
-import asyncio
 import time
 from abc import ABC, abstractmethod
 from typing import Callable, Dict, Hashable, List, Optional, Sequence
@@ -44,7 +43,6 @@ __all__ = [
     "fork_context",
     "resolve_transport",
     "run_task",
-    "run_task_async",
 ]
 
 
@@ -103,17 +101,9 @@ class PoolTask:
     remote worker cannot touch the coordinator's counters, so the
     transport calls ``record(result)`` as each remote result arrives
     (local transports never call it -- their thunks already ran it).
-
-    ``athunk`` is the task's awaitable face, for workers that serve
-    tasks from an event loop's lanes (every fork and thread worker, and
-    an ``InlineTransport`` above one lane): an async callable that
-    produces the *same* outcome as ``thunk``.  Tasks without one still
-    run there -- the thunk is shipped to the loop's thread pool by
-    :func:`run_task_async` -- they just cannot interleave at
-    protocol-call granularity.
     """
 
-    __slots__ = ("id", "thunk", "skip", "payload", "record", "athunk")
+    __slots__ = ("id", "thunk", "skip", "payload", "record")
 
     def __init__(
         self,
@@ -122,14 +112,12 @@ class PoolTask:
         skip: Optional[Callable[[], bool]] = None,
         payload: Optional[dict] = None,
         record: Optional[Callable[[object], None]] = None,
-        athunk: Optional[Callable[[], object]] = None,
     ) -> None:
         self.id = id
         self.thunk = thunk
         self.skip = skip
         self.payload = payload
         self.record = record
-        self.athunk = athunk
 
 
 class TaskFailure:
@@ -176,23 +164,6 @@ def run_task(task: PoolTask) -> object:
         return TaskFailure(err)
 
 
-async def run_task_async(task: PoolTask) -> object:
-    """:func:`run_task` for a worker's lanes: prefers the task's
-    ``athunk`` (true protocol-level interleaving); tasks that only have
-    a sync thunk run it on the loop's thread pool so the lane still
-    frees the loop while it blocks.  Outcome vocabulary is identical.
-    """
-    if task.skip is not None and task.skip():
-        return SKIPPED
-    try:
-        if task.athunk is not None:
-            return await task.athunk()
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, task.thunk)
-    except Exception as err:
-        return TaskFailure(err)
-
-
 class PoolTransport(ABC):
     """Strategy for moving a task batch to workers and outcomes back.
 
@@ -210,10 +181,6 @@ class PoolTransport(ABC):
     #: cannot reach them; schedulers must attach ``payload``s, and the
     #: transport outlives individual ``run`` calls).
     remote: bool = False
-
-    #: Sessions each worker multiplexes on its event loop (1 = one
-    #: task at a time).
-    concurrency: int = 1
 
     #: Worker handles of the most recent run (processes, threads, or
     #: remote-connection records); kept for post-mortem asserts.

@@ -2,7 +2,7 @@
 
 * :class:`InlineTransport` -- no workers at all: tasks run in the
   caller's thread, one at a time (the serial loop every width-1 local
-  batch uses) or ``concurrency`` sessions multiplexed on one event loop.
+  batch uses).
 * :class:`ForkTransport` -- workers are created with the ``fork`` start
   method.  Task bodies are closures over executor factories, which
   ``spawn`` cannot pickle; fork ships them for free.  All tasks must
@@ -15,10 +15,11 @@
   worker crashes for behavioural parity.
 
 Dispatch is dynamic in the fork and thread transports: task ids flow
-through a queue and workers pull the next id when free, so a slow
-campaign cannot strand the pool the way static round-robin can.
-Determinism is unaffected -- outcomes are keyed by task id and merged
-in submission order by the caller.
+through a queue and every worker is the same plain pull loop -- take the
+next id, run its task to completion, report, repeat until a sentinel --
+so a slow campaign cannot strand the pool the way static round-robin
+can.  Determinism is unaffected -- outcomes are keyed by task id and
+merged in submission order by the caller.
 
 ``KeyboardInterrupt``/``SystemExit`` inside a task are deliberately not
 caught in the worker: they must kill it promptly.  The parent's collect
@@ -29,19 +30,11 @@ worker processes.
 
 from __future__ import annotations
 
-import asyncio
 import queue as queue_module
 import time
 from typing import Dict, Hashable
 
-from .base import (
-    SKIPPED,
-    PoolTransport,
-    ThreadCounter,
-    WorkerCrashed,
-    run_task,
-    run_task_async,
-)
+from .base import SKIPPED, PoolTransport, ThreadCounter, WorkerCrashed, run_task
 
 __all__ = ["ForkTransport", "InlineTransport", "ThreadTransport"]
 
@@ -49,153 +42,53 @@ __all__ = ["ForkTransport", "InlineTransport", "ThreadTransport"]
 LOCAL_HOST = "local"
 
 
-def _check_concurrency(concurrency: int) -> int:
-    if concurrency < 1:
-        raise ValueError(f"concurrency must be at least 1, got {concurrency}")
-    return concurrency
-
-
-async def _serve_lanes(task_queue, concurrency, lane_body) -> None:
-    """Body of every worker: ``concurrency`` interchangeable lanes pull
-    positions from ``task_queue`` until each eats a sentinel.  One lane
-    is the serial worker; more multiplex sessions on the one loop.
-
-    Lanes block in ``queue.get`` on the loop's executor threads, and
-    tasks with only a synchronous thunk run there too
-    (:func:`~repro.api.transport.base.run_task_async`), so the default
-    pool is resized to hold both populations -- otherwise lanes parked
-    in ``get`` could starve the very thunks that would let them finish.
-    Sessions themselves run on the loop's thread: synchronous executors
-    inline, async ones awaited.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    loop = asyncio.get_running_loop()
-    loop.set_default_executor(
-        ThreadPoolExecutor(max_workers=2 * concurrency + 4)
-    )
-
-    async def lane(lane_id: int) -> None:
-        while True:
-            position = await loop.run_in_executor(None, task_queue.get)
-            if position < 0:
-                return
-            await lane_body(lane_id, position)
-
-    await asyncio.gather(*(lane(lane_id) for lane_id in range(concurrency)))
-
-
 class InlineTransport(PoolTransport):
     """Runs the batch in the caller's thread.
 
-    ``concurrency`` is the number of sessions in flight.  At 1 (what
-    every width-1 local batch uses) each task's synchronous thunk runs
-    in submission order, so a test starts through
-    ``Runner.run_single_test`` in the caller's thread exactly as in a
-    plain loop.  Above 1, that many lanes drive the tasks' awaitable
-    faces through :func:`_serve_lanes` on one ``asyncio.run`` loop:
-    while one session awaits a wire round-trip (a
-    :class:`~repro.executors.LatencyExecutor`, a remote browser) the
-    loop drives the others, and ``metrics`` receives the in-flight
-    gauges that show how far they overlapped.  Outcomes are handed to
-    ``on_result`` once the loop has finished, so merging -- shrinking
-    included -- never runs inside it.
-
-    ``jobs`` and ``worker_exit`` do not apply: there are no workers.
+    Each task's thunk runs in submission order, so every width-1 local
+    batch starts its tests through ``Runner.run_single_test`` in the
+    caller's thread exactly as in a plain loop.  ``jobs`` and
+    ``worker_exit`` do not apply: there are no workers.
     """
 
-    def __init__(self, concurrency: int = 1) -> None:
-        self.concurrency = _check_concurrency(concurrency)
-        self.name = "serial" if concurrency == 1 else "async"
+    name = "serial"
 
     def capacity(self) -> int:
-        return self.concurrency
+        return 1
 
     def run(
         self, tasks, jobs, on_result=None, metrics=None, worker_exit=None
     ) -> Dict[Hashable, object]:
         outcomes: Dict[Hashable, object] = {}
-
-        def finish(task, outcome, elapsed: float) -> None:
+        for position, task in enumerate(tasks):
+            if metrics is not None:
+                metrics.sample_queue_depth(len(tasks) - position)
+            started = time.perf_counter()
+            outcome = run_task(task)
+            elapsed = time.perf_counter() - started
             outcomes[task.id] = outcome
             if metrics is not None:
                 metrics.record_task(0, elapsed, outcome == SKIPPED)
             if on_result is not None:
                 on_result(task.id, outcome)
-
-        if self.concurrency == 1:
-            for position, task in enumerate(tasks):
-                if metrics is not None:
-                    metrics.sample_queue_depth(len(tasks) - position)
-                started = time.perf_counter()
-                outcome = run_task(task)
-                finish(task, outcome, time.perf_counter() - started)
-            return outcomes
-        done = []
-        asyncio.run(self._multiplex(tasks, done, metrics))
-        for task, outcome, elapsed in done:
-            finish(task, outcome, elapsed)
         return outcomes
-
-    async def _multiplex(self, tasks, done, metrics) -> None:
-        task_queue: queue_module.Queue = queue_module.Queue()
-        for position in range(len(tasks)):
-            task_queue.put(position)
-        for _ in range(self.concurrency):
-            task_queue.put(-1)
-        inflight = 0
-
-        def sample() -> None:
-            if metrics is not None:
-                metrics.sample_inflight(inflight)
-
-        async def lane_body(lane_id: int, position: int) -> None:
-            nonlocal inflight
-            task = tasks[position]
-            started = time.perf_counter()
-            inflight += 1
-            sample()
-            try:
-                outcome = await run_task_async(task)
-            finally:
-                inflight -= 1
-                sample()
-            done.append((task, outcome, time.perf_counter() - started))
-
-        active0 = time.perf_counter()
-        cpu0 = time.process_time()
-        await _serve_lanes(task_queue, self.concurrency, lane_body)
-        if metrics is not None:
-            metrics.session_active_s += time.perf_counter() - active0
-            metrics.session_cpu_s += time.process_time() - cpu0
 
 
 class ForkTransport(PoolTransport):
     """A bounded set of forked workers fed from a task queue.
 
-    Every forked worker runs an event loop of ``concurrency`` lanes
-    (:func:`_serve_lanes`): positions are pulled by interchangeable
-    lanes and run through
-    :func:`~repro.api.transport.base.run_task_async`.  The default
-    (``concurrency=1``) is one lane, each test running start to finish
-    on the worker's thread; more lanes let a worker pinned on I/O-bound
-    sessions keep its CPU busy.  ``capacity()`` reports cores x
-    concurrency accordingly.
+    Each forked worker pulls positions from the queue and runs each
+    task start to finish on its own thread.  ``capacity()`` is the
+    local core count.
     """
 
     name = "fork"
 
-    def __init__(self, ctx, concurrency: int = 1) -> None:
+    def __init__(self, ctx) -> None:
         if ctx is None:
             raise ValueError("ForkTransport needs a fork multiprocessing context")
         self._ctx = ctx
-        self.concurrency = _check_concurrency(concurrency)
         self.last_workers = []
-
-    def capacity(self) -> int:
-        import os
-
-        return (os.cpu_count() or 1) * self.concurrency
 
     def make_counter(self, initial: int):
         """Shared memory: must be created *before* ``run`` forks."""
@@ -205,33 +98,33 @@ class ForkTransport(PoolTransport):
         self, tasks, jobs, on_result=None, metrics=None, worker_exit=None
     ) -> Dict[Hashable, object]:
         ctx = self._ctx
-        concurrency = self.concurrency
         workers = min(jobs, len(tasks))
         by_position = {position: task for position, task in enumerate(tasks)}
         task_queue = ctx.Queue()
         result_queue = ctx.Queue()
-        # Per-lane announcement slots, written through shared memory
+        # Per-worker announcement slots, written through shared memory
         # *synchronously* before a task runs.  A queue message could be
         # lost when ``os._exit`` kills the feeder thread mid-flush; the
         # shared write cannot, so crash attribution survives even the
         # rudest deaths.
-        announce = ctx.Array("i", [-1] * (workers * concurrency), lock=False)
+        announce = ctx.Array("i", [-1] * workers, lock=False)
         for position in range(len(tasks)):
             task_queue.put(position)
-        # One sentinel per lane: every lane pulls until it eats one.
-        for _ in range(workers * concurrency):
+        # One sentinel per worker: every worker pulls until it eats one.
+        for _ in range(workers):
             task_queue.put(-1)
 
         def work(worker_id: int) -> None:
-            async def lane_body(lane_id: int, position: int) -> None:
-                announce[worker_id * concurrency + lane_id] = position
-                started = time.perf_counter()
-                outcome = await run_task_async(by_position[position])
-                elapsed = time.perf_counter() - started
-                result_queue.put((position, outcome, worker_id, elapsed))
-
             try:
-                asyncio.run(_serve_lanes(task_queue, concurrency, lane_body))
+                while True:
+                    position = task_queue.get()
+                    if position < 0:
+                        break
+                    announce[worker_id] = position
+                    started = time.perf_counter()
+                    outcome = run_task(by_position[position])
+                    elapsed = time.perf_counter() - started
+                    result_queue.put((position, outcome, worker_id, elapsed))
             finally:
                 # Clean worker shutdown: release per-worker state (warm
                 # executors) that only exists in this forked child.
@@ -327,10 +220,9 @@ class ForkTransport(PoolTransport):
                 on_result(task_id, outcome)
         lost = []
         for worker_id, process in dead:
-            for lane in range(self.concurrency):
-                position = announce[worker_id * self.concurrency + lane]
-                if position >= 0 and tasks[position].id not in outcomes:
-                    lost.append((worker_id, process, tasks[position].id))
+            position = announce[worker_id]
+            if position >= 0 and tasks[position].id not in outcomes:
+                lost.append((worker_id, process, tasks[position].id))
         if not lost:
             # The worker died between tasks; its queued work is still
             # reachable by surviving workers, unless none remain.
@@ -359,23 +251,14 @@ class ForkTransport(PoolTransport):
 
 
 class ThreadTransport(PoolTransport):
-    """The thread fallback: same dispatch, same crash semantics.
-
-    ``concurrency`` mirrors :class:`ForkTransport`: each worker thread
-    runs an event loop of that many session lanes, so a session's
-    protocol calls stay on its worker's thread.
-    """
+    """The thread fallback: same dispatch, same crash semantics.  Each
+    worker thread runs its tests start to finish, so a session's
+    protocol calls all stay on the thread that pulled its test."""
 
     name = "thread"
 
-    def __init__(self, concurrency: int = 1) -> None:
-        self.concurrency = _check_concurrency(concurrency)
+    def __init__(self) -> None:
         self.last_workers = []
-
-    def capacity(self) -> int:
-        import os
-
-        return (os.cpu_count() or 1) * self.concurrency
 
     def make_counter(self, initial: int):
         return ThreadCounter(initial)
@@ -387,7 +270,6 @@ class ThreadTransport(PoolTransport):
         # state, which the caller cleans up itself.
         import threading
 
-        concurrency = self.concurrency
         workers = min(jobs, len(tasks))
         # Positions in the queue, like fork mode: user task ids never
         # travel in-band, so no id can collide with a control signal.
@@ -395,29 +277,26 @@ class ThreadTransport(PoolTransport):
         result_queue: queue_module.Queue = queue_module.Queue()
         for position in range(len(tasks)):
             task_queue.put(position)
-        for _ in range(workers * concurrency):
+        for _ in range(workers):
             task_queue.put(-1)
 
         def work(worker_id: int) -> None:
-            async def lane_body(lane_id: int, position: int) -> None:
+            while True:
+                position = task_queue.get()
+                if position < 0:
+                    break
                 started = time.perf_counter()
                 try:
-                    outcome = await run_task_async(tasks[position])
+                    outcome = run_task(tasks[position])
                 except BaseException as err:  # noqa: BLE001 - crash parity
                     # A thread cannot die like a process; model the
-                    # fork-mode crash so callers see one behaviour.
+                    # fork-mode crash so callers see one behaviour.  The
+                    # collector aborts the batch and re-feeds sentinels
+                    # so sibling workers blocked in ``get`` unwind.
                     result_queue.put(("crash", worker_id, position, err, 0.0))
-                    raise
+                    break
                 elapsed = time.perf_counter() - started
                 result_queue.put(("done", worker_id, position, outcome, elapsed))
-
-            try:
-                asyncio.run(_serve_lanes(task_queue, concurrency, lane_body))
-            except BaseException:  # noqa: BLE001 - already reported above
-                # The crash frame is on the result queue; the collector
-                # aborts the batch and re-feeds sentinels so sibling
-                # lanes blocked in ``get`` unwind.
-                pass
 
         threads = [
             threading.Thread(target=work, args=(w,), daemon=True)
@@ -464,7 +343,7 @@ class ThreadTransport(PoolTransport):
                     task_queue.get_nowait()
             except queue_module.Empty:
                 pass
-            for _ in range(len(threads) * concurrency):
+            for _ in range(len(threads)):
                 task_queue.put(-1)
             for thread in threads:
                 thread.join(timeout=1.0)

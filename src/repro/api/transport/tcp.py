@@ -54,19 +54,15 @@ __all__ = ["TcpTransport"]
 class _RemoteWorker:
     """Coordinator-side record of one connected worker slot."""
 
-    __slots__ = ("sock", "worker_id", "host", "pid", "slots", "concurrency",
-                 "last_seen", "in_flight", "alive")
+    __slots__ = ("sock", "worker_id", "host", "pid", "slots", "last_seen",
+                 "in_flight", "alive")
 
-    def __init__(self, sock, worker_id, host, pid, slots, now,
-                 concurrency: int = 1) -> None:
+    def __init__(self, sock, worker_id, host, pid, slots, now) -> None:
         self.sock = sock
         self.worker_id = worker_id
         self.host = host
         self.pid = pid
         self.slots = slots
-        #: sessions this worker multiplexes per slot (hello-reported);
-        #: it keeps that many ``next`` requests outstanding at once.
-        self.concurrency = concurrency
         self.last_seen = now
         #: wire ids (batch positions) dispatched but not yet reported.
         self.in_flight: Dict[int, None] = {}
@@ -160,7 +156,6 @@ class TcpTransport(PoolTransport):
             pid=int(hello.get("pid", 0)),
             slots=max(1, int(hello.get("slots", 1))),
             now=self._now(),
-            concurrency=max(1, int(hello.get("concurrency", 1))),
         )
         try:
             send_frame(sock, {"type": "welcome", "worker_id": worker_id})
@@ -216,12 +211,10 @@ class TcpTransport(PoolTransport):
     # ------------------------------------------------------------------
 
     def capacity(self) -> int:
-        """Summed slots x per-slot concurrency of currently-connected
-        workers (min 1 so the adaptive clamp never suggests zero before
-        anyone joins): a multiplexing worker genuinely absorbs that many
-        in-flight sessions, so ``--jobs auto`` may feed it that wide."""
+        """Summed slots of currently-connected workers (min 1 so the
+        adaptive clamp never suggests zero before anyone joins)."""
         with self._lock:
-            return max(1, sum(w.slots * w.concurrency for w in self._workers))
+            return max(1, sum(w.slots for w in self._workers))
 
     def run(
         self,

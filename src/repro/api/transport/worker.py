@@ -37,19 +37,12 @@ warm flag, so the coordinator's warm/cold counts match a local run's.
 ``--slots N`` forks N serving processes (threads where ``fork`` is
 unavailable), each with its own connection, cache and runner cache.
 
-Every slot runs one event loop of ``--concurrency M`` lanes (default
-1) on *one* connection: each lane holds one ``next`` -> frame exchange
-in flight and drives its test through ``run_single_test_async``.
-Synchronous executors run inline on the loop, so one lane is the plain
-serial worker; with more lanes, sessions whose executors really await
-interleave their wire waits instead of serialising.  The slot
-announces ``concurrency`` in its hello, so the coordinator's
-``capacity()`` (and ``--jobs auto``) sees slots x concurrency.
-``--latency-ms D`` wraps every session in a
-:class:`~repro.executors.base.LatencyExecutor` -- deterministic
-wall-clock round-trip injection that never touches virtual time, so
-verdicts stay byte-identical while the worker behaves like one talking
-to a real remote browser.
+Every slot is one pull loop on one connection: send ``next``, read the
+reply frame, run the task (if it is one) to completion through
+``Runner.run_single_test``, send its result, repeat.  Only a side
+thread's liveness pings share the connection, behind a send lock.  The
+coordinator's ``capacity()`` (and ``--jobs auto``) is the sum of the
+connected slots.
 
 This module is imported lazily (the CLI's ``worker`` command, tests):
 it pulls in the spec front end and the session layer, which the
@@ -58,7 +51,6 @@ transport package itself must not.
 
 from __future__ import annotations
 
-import asyncio
 import importlib
 import json
 import os
@@ -201,16 +193,8 @@ def _connect(host: str, port: int, timeout_s: float) -> socket.socket:
             time.sleep(0.1)
 
 
-def _serve_slot(
-    host: str,
-    port: int,
-    connect_timeout_s: float,
-    log,
-    concurrency: int = 1,
-    latency_ms: float = 0.0,
-) -> int:
-    """One slot: one connection, one event loop of ``concurrency``
-    lanes.  Returns an exit code."""
+def _serve_slot(host: str, port: int, connect_timeout_s: float, log) -> int:
+    """One slot: one connection, one pull loop.  Returns an exit code."""
     from ..lease import ExecutorCache
 
     # The dial timeout stays armed through the handshake: a coordinator
@@ -227,7 +211,6 @@ def _serve_slot(
         "type": "hello",
         "version": PROTOCOL_VERSION,
         "slots": 1,
-        "concurrency": concurrency,
         "host": socket.gethostname(),
         "pid": os.getpid(),
     })
@@ -263,11 +246,25 @@ def _serve_slot(
                      name=f"worker-{worker_id}-ping").start()
 
     runners = _RunnerCache()
-    cache = ExecutorCache(enabled=True, depth=concurrency)
+    cache = ExecutorCache(enabled=True)
     try:
-        return asyncio.run(_serve_multiplexed(
-            sock, send, runners, cache, log, concurrency, latency_ms
-        ))
+        while True:
+            send({"type": "next"})
+            frame = recv_frame(sock)
+            ftype = frame.get("type")
+            if ftype == "wait":
+                time.sleep(float(frame.get("for_s", 0.2)))
+                continue
+            if ftype == "shutdown":
+                log("coordinator said shutdown")
+                return 0
+            if ftype != "task":
+                log(f"ignoring unexpected frame {ftype!r}")
+                continue
+            _run_one(frame, runners, cache, send)
+    except (OSError, FrameError) as err:
+        log(f"connection lost: {err!r}")
+        return 1
     finally:
         stop_pinging.set()
         cache.close()
@@ -277,104 +274,9 @@ def _serve_slot(
             pass
 
 
-async def _serve_multiplexed(
-    sock,
-    send,
-    runners: _RunnerCache,
-    cache,
-    log,
-    concurrency: int,
-    latency_ms: float,
-) -> int:
-    """The slot's pull loop: ``concurrency`` lanes on one event loop,
-    one connection.
-
-    Each lane keeps exactly one ``next`` outstanding and consumes
-    exactly one reply frame, so the wire stays 1:1 even though replies
-    land in a shared inbox (any lane may run any task -- results carry
-    the task id).  A reader thread pumps frames into the inbox through
-    ``call_soon_threadsafe``; a lost connection becomes a synthetic
-    ``_lost`` frame.  ``shutdown``/``_lost`` frames are re-put before a
-    lane returns, so the one frame wakes every sibling no matter how
-    their sends and sleeps interleave.
-    """
-    import concurrent.futures
-
-    loop = asyncio.get_running_loop()
-    # Lanes sending through run_in_executor must never starve for
-    # threads behind each other.
-    loop.set_default_executor(concurrent.futures.ThreadPoolExecutor(
-        max_workers=2 * concurrency + 4,
-        thread_name_prefix="worker-lane",
-    ))
-    inbox: asyncio.Queue = asyncio.Queue()
-
-    def reader() -> None:
-        while True:
-            try:
-                frame = recv_frame(sock)
-            except (OSError, FrameError) as err:
-                frame = {"type": "_lost", "error": repr(err)}
-            try:
-                loop.call_soon_threadsafe(inbox.put_nowait, frame)
-            except RuntimeError:  # loop closed during teardown
-                return
-            if frame.get("type") in ("shutdown", "_lost"):
-                return
-
-    threading.Thread(target=reader, daemon=True,
-                     name="worker-reader").start()
-
-    async def asend(message: dict) -> None:
-        await loop.run_in_executor(None, send, message)
-
-    saw_shutdown = False
-
-    async def lane(lane_id: int) -> int:
-        nonlocal saw_shutdown
-        try:
-            while True:
-                await asend({"type": "next"})
-                frame = await inbox.get()
-                ftype = frame.get("type")
-                if ftype == "wait":
-                    await asyncio.sleep(float(frame.get("for_s", 0.2)))
-                    continue
-                if ftype == "shutdown":
-                    if not saw_shutdown:
-                        log("coordinator said shutdown")
-                    saw_shutdown = True
-                    inbox.put_nowait(frame)
-                    return 0
-                if ftype == "_lost":
-                    inbox.put_nowait(frame)
-                    if saw_shutdown:
-                        return 0
-                    log(f"connection lost: {frame.get('error')}")
-                    return 1
-                if ftype != "task":
-                    log(f"ignoring unexpected frame {ftype!r}")
-                    continue
-                await _run_one(frame, runners, cache, asend, latency_ms)
-        except (OSError, FrameError) as err:
-            # A send failing after shutdown is the normal close race.
-            if saw_shutdown:
-                return 0
-            log(f"connection lost: {err!r}")
-            return 1
-
-    codes = await asyncio.gather(*(lane(i) for i in range(concurrency)))
-    return max(codes)
-
-
-async def _run_one(
-    message: dict, runners: _RunnerCache, cache, asend, latency_ms: float
-) -> None:
-    """Execute one task frame and stream its outcome back: the same
-    seeds as every other transport, the session driven by
-    ``run_single_test_async`` so this lane's wire waits interleave with
-    its siblings'."""
-    from ...executors import LatencyExecutor
+def _run_one(message: dict, runners: _RunnerCache, cache, send) -> None:
+    """Execute one task frame and stream its outcome back, seeded like
+    every other transport."""
     from ..lease import ExecutorCache
     from ..scheduler import _test_seed
 
@@ -384,29 +286,20 @@ async def _run_one(
         runner = runners.runner_for(body["runner"])
         index = int(body["index"])
         rng = random.Random(_test_seed(runner.config.seed, index))
-        base = runner.executor_factory
-        if latency_ms > 0:
-            def factory(base=base, seed=index):
-                return LatencyExecutor(
-                    base(), latency_ms=latency_ms, seed=seed
-                )
-        else:
-            factory = base
         # Leased even with reuse off (a disabled cache: every checkout
-        # is a cold start), and counted by the lease's own warm flag,
-        # not counter deltas: with lanes interleaving, a shared
-        # counter's delta would count the siblings' checkouts too.
+        # is a cold start), so the result frame can report the lease's
+        # own warm flag either way.
         if body.get("reuse", True):
-            lease = cache.lease(factory, key=base)
+            lease = cache.lease(runner.executor_factory)
         else:
-            lease = ExecutorCache(enabled=False).lease(factory)
-        result = await runner.run_single_test_async(rng, lease=lease)
+            lease = ExecutorCache(enabled=False).lease(runner.executor_factory)
+        result = runner.run_single_test(rng, lease=lease)
     except Exception as err:
         try:
             payload = pack(err)
         except (pickle.PicklingError, TypeError, AttributeError):
             payload = pack(RuntimeError(repr(err)))
-        await asend({
+        send({
             "type": "failure",
             "id": message["id"],
             "epoch": message.get("epoch"),
@@ -415,7 +308,7 @@ async def _run_one(
             "payload": payload,
         })
         return
-    await asend({
+    send({
         "type": "result",
         "id": message["id"],
         "epoch": message.get("epoch"),
@@ -432,8 +325,6 @@ def run_worker(
     slots: int = 1,
     connect_timeout_s: float = 30.0,
     log_stream=None,
-    concurrency: int = 1,
-    latency_ms: float = 0.0,
 ) -> int:
     """Serve a coordinator at ``host:port`` with ``slots`` parallel
     slots until it says shutdown (or the connection dies).
@@ -441,9 +332,6 @@ def run_worker(
     Each slot is its own process (forked; threads where ``fork`` is
     unavailable) with a private connection, executor cache and runner
     cache -- the same isolation discipline as the local fork pool.
-    ``concurrency`` multiplexes that many sessions per slot on one
-    event loop; ``latency_ms`` injects deterministic wall-clock
-    round-trip latency into every session (testing/benchmarks).
     Returns a process exit code: 0 on clean shutdown, non-zero when any
     slot lost its connection or was rejected.
     """
@@ -454,18 +342,9 @@ def run_worker(
 
     if slots < 1:
         raise ValueError(f"slots must be at least 1, got {slots}")
-    if concurrency < 1:
-        raise ValueError(
-            f"concurrency must be at least 1, got {concurrency}"
-        )
-    if latency_ms < 0:
-        raise ValueError(f"latency_ms must be >= 0, got {latency_ms}")
     if slots == 1:
         try:
-            return _serve_slot(
-                host, port, connect_timeout_s, log,
-                concurrency=concurrency, latency_ms=latency_ms,
-            )
+            return _serve_slot(host, port, connect_timeout_s, log)
         except KeyboardInterrupt:
             log("interrupted")
             return 130
@@ -484,19 +363,13 @@ def run_worker(
 
         with concurrent.futures.ThreadPoolExecutor(max_workers=slots) as pool:
             codes = list(pool.map(
-                lambda _: _serve_slot(
-                    host, port, connect_timeout_s, log,
-                    concurrency=concurrency, latency_ms=latency_ms,
-                ),
+                lambda _: _serve_slot(host, port, connect_timeout_s, log),
                 range(slots),
             ))
         return max(codes)
 
     def child() -> None:
-        sys.exit(_serve_slot(
-            host, port, connect_timeout_s, log,
-            concurrency=concurrency, latency_ms=latency_ms,
-        ))
+        sys.exit(_serve_slot(host, port, connect_timeout_s, log))
 
     processes = [ctx.Process(target=child, daemon=True) for _ in range(slots)]
     for process in processes:

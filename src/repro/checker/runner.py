@@ -24,11 +24,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
-from ..executors.base import (
-    ActionFailed,
-    ensure_drivable_executor,
-    ensure_sync_executor,
-)
+from ..executors.base import ActionFailed
 from ..protocol.messages import Acted, Act, Narrow, Start, Timeout
 from ..protocol.session import TraceEntry
 from ..quickltl import (
@@ -84,12 +80,7 @@ class TraceAccumulator:
         self.query_width_sum = 0
 
     def absorb(self, executor) -> None:
-        self.absorb_messages(executor.drain())
-
-    def absorb_messages(self, messages) -> None:
-        """Feed an already-drained message batch (the async driver
-        awaits the drain itself and hands the batch over)."""
-        for message in messages:
+        for message in executor.drain():
             state = message.state
             kind = (
                 "acted"
@@ -128,22 +119,14 @@ class QueryNarrower:
             and getattr(executor, "narrow", None) is not None
         )
 
-    def _pending_target(self):
-        """The capture set to request now, or None when there is
-        nothing to say (narrowing disabled, or the set is unchanged)."""
+    def update(self) -> None:
+        """Re-narrow (or re-widen) for the checker's current residual."""
         if not self.enabled:
-            return None
+            return
         target = self.compiled.narrowed_dependencies(self.checker.residual)
         if target is None:
             target = self.full
         if target == self.active:
-            return None
-        return target
-
-    def update(self) -> None:
-        """Re-narrow (or re-widen) for the checker's current residual."""
-        target = self._pending_target()
-        if target is None:
             return
         if self.executor.narrow(Narrow(target)):
             self.active = target
@@ -155,42 +138,6 @@ class QueryNarrower:
             Narrow(self.full)
         ):
             self.active = self.full
-
-    async def update_async(self) -> None:
-        """:meth:`update` against an async executor -- same
-        decisions, awaited ``Narrow`` round-trips."""
-        target = self._pending_target()
-        if target is None:
-            return
-        if await self.executor.narrow(Narrow(target)):
-            self.active = target
-            return
-        self.enabled = False
-        if self.active != self.full and await self.executor.narrow(
-            Narrow(self.full)
-        ):
-            self.active = self.full
-
-
-def _drive_inline(coro):
-    """Run a coroutine that never awaits anything to completion.
-
-    The session coroutine only suspends inside executor protocol calls;
-    with no loop running in this thread every executor reaches it
-    inline (:func:`~repro.executors.base.ensure_drivable_executor`), so
-    the whole drive resolves on the first ``send``.  A yield here would
-    mean a synchronous entry point was handed an executor that actually
-    blocks -- a programming error worth failing loudly on.
-    """
-    try:
-        coro.send(None)
-    except StopIteration as stop:
-        return stop.value
-    coro.close()
-    raise RuntimeError(
-        "synchronous test drive suspended; use run_single_test_async for "
-        "executors that await"
-    )
 
 
 class Runner:
@@ -273,71 +220,38 @@ class Runner:
         return QueryNarrower(self.compiled_spec(), executor, checker)
 
     def run_single_test(self, rng: random.Random, lease=None) -> TestResult:
-        """Run one generated test from synchronous code.
+        """Run one generated test.
 
         ``lease`` (an :class:`~repro.api.lease.ExecutorLease`) checks a
         possibly-warm executor out of its cache and parks it again after
         the test; without one, a fresh executor is constructed and
-        stopped.  Verdicts are identical either way.  A factory that
-        produces an async executor is driven on a private event loop
-        (:class:`~repro.executors.base.BlockingExecutor`).
-
-        This is the synchronous face of :meth:`run_single_test_async`:
-        it drives the same session coroutine with :func:`_drive_inline`,
-        so there is exactly one session loop in the codebase.
+        stopped.  Verdicts are identical either way.
         """
-        return _drive_inline(self._session(rng, lease, self.executor_factory))
-
-    async def run_single_test_async(
-        self, rng: random.Random, lease=None, executor_factory=None
-    ) -> TestResult:
-        """Run one generated test from an event loop.
-
-        The asynchronous face of :meth:`run_single_test`: same session
-        coroutine, same ``lease``; without one, ``executor_factory``
-        (default: the runner's own) supplies the executor.  Synchronous
-        executors run inline on the loop, so only executors that really
-        await (a :class:`~repro.executors.LatencyExecutor`, a remote
-        browser) let other sessions on the loop interleave.
-        """
-        return await self._session(
-            rng, lease, executor_factory or self.executor_factory
-        )
-
-    async def _session(self, rng: random.Random, lease, factory) -> TestResult:
-        """One test's executor lifecycle around the session loop, shared
-        by both faces: check out (or construct, adapted for this thread
-        by :func:`~repro.executors.base.ensure_drivable_executor`, and
-        start), drive, then check in (or stop)."""
         start = self._start_message()
         if lease is not None:
-            executor = await lease.checkout(start)
+            executor = lease.checkout(start)
         else:
-            executor = ensure_drivable_executor(factory())
-            await executor.start(start)
+            executor = self.executor_factory()
+            executor.start(start)
         try:
-            result = await self._drive_test_async(executor, rng)
+            result = self._drive_test(executor, rng)
         except BaseException:
             # The session is in an unknown state (e.g. ActionFailed from
             # a vanished target): never park it warm, never leak it.
-            await executor.stop()
+            executor.stop()
             raise
         if lease is not None:
-            await lease.checkin(executor)
+            lease.checkin(executor)
         else:
-            await executor.stop()
+            executor.stop()
         return result
 
-    async def _drive_test_async(self, executor, rng: random.Random) -> TestResult:
-        """THE session loop (paper, Sections 2.3 and 3.4), written once
-        against the async executor protocol.  Synchronous executors
-        reach it through
-        :class:`~repro.executors.base.InlineAsyncExecutor`, where no
-        call yields.
+    def _drive_test(self, executor, rng: random.Random) -> TestResult:
+        """THE session loop (paper, Sections 2.3 and 3.4).
 
-        Interning is counted on a task-local counter (not the global
-        table deltas) so concurrent sessions multiplexed on one loop
-        each report their own work.
+        Interning is counted on a per-thread counter (not the global
+        table deltas), so tests running on sibling worker threads each
+        report their own work.
         """
         checker = self.compiled_spec().checker()
         config = self.config
@@ -350,7 +264,7 @@ class Runner:
             stall_reason: Optional[str] = None
             start_ms = executor.now_ms
 
-            acc.absorb_messages(await executor.drain())
+            acc.absorb(executor)
             while True:
                 if acc.verdict.is_definitive:
                     break
@@ -358,7 +272,7 @@ class Runner:
                     # Every state the executor snapshots from here on only
                     # needs what the progressed formula (and the actions)
                     # can still read.
-                    await narrower.update_async()
+                    narrower.update()
                 if acc.states >= config.max_states:
                     stall_reason = "max states reached"
                     break
@@ -374,8 +288,8 @@ class Runner:
                 if not enabled:
                     # Nothing to do: wait for application events instead.
                     before = acc.states
-                    await executor.await_events(config.idle_wait_ms)
-                    acc.absorb_messages(await executor.drain())
+                    executor.await_events(config.idle_wait_ms)
+                    acc.absorb(executor)
                     if acc.states == before or acc.trace[-1].kind == "timeout":
                         stall_reason = "no enabled actions and no events"
                         break
@@ -385,24 +299,24 @@ class Runner:
                 decision_version = acc.states
                 # The checker "thinks" for a while; asynchronous events during
                 # that window make the upcoming Act stale (Figure 10).
-                await executor.pass_time(config.decision_latency_ms)
-                accepted = await executor.act(
+                executor.pass_time(config.decision_latency_ms)
+                accepted = executor.act(
                     Act(resolved, action_value.name, decision_version,
                         action_value.timeout_ms)
                 )
                 if not accepted:
                     # pick up the events that made us stale
-                    acc.absorb_messages(await executor.drain())
+                    acc.absorb(executor)
                     continue
                 actions_taken += 1
                 fired.append(
                     _FiredAction(action_value.name, resolved, action_value.timeout_ms)
                 )
-                acc.absorb_messages(await executor.drain())
+                acc.absorb(executor)
                 if action_value.timeout_ms is not None:
-                    await executor.await_events(action_value.timeout_ms)
-                await executor.pass_time(config.settle_ms)
-                acc.absorb_messages(await executor.drain())
+                    executor.await_events(action_value.timeout_ms)
+                executor.pass_time(config.settle_ms)
+                acc.absorb(executor)
 
             verdict = acc.verdict
             forced = False
@@ -477,7 +391,7 @@ class Runner:
     def replay(self, actions: List[Tuple[str, ResolvedAction]]) -> Optional[TestResult]:
         """Re-run a concrete action sequence; returns the result, or None
         when the sequence is not replayable (an action lost its target)."""
-        executor = ensure_sync_executor(self.executor_factory())
+        executor = self.executor_factory()
         executor.start(self._start_message())
         checker = self.compiled_spec().checker()
         config = self.config

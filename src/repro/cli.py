@@ -26,7 +26,7 @@ Usage (also via the ``quickstrom-repro`` console script)::
                             [--no-batch] [--cache-entries N]
                             [--shards N] [--resolve-at-eof] [--format json]
                             [--checkpoint DIR [--restore]]
-    python -m repro worker --connect HOST:PORT [--slots N] [--concurrency M]
+    python -m repro worker --connect HOST:PORT [--slots N]
     python -m repro list-implementations
 
 ``check`` loads a specification file and runs its properties against the
@@ -45,7 +45,8 @@ tcp --listen HOST:PORT`` to ``check`` or ``audit`` and the command
 becomes a coordinator that shards its ``(campaign, index)`` tasks over
 ``repro worker`` processes connected from any host -- verdicts,
 counterexamples and reporter streams are identical to a local run with
-the same seed.
+the same seed.  Each worker slot runs one test at a time; ``--slots N``
+(or more workers) is how a host serves more tests at once.
 
 ``monitor`` is the online deployment mode (:mod:`repro.monitor`): it
 ingests framed session streams -- a JSONL file, stdin, or a TCP
@@ -265,17 +266,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         metavar="N",
                         help="parallel task slots to serve (each is its "
                              "own process with a private executor cache)")
-    worker.add_argument("--concurrency", type=_positive_int, default=1,
-                        metavar="M",
-                        help="multiplex M concurrent sessions per slot "
-                             "on one event loop (capacity seen by the "
-                             "coordinator becomes slots x M)")
-    worker.add_argument("--latency-ms", type=float, default=0.0,
-                        metavar="MS",
-                        help="inject deterministic wall-clock latency "
-                             "around every session's protocol calls "
-                             "(verdicts are unaffected; testing and "
-                             "benchmarks)")
     worker.add_argument("--connect-timeout", type=float, default=30.0,
                         metavar="SECONDS",
                         help="keep retrying the dial this long (workers "
@@ -772,9 +762,7 @@ def _cmd_worker(args) -> int:
 
     host, port = _parse_listen(args.connect, flag="--connect")
     return run_worker(host, port, slots=args.slots,
-                      connect_timeout_s=args.connect_timeout,
-                      concurrency=args.concurrency,
-                      latency_ms=args.latency_ms)
+                      connect_timeout_s=args.connect_timeout)
 
 
 def _cmd_list(_args) -> int:

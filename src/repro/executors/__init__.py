@@ -1,16 +1,6 @@
 """Executors: the systems the checker can drive."""
 
-from .base import (
-    ActionFailed,
-    AsyncExecutor,
-    BlockingExecutor,
-    Executor,
-    InlineAsyncExecutor,
-    LatencyExecutor,
-    ensure_async_executor,
-    ensure_drivable_executor,
-    ensure_sync_executor,
-)
+from .base import ActionFailed, Executor
 from .domexec import DomExecutor
 from .ccs import (
     CCSDefinitions,
@@ -33,13 +23,6 @@ from .ccsexec import CCSExecutor
 
 __all__ = [
     "Executor",
-    "AsyncExecutor",
-    "BlockingExecutor",
-    "InlineAsyncExecutor",
-    "LatencyExecutor",
-    "ensure_async_executor",
-    "ensure_drivable_executor",
-    "ensure_sync_executor",
     "DomExecutor",
     "ActionFailed",
     "CCSDefinitions",

@@ -22,7 +22,7 @@ Property-Based Testing" in PAPERS.md):
   trace is re-evaluated with the independent reference semantics
   (:func:`repro.quickltl.direct_eval` over trace prefixes) and the
   end-to-end verdict must match; every campaign is run serial vs pooled
-  vs warm-reuse vs async-multiplexed and verdicts, counterexamples and
+  vs warm-reuse vs full-capture and verdicts, counterexamples and
   reporter event streams must be identical.
 * :mod:`repro.fuzz.corpus` -- any divergence is shrunk and persisted as
   a replayable JSONL corpus entry (`repro fuzz --replay` re-runs it).

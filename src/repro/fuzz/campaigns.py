@@ -2,25 +2,21 @@
 
 One *fuzz campaign* is a generated machine, a generated specification
 and a family of twins -- the correct app plus up to a few faulty
-mutants.  :func:`run_campaign` runs the family as one batch on five
-legs, rows of one ``(jobs, reuse_executors, transport)`` table:
+mutants.  :func:`run_campaign` runs the family as one batch on four
+legs, rows of one ``(jobs, reuse_executors, narrow_queries)`` table:
 
 * ``serial``  -- ``jobs=1``, cold executors (the reference schedule;
   residual-driven query narrowing on, like production defaults),
 * ``pooled``  -- a forked worker pool, cold executors,
 * ``warm``    -- the pooled schedule with warm executor reuse
   (the ``Reset`` protocol path),
-* ``async``   -- an :class:`~repro.api.transport.InlineTransport`
-  multiplexing four sessions on one event loop, each target's session
-  driven by the awaitable protocol through a pass-through
-  :class:`~repro.executors.base.LatencyExecutor`,
 * ``full``    -- ``jobs=1``, cold, with query narrowing *off*: every
   snapshot captures the whole dependency set (the narrowed-observation
   oracle's reference, and the leg the direct-semantics trace oracle
   reads, since the reference evaluator may touch queries the residual
   provably cannot).
 
-All five must agree -- verdicts, per-test results, counterexamples,
+All four must agree -- verdicts, per-test results, counterexamples,
 reporter event streams -- the narrowed traces must be exactly the full
 traces restricted to their capture sets
 (:func:`~repro.fuzz.oracles.narrowing_mismatch`), and every test of the
@@ -46,10 +42,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..api.config import SessionConfig
 from ..api.scheduler import CampaignSetResult, CheckTarget
-from ..api.session import CheckSession, _coerce_executor_factory
-from ..api.transport import InlineTransport
+from ..api.session import CheckSession
 from ..checker.config import RunnerConfig
-from ..executors import LatencyExecutor
 from ..specstrom.module import CheckSpec, load_module
 from .corpus import CorpusEntry, append_entry
 from .machine import (
@@ -185,14 +179,6 @@ class CampaignOutcomeSummary:
     nonreplayable: int = 0
 
 
-def _latency_wrapped(app) -> Callable[[], object]:
-    """The async leg's target: each session behind a pass-through
-    ``LatencyExecutor``, so every protocol call takes the awaitable
-    path."""
-    factory = _coerce_executor_factory(app)
-    return lambda: LatencyExecutor(factory(), latency_ms=0)
-
-
 def _run_paths(
     machine: MachineSpec,
     named_faults,
@@ -206,27 +192,23 @@ def _run_paths(
         config if not config.narrow_queries
         else replace(config, narrow_queries=False)
     )
-    for path, path_jobs, reuse, transport, path_config in (
-        ("serial", 1, False, None, config),
-        ("pooled", jobs, False, None, config),
-        ("warm", jobs, True, None, config),
-        ("async", 1, False, InlineTransport(concurrency=4), config),
-        ("full", 1, False, None, full_config),
+    for path, path_jobs, reuse, path_config in (
+        ("serial", 1, False, config),
+        ("pooled", jobs, False, config),
+        ("warm", jobs, True, config),
+        ("full", 1, False, full_config),
     ):
         recorder = RecordingReporter()
         session = CheckSession(reporters=[recorder])
-        targets = []
-        for name, fault in named_faults:
-            app = machine_app(machine, fault)
-            if path == "async":
-                app = _latency_wrapped(app)
-            targets.append(CheckTarget(name, app))
+        targets = [
+            CheckTarget(name, machine_app(machine, fault))
+            for name, fault in named_faults
+        ]
         batch = session.check_many(
             targets,
             spec=check,
             config=path_config,
-            session=SessionConfig(jobs=path_jobs, reuse_executors=reuse,
-                                  transport=transport),
+            session=SessionConfig(jobs=path_jobs, reuse_executors=reuse),
         )
         runs[path] = (batch, recorder)
     return runs
@@ -257,7 +239,7 @@ def _campaign_divergences(
             )
         )
 
-    for path in ("pooled", "warm", "async"):
+    for path in ("pooled", "warm"):
         batch, recorder = runs[path]
         for baseline, candidate in zip(serial_batch, batch):
             difference = compare_campaigns(
@@ -389,7 +371,7 @@ def _target_diverges(entry: CorpusEntry, jobs: Optional[int] = None) -> bool:
     named = _entry_batch(entry)
     runs = _run_paths(entry.machine, named, check, config, jobs)
     serial_batch, serial_recorder = runs["serial"]
-    for path in ("pooled", "warm", "full", "async"):
+    for path in ("pooled", "warm", "full"):
         batch, recorder = runs[path]
         for baseline, candidate in zip(serial_batch, batch):
             if compare_campaigns("replay", baseline.result,

@@ -99,14 +99,14 @@ _INTERN: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
 #: ``[hits, misses]`` of the intern table, per process.
 _STATS = [0, 0]
 
-#: Optional *task-local* ``[hits, misses]`` counter.  The async runner
-#: multiplexes many tests on one event loop, so the classic "subtract
-#: two :func:`intern_stats` snapshots" trick would attribute every
+#: Optional *per-thread* ``[hits, misses]`` counter.  Thread workers
+#: run many tests at once in one process, so the classic "subtract two
+#: :func:`intern_stats` snapshots" trick would attribute every
 #: concurrent test's constructions to every other test.  A counter
 #: installed here (via :func:`push_intern_counter`) is bumped alongside
 #: the global stats but lives in the ambient :mod:`contextvars` context
-#: -- each asyncio task gets its own copy, so per-test deltas stay
-#: exact under interleaving.  ``None`` (the default) costs one
+#: -- each thread has its own, so per-test deltas stay exact while
+#: sibling threads intern.  ``None`` (the default) costs one
 #: ``ContextVar.get`` per construction and nothing else.
 _LOCAL_STATS: "contextvars.ContextVar[Optional[list]]" = contextvars.ContextVar(
     "quickltl_intern_local", default=None
@@ -114,13 +114,13 @@ _LOCAL_STATS: "contextvars.ContextVar[Optional[list]]" = contextvars.ContextVar(
 
 
 def push_intern_counter() -> Tuple[list, object]:
-    """Install a fresh task-local ``[hits, misses]`` counter.
+    """Install a fresh per-thread ``[hits, misses]`` counter.
 
     Returns ``(counter, token)``; pass the token to
     :func:`pop_intern_counter` when the region ends.  The counter sees
-    exactly the constructions made by this task (thread / coroutine)
-    between push and pop, regardless of what other tasks intern
-    concurrently -- unlike the global :func:`intern_stats` deltas.
+    exactly the constructions made by this thread between push and pop,
+    regardless of what other threads intern concurrently -- unlike the
+    global :func:`intern_stats` deltas.
     """
     counter = [0, 0]
     return counter, _LOCAL_STATS.set(counter)

@@ -126,45 +126,6 @@ class TestSuggestJobsCapacity:
                             capacity=FatTransport().capacity()) == 32
 
 
-class TestMultiplexedCapacity:
-    """``capacity()`` counts *sessions*, not processes: a transport
-    whose workers multiplex ``concurrency`` sessions per slot reports
-    slots x concurrency, and the ``--jobs auto`` clamp admits that full
-    width -- an I/O-bound fabric is not bounded by coordinator cores."""
-
-    def test_thread_transport_multiplies_by_concurrency(self):
-        import os
-
-        from repro.api.transport import ThreadTransport
-
-        cpu = os.cpu_count() or 1
-        assert ThreadTransport().capacity() == cpu
-        assert ThreadTransport(concurrency=4).capacity() == cpu * 4
-
-    def test_fork_transport_multiplies_by_concurrency(self):
-        import multiprocessing
-        import os
-
-        from repro.api.transport import ForkTransport
-
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            return
-        cpu = os.cpu_count() or 1
-        assert ForkTransport(ctx, concurrency=3).capacity() == cpu * 3
-
-    def test_auto_clamp_admits_the_multiplexed_width(self):
-        # 2 slots x concurrency 8 = 16 in-flight sessions on a 1-CPU
-        # coordinator: doubling from 8 busy jobs reaches the full 16.
-        metrics = busy_metrics(jobs=8, queue_depth=40, utilisation=0.9)
-        assert suggest_jobs(metrics, cpu=1, capacity=2 * 8) == 16
-
-    def test_auto_clamp_still_caps_at_the_multiplexed_width(self):
-        metrics = busy_metrics(jobs=12, queue_depth=60, utilisation=0.95)
-        assert suggest_jobs(metrics, cpu=64, capacity=3 * 4) == 12
-
-
 class TestSessionAutoWiring:
     def _factory(self):
         defs, initial = parse_definitions(

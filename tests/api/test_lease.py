@@ -6,20 +6,17 @@ to cold-start verdicts -- lives in ``test_warm_reuse.py``.
 """
 
 from repro.api.lease import ExecutorCache, ExecutorLease
-from repro.checker.runner import _drive_inline
 from repro.protocol.messages import Reset, Start
 
 START = Start(frozenset({"#x"}), ())
 
 
 def checkout(lease):
-    """Drive the checkout coroutine as the synchronous face does; the
-    fake behind the returned inline adapter is its ``inner``."""
-    return _drive_inline(lease.checkout(START))
+    return lease.checkout(START)
 
 
 def checkin(lease, executor):
-    _drive_inline(lease.checkin(executor))
+    lease.checkin(executor)
 
 
 class FakeExecutor:
@@ -76,7 +73,7 @@ class TestCheckout:
         factory = make_factory()
         lease = cache.lease(factory)
         executor = checkout(lease)
-        assert executor.inner.started == 1
+        assert executor.started == 1
         assert not lease.warm
         assert cache.cold_starts.value == 1
         assert cache.warm_hits.value == 0
@@ -92,8 +89,8 @@ class TestCheckout:
         again = checkout(second)
         assert again is executor
         assert second.warm
-        assert executor.inner.stopped == 0
-        resets = executor.inner.resets
+        assert executor.stopped == 0
+        resets = executor.resets
         assert resets and isinstance(resets[0], Reset)
         assert resets[0].dependencies == START.dependencies
         assert cache.warm_hits.value == 1
@@ -118,8 +115,8 @@ class TestCheckout:
         checkin(lease, executor)
         replacement = checkout(cache.lease(factory))
         assert replacement is not executor
-        assert executor.inner.stopped == 1  # retired, not leaked
-        assert replacement.inner.started == 1
+        assert executor.stopped == 1  # retired, not leaked
+        assert replacement.started == 1
         assert cache.cold_starts.value == 2
         assert cache.warm_hits.value == 0
 
@@ -133,7 +130,7 @@ class TestCheckout:
         checkin(lease, executor)
         replacement = checkout(cache.lease(factory))
         assert replacement is not executor
-        assert executor.inner.stopped == 1
+        assert executor.stopped == 1
         assert cache.warm_hits.value == 0
 
     def test_distinct_factories_never_share_executors(self):
@@ -154,7 +151,7 @@ class TestDisabled:
         lease = cache.lease(factory)
         executor = checkout(lease)
         checkin(lease, executor)
-        assert executor.inner.stopped == 1
+        assert executor.stopped == 1
         assert len(cache) == 0
         again = checkout(cache.lease(factory))
         assert again is not executor
@@ -174,6 +171,48 @@ class TestClose:
         assert factory_a.made[0].stopped == 1
         assert factory_b.made[0].stopped == 1
 
+
+
+class TestStopFailures:
+    """A parked executor whose ``stop()`` raises must neither leak the
+    executors parked after it nor fail the batch: ``close`` and
+    ``release`` swallow the error as eviction does."""
+
+    def park_two(self, cache):
+        """Park two executors of one key; the first refuses to stop."""
+
+        class RaisingStopExecutor(FakeExecutor):
+            def stop(self):
+                super().stop()
+                raise RuntimeError("the session is already gone")
+
+        made = []
+
+        def factory():
+            executor = (RaisingStopExecutor if not made else FakeExecutor)()
+            made.append(executor)
+            return executor
+
+        leases = [cache.lease(factory), cache.lease(factory)]
+        executors = [checkout(lease) for lease in leases]
+        for lease, executor in zip(leases, executors):
+            checkin(lease, executor)
+        assert len(cache) == 2
+        return factory, made
+
+    def test_close_stops_every_parked_executor(self):
+        cache = ExecutorCache(depth=2)
+        _, made = self.park_two(cache)
+        cache.close()
+        assert [executor.stopped for executor in made] == [1, 1]
+        assert len(cache) == 0
+
+    def test_release_stops_every_parked_executor(self):
+        cache = ExecutorCache(depth=2)
+        factory, made = self.park_two(cache)
+        cache.release(factory)
+        assert [executor.stopped for executor in made] == [1, 1]
+        assert len(cache) == 0
 
 class TestCountersAcrossLeases:
     def test_counts_accumulate_over_a_campaign_shape(self):
@@ -334,8 +373,8 @@ class TestResetFailureFallback:
         lease = cache.lease(factory)
         checkin(lease, checkout(lease))
         replacement = checkout(cache.lease(factory))
-        assert replacement.inner is not factory.made[0]
-        assert replacement.inner.started == 1
+        assert replacement is not factory.made[0]
+        assert replacement.started == 1
         assert factory.made[0].stopped == 1  # retirement was attempted
         assert cache.warm_hits.value == 0
         assert cache.cold_starts.value == 2
@@ -396,7 +435,7 @@ class TestDepth:
         checkin(lease_a, executor_a)
         checkin(lease_b, executor_b)
         assert len(cache) == 1
-        assert executor_a.inner.stopped == 1  # evicted by the deeper checkin
+        assert executor_a.stopped == 1  # evicted by the deeper checkin
 
     def test_depth_two_keeps_overlapping_leases_warm(self):
         """A worker interleaving two tasks of the same target (thread
@@ -409,7 +448,7 @@ class TestDepth:
         checkin(lease_a, executor_a)
         checkin(lease_b, executor_b)
         assert len(cache) == 2
-        assert executor_a.inner.stopped == 0 and executor_b.inner.stopped == 0
+        assert executor_a.stopped == 0 and executor_b.stopped == 0
         # The next overlapping pair is served entirely warm, LIFO:
         # the most recently parked executor comes back first.
         lease_c, lease_d = cache.lease(factory), cache.lease(factory)
@@ -430,7 +469,7 @@ class TestDepth:
         assert len(cache) == 3
         cache.release(factory)
         assert len(cache) == 0
-        assert all(executor.inner.stopped == 1 for executor in executors)
+        assert all(executor.stopped == 1 for executor in executors)
 
     def test_max_entries_counts_executors_not_keys(self):
         """The global bound is on live sessions: a deep key's oldest
@@ -444,6 +483,6 @@ class TestDepth:
         lease_3 = cache.lease(factory_b)
         checkin(lease_3, checkout(lease_3))
         assert len(cache) == 2
-        assert executor_1.inner.stopped == 1  # key A's oldest went first
-        assert executor_2.inner.stopped == 0
+        assert executor_1.stopped == 1  # key A's oldest went first
+        assert executor_2.stopped == 0
         assert factory_b.made[0].stopped == 0

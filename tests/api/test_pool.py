@@ -358,9 +358,8 @@ class TestWorkerThreads:
     def test_thread_workers_keep_each_session_on_their_thread(
         self, monkeypatch
     ):
-        """Concurrency 1 is one lane of the worker's loop: every
-        protocol call of a session runs on the worker thread that
-        pulled its test."""
+        """Every protocol call of a session runs on the worker thread
+        that pulled its test."""
         import threading
 
         from repro.api import CheckSession, SessionConfig, ThreadTransport
@@ -419,15 +418,14 @@ class TestInlineTransport:
         def boom():
             raise RuntimeError("inside the task")
 
-        for transport in (InlineTransport(), InlineTransport(concurrency=2)):
-            outcomes = transport.run(
-                [PoolTask("ok", lambda: 1), PoolTask("bad", boom),
-                 PoolTask("skip", lambda: 1, skip=lambda: True)],
-                1,
-            )
-            assert outcomes["ok"] == 1
-            assert isinstance(outcomes["bad"], TaskFailure)
-            assert outcomes["skip"] == SKIPPED
+        outcomes = InlineTransport().run(
+            [PoolTask("ok", lambda: 1), PoolTask("bad", boom),
+             PoolTask("skip", lambda: 1, skip=lambda: True)],
+            1,
+        )
+        assert outcomes["ok"] == 1
+        assert isinstance(outcomes["bad"], TaskFailure)
+        assert outcomes["skip"] == SKIPPED
 
     def test_interrupts_propagate_unwrapped(self):
         def interrupted():
@@ -448,22 +446,3 @@ class TestInlineTransport:
         assert metrics.tasks_skipped == 1
         assert metrics.queue_depth_samples == [4, 3, 2, 1]
         assert set(metrics.worker_tasks) == {0}
-
-    def test_lanes_overlap_awaiting_tasks(self):
-        import asyncio
-
-        async def nap():
-            await asyncio.sleep(0.02)
-            return "done"
-
-        metrics = PoolMetrics()
-        transport = InlineTransport(concurrency=4)
-        outcomes = transport.run(
-            [PoolTask(i, lambda: "sync", athunk=nap) for i in range(8)],
-            1, metrics=metrics,
-        )
-        assert outcomes == {i: "done" for i in range(8)}
-        assert transport.name == "async"
-        assert transport.capacity() == 4
-        assert 2 <= metrics.inflight_sessions <= 4
-        assert metrics.session_active_s > 0.0

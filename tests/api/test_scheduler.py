@@ -274,9 +274,9 @@ class TestCrashAttribution:
 
 class TestInlineWidthOne:
     """What profilers hook: a width-1 batch starts every test it reaches
-    through ``Runner.run_single_test`` in the caller's thread (never the
-    async face), looks shrinking up at call time, and lets an executor
-    error escape ``check_many`` as itself."""
+    through ``Runner.run_single_test`` in the caller's thread, looks
+    shrinking up at call time, and lets an executor error escape
+    ``check_many`` as itself."""
 
     def test_each_reached_test_starts_through_run_single_test(
         self, monkeypatch
@@ -290,11 +290,7 @@ class TestInlineWidthOne:
             calls.append(threading.get_ident())
             return original(runner, rng, lease)
 
-        async def forbidden(*args, **kwargs):
-            raise AssertionError("a width-1 batch awaited a session")
-
         monkeypatch.setattr(Runner, "run_single_test", spy)
-        monkeypatch.setattr(Runner, "run_single_test_async", forbidden)
         batch = CheckSession().check_many(
             three_targets(), session=SessionConfig(jobs=1)
         )

@@ -71,15 +71,9 @@ def worker_env() -> dict:
     return env
 
 
-def start_worker(
-    port: int, slots: int = 1, concurrency: int = 1, latency_ms: float = 0.0
-) -> subprocess.Popen:
+def start_worker(port: int, slots: int = 1) -> subprocess.Popen:
     argv = [sys.executable, "-m", "repro", "worker",
             "--connect", f"127.0.0.1:{port}", "--slots", str(slots)]
-    if concurrency != 1:
-        argv += ["--concurrency", str(concurrency)]
-    if latency_ms:
-        argv += ["--latency-ms", str(latency_ms)]
     return subprocess.Popen(
         argv, env=worker_env(), cwd=str(REPO_ROOT),
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
@@ -131,15 +125,12 @@ def tcp_fabric():
     subprocesses, torn down (and reaped) after the test."""
     transports, procs = [], []
 
-    def make(workers: int = 2, slots: int = 1, concurrency: int = 1,
-             latency_ms: float = 0.0, **kwargs) -> TcpTransport:
+    def make(workers: int = 2, slots: int = 1, **kwargs) -> TcpTransport:
         kwargs.setdefault("min_workers", workers * slots)
         transport = TcpTransport(**kwargs)
         transports.append(transport)
         for _ in range(workers):
-            procs.append(
-                start_worker(transport.port, slots, concurrency, latency_ms)
-            )
+            procs.append(start_worker(transport.port, slots))
         return transport
 
     yield make
@@ -197,17 +188,17 @@ class TestTransportIdentity:
         assert events == serial_events
         assert batch.metrics.transport == kind
 
-    @pytest.mark.parametrize("concurrency", [1, 4])
-    def test_inline_transport_matches_serial(self, concurrency, serial):
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_inline_transport_matches_serial(self, jobs, serial):
+        """An explicit InlineTransport keeps the batch in the caller's
+        thread at any width."""
         serial_batch, serial_events = serial
         batch, events = run_batch(SessionConfig(
-            transport=InlineTransport(concurrency=concurrency)
+            jobs=jobs, transport=InlineTransport()
         ))
         assert_batches_identical(serial_batch, batch)
         assert events == serial_events
-        assert batch.metrics.transport == (
-            "serial" if concurrency == 1 else "async"
-        )
+        assert batch.metrics.transport == "serial"
 
     def test_tcp_sharded_over_two_workers_matches_serial(
         self, serial, tcp_fabric
@@ -225,43 +216,6 @@ class TestTransportIdentity:
         host_tasks = batch.metrics.host_tasks()
         assert len(host_tasks) == 2
         assert all(count > 0 for count in host_tasks.values())
-        assert sum(host_tasks.values()) == batch.metrics.tasks_completed
-
-    @pytest.mark.parametrize("kind", ["fork", "thread"])
-    def test_multiplexed_local_transports_match_serial(self, kind, serial):
-        """concurrency > 1 on the local transports: each worker slot
-        multiplexes sessions on an event loop, verdicts unchanged."""
-        import multiprocessing
-
-        from repro.api.transport import ForkTransport, ThreadTransport
-
-        serial_batch, serial_events = serial
-        if kind == "fork":
-            try:
-                ctx = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX platforms
-                pytest.skip("fork start method unavailable")
-            transport = ForkTransport(ctx, concurrency=4)
-        else:
-            transport = ThreadTransport(concurrency=4)
-        batch, events = run_batch(SessionConfig(jobs=2, transport=transport))
-        assert_batches_identical(serial_batch, batch)
-        assert events == serial_events
-
-    def test_multiplexed_tcp_workers_match_serial(self, serial, tcp_fabric):
-        """The headline acceptance test: 2 remote workers x concurrency
-        4 with injected wire latency must reproduce the serial batch --
-        verdicts, shrunk counterexamples and reporter stream -- while
-        capacity() reports the full multiplexed width."""
-        serial_batch, serial_events = serial
-        transport = tcp_fabric(workers=2, concurrency=4, latency_ms=3.0)
-        _await(lambda: len(transport._workers) == 2, timeout_s=30.0)
-        assert transport.capacity() == 8
-        batch, events = run_batch(SessionConfig(jobs=2, transport=transport))
-        assert_batches_identical(serial_batch, batch)
-        assert events == serial_events
-        assert batch.metrics.transport == "tcp"
-        host_tasks = batch.metrics.host_tasks()
         assert sum(host_tasks.values()) == batch.metrics.tasks_completed
 
     def test_one_transport_serves_many_batches(self, serial, tcp_fabric):
@@ -409,24 +363,6 @@ class TestTcpCapacity:
             _await(lambda: transport.capacity() == 4)
             fat.close()
             single.die()
-        finally:
-            transport.close()
-
-    def test_capacity_multiplies_slots_by_concurrency(self):
-        """A multiplexing worker announces its per-slot concurrency in
-        the hello; capacity() admits the full slots x concurrency width
-        (the --jobs auto clamp reads this)."""
-        transport = TcpTransport(min_workers=1)
-        try:
-            mux = socket.create_connection(("127.0.0.1", transport.port))
-            mux.settimeout(10.0)
-            send_frame(mux, {"type": "hello",
-                             "version": PROTOCOL_VERSION,
-                             "slots": 2, "concurrency": 3,
-                             "host": "mux", "pid": 2})
-            assert recv_frame(mux)["type"] == "welcome"
-            _await(lambda: transport.capacity() == 6)
-            mux.close()
         finally:
             transport.close()
 

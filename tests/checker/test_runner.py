@@ -307,3 +307,80 @@ class TestLeaseExceptionSafety:
             )
         assert len(stopped) == 1
         assert len(cache) == 0  # nothing parked warm
+
+
+class TestSessionWork:
+    """Executor protocol work per batch, counted on fixed-seed campaigns
+    with shrinking on: every ``start``, ``reset``, ``drain``, ``act``,
+    ``pass_time``, ``await_events`` and ``stop`` a DOM session receives,
+    shrink replays included.  A refactor of the session loop, the lease
+    or the worker loops must leave these totals exactly where they are."""
+
+    CALLS = ("start", "reset", "drain", "act", "pass_time", "await_events",
+             "stop")
+    #: Ten tests and fourteen shrink replays.  With reuse on, each of the
+    #: three targets starts cold once and is reset for its later tests;
+    #: replays always construct, start and stop their own executor.
+    WARM = {"start": 17, "reset": 7, "drain": 544, "act": 260,
+            "pass_time": 520, "await_events": 49, "stop": 17}
+    COLD = {"start": 24, "reset": 0, "drain": 544, "act": 260,
+            "pass_time": 520, "await_events": 49, "stop": 24}
+
+    def count_batch(self, monkeypatch, **session):
+        import threading
+        from collections import Counter
+
+        from repro.api import CheckTarget, SessionConfig
+        from repro.apps.todomvc import implementation_named
+        from repro.specs import load_todomvc_spec
+
+        counts = Counter()
+        lock = threading.Lock()
+
+        def counting(name):
+            original = getattr(DomExecutor, name)
+
+            def wrapper(self, *args):
+                with lock:
+                    counts[name] += 1
+                return original(self, *args)
+
+            return wrapper
+
+        for name in self.CALLS:
+            monkeypatch.setattr(DomExecutor, name, counting(name))
+        egg = load_eggtimer_spec().check_named("safety")
+        egg_config = RunnerConfig(tests=4, scheduled_actions=15,
+                                  demand_allowance=10, seed=7, shrink=True,
+                                  stop_on_failure=False)
+        targets = [
+            CheckTarget("egg", egg_timer_app(), spec=egg, config=egg_config),
+            CheckTarget("egg-faulty", egg_timer_app(decrement=2), spec=egg,
+                        config=egg_config),
+            CheckTarget(
+                "vue", implementation_named("vue").app_factory(),
+                spec=load_todomvc_spec().check_named("safety"),
+                config=RunnerConfig(tests=2, scheduled_actions=20, seed=0,
+                                    shrink=True),
+            ),
+        ]
+        batch = CheckSession().check_many(
+            targets, session=SessionConfig(**session)
+        )
+        assert [o.passed for o in batch] == [True, False, True]
+        assert batch.results[1].shrunk_counterexample is not None
+        return {name: counts[name] for name in self.CALLS}
+
+    def test_serial_with_reuse(self, monkeypatch):
+        assert self.count_batch(monkeypatch, jobs=1) == self.WARM
+
+    def test_serial_without_reuse(self, monkeypatch):
+        assert self.count_batch(
+            monkeypatch, jobs=1, reuse_executors=False
+        ) == self.COLD
+
+    def test_thread_pool_without_reuse_equals_serial(self, monkeypatch):
+        assert self.count_batch(
+            monkeypatch, jobs=2, transport="thread", reuse_executors=False
+        ) == self.COLD
+
