@@ -8,7 +8,7 @@ sharing one :class:`~repro.quickltl.ProgressionCaches`), and the
 SHA-256 of the source it was built from.  :func:`save_artifact`
 persists the bundle (see :mod:`.format` for the container layout);
 :func:`load_artifact` brings it back in a cold process without touching
-the front end -- formulas re-intern, deferred bodies re-close, and the
+the front end -- formulas re-intern, deferred ones included, and the
 pre-seeded caches land ready to hit.
 
 Staleness: an artifact records its source path and hash.  When the

@@ -44,5 +44,6 @@ class ArtifactStaleError(ArtifactError):
 
 class ArtifactEncodeError(ArtifactError):
     """The compiled spec holds something the codec cannot serialize
-    (e.g. a hand-built :class:`~repro.quickltl.Defer` without
-    provenance, or an atom closing over local state)."""
+    (e.g. a hand-built :class:`~repro.quickltl.Defer` or an atom whose
+    closure captures local state; evaluator-built defers pickle through
+    their quotes)."""

@@ -38,14 +38,13 @@ class TestResult:
     The trailing engine-statistics fields feed
     :class:`~repro.api.pool.PoolMetrics`: ``max_formula_size`` is the
     peak progressed-formula size over the trace, ``intern_hits`` /
-    ``intern_misses`` are the test's hash-cons table deltas, and
-    ``query_width_sum`` totals the per-state captured query counts
-    (``/ states_observed`` = the mean width query narrowing achieved).
-    The intern counters are per-*process* deltas: exact under the
-    fork pool and the serial loop (one test at a time per process), but
-    under the thread-fallback transport concurrent tests interleave
-    their windows, so those two fields are approximate there --
-    telemetry, never semantics.
+    ``intern_misses`` count the hash-cons table lookups the test (or
+    replay) made, and ``query_width_sum`` totals the per-state captured
+    query counts (``/ states_observed`` = the mean width query
+    narrowing achieved).  The intern counters are kept per thread
+    (:func:`~repro.quickltl.push_intern_counter`), so they are exact
+    under every transport, the thread transport included, where other
+    tests and shrink replays intern concurrently.
     """
 
     verdict: Verdict

@@ -30,7 +30,6 @@ from ..protocol.session import TraceEntry
 from ..quickltl import (
     FormulaChecker,
     Verdict,
-    intern_stats,
     pop_intern_counter,
     push_intern_counter,
 )
@@ -390,74 +389,79 @@ class Runner:
 
     def replay(self, actions: List[Tuple[str, ResolvedAction]]) -> Optional[TestResult]:
         """Re-run a concrete action sequence; returns the result, or None
-        when the sequence is not replayable (an action lost its target)."""
+        when the sequence is not replayable (an action lost its target).
+
+        Like :meth:`_drive_test`, interning is counted on a per-thread
+        counter, so a shrink replay on the merging thread does not
+        count what worker threads intern meanwhile.
+        """
         executor = self.executor_factory()
         executor.start(self._start_message())
         checker = self.compiled_spec().checker()
         config = self.config
         narrower = self._narrower(executor, checker)
-        intern_hits0, intern_misses0 = intern_stats()
         actions_by_name = {a.name: a for a in self.spec.actions}
         timeout_by_name = {a.name: a.timeout_ms for a in self.spec.actions}
+        counter, token = push_intern_counter()
+        try:
+            acc = TraceAccumulator(checker)
+            start_ms = executor.now_ms
+            dispatched = 0  # the verdict can turn definitive mid-sequence
 
-        acc = TraceAccumulator(checker)
-        start_ms = executor.now_ms
-        dispatched = 0  # the verdict can turn definitive mid-sequence
-
-        acc.absorb(executor)
-        for name, resolved in actions:
-            if acc.verdict.is_definitive:
-                break
-            if narrower is not None:
-                narrower.update()
-            # A candidate is only valid if every action is *legal* where
-            # it fires: the real runner never fires a guarded-off action,
-            # so a shrink that would do so is rejected outright.
-            action_value = actions_by_name.get(name)
-            if action_value is None or acc.current_state is None:
-                executor.stop()
-                return None
-            if not self._action_legal(action_value, acc.current_state):
-                executor.stop()
-                return None
-            executor.pass_time(config.decision_latency_ms)
-            try:
-                accepted = executor.act(
-                    Act(resolved, name, executor.version, timeout_by_name.get(name))
-                )
-            except ActionFailed:
-                executor.stop()
-                return None
-            if not accepted:  # pragma: no cover - version always current here
-                executor.stop()
-                return None
-            dispatched += 1
             acc.absorb(executor)
-            timeout_ms = timeout_by_name.get(name)
-            if timeout_ms is not None:
-                executor.await_events(timeout_ms)
-            executor.pass_time(config.settle_ms)
-            acc.absorb(executor)
+            for name, resolved in actions:
+                if acc.verdict.is_definitive:
+                    break
+                if narrower is not None:
+                    narrower.update()
+                # A candidate is only valid if every action is *legal* where
+                # it fires: the real runner never fires a guarded-off action,
+                # so a shrink that would do so is rejected outright.
+                action_value = actions_by_name.get(name)
+                if action_value is None or acc.current_state is None:
+                    executor.stop()
+                    return None
+                if not self._action_legal(action_value, acc.current_state):
+                    executor.stop()
+                    return None
+                executor.pass_time(config.decision_latency_ms)
+                try:
+                    accepted = executor.act(
+                        Act(resolved, name, executor.version, timeout_by_name.get(name))
+                    )
+                except ActionFailed:
+                    executor.stop()
+                    return None
+                if not accepted:  # pragma: no cover - version always current here
+                    executor.stop()
+                    return None
+                dispatched += 1
+                acc.absorb(executor)
+                timeout_ms = timeout_by_name.get(name)
+                if timeout_ms is not None:
+                    executor.await_events(timeout_ms)
+                executor.pass_time(config.settle_ms)
+                acc.absorb(executor)
 
-        verdict = acc.verdict
-        forced = False
-        if verdict is Verdict.DEMAND:
-            verdict = checker.force()
-            forced = True
-        executor.stop()
-        intern_hits1, intern_misses1 = intern_stats()
-        return TestResult(
-            verdict=verdict,
-            forced=forced,
-            states_observed=acc.states,
-            actions_taken=dispatched,
-            stale_rejections=0,
-            elapsed_virtual_ms=executor.now_ms - start_ms,
-            trace=acc.trace,
-            actions=list(actions),
-            max_formula_size=checker.max_formula_size,
-            intern_hits=intern_hits1 - intern_hits0,
-            intern_misses=intern_misses1 - intern_misses0,
-            query_width_sum=acc.query_width_sum,
-        )
-
+            verdict = acc.verdict
+            forced = False
+            if verdict is Verdict.DEMAND:
+                verdict = checker.force()
+                forced = True
+            executor.stop()
+            return TestResult(
+                verdict=verdict,
+                forced=forced,
+                states_observed=acc.states,
+                actions_taken=dispatched,
+                stale_rejections=0,
+                elapsed_virtual_ms=executor.now_ms - start_ms,
+                trace=acc.trace,
+                actions=list(actions),
+                max_formula_size=checker.max_formula_size,
+                intern_hits=counter[0],
+                intern_misses=counter[1],
+                query_width_sum=acc.query_width_sum,
+            )
+        finally:
+            pop_intern_counter(token)

@@ -18,11 +18,14 @@ A formula is built from:
   the minimum number of states the checker must examine before a
   presumptive answer is allowed (Figure 5).
 
-Temporal operator bodies may also be :class:`Defer` nodes, i.e. closures
-producing a formula once a concrete state is available.  This is how the
-Specstrom evaluator implements strict ``let`` bindings inside temporal
-contexts (paper, Section 3.1): the body expression is re-evaluated at every
-state the operator unrolls over, freezing any eagerly-bound values.
+Temporal operator bodies may also be :class:`Defer` nodes, whose
+``build`` produces a formula once a concrete state is available.  This is
+how the Specstrom evaluator stages temporal operators (paper, Section
+3.1): the quoted body expression is re-evaluated at every state the
+operator unrolls over, over the values its free names had where it was
+quoted, which freezes any eagerly-bound values.  Those quotes are values,
+so a body re-quoted over the same values is the node already built, and
+deferred subterms share like every other subterm.
 
 Hash-consing
 ------------
@@ -208,9 +211,6 @@ def intern_delta() -> InternDelta:
     deltas, the monitor's sharing report, ``bench_progression``).
     """
     return InternDelta()
-
-
-_UNSET = object()  # sentinel for Defer's lazy footprint cache
 
 
 class _InternedMeta(type):
@@ -535,43 +535,26 @@ class Defer(Formula):
     """A formula computed from the state at unroll time.
 
     ``build`` receives the current state and must return a
-    :class:`Formula`.  Two ``Defer`` nodes compare equal only when they
-    hold the *same* closure object, so deduplication across distinct
-    closures is (soundly) never attempted.
+    :class:`Formula`.  Defers intern on ``(name, build)`` like every
+    other node, so sharing is exactly as good as ``build``'s equality:
+    the Specstrom evaluator's builds are
+    :class:`~repro.specstrom.eval.Quote` values, equal whenever they
+    quote the same body over the same captured values, while a
+    hand-built closure equals only itself.
 
-    ``footprint`` is an optional zero-argument callable returning the
-    set of query keys (CSS selectors, for Specstrom-built formulas) the
-    deferred body can possibly read when forced, or ``None`` when
-    unknown.  Front ends that know their bodies (the Specstrom
-    evaluator) attach it so :func:`repro.specstrom.analysis.live_queries`
-    can narrow the executor's per-state capture set; hand-built defers
-    leave it off and the analysis conservatively reports "everything".
-    The result is computed at most once per node
-    (:meth:`selector_footprint`).
-
-    ``provenance`` records *how* to rebuild the closures in another
-    process -- the Specstrom evaluator attaches a
-    :class:`repro.specstrom.eval.DeferProvenance` so the artifact codec
-    can serialize deferred formulas (closures themselves never pickle).
-    It is deliberately not part of ``_fields``: two defers with the same
-    provenance but different closures stay distinct nodes.
+    :meth:`selector_footprint` reports the queries a forced body may
+    read, for builds that can tell (a ``footprint()`` method, as quotes
+    have); hand-built defers report ``None`` ("unknown"), and
+    :func:`repro.specstrom.analysis.live_queries` then stays
+    conservative.
     """
 
-    __slots__ = ("name", "build", "footprint", "_footprint_cache", "provenance")
-    _fields = ("name", "build", "footprint")
-    _defaults = {"footprint": None}
+    __slots__ = ("name", "build")
+    _fields = ("name", "build")
 
-    def __init__(
-        self,
-        name: str,
-        build: Callable[[object], Formula],
-        footprint: Optional[Callable[[], Optional[frozenset]]] = None,
-    ) -> None:
+    def __init__(self, name: str, build: Callable[[object], Formula]) -> None:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "build", build)
-        object.__setattr__(self, "footprint", footprint)
-        object.__setattr__(self, "_footprint_cache", _UNSET)
-        object.__setattr__(self, "provenance", None)
 
     def force(self, state: object) -> Formula:
         built = self.build(state)
@@ -584,19 +567,15 @@ class Defer(Formula):
 
     def selector_footprint(self) -> Optional[frozenset]:
         """The queries this deferred body may read when forced, or
-        ``None`` when unknown (no ``footprint`` was attached, or the
-        analysis failed).  Computed once and cached on the node."""
-        cached = self._footprint_cache
-        if cached is _UNSET:
-            if self.footprint is None:
-                cached = None
-            else:
-                try:
-                    cached = self.footprint()
-                except Exception:  # noqa: BLE001 - analysis must never break checking
-                    cached = None
-            object.__setattr__(self, "_footprint_cache", cached)
-        return cached
+        ``None`` when unknown (the build has no ``footprint()``, or the
+        analysis failed)."""
+        footprint = getattr(self.build, "footprint", None)
+        if footprint is None:
+            return None
+        try:
+            return footprint()
+        except Exception:  # noqa: BLE001 - analysis must never break checking
+            return None
 
     def __repr__(self) -> str:
         return f"Defer({self.name!r})"

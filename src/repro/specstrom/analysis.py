@@ -22,14 +22,14 @@ must the executor instrument at ``Start``).  The compiled engine also
 asks a *per-state* question: which of those queries can the progressed
 formula still read?  :func:`live_queries` answers it by walking a
 residual QuickLTL formula -- every remaining read site is a ``Defer``
-node whose Specstrom body the evaluator tagged with a footprint
-(:func:`expr_selector_footprint` over the body in its captured
-environment).  The result drives the ``Narrow`` protocol message: the
-executor stops capturing queries the residual can no longer mention.
-``None`` means "unknown" (a hand-built atom, an untagged defer), and
-callers must fall back to the full dependency set -- narrowing is an
-optimisation with a conservative escape hatch, never a soundness
-obligation.
+node whose build is an evaluator :class:`~repro.specstrom.eval.Quote`,
+and a quote knows its footprint (:func:`expr_selector_footprint` over
+the body and its captured values, computed once per quote).  The
+result drives the ``Narrow`` protocol message: the executor stops
+capturing queries the residual can no longer mention.  ``None`` means
+"unknown" (a hand-built atom or defer), and callers must fall back to
+the full dependency set -- narrowing is an optimisation with a
+conservative escape hatch, never a soundness obligation.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ from .ast_nodes import (
     Module,
     SelectorLit,
     Var,
+    expr_children,
 )
-from .types import _children  # shared structural walker
 from .values import (
     ActionValue,
     Environment,
@@ -68,8 +68,6 @@ __all__ = [
     "selector_dependencies",
     "module_definition_table",
     "expr_selector_footprint",
-    "footprint_stats",
-    "reset_footprint_stats",
     "live_queries",
 ]
 
@@ -119,7 +117,7 @@ def selector_dependencies(
                 inner.add(binding.name)
             walk(expr.result, frozenset(inner))
             return
-        for child in _children(expr):
+        for child in expr_children(expr):
             walk(child, locals_)
 
     for root in roots:
@@ -159,68 +157,16 @@ def expr_selector_footprint(
     expression embeds a pre-built formula whose own live set is
     unknown); callers must then fall back to the full dependency set.
 
-    Results are memoized per ``(expr, env)`` *pair*: the evaluator
-    quotes a fresh :class:`~repro.quickltl.Defer` per unroll state, but
-    all of them share the same body expression and captured
-    environment, so in steady state :func:`live_queries` resolves every
-    defer's footprint from this cache without re-walking (or
-    allocating).  Keyed weakly on the expression and validated against
-    the environment's identity via a weak reference, so neither side is
-    kept alive by the cache.
+    Each :class:`~repro.specstrom.eval.Quote` calls this once and keeps
+    the result, and equal quotes are one interned ``Defer``, so a body
+    re-quoted at every state over the same values is walked once.
     """
-    expr_key = id(expr)
-    env_key = id(env)
-    entry = _FOOTPRINT_CACHE.get(expr_key)
-    per_expr = None
-    if entry is not None and entry[0]() is expr:
-        per_expr = entry[1]
-        hit = per_expr.get(env_key)
-        if hit is not None and hit[0]() is env:
-            _FOOTPRINT_STATS[0] += 1
-            return hit[1]
-    _FOOTPRINT_STATS[1] += 1
-    result = _compute_footprint(expr, env)
-    try:
-        if per_expr is None:
-            per_expr = {}
-            _FOOTPRINT_CACHE[expr_key] = (
-                weakref.ref(expr, lambda _ref, key=expr_key: _FOOTPRINT_CACHE.pop(key, None)),
-                per_expr,
-            )
-        per_expr[env_key] = (weakref.ref(env), result)
-    except TypeError:
-        pass  # non-weakrefable expr or env: stay uncached
-    return result
-
-
-def _compute_footprint(expr: Expr, env: Environment) -> Optional[frozenset]:
     selectors: Set[str] = set()
     try:
         _walk_footprint_expr(expr, env, frozenset(), selectors, set())
     except _UnknownFootprint:
         return None
     return frozenset(selectors)
-
-
-#: ``id(expr) -> (weakref(expr), {id(env): (weakref(env), footprint)})``.
-#: AST nodes are unhashable (mutable dataclasses), so keys are object
-#: ids with the real objects held weakly: a dead or recycled id never
-#: serves a stale footprint (both weakrefs are validated on lookup),
-#: and dropping a spec module frees its entries via the ref callback.
-_FOOTPRINT_CACHE: Dict[int, tuple] = {}
-
-#: ``[hits, misses]`` -- mirrors :func:`repro.quickltl.intern_stats`.
-_FOOTPRINT_STATS = [0, 0]
-
-
-def footprint_stats() -> tuple:
-    """``(hits, misses)`` of the per-``(expr, env)`` footprint cache."""
-    return (_FOOTPRINT_STATS[0], _FOOTPRINT_STATS[1])
-
-
-def reset_footprint_stats() -> None:
-    _FOOTPRINT_STATS[0] = 0
-    _FOOTPRINT_STATS[1] = 0
 
 
 class _UnknownFootprint(Exception):
@@ -262,7 +208,7 @@ def _walk_footprint_expr(
             expr.result, env, frozenset(inner), selectors, visited
         )
         return
-    for child in _children(expr):
+    for child in expr_children(expr):
         _walk_footprint_expr(child, env, locals_, selectors, visited)
 
 
@@ -317,11 +263,11 @@ def live_queries(formula: Formula) -> Optional[frozenset]:
     """The queries a residual formula can still read, or ``None``.
 
     Walks the (hash-consed, DAG-shaped) formula iteratively: constants
-    contribute nothing, ``Defer`` nodes contribute their evaluator-
-    attached footprint (see :meth:`repro.quickltl.syntax.Defer.
+    contribute nothing, ``Defer`` nodes contribute their quote's
+    footprint (see :meth:`repro.quickltl.syntax.Defer.
     selector_footprint`), connectives union their children.  ``None``
     means the set cannot be bounded -- an :class:`~repro.quickltl.syntax.
-    Atom` (opaque predicate), an untagged defer, or an exotic node --
+    Atom` (opaque predicate), a hand-built defer, or an exotic node --
     and the caller must keep capturing the full dependency set.
 
     Results are cached per node, so across a trace only the subterms

@@ -9,7 +9,9 @@ parameters; action/event definitions with ``when`` guards and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
+
+from .errors import SpecTypeError
 
 __all__ = [
     "Expr",
@@ -33,15 +35,22 @@ __all__ = [
     "ActionDef",
     "CheckDef",
     "Module",
+    "expr_children",
+    "free_names",
 ]
 
 
 @dataclass
 class Expr:
-    """Base class for expressions."""
+    """Base class for expressions.
 
-    line: int = field(default=0, kw_only=True)
-    column: int = field(default=0, kw_only=True)
+    ``line``/``column`` are not constructor arguments: defaulted base
+    fields would otherwise precede every subclass's required ones.  The
+    parser sets them once the node is built.
+    """
+
+    line: int = field(default=0, init=False)
+    column: int = field(default=0, init=False)
 
 
 @dataclass
@@ -230,3 +239,62 @@ class Module:
     @property
     def definitions(self):
         return list(self.lets) + list(self.actions)
+
+
+def expr_children(expr: Expr) -> List[Expr]:
+    """The immediate subexpressions of ``expr``."""
+    if isinstance(expr, (Lit, SelectorLit, Var)):
+        return []
+    if isinstance(expr, Member):
+        return [expr.obj]
+    if isinstance(expr, Index):
+        return [expr.obj, expr.index]
+    if isinstance(expr, Call):
+        return [expr.callee] + list(expr.args)
+    if isinstance(expr, Unary):
+        return [expr.operand]
+    if isinstance(expr, Binary):
+        return [expr.left, expr.right]
+    if isinstance(expr, IfExpr):
+        return [expr.cond, expr.then, expr.orelse]
+    if isinstance(expr, ArrayLit):
+        return list(expr.items)
+    if isinstance(expr, ObjectLit):
+        return [value for _, value in expr.pairs]
+    if isinstance(expr, TemporalUnary):
+        return [expr.body]
+    if isinstance(expr, TemporalBinary):
+        return [expr.left, expr.right]
+    if isinstance(expr, Block):
+        return [b.expr for b in expr.bindings] + [expr.result]
+    raise SpecTypeError(f"unknown expression {type(expr).__name__}")
+
+
+def free_names(expr: Expr) -> Tuple[str, ...]:
+    """The names ``expr`` reads from its environment, in first-use order.
+
+    A block binding is local to the rest of its block, not to its own
+    expression.  The result is kept on the node: the evaluator asks
+    again every time it re-quotes a temporal body.
+    """
+    names = expr.__dict__.get("_free_names")
+    if names is None:
+        found: Dict[str, None] = {}
+        _collect_free(expr, frozenset(), found)
+        names = expr._free_names = tuple(found)
+    return names
+
+
+def _collect_free(expr: Expr, bound: frozenset, found: Dict[str, None]) -> None:
+    if isinstance(expr, Var):
+        if expr.name not in bound:
+            found[expr.name] = None
+        return
+    if isinstance(expr, Block):
+        for binding in expr.bindings:
+            _collect_free(binding.expr, bound, found)
+            bound = bound | {binding.name}
+        _collect_free(expr.result, bound, found)
+        return
+    for child in expr_children(expr):
+        _collect_free(child, bound, found)

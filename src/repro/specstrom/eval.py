@@ -13,7 +13,9 @@ Evaluation is *staged* (paper, Sections 3.1-3.2):
   whose deferred bodies re-evaluate the expression at each state the
   operator unrolls over.  A strict ``let`` inside such a body therefore
   freezes the value the bound expression has at the unroll state --
-  exactly the semantics the paper's ``evovae`` example requires.
+  exactly the semantics the paper's ``evovae`` example requires.  A
+  quote (:class:`Quote`) is a value -- the body plus the values of its
+  free names -- so equal quotes are one interned formula node.
 
 Boolean connectives lift pointwise: if either operand of ``&&``/``||``/
 ``==>``/``!`` is temporal, the result is a formula (plain booleans embed
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from ..quickltl import (
     Always,
@@ -60,7 +62,9 @@ from .ast_nodes import (
     TemporalUnary,
     Unary,
     Var,
+    free_names,
 )
+from .analysis import expr_selector_footprint
 from .errors import SpecEvalError, StateQueryOutsideStateError
 from .state import ElementSnapshot, StateSnapshot
 from .values import (
@@ -75,11 +79,10 @@ from .values import (
 )
 
 __all__ = [
-    "DeferProvenance",
     "EvalContext",
+    "Quote",
     "evaluate",
     "make_property_formula",
-    "rebuild_defer",
     "to_formula",
     "HAPPENED",
 ]
@@ -90,23 +93,6 @@ HAPPENED = object()
 _MAX_DEPTH = 300
 
 
-class DeferProvenance(NamedTuple):
-    """How a :class:`~repro.quickltl.Defer`'s closures were built.
-
-    ``build`` captures only ``(body, env)`` plus the context's
-    ``default_subscript`` -- it calls ``ctx.with_state(state)`` on every
-    force, so the context's own state and rng never leak into the
-    closure.  That makes this triple a complete recipe: the artifact
-    codec serializes it instead of the closures and calls
-    :func:`rebuild_defer` on load.
-    """
-
-    name: str
-    body: Expr
-    env: Environment
-    default_subscript: int
-
-
 @dataclass
 class EvalContext:
     """Everything evaluation needs besides the environment."""
@@ -115,9 +101,6 @@ class EvalContext:
     rng: Optional[random.Random] = None
     default_subscript: int = DEFAULT_SUBSCRIPT
     depth: int = field(default=0)
-
-    def with_state(self, state: Optional[StateSnapshot]) -> "EvalContext":
-        return EvalContext(state, self.rng, self.default_subscript)
 
     def require_state(self, what: str) -> StateSnapshot:
         if self.state is None:
@@ -479,43 +462,121 @@ def to_formula(value, expr: Optional[Expr] = None) -> Formula:
     )
 
 
+_SCALAR_TYPES = (type(None), bool, int, float, str)
+
+#: Footprint slot of a quote whose footprint is not computed yet.
+_UNCOMPUTED = object()
+
+
+def _value_key(value) -> object:
+    """A hashable key, equal for two captured values only when the
+    evaluator cannot tell them apart: scalars tagged by type (``true``,
+    ``1`` and ``1.0`` stay apart), lists and objects by structure
+    (objects in key order, which error messages show), formulas by
+    interned node, selectors and element snapshots by their frozen
+    fields, and everything else -- functions, thunks, actions,
+    builtins, ``happened`` -- by identity, which is sound because the
+    quote keeps the value, and so its id, alive."""
+    kind = type(value)
+    if kind in _SCALAR_TYPES:
+        return kind, value
+    if kind is list:
+        return list, tuple([_value_key(item) for item in value])
+    if kind is dict:
+        return dict, tuple([(key, _value_key(item)) for key, item in value.items()])
+    if kind is FormulaValue:
+        return FormulaValue, value.formula
+    if kind is SelectorValue or kind is ElementSnapshot:
+        return value
+    return id(value)
+
+
+def _data_copy(value):
+    """``value`` with every list and object in it copied."""
+    if type(value) is list:
+        return [_data_copy(item) for item in value]
+    if type(value) is dict:
+        return {key: _data_copy(item) for key, item in value.items()}
+    return value
+
+
+class Quote:
+    """A temporal operator's quoted body, as a value.
+
+    This is the ``build`` of every evaluator-built
+    :class:`~repro.quickltl.Defer`: the body expression, the values its
+    free names (:func:`~repro.specstrom.ast_nodes.free_names`) had where
+    it was quoted, and the default subscript.  Calling it evaluates the
+    body against a state, with no rng (a body is a formula, and
+    formulas draw nothing).  Two quotes are equal only when the
+    evaluator cannot tell them apart -- the same body object and
+    captured values with equal :func:`_value_key` -- so a body
+    re-quoted over the same values, at another state or in another
+    test, interns to the ``Defer`` node already built and shares its
+    progression-cache entries and the footprint cached here.
+    """
+
+    __slots__ = ("body", "values", "default_subscript", "_key", "_hash", "_frame",
+                 "_footprint")
+
+    def __init__(self, body: Expr, values: tuple, default_subscript: int) -> None:
+        self.body = body
+        self.values = values
+        self.default_subscript = default_subscript
+        self._key = (tuple([_value_key(v) for v in values]), default_subscript)
+        self._hash = hash((id(body), self._key))
+        self._frame = Environment(dict(zip(free_names(body), values)))
+        self._footprint = _UNCOMPUTED
+
+    def __call__(self, state) -> Formula:
+        ctx = EvalContext(state, None, self.default_subscript)
+        return to_formula(evaluate(self.body, self._frame, ctx), self.body)
+
+    def footprint(self) -> Optional[frozenset]:
+        """The selectors the body can read when forced (``None``:
+        unknown), computed once per quote."""
+        if self._footprint is _UNCOMPUTED:
+            self._footprint = expr_selector_footprint(self.body, self._frame)
+        return self._footprint
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if type(other) is not Quote:
+            return NotImplemented
+        return self.body is other.body and self._key == other._key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Pickles as its constructor arguments, lists and objects copied:
+        # one the quote shares with an environment may be only half
+        # rebuilt when a pickle cycle through that environment rebuilds
+        # the quote first.
+        values = tuple([_data_copy(value) for value in self.values])
+        return (Quote, (self.body, values, self.default_subscript))
+
+
+def _captured(env: Environment, name: str):
+    try:
+        return env.lookup(name)
+    except SpecEvalError:
+        # A strict top-level let is evaluated before the definitions
+        # after it are bound, yet a body it quotes may name one of them
+        # (or an action): that lookup waits until the body is forced.
+        return Thunk(name, Var(name), env)
+
+
 def _defer(body: Expr, env: Environment, ctx: EvalContext, label: str) -> Defer:
-    """Quote ``body``: build a deferred formula forced per unroll state.
+    """Quote ``body`` as a deferred formula forced per unroll state.
 
-    The defer carries a *footprint* closure so the compiled engine can
-    narrow the executor's capture set to what the residual can still
-    read (see :func:`repro.specstrom.analysis.live_queries`); it is
-    evaluated lazily -- and at most once per node -- only when a runner
-    actually narrows.
+    The :class:`Quote` captures the current values of the body's free
+    names, so the ``next`` a transition re-quotes at every state is one
+    node for as long as the values it freezes repeat.
     """
-
-    def build(state) -> Formula:
-        sub_ctx = ctx.with_state(state)
-        return to_formula(evaluate(body, env, sub_ctx), body)
-
-    def footprint():
-        from .analysis import expr_selector_footprint
-
-        return expr_selector_footprint(body, env)
-
-    node = Defer(label, build, footprint)
-    object.__setattr__(
-        node, "provenance", DeferProvenance(label, body, env, ctx.default_subscript)
-    )
-    return node
-
-
-def rebuild_defer(provenance: DeferProvenance) -> Defer:
-    """Reconstruct a deferred formula from its provenance.
-
-    Used by :mod:`repro.artifact.codec` when decoding an artifact: the
-    pickled stream carries the provenance (AST body + captured
-    environment), and the closures are rebuilt here through the same
-    :func:`_defer` path the evaluator used originally, so a loaded
-    defer forces and narrows exactly like a freshly elaborated one.
-    """
-    ctx = EvalContext(default_subscript=provenance.default_subscript)
-    return _defer(provenance.body, provenance.env, ctx, provenance.name)
+    values = tuple([_captured(env, name) for name in free_names(body)])
+    return Defer(label, Quote(body, values, ctx.default_subscript))
 
 
 def _temporal_unary(expr: TemporalUnary, env: Environment, ctx: EvalContext):

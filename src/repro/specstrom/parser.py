@@ -58,6 +58,14 @@ _ADDITIVE_OPS = {"+", "-"}
 _MULTIPLICATIVE_OPS = {"*", "/", "%"}
 
 
+def _at(node: Expr, where) -> Expr:
+    """Give ``node`` the source position of ``where`` (a token or an
+    expression)."""
+    node.line = where.line
+    node.column = where.column
+    return node
+
+
 def parse_module(source: str) -> Module:
     """Parse a complete Specstrom specification file."""
     return _Parser(tokenize(source)).module()
@@ -233,21 +241,21 @@ class _Parser:
         left = self.disjunction()
         if self.accept("punct", "==>"):
             right = self.implication()  # right associative
-            return Binary("==>", left, right, line=left.line, column=left.column)
+            return _at(Binary("==>", left, right), left)
         return left
 
     def disjunction(self) -> Expr:
         left = self.conjunction()
         while self.accept("punct", "||"):
             right = self.conjunction()
-            left = Binary("||", left, right, line=left.line, column=left.column)
+            left = _at(Binary("||", left, right), left)
         return left
 
     def conjunction(self) -> Expr:
         left = self.until_release()
         while self.accept("punct", "&&"):
             right = self.until_release()
-            left = Binary("&&", left, right, line=left.line, column=left.column)
+            left = _at(Binary("&&", left, right), left)
         return left
 
     def until_release(self) -> Expr:
@@ -257,9 +265,7 @@ class _Parser:
                 self.advance()
                 subscript = self.optional_subscript()
                 right = self.until_release()  # right associative
-                return TemporalBinary(
-                    op, subscript, left, right, line=left.line, column=left.column
-                )
+                return _at(TemporalBinary(op, subscript, left, right), left)
         return left
 
     def comparison(self) -> Expr:
@@ -270,15 +276,13 @@ class _Parser:
             ):
                 self.advance()
                 right = self.additive()
-                left = Binary("in", left, right, line=left.line, column=left.column)
+                left = _at(Binary("in", left, right), left)
                 continue
             token = self.peek()
             if token.kind == "punct" and token.value in _COMPARISON_OPS:
                 self.advance()
                 right = self.additive()
-                left = Binary(
-                    token.value, left, right, line=left.line, column=left.column
-                )
+                left = _at(Binary(token.value, left, right), left)
                 continue
             return left
 
@@ -289,9 +293,7 @@ class _Parser:
             if token.kind == "punct" and token.value in _ADDITIVE_OPS:
                 self.advance()
                 right = self.multiplicative()
-                left = Binary(
-                    token.value, left, right, line=left.line, column=left.column
-                )
+                left = _at(Binary(token.value, left, right), left)
             else:
                 return left
 
@@ -302,9 +304,7 @@ class _Parser:
             if token.kind == "punct" and token.value in _MULTIPLICATIVE_OPS:
                 self.advance()
                 right = self.unary()
-                left = Binary(
-                    token.value, left, right, line=left.line, column=left.column
-                )
+                left = _at(Binary(token.value, left, right), left)
             else:
                 return left
 
@@ -312,26 +312,22 @@ class _Parser:
         token = self.peek()
         if token.kind == "punct" and token.value == "!":
             self.advance()
-            return Unary("!", self.unary(), line=token.line, column=token.column)
+            return _at(Unary("!", self.unary()), token)
         if token.kind == "keyword" and token.value == "not":
             self.advance()
-            return Unary("!", self.unary(), line=token.line, column=token.column)
+            return _at(Unary("!", self.unary()), token)
         if token.kind == "punct" and token.value == "-":
             self.advance()
-            return Unary("-", self.unary(), line=token.line, column=token.column)
+            return _at(Unary("-", self.unary()), token)
         if token.kind == "keyword" and token.value in ("always", "eventually"):
             self.advance()
             subscript = self.optional_subscript()
             body = self.unary()
-            return TemporalUnary(
-                token.value, subscript, body, line=token.line, column=token.column
-            )
+            return _at(TemporalUnary(token.value, subscript, body), token)
         if token.kind == "keyword" and token.value in ("next", "wnext", "snext"):
             self.advance()
             body = self.unary()
-            return TemporalUnary(
-                token.value, None, body, line=token.line, column=token.column
-            )
+            return _at(TemporalUnary(token.value, None, body), token)
         return self.postfix()
 
     def optional_subscript(self) -> Optional[int]:
@@ -358,9 +354,7 @@ class _Parser:
                 if name_token.kind not in ("ident", "keyword"):
                     raise self.error("expected property name after '.'")
                 self.advance()
-                expr = Member(
-                    expr, str(name_token.value), line=expr.line, column=expr.column
-                )
+                expr = _at(Member(expr, str(name_token.value)), expr)
             elif self.check("punct", "("):
                 self.advance()
                 args: List[Expr] = []
@@ -370,12 +364,12 @@ class _Parser:
                         if self.accept("punct", ")"):
                             break
                         self.expect("punct", ",")
-                expr = Call(expr, args, line=expr.line, column=expr.column)
+                expr = _at(Call(expr, args), expr)
             elif self.check("punct", "["):
                 self.advance()
                 index = self.expression(getattr(self, "_stop_keywords", ()))
                 self.expect("punct", "]")
-                expr = Index(expr, index, line=expr.line, column=expr.column)
+                expr = _at(Index(expr, index), expr)
             else:
                 return expr
 
@@ -383,21 +377,21 @@ class _Parser:
         token = self.peek()
         if token.kind == "number" or token.kind == "string":
             self.advance()
-            return Lit(token.value, line=token.line, column=token.column)
+            return _at(Lit(token.value), token)
         if token.kind == "selector":
             self.advance()
-            return SelectorLit(token.value, line=token.line, column=token.column)
+            return _at(SelectorLit(token.value), token)
         if token.kind == "keyword" and token.value in ("true", "false"):
             self.advance()
-            return Lit(token.value == "true", line=token.line, column=token.column)
+            return _at(Lit(token.value == "true"), token)
         if token.kind == "keyword" and token.value == "null":
             self.advance()
-            return Lit(None, line=token.line, column=token.column)
+            return _at(Lit(None), token)
         if token.kind == "keyword" and token.value == "if":
             return self.if_expression()
         if token.kind == "ident":
             self.advance()
-            return Var(token.value, line=token.line, column=token.column)
+            return _at(Var(token.value), token)
         if token.kind == "punct" and token.value == "(":
             self.advance()
             inner = self.expression(getattr(self, "_stop_keywords", ()))
@@ -420,7 +414,7 @@ class _Parser:
             orelse: Expr = self.if_expression()
         else:
             orelse = self.block()
-        return IfExpr(cond, then, orelse, line=token.line, column=token.column)
+        return _at(IfExpr(cond, then, orelse), token)
 
     def looks_like_object_literal(self) -> bool:
         """After ``{``: an ident/string followed by ``:`` means object."""
@@ -449,7 +443,7 @@ class _Parser:
                 if self.accept("punct", "}"):
                     break
                 self.expect("punct", ",")
-        return ObjectLit(pairs, line=token.line, column=token.column)
+        return _at(ObjectLit(pairs), token)
 
     def array_literal(self) -> Expr:
         token = self.expect("punct", "[")
@@ -460,7 +454,7 @@ class _Parser:
                 if self.accept("punct", "]"):
                     break
                 self.expect("punct", ",")
-        return ArrayLit(items, line=token.line, column=token.column)
+        return _at(ArrayLit(items), token)
 
     def block(self) -> Expr:
         """``{ let [~]x = e; ...; result }``"""
@@ -478,4 +472,4 @@ class _Parser:
             )
         result = self.expression(getattr(self, "_stop_keywords", ()))
         self.expect("punct", "}")
-        return Block(bindings, result, line=token.line, column=token.column)
+        return _at(Block(bindings, result), token)

@@ -43,6 +43,8 @@ from .ast_nodes import (
     TemporalUnary,
     Unary,
     Var,
+    expr_children,
+    free_names,
 )
 from .builtins import BUILTIN_NAMES
 from .errors import SpecTypeError
@@ -145,13 +147,15 @@ def _check_acyclic(module: Module) -> List[str]:
     table = {d.name: d for d in module.definitions}
     graph: Dict[str, Set[str]] = {}
     for name, definition in table.items():
-        refs: Set[str] = set()
         locals_ = set()
         if isinstance(definition, LetDef) and definition.params:
             locals_ = {p.name for p in definition.params}
-        for expr in _def_exprs(definition):
-            _collect_refs(expr, locals_, table.keys(), refs)
-        graph[name] = refs
+        graph[name] = {
+            ref
+            for expr in _def_exprs(definition)
+            for ref in free_names(expr)
+            if ref not in locals_ and ref in table
+        }
     order: List[str] = []
     state: Dict[str, int] = {}  # 0 visiting, 1 done
 
@@ -179,50 +183,6 @@ def _check_acyclic(module: Module) -> List[str]:
     for name in table:
         visit(name, [])
     return order
-
-
-def _collect_refs(expr: Expr, locals_: Set[str], toplevel, refs: Set[str]) -> None:
-    if isinstance(expr, Var):
-        if expr.name not in locals_ and expr.name in toplevel:
-            refs.add(expr.name)
-        return
-    if isinstance(expr, Block):
-        inner = set(locals_)
-        for binding in expr.bindings:
-            _collect_refs(binding.expr, inner, toplevel, refs)
-            inner.add(binding.name)
-        _collect_refs(expr.result, inner, toplevel, refs)
-        return
-    for child in _children(expr):
-        _collect_refs(child, locals_, toplevel, refs)
-
-
-def _children(expr: Expr) -> List[Expr]:
-    if isinstance(expr, (Lit, SelectorLit, Var)):
-        return []
-    if isinstance(expr, Member):
-        return [expr.obj]
-    if isinstance(expr, Index):
-        return [expr.obj, expr.index]
-    if isinstance(expr, Call):
-        return [expr.callee] + list(expr.args)
-    if isinstance(expr, Unary):
-        return [expr.operand]
-    if isinstance(expr, Binary):
-        return [expr.left, expr.right]
-    if isinstance(expr, IfExpr):
-        return [expr.cond, expr.then, expr.orelse]
-    if isinstance(expr, ArrayLit):
-        return list(expr.items)
-    if isinstance(expr, ObjectLit):
-        return [value for _, value in expr.pairs]
-    if isinstance(expr, TemporalUnary):
-        return [expr.body]
-    if isinstance(expr, TemporalBinary):
-        return [expr.left, expr.right]
-    if isinstance(expr, Block):
-        return [b.expr for b in expr.bindings] + [expr.result]
-    raise SpecTypeError(f"unknown expression {type(expr).__name__}")
 
 
 # ----------------------------------------------------------------------
@@ -343,7 +303,7 @@ def _infer_kind(expr: Expr, scope: _Scope) -> Kind:
             _infer(value, scope, data_position=True)
         return DATA
     if isinstance(expr, (TemporalUnary, TemporalBinary)):
-        for child in _children(expr):
+        for child in expr_children(expr):
             _infer(child, scope, data_position=True)
         return DATA
     if isinstance(expr, Block):

@@ -154,6 +154,12 @@ class FormulaValue:
     def __repr__(self) -> str:
         return f"<formula {self.formula}>"
 
+    def __reduce__(self):
+        # Rebuilt from its decoded formula, never as an empty shell
+        # filled in later: a quote decoded inside a pickle cycle keys
+        # its captured formula values as soon as it is rebuilt.
+        return (FormulaValue, (self.formula,))
+
 
 @dataclass(frozen=True)
 class BuiltinEvent:

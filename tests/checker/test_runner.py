@@ -206,11 +206,11 @@ class TestReplayAccounting:
     """Runner.replay must report only the actions it actually
     dispatched: the verdict can turn definitive mid-sequence."""
 
-    def _failing_runner(self):
+    def _failing_runner(self, executor_factory=None):
         spec = load_eggtimer_spec().check_named("safety")
         return Runner(
             spec,
-            lambda: DomExecutor(egg_timer_app(decrement=2)),
+            executor_factory or (lambda: DomExecutor(egg_timer_app(decrement=2))),
             RunnerConfig(tests=5, scheduled_actions=20, demand_allowance=10,
                          seed=3, shrink=True),
         )
@@ -242,6 +242,40 @@ class TestReplayAccounting:
         replayed = runner.replay(prefix)
         assert replayed is not None
         assert replayed.actions_taken == len(prefix)
+
+    def test_replay_counts_only_its_own_interning(self):
+        # Under the thread transport the merging thread replays shrink
+        # candidates while worker threads keep interning.
+        import threading
+
+        from repro.quickltl import Atom
+
+        def interning_elsewhere():
+            executor = DomExecutor(egg_timer_app(decrement=2))
+            act = executor.act
+
+            def act_meanwhile(message):
+                noise = threading.Thread(
+                    target=lambda: [Atom(f"noise{i}", bool) for i in range(50)]
+                )
+                noise.start()
+                noise.join(timeout=10)
+                assert not noise.is_alive()
+                return act(message)
+
+            executor.act = act_meanwhile
+            return executor
+
+        runner = self._failing_runner()
+        campaign = check(runner.spec, runner.executor_factory, runner.config)
+        actions = list(campaign.shrunk_counterexample.actions)
+        # Fresh runners, so neither replay starts from the other's caches.
+        alone = self._failing_runner().replay(actions)
+        busy = self._failing_runner(interning_elsewhere).replay(actions)
+        assert alone.intern_hits + alone.intern_misses > 0
+        assert (busy.intern_hits, busy.intern_misses) == (
+            alone.intern_hits, alone.intern_misses
+        )
 
 
 class TestWatchedEventsCache:
@@ -383,4 +417,73 @@ class TestSessionWork:
         assert self.count_batch(
             monkeypatch, jobs=2, transport="thread", reuse_executors=False
         ) == self.COLD
+
+
+class TestDeferSharing:
+    """Quoted temporal bodies built and shared on fixed-seed campaigns
+    of freshly elaborated specs: every ``Defer`` the evaluator builds
+    (module load included), how many distinct nodes those are, and the
+    summed per-test intern-table hits and misses.  A quote is a value,
+    so re-quoting a body over the same captured values must return the
+    node already built -- the distinct count stays far below the built
+    count, and progression's constructions hit the table."""
+
+    EGG = {"built": 154, "distinct": 30, "intern_hits": 642, "intern_misses": 460}
+    VUE = {"built": 146, "distinct": 83, "intern_hits": 411, "intern_misses": 721}
+
+    def target(self, name):
+        from repro.api import CheckTarget
+        from repro.apps.todomvc import implementation_named
+        from repro.specs import load_todomvc_spec
+
+        if name == "egg":
+            return CheckTarget(
+                "egg", egg_timer_app(),
+                spec=load_eggtimer_spec().check_named("safety"),
+                config=RunnerConfig(tests=4, scheduled_actions=15,
+                                    demand_allowance=10, seed=7),
+            )
+        return CheckTarget(
+            "vue", implementation_named("vue").app_factory(),
+            spec=load_todomvc_spec().check_named("safety"),
+            config=RunnerConfig(tests=2, scheduled_actions=20, seed=0),
+        )
+
+    def work(self, monkeypatch, name):
+        from repro.api import SessionConfig
+        import repro.specstrom.eval as spec_eval
+
+        built = []
+        quote = spec_eval._defer
+
+        def counting(*args):
+            defer = quote(*args)
+            built.append(defer)
+            return defer
+
+        with monkeypatch.context() as patch:
+            patch.setattr(spec_eval, "_defer", counting)
+            batch = CheckSession().check_many(
+                [self.target(name)], session=SessionConfig(jobs=1)
+            )
+        assert batch.passed
+        # ``built`` keeps every node alive, so equal quotes built at
+        # different states are counted once whatever their lifetimes.
+        counts = {"built": len(built), "distinct": len({id(d) for d in built})}
+        del built
+        # Interning is counted on a second, unobserved run: holding
+        # every Defer alive above turns re-created nodes into hits.
+        batch = CheckSession().check_many(
+            [self.target(name)], session=SessionConfig(jobs=1)
+        )
+        results = batch.results[0].results
+        counts["intern_hits"] = sum(r.intern_hits for r in results)
+        counts["intern_misses"] = sum(r.intern_misses for r in results)
+        return counts
+
+    def test_egg_timer_safety(self, monkeypatch):
+        assert self.work(monkeypatch, "egg") == self.EGG
+
+    def test_todomvc_safety(self, monkeypatch):
+        assert self.work(monkeypatch, "vue") == self.VUE
 

@@ -9,6 +9,7 @@ from repro.specstrom import (
     SpecEvalError,
     evaluate,
     load_module,
+    parse_expression,
     to_formula,
 )
 from repro.specstrom.ast_nodes import Var
@@ -170,3 +171,57 @@ class TestStrictLetInsideTemporalBody:
         checker = FormulaChecker(formula)
         verdicts = [checker.observe(s) for s in trace]
         assert verdicts[-1] is Verdict.DEFINITELY_FALSE
+
+
+class TestQuotes:
+    """A temporal body is quoted over the values of its free names, so
+    re-quoting it over values the evaluator cannot tell apart yields the
+    node already built, and over any other values a different node."""
+
+    SOURCE = """
+    let ~txt = `#x`.text;
+    let steady(v) = next (txt == v);
+    """
+
+    def quoted(self, module, argument, state):
+        call = parse_expression(f"steady({argument})")
+        return to_formula(evaluate(call, module.env, EvalContext(state=state)))
+
+    def test_equal_captured_values_share_one_node(self):
+        module = load_module(self.SOURCE)
+        first, second = states("a", "a")
+        assert self.quoted(module, "txt", first) is self.quoted(module, "txt", second)
+        assert self.quoted(module, "[1, {k: \"a\"}]", first) is self.quoted(
+            module, "[1, {k: \"a\"}]", second
+        )
+
+    def test_values_the_evaluator_can_tell_apart_stay_apart(self):
+        module = load_module(self.SOURCE)
+        state = states("a")[0]
+        arguments = ["true", "1", "1.5", "\"1\"", "[1]", "[true]", "null",
+                     "{k: 1}", "{k: true}"]
+        nodes = [self.quoted(module, argument, state) for argument in arguments]
+        assert len({id(node) for node in nodes}) == len(arguments)
+        assert self.quoted(module, "txt", state) is not self.quoted(
+            module, "txt", states("b")[0]
+        )
+
+    def test_strict_let_may_quote_later_definitions(self):
+        # The body names an action and a let bound after the strict
+        # ``p`` is evaluated; both are looked up once it is forced.
+        module = load_module(
+            """
+            let p = always{0} (go! in happened || `#x`.text == limit);
+            let limit = "ok";
+            action go! = click!(`#x`);
+            check p;
+            """
+        )
+        formula = module.checks[0].formula
+        trace = [snapshot({"#x": [element(text="ok")]}, version=0),
+                 snapshot({"#x": [element(text="no")]}, ["go!"], version=1)]
+        verdict, _ = check_formula(FormulaValue(formula), trace)
+        assert verdict is Verdict.PROBABLY_TRUE
+        bad = trace + [snapshot({"#x": [element(text="no")]}, version=2)]
+        verdict, _ = check_formula(FormulaValue(formula), bad)
+        assert verdict is Verdict.DEFINITELY_FALSE
