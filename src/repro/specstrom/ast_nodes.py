@@ -47,10 +47,23 @@ class Expr:
     ``line``/``column`` are not constructor arguments: defaulted base
     fields would otherwise precede every subclass's required ones.  The
     parser sets them once the node is built.
+
+    ``_code`` (not a field) is the node's compiled closure, cached by
+    :func:`repro.specstrom.eval.compile_expr` on first evaluation.  It
+    is never pickled: a decoded node compiles again when first used.
     """
 
     line: int = field(default=0, init=False)
     column: int = field(default=0, init=False)
+
+    _code = None
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__
+        if "_code" in state:
+            state = dict(state)
+            del state["_code"]
+        return state
 
 
 @dataclass

@@ -20,11 +20,12 @@ can only be exercised with such inputs.
 
 from __future__ import annotations
 
+import math
 import string
 
 from .actions import PrimitiveAction, PrimitiveEvent
 from .errors import SpecEvalError
-from .eval import HAPPENED, EvalContext, evaluate
+from .eval import HAPPENED, EvalContext, compile_expr
 from .state import ElementSnapshot
 from .values import (
     BuiltinEvent,
@@ -65,16 +66,17 @@ def _function_arg(value, who: str):
 
 def _apply(ctx: EvalContext, fn, args: list):
     """Apply a function value to already-evaluated arguments."""
-    if isinstance(fn, BuiltinFunction):
-        return fn.fn(ctx, *args)
-    if len(args) != fn.arity:
+    if fn.arity is not None and len(args) != fn.arity:
         raise SpecEvalError(
             f"{fn.name} expects {fn.arity} argument(s), got {len(args)}"
         )
+    if isinstance(fn, BuiltinFunction):
+        return fn.fn(ctx, *args)
     frame = fn.env.child()
     for param, value in zip(fn.params, args):
         frame.bind(param.name, value)
-    return evaluate(fn.body, frame, ctx.deeper())
+    body = fn.body
+    return (body._code or compile_expr(body))(frame, ctx.deeper())
 
 
 # ----------------------------------------------------------------------
@@ -168,7 +170,7 @@ def _bi_parse_int(ctx: EvalContext, value):
     if isinstance(value, int):
         return value
     if isinstance(value, float):
-        return int(value)
+        return int(value) if math.isfinite(value) else None
     if isinstance(value, str):
         text = value.strip()
         sign = 1
@@ -234,12 +236,15 @@ def _bi_join(ctx: EvalContext, items, sep):
 
 
 def _bi_split(ctx: EvalContext, value, sep):
-    return _string_arg(value, "split").split(_string_arg(sep, "split"))
+    text = _string_arg(value, "split")
+    if not _string_arg(sep, "split"):
+        raise SpecEvalError("split needs a non-empty separator")
+    return text.split(sep)
 
 
 def _bi_substring(ctx: EvalContext, value, start, end):
     text = _string_arg(value, "substring")
-    return text[int(start) : int(end)]
+    return text[_integer_arg(start, "substring") : _integer_arg(end, "substring")]
 
 
 def _bi_first(ctx: EvalContext, items):
@@ -254,9 +259,16 @@ def _bi_last(ctx: EvalContext, items):
 
 def _bi_nth(ctx: EvalContext, items, index):
     items = _list_arg(items, "nth")
-    if isinstance(index, int) and 0 <= index < len(items):
-        return items[index]
-    return None
+    return items[index] if _is_position(index, items) else None
+
+
+def _is_position(index, items: list) -> bool:
+    """Is ``index`` an integer (booleans are not) position in ``items``?"""
+    return (
+        isinstance(index, int)
+        and not isinstance(index, bool)
+        and 0 <= index < len(items)
+    )
 
 
 def _bi_is_empty(ctx: EvalContext, items):
@@ -344,6 +356,14 @@ def _numeric(value, who: str):
     return value
 
 
+def _integer_arg(value, who: str) -> int:
+    """A finite number, truncated to an integer."""
+    number = _numeric(value, who)
+    if isinstance(number, float) and not math.isfinite(number):
+        raise SpecEvalError(f"{who} needs finite numbers, got {spec_repr(value)}")
+    return int(number)
+
+
 def _bi_to_string(ctx: EvalContext, value):
     if value is None:
         return "null"
@@ -360,14 +380,14 @@ def _bi_append(ctx: EvalContext, items, value):
 
 def _bi_remove_at(ctx: EvalContext, items, index):
     items = _list_arg(items, "removeAt")
-    if not isinstance(index, int) or not 0 <= index < len(items):
+    if not _is_position(index, items):
         return list(items)
     return items[:index] + items[index + 1:]
 
 
 def _bi_set_at(ctx: EvalContext, items, index, value):
     items = _list_arg(items, "setAt")
-    if not isinstance(index, int) or not 0 <= index < len(items):
+    if not _is_position(index, items):
         return list(items)
     return items[:index] + [value] + items[index + 1:]
 
@@ -425,7 +445,10 @@ def _bi_random_text(ctx: EvalContext):
 def _bi_random_int(ctx: EvalContext, low, high):
     if ctx.rng is None:
         raise SpecEvalError("randomInt() is only available while selecting actions")
-    return ctx.rng.randint(int(low), int(high))
+    low, high = _integer_arg(low, "randomInt"), _integer_arg(high, "randomInt")
+    if low > high:
+        raise SpecEvalError(f"randomInt needs low <= high, got {low} and {high}")
+    return ctx.rng.randint(low, high)
 
 
 # ----------------------------------------------------------------------

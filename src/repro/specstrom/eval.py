@@ -21,13 +21,20 @@ Boolean connectives lift pointwise: if either operand of ``&&``/``||``/
 ``==>``/``!`` is temporal, the result is a formula (plain booleans embed
 as top/bottom).  All other operators are data-only and reject temporal
 operands.
+
+Each expression node is compiled once, the first time it is evaluated,
+into a closure ``code(env, ctx)`` cached on the node
+(:func:`compile_expr`).  The dispatch on node type, operator and
+argument count happens at compilation, so a body re-evaluated at every
+state pays only for the work itself.  The closure is never pickled (see
+``Expr.__getstate__``): a decoded artifact, spec descriptor or
+checkpoint compiles its nodes again on first use.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from ..quickltl import (
     Always,
@@ -68,6 +75,8 @@ from .analysis import expr_selector_footprint
 from .errors import SpecEvalError, StateQueryOutsideStateError
 from .state import ElementSnapshot, StateSnapshot
 from .values import (
+    ActionValue,
+    BuiltinEvent,
     BuiltinFunction,
     Environment,
     FormulaValue,
@@ -81,6 +90,7 @@ from .values import (
 __all__ = [
     "EvalContext",
     "Quote",
+    "compile_expr",
     "evaluate",
     "make_property_formula",
     "to_formula",
@@ -93,14 +103,28 @@ HAPPENED = object()
 _MAX_DEPTH = 300
 
 
-@dataclass
 class EvalContext:
-    """Everything evaluation needs besides the environment."""
+    """Everything evaluation needs besides the environment.
 
-    state: Optional[StateSnapshot] = None
-    rng: Optional[random.Random] = None
-    default_subscript: int = DEFAULT_SUBSCRIPT
-    depth: int = field(default=0)
+    A context is never changed once built, so :meth:`deeper` hands out
+    one child per context, built on first use and shared by every thunk
+    force and call one level down.
+    """
+
+    __slots__ = ("state", "rng", "default_subscript", "depth", "_child")
+
+    def __init__(
+        self,
+        state: Optional[StateSnapshot] = None,
+        rng: Optional[random.Random] = None,
+        default_subscript: int = DEFAULT_SUBSCRIPT,
+        depth: int = 0,
+    ) -> None:
+        self.state = state
+        self.rng = rng
+        self.default_subscript = default_subscript
+        self.depth = depth
+        self._child: Optional[EvalContext] = None
 
     def require_state(self, what: str) -> StateSnapshot:
         if self.state is None:
@@ -111,82 +135,45 @@ class EvalContext:
         return self.state
 
     def deeper(self) -> "EvalContext":
-        if self.depth + 1 > _MAX_DEPTH:
-            raise SpecEvalError(
-                "evaluation depth exceeded; is there hidden recursion?"
+        child = self._child
+        if child is None:
+            if self.depth + 1 > _MAX_DEPTH:
+                raise SpecEvalError(
+                    "evaluation depth exceeded; is there hidden recursion?"
+                )
+            child = self._child = EvalContext(
+                self.state, self.rng, self.default_subscript, self.depth + 1
             )
-        return EvalContext(self.state, self.rng, self.default_subscript, self.depth + 1)
+        return child
+
+
+#: A compiled expression: ``code(env, ctx)`` returns the node's value.
+Code = Callable[[Environment, EvalContext], object]
 
 
 def evaluate(expr: Expr, env: Environment, ctx: EvalContext):
     """Evaluate ``expr`` to a Specstrom value."""
-    if isinstance(expr, Lit):
-        return expr.value
-    if isinstance(expr, SelectorLit):
-        return SelectorValue(expr.css)
-    if isinstance(expr, Var):
-        return _force(env.lookup(expr.name), ctx)
-    if isinstance(expr, Member):
-        return _member(evaluate(expr.obj, env, ctx), expr.name, ctx, expr)
-    if isinstance(expr, Index):
-        return _index(
-            evaluate(expr.obj, env, ctx), evaluate(expr.index, env, ctx), expr
-        )
-    if isinstance(expr, Call):
-        return _call(expr, env, ctx)
-    if isinstance(expr, Unary):
-        return _unary(expr, env, ctx)
-    if isinstance(expr, Binary):
-        return _binary(expr, env, ctx)
-    if isinstance(expr, IfExpr):
-        condition = evaluate(expr.cond, env, ctx)
-        if not isinstance(condition, bool):
-            raise SpecEvalError(
-                f"if-condition must be a boolean, got {spec_repr(condition)}",
-                expr.line,
-                expr.column,
-            )
-        branch = expr.then if condition else expr.orelse
-        return evaluate(branch, env, ctx)
-    if isinstance(expr, Block):
-        scope = env
-        for binding in expr.bindings:
-            # Each binding gets its own frame so lazy bindings can only
-            # see *earlier* names: forward references would be hidden
-            # recursion, which Specstrom forbids.
-            frame = scope.child()
-            if binding.lazy:
-                frame.bind(binding.name, Thunk(binding.name, binding.expr, scope))
-            else:
-                frame.bind(binding.name, evaluate(binding.expr, scope, ctx))
-            scope = frame
-        return evaluate(expr.result, scope, ctx)
-    if isinstance(expr, ArrayLit):
-        items = [evaluate(item, env, ctx) for item in expr.items]
-        for item in items:
-            _reject_function_in_data(item, expr)
-        return items
-    if isinstance(expr, ObjectLit):
-        result = {}
-        for key, value_expr in expr.pairs:
-            value = evaluate(value_expr, env, ctx)
-            _reject_function_in_data(value, expr)
-            result[key] = value
-        return result
-    if isinstance(expr, TemporalUnary):
-        return _temporal_unary(expr, env, ctx)
-    if isinstance(expr, TemporalBinary):
-        return _temporal_binary(expr, env, ctx)
-    raise SpecEvalError(f"cannot evaluate {type(expr).__name__}")
+    return (expr._code or compile_expr(expr))(env, ctx)
 
 
-def _force(value, ctx: EvalContext):
-    if isinstance(value, Thunk):
-        return evaluate(value.expr, value.env, ctx.deeper())
-    if value is HAPPENED:
-        state = ctx.require_state("reading 'happened'")
-        return list(state.happened)
-    return value
+def compile_expr(expr: Expr) -> Code:
+    """``expr``'s closure, compiled on first use and cached on the node.
+
+    Children are compiled with their parent, so a closure calls its
+    children's closures directly.  Two threads may compile one node at
+    once; both closures behave the same, and either may stay cached.
+    """
+    compiler = _COMPILERS.get(type(expr))
+    if compiler is None:
+        message = f"cannot evaluate {type(expr).__name__}"
+
+        def code(env, ctx):
+            raise SpecEvalError(message)
+
+    else:
+        code = compiler(expr)
+    expr._code = code
+    return code
 
 
 # ----------------------------------------------------------------------
@@ -228,138 +215,14 @@ def _index(obj, index, expr: Expr):
             return obj[index]
         return None
     if isinstance(obj, dict):
-        return obj.get(index)
+        # Object keys are strings: any other index is simply absent.
+        return obj.get(index) if isinstance(index, str) else None
     raise SpecEvalError(f"cannot index {spec_repr(obj)}", expr.line, expr.column)
-
-
-# ----------------------------------------------------------------------
-# Calls
-# ----------------------------------------------------------------------
-
-
-def _call(expr: Call, env: Environment, ctx: EvalContext):
-    callee = evaluate(expr.callee, env, ctx)
-    if isinstance(callee, FunctionValue):
-        if len(expr.args) != callee.arity:
-            raise SpecEvalError(
-                f"{callee.name} expects {callee.arity} argument(s), "
-                f"got {len(expr.args)}",
-                expr.line,
-                expr.column,
-            )
-        frame = callee.env.child()
-        for param, arg_expr in zip(callee.params, expr.args):
-            if param.lazy:
-                frame.bind(param.name, Thunk(param.name, arg_expr, env))
-            else:
-                frame.bind(param.name, evaluate(arg_expr, env, ctx))
-        return evaluate(callee.body, frame, ctx.deeper())
-    if isinstance(callee, BuiltinFunction):
-        if callee.arity is not None and len(expr.args) != callee.arity:
-            raise SpecEvalError(
-                f"{callee.name} expects {callee.arity} argument(s), "
-                f"got {len(expr.args)}",
-                expr.line,
-                expr.column,
-            )
-        args = [evaluate(arg, env, ctx) for arg in expr.args]
-        return callee.fn(ctx, *args)
-    raise SpecEvalError(
-        f"{spec_repr(callee)} is not callable", expr.line, expr.column
-    )
 
 
 # ----------------------------------------------------------------------
 # Operators
 # ----------------------------------------------------------------------
-
-
-def _unary(expr: Unary, env: Environment, ctx: EvalContext):
-    operand = evaluate(expr.operand, env, ctx)
-    if expr.op == "!":
-        if isinstance(operand, bool):
-            return not operand
-        if isinstance(operand, FormulaValue):
-            return FormulaValue(Not(operand.formula))
-        raise SpecEvalError(
-            f"'!' needs a boolean or formula, got {spec_repr(operand)}",
-            expr.line,
-            expr.column,
-        )
-    if expr.op == "-":
-        if operand is None:
-            return None
-        if isinstance(operand, (int, float)) and not isinstance(operand, bool):
-            return -operand
-        raise SpecEvalError(
-            f"unary '-' needs a number, got {spec_repr(operand)}",
-            expr.line,
-            expr.column,
-        )
-    raise SpecEvalError(f"unknown unary operator {expr.op!r}")
-
-
-def _binary(expr: Binary, env: Environment, ctx: EvalContext):
-    op = expr.op
-    if op in ("&&", "||", "==>"):
-        return _logical(expr, env, ctx)
-    left = evaluate(expr.left, env, ctx)
-    right = evaluate(expr.right, env, ctx)
-    for side in (left, right):
-        if isinstance(side, FormulaValue):
-            raise SpecEvalError(
-                f"temporal formula used as data in {op!r}", expr.line, expr.column
-            )
-    if op == "==":
-        return spec_equal(left, right)
-    if op == "!=":
-        return not spec_equal(left, right)
-    if op in ("<", "<=", ">", ">="):
-        return _compare(op, left, right, expr)
-    if op in ("+", "-", "*", "/", "%"):
-        return _arithmetic(op, left, right, expr)
-    if op == "in":
-        return _membership(left, right, expr)
-    raise SpecEvalError(f"unknown operator {op!r}", expr.line, expr.column)
-
-
-def _logical(expr: Binary, env: Environment, ctx: EvalContext):
-    left = evaluate(expr.left, env, ctx)
-    op = expr.op
-    if isinstance(left, bool):
-        # Short-circuiting on plain booleans.
-        if op == "&&" and not left:
-            return False
-        if op == "||" and left:
-            return True
-        if op == "==>" and not left:
-            return True
-        return _logical_rhs(expr, env, ctx)
-    if isinstance(left, FormulaValue):
-        right = _logical_rhs(expr, env, ctx)
-        right_formula = to_formula(right, expr)
-        if op == "&&":
-            return FormulaValue(And(left.formula, right_formula))
-        if op == "||":
-            return FormulaValue(Or(left.formula, right_formula))
-        return FormulaValue(Or(Not(left.formula), right_formula))
-    raise SpecEvalError(
-        f"{op!r} needs boolean or formula operands, got {spec_repr(left)}",
-        expr.line,
-        expr.column,
-    )
-
-
-def _logical_rhs(expr: Binary, env: Environment, ctx: EvalContext):
-    right = evaluate(expr.right, env, ctx)
-    if not isinstance(right, (bool, FormulaValue)):
-        raise SpecEvalError(
-            f"{expr.op!r} needs boolean or formula operands, "
-            f"got {spec_repr(right)}",
-            expr.line,
-            expr.column,
-        )
-    return right
 
 
 def _compare(op: str, left, right, expr: Expr):
@@ -424,7 +287,8 @@ def _membership(left, right, expr: Expr):
             )
         return left in right
     if isinstance(right, dict):
-        return left in right
+        # Object keys are strings: any other left operand is absent.
+        return isinstance(left, str) and left in right
     raise SpecEvalError(
         f"'in' needs a list, string or object, got {spec_repr(right)}",
         expr.line,
@@ -440,6 +304,400 @@ def _reject_function_in_data(value, expr: Expr) -> None:
             expr.line,
             expr.column,
         )
+
+
+# ----------------------------------------------------------------------
+# Compilation: one closure per node
+# ----------------------------------------------------------------------
+
+
+def _compile_lit(expr: Lit) -> Code:
+    value = expr.value
+    return lambda env, ctx: value
+
+
+def _compile_selector(expr: SelectorLit) -> Code:
+    # Selector values are frozen, so one per literal node serves every
+    # evaluation.
+    value = SelectorValue(expr.css)
+    return lambda env, ctx: value
+
+
+def _compile_var(expr: Var) -> Code:
+    name = expr.name
+
+    def var(env, ctx):
+        # Environment.lookup, inlined: names are read more than anything.
+        while name not in env.bindings:
+            env = env.parent
+            if env is None:
+                raise SpecEvalError(f"undefined name {name!r}")
+        value = env.bindings[name]
+        if type(value) is Thunk:
+            body = value.expr
+            deeper = ctx._child or ctx.deeper()
+            return (body._code or compile_expr(body))(value.env, deeper)
+        if value is HAPPENED:
+            return list(ctx.require_state("reading 'happened'").happened)
+        return value
+
+    return var
+
+
+def _compile_member(expr: Member) -> Code:
+    name = expr.name
+    if type(expr.obj) is SelectorLit:
+        # `css`.name: one read of the selector's first match.
+        css = expr.obj.css
+        what = f"querying `{css}`"
+
+        def selector_member(env, ctx):
+            element = ctx.require_state(what).first(css)
+            return None if element is None else element.get_property(name)
+
+        return selector_member
+    obj = _sub(expr.obj)
+    return lambda env, ctx: _member(obj(env, ctx), name, ctx, expr)
+
+
+def _compile_index(expr: Index) -> Code:
+    obj = _sub(expr.obj)
+    index = _sub(expr.index)
+    return lambda env, ctx: _index(obj(env, ctx), index(env, ctx), expr)
+
+
+def _compile_call(expr: Call) -> Code:
+    callee_code = _sub(expr.callee)
+    arg_exprs = expr.args
+    arg_codes = [_sub(arg) for arg in arg_exprs]
+    count = len(arg_codes)
+    #: The builtin arities this call satisfies (None: variadic).
+    accepts = (None, count)
+
+    def call_other(callee, env, ctx):
+        """Call a user function, or raise: a builtin that gets here has
+        another arity, and anything else is not callable."""
+        if type(callee) is not FunctionValue and type(callee) is not BuiltinFunction:
+            raise SpecEvalError(
+                f"{spec_repr(callee)} is not callable", expr.line, expr.column
+            )
+        if callee.arity != count:
+            raise SpecEvalError(
+                f"{callee.name} expects {callee.arity} argument(s), got {count}",
+                expr.line,
+                expr.column,
+            )
+        frame = callee.env.child()
+        bindings = frame.bindings
+        for param, arg_expr, arg_code in zip(callee.params, arg_exprs, arg_codes):
+            if param.lazy:
+                bindings[param.name] = Thunk(param.name, arg_expr, env)
+            else:
+                bindings[param.name] = arg_code(env, ctx)
+        body = callee.body
+        return (body._code or compile_expr(body))(frame, ctx.deeper())
+
+    # Builtin calls are specialized by argument count: no argument list.
+    if count == 1:
+        (first,) = arg_codes
+
+        def call(env, ctx):
+            callee = callee_code(env, ctx)
+            if type(callee) is BuiltinFunction and callee.arity in accepts:
+                return callee.fn(ctx, first(env, ctx))
+            return call_other(callee, env, ctx)
+
+    elif count == 2:
+        first, second = arg_codes
+
+        def call(env, ctx):
+            callee = callee_code(env, ctx)
+            if type(callee) is BuiltinFunction and callee.arity in accepts:
+                return callee.fn(ctx, first(env, ctx), second(env, ctx))
+            return call_other(callee, env, ctx)
+
+    else:
+
+        def call(env, ctx):
+            callee = callee_code(env, ctx)
+            if type(callee) is BuiltinFunction and callee.arity in accepts:
+                return callee.fn(ctx, *[code(env, ctx) for code in arg_codes])
+            return call_other(callee, env, ctx)
+
+    return call
+
+
+def _compile_unary(expr: Unary) -> Code:
+    operand = _sub(expr.operand)
+    op = expr.op
+    if op == "!":
+
+        def negate(env, ctx):
+            value = operand(env, ctx)
+            if value is True or value is False:
+                return not value
+            if type(value) is FormulaValue:
+                return FormulaValue(Not(value.formula))
+            raise SpecEvalError(
+                f"'!' needs a boolean or formula, got {spec_repr(value)}",
+                expr.line,
+                expr.column,
+            )
+
+        return negate
+    if op == "-":
+
+        def minus(env, ctx):
+            value = operand(env, ctx)
+            if value is None:
+                return None
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                return -value
+            raise SpecEvalError(
+                f"unary '-' needs a number, got {spec_repr(value)}",
+                expr.line,
+                expr.column,
+            )
+
+        return minus
+
+    def unknown(env, ctx):
+        operand(env, ctx)
+        raise SpecEvalError(f"unknown unary operator {op!r}")
+
+    return unknown
+
+
+#: Short-circuit behaviour of each connective: the left value that
+#: decides the result, the result it decides, and the formula combinator
+#: used when the left operand is temporal.
+_CONNECTIVES = {
+    "&&": (False, False, And),
+    "||": (True, True, Or),
+    "==>": (False, True, lambda left, right: Or(Not(left), right)),
+}
+
+#: Data operators: ``apply(op, left, right, expr)``.
+_DATA_OPERATORS = {
+    "==": lambda op, left, right, expr: spec_equal(left, right),
+    "!=": lambda op, left, right, expr: not spec_equal(left, right),
+    "in": lambda op, left, right, expr: _membership(left, right, expr),
+    **dict.fromkeys(("<", "<=", ">", ">="), _compare),
+    **dict.fromkeys(("+", "-", "*", "/", "%"), _arithmetic),
+}
+
+
+def _compile_binary(expr: Binary) -> Code:
+    op = expr.op
+    left = _sub(expr.left)
+    right = _sub(expr.right)
+    if op in _CONNECTIVES:
+        return _compile_connective(expr, left, right)
+    apply = _DATA_OPERATORS.get(op)
+    if apply is None:
+
+        def apply(op, left, right, expr):
+            raise SpecEvalError(f"unknown operator {op!r}", expr.line, expr.column)
+
+    def data(env, ctx):
+        left_value = left(env, ctx)
+        right_value = right(env, ctx)
+        if type(left_value) is FormulaValue or type(right_value) is FormulaValue:
+            raise SpecEvalError(
+                f"temporal formula used as data in {op!r}", expr.line, expr.column
+            )
+        return apply(op, left_value, right_value, expr)
+
+    if op != "in" or type(expr.right) is not Var:
+        return data
+    name = expr.right.name
+
+    def membership(env, ctx):
+        # `a in happened`, for an action or event `a`: one scan of the
+        # state's names, without copying them into a list.
+        left_value = left(env, ctx)
+        if type(left_value) in _NAMED and env.lookup(name) is HAPPENED:
+            happened = ctx.require_state("reading 'happened'").happened
+            return left_value.name in happened
+        right_value = right(env, ctx)
+        if type(left_value) is FormulaValue or type(right_value) is FormulaValue:
+            raise SpecEvalError(
+                f"temporal formula used as data in {op!r}", expr.line, expr.column
+            )
+        return _membership(left_value, right_value, expr)
+
+    return membership
+
+
+#: Values that ``==`` compares to strings by name.
+_NAMED = (ActionValue, BuiltinEvent)
+
+
+def _compile_connective(expr: Binary, left: Code, right: Code) -> Code:
+    op = expr.op
+    decider, decided, combine = _CONNECTIVES[op]
+    other = not decider
+
+    def operand_error(value) -> SpecEvalError:
+        return SpecEvalError(
+            f"{op!r} needs boolean or formula operands, got {spec_repr(value)}",
+            expr.line,
+            expr.column,
+        )
+
+    def connective(env, ctx):
+        value = left(env, ctx)
+        if value is decider:
+            return decided
+        if value is other or type(value) is FormulaValue:
+            right_value = right(env, ctx)
+            if not (
+                right_value is True
+                or right_value is False
+                or type(right_value) is FormulaValue
+            ):
+                raise operand_error(right_value)
+            if value is other:
+                return right_value
+            return FormulaValue(combine(value.formula, to_formula(right_value, expr)))
+        raise operand_error(value)
+
+    return connective
+
+
+def _compile_if(expr: IfExpr) -> Code:
+    cond = _sub(expr.cond)
+    then = _sub(expr.then)
+    orelse = _sub(expr.orelse)
+
+    def if_(env, ctx):
+        condition = cond(env, ctx)
+        if condition is True:
+            return then(env, ctx)
+        if condition is False:
+            return orelse(env, ctx)
+        raise SpecEvalError(
+            f"if-condition must be a boolean, got {spec_repr(condition)}",
+            expr.line,
+            expr.column,
+        )
+
+    return if_
+
+
+def _compile_block(expr: Block) -> Code:
+    steps = [
+        (binding.name, binding.lazy, binding.expr, _sub(binding.expr))
+        for binding in expr.bindings
+    ]
+    result = _sub(expr.result)
+
+    def block(env, ctx):
+        scope = env
+        for name, lazy, bound, code in steps:
+            # Each binding gets its own frame so lazy bindings can only
+            # see *earlier* names: forward references would be hidden
+            # recursion, which Specstrom forbids.
+            frame = scope.child()
+            if lazy:
+                frame.bindings[name] = Thunk(name, bound, scope)
+            else:
+                frame.bindings[name] = code(scope, ctx)
+            scope = frame
+        return result(scope, ctx)
+
+    return block
+
+
+def _compile_array(expr: ArrayLit) -> Code:
+    codes = [_sub(item) for item in expr.items]
+
+    def array(env, ctx):
+        items = [code(env, ctx) for code in codes]
+        for item in items:
+            _reject_function_in_data(item, expr)
+        return items
+
+    return array
+
+
+def _compile_object(expr: ObjectLit) -> Code:
+    pairs = [(key, _sub(value)) for key, value in expr.pairs]
+
+    def object_(env, ctx):
+        result = {}
+        for key, code in pairs:
+            value = code(env, ctx)
+            _reject_function_in_data(value, expr)
+            result[key] = value
+        return result
+
+    return object_
+
+
+_NEXT_OPERATORS = {"next": NextReq, "wnext": NextWeak, "snext": NextStrong}
+_BOUNDED_UNARY = {"always": Always, "eventually": Eventually}
+_BOUNDED_BINARY = {"until": Until, "release": Release}
+
+
+def _compile_temporal_unary(expr: TemporalUnary) -> Code:
+    # Temporal nodes call ``_defer`` through this module's globals, so a
+    # patched ``_defer`` sees every quote.
+    op, body, subscript = expr.op, expr.body, expr.subscript
+    label = f"{op}@{expr.line}:{expr.column}"
+    if op in _NEXT_OPERATORS:
+        build = _NEXT_OPERATORS[op]
+        return lambda env, ctx: FormulaValue(build(_defer(body, env, ctx, label)))
+    bounded = _BOUNDED_UNARY.get(op)
+
+    def temporal(env, ctx):
+        deferred = _defer(body, env, ctx, label)
+        if bounded is None:
+            raise SpecEvalError(f"unknown temporal operator {op!r}")
+        n = subscript if subscript is not None else ctx.default_subscript
+        return FormulaValue(bounded(n, deferred))
+
+    return temporal
+
+
+def _compile_temporal_binary(expr: TemporalBinary) -> Code:
+    op, subscript = expr.op, expr.subscript
+    left, right = expr.left, expr.right
+    left_label = f"{op}-lhs@{expr.line}:{expr.column}"
+    right_label = f"{op}-rhs@{expr.line}:{expr.column}"
+    bounded = _BOUNDED_BINARY.get(op)
+
+    def temporal(env, ctx):
+        left_deferred = _defer(left, env, ctx, left_label)
+        right_deferred = _defer(right, env, ctx, right_label)
+        if bounded is None:
+            raise SpecEvalError(f"unknown temporal operator {op!r}")
+        n = subscript if subscript is not None else ctx.default_subscript
+        return FormulaValue(bounded(n, left_deferred, right_deferred))
+
+    return temporal
+
+
+def _sub(expr: Expr) -> Code:
+    return expr._code or compile_expr(expr)
+
+
+_COMPILERS = {
+    Lit: _compile_lit,
+    SelectorLit: _compile_selector,
+    Var: _compile_var,
+    Member: _compile_member,
+    Index: _compile_index,
+    Call: _compile_call,
+    Unary: _compile_unary,
+    Binary: _compile_binary,
+    IfExpr: _compile_if,
+    Block: _compile_block,
+    ArrayLit: _compile_array,
+    ObjectLit: _compile_object,
+    TemporalUnary: _compile_temporal_unary,
+    TemporalBinary: _compile_temporal_binary,
+}
 
 
 # ----------------------------------------------------------------------
@@ -529,8 +787,10 @@ class Quote:
         self._footprint = _UNCOMPUTED
 
     def __call__(self, state) -> Formula:
+        body = self.body
+        code = body._code or compile_expr(body)
         ctx = EvalContext(state, None, self.default_subscript)
-        return to_formula(evaluate(self.body, self._frame, ctx), self.body)
+        return to_formula(code(self._frame, ctx), body)
 
     def footprint(self) -> Optional[frozenset]:
         """The selectors the body can read when forced (``None``:
@@ -559,13 +819,16 @@ class Quote:
 
 
 def _captured(env: Environment, name: str):
-    try:
-        return env.lookup(name)
-    except SpecEvalError:
-        # A strict top-level let is evaluated before the definitions
-        # after it are bound, yet a body it quotes may name one of them
-        # (or an action): that lookup waits until the body is forced.
-        return Thunk(name, Var(name), env)
+    scope = env
+    while name not in scope.bindings:  # Environment.lookup, inlined
+        scope = scope.parent
+        if scope is None:
+            # A strict top-level let is evaluated before the definitions
+            # after it are bound, yet a body it quotes may name one of
+            # them (or an action): that lookup waits until the body is
+            # forced.
+            return Thunk(name, Var(name), env)
+    return scope.bindings[name]
 
 
 def _defer(body: Expr, env: Environment, ctx: EvalContext, label: str) -> Defer:
@@ -577,33 +840,6 @@ def _defer(body: Expr, env: Environment, ctx: EvalContext, label: str) -> Defer:
     """
     values = tuple([_captured(env, name) for name in free_names(body)])
     return Defer(label, Quote(body, values, ctx.default_subscript))
-
-
-def _temporal_unary(expr: TemporalUnary, env: Environment, ctx: EvalContext):
-    body = _defer(expr.body, env, ctx, f"{expr.op}@{expr.line}:{expr.column}")
-    if expr.op == "next":
-        return FormulaValue(NextReq(body))
-    if expr.op == "wnext":
-        return FormulaValue(NextWeak(body))
-    if expr.op == "snext":
-        return FormulaValue(NextStrong(body))
-    n = expr.subscript if expr.subscript is not None else ctx.default_subscript
-    if expr.op == "always":
-        return FormulaValue(Always(n, body))
-    if expr.op == "eventually":
-        return FormulaValue(Eventually(n, body))
-    raise SpecEvalError(f"unknown temporal operator {expr.op!r}")
-
-
-def _temporal_binary(expr: TemporalBinary, env: Environment, ctx: EvalContext):
-    left = _defer(expr.left, env, ctx, f"{expr.op}-lhs@{expr.line}:{expr.column}")
-    right = _defer(expr.right, env, ctx, f"{expr.op}-rhs@{expr.line}:{expr.column}")
-    n = expr.subscript if expr.subscript is not None else ctx.default_subscript
-    if expr.op == "until":
-        return FormulaValue(Until(n, left, right))
-    if expr.op == "release":
-        return FormulaValue(Release(n, left, right))
-    raise SpecEvalError(f"unknown temporal operator {expr.op!r}")
 
 
 def make_property_formula(

@@ -107,7 +107,8 @@ class FunctionValue:
 
 @dataclass
 class BuiltinFunction:
-    """A host function; ``fn(ctx, args)`` receives evaluated arguments."""
+    """A host function, called as ``fn(ctx, *args)`` with the evaluated
+    arguments."""
 
     name: str
     fn: Callable

@@ -487,3 +487,57 @@ class TestDeferSharing:
     def test_todomvc_safety(self, monkeypatch):
         assert self.work(monkeypatch, "vue") == self.VUE
 
+
+
+class TestEvaluatorWork:
+    """The evaluator's work on the fixed-seed campaigns of
+    :class:`TestDeferSharing`, counted from outside: states observed,
+    ``Defer.force`` calls, ``StateSnapshot.elements`` calls (every state
+    read goes through it), calls to the shared builtins' host
+    functions, and the runner's guard and action-body evaluations.  How
+    expressions are evaluated may get cheaper; what they evaluate must
+    not change."""
+
+    EGG = {"states": 147, "forces": 294, "state_reads": 1235,
+           "builtin_calls": 438, "runner_evaluates": 471}
+    VUE = {"states": 142, "forces": 284, "state_reads": 7119,
+           "builtin_calls": 6938, "runner_evaluates": 1961}
+
+    def work(self, monkeypatch, name):
+        import repro.checker.runner as runner_module
+        from repro.api import SessionConfig
+        from repro.quickltl import Defer
+        from repro.specstrom import StateSnapshot
+        from repro.specstrom.builtins import _BUILTINS
+
+        counts = {"forces": 0, "state_reads": 0, "builtin_calls": 0,
+                  "runner_evaluates": 0}
+
+        def counting(key, original):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Defer, "force", counting("forces", Defer.force))
+            patch.setattr(StateSnapshot, "elements",
+                          counting("state_reads", StateSnapshot.elements))
+            for builtin in _BUILTINS:
+                patch.setattr(builtin, "fn",
+                              counting("builtin_calls", builtin.fn))
+            patch.setattr(runner_module, "evaluate",
+                          counting("runner_evaluates", runner_module.evaluate))
+            batch = CheckSession().check_many(
+                [TestDeferSharing().target(name)], session=SessionConfig(jobs=1)
+            )
+        assert batch.passed
+        states = sum(r.states_observed for r in batch.results[0].results)
+        return {"states": states, **counts}
+
+    def test_egg_timer_safety(self, monkeypatch):
+        assert self.work(monkeypatch, "egg") == self.EGG
+
+    def test_todomvc_safety(self, monkeypatch):
+        assert self.work(monkeypatch, "vue") == self.VUE

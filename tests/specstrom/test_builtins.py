@@ -203,3 +203,46 @@ class TestActionPrimitives:
     def test_selector_argument_enforced(self):
         with pytest.raises(SpecEvalError):
             run_expr('click!("not-a-selector")')
+
+
+class TestOddOperands:
+    """Builtins, indexing and ``in`` answer every operand with a value
+    or a :class:`SpecEvalError` naming themselves, never a bare Python
+    exception; booleans are not integer indices anywhere."""
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ('split("abc", "")', "split needs a non-empty separator"),
+            ('substring("abc", null, 2)', "substring needs numbers, got null"),
+            ('substring("abc", 0, null)', "substring needs numbers, got null"),
+            ('substring("abc", "x", 2)', "substring needs numbers, got 'x'"),
+            ("randomInt(null, 3)", "randomInt needs numbers, got null"),
+            ('randomInt("a", 3)', "randomInt needs numbers, got 'a'"),
+            ("randomInt(3, 1)", "randomInt needs low <= high, got 3 and 1"),
+            ("map(props, [1])", r"props expects 2 argument\(s\), got 1"),
+        ],
+    )
+    def test_raises_spec_eval_error(self, source, message):
+        with pytest.raises(SpecEvalError, match=message):
+            run_expr(source, rng=random.Random(0))
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            ("[1, 2] in {a: 1}", False),
+            ("1 in {a: 1}", False),
+            ('"a" in {a: 1}', True),
+            ("{a: 1}[[1]]", None),
+            ("nth([1, 2], true)", None),
+            ("removeAt([1, 2], true)", [1, 2]),
+            ("setAt([1, 2], true, 9)", [1, 2]),
+            ('parseInt(parseFloat("inf"))', None),
+        ],
+    )
+    def test_answers_with_a_value(self, source, expected):
+        assert run_expr(source) == expected
+
+    def test_boolean_list_index_is_still_rejected(self):
+        with pytest.raises(SpecEvalError, match="list index must be an integer"):
+            run_expr("[1, 2][true]")
