@@ -1,11 +1,14 @@
 """Batch progression: one step serves every same-(residual, state) session.
 
 This is where hash-consing pays for the monitoring workload.  Residuals
-are interned (structurally equal => the *same* node), so grouping a
-tick's work by ``(state_key, residual)`` is an O(1) dict operation per
-session -- and for homogeneous traffic (many users driving the same
-screens through the same spec) almost every session of a tick lands in
-one cohort.  Each cohort costs exactly one
+are interned (structurally equal => the *same* node, its hash computed
+once at construction), and a state's cohort key holds only strings and
+integers -- sorted ``(selector, row id)`` pairs plus ``happened``
+(:mod:`repro.monitor.records`) -- so hashing it never walks an element.
+Grouping a tick's work by ``(state_key, residual)`` is therefore an O(1)
+dict operation per session -- and for homogeneous traffic (many users
+driving the same screens through the same spec) almost every session of
+a tick lands in one cohort.  Each cohort costs exactly one
 :func:`repro.quickltl.progress` call; members inherit the resulting
 ``(verdict, residual', size)`` by assignment.  Cohorts that share a
 state but not a residual still share one unroll memo, so subterms
@@ -24,6 +27,7 @@ from typing import List, Optional, Tuple
 
 from ..quickltl import Formula, ProgressionCaches, Verdict, progress
 from ..specstrom.state import StateSnapshot
+from .records import StateKey
 from .table import SessionEntry
 
 __all__ = ["StepOutcome", "BatchProgressor"]
@@ -73,7 +77,7 @@ class BatchProgressor:
 
     def run_round(
         self,
-        work: List[Tuple[SessionEntry, StateSnapshot, str]],
+        work: List[Tuple[SessionEntry, StateSnapshot, StateKey]],
     ) -> List[StepOutcome]:
         """Progress each ``(entry, state, state_key)`` one step.
 
@@ -91,8 +95,8 @@ class BatchProgressor:
                 self.session_steps += 1
             return outcomes  # type: ignore[return-value]
         # cohort key -> (representative state, member indices)
-        cohorts: "dict[Tuple[str, Formula], Tuple[StateSnapshot, List[int]]]" = {}
-        order: List[Tuple[str, Formula]] = []
+        cohorts: "dict[Tuple[StateKey, Formula], Tuple[StateSnapshot, List[int]]]" = {}
+        order: List[Tuple[StateKey, Formula]] = []
         for index, (entry, state, key) in enumerate(work):
             cohort_key = (key, entry.residual)
             slot = cohorts.get(cohort_key)
@@ -101,7 +105,7 @@ class BatchProgressor:
                 order.append(cohort_key)
             else:
                 slot[1].append(index)
-        unroll_memos: "dict[str, dict]" = {}
+        unroll_memos: "dict[StateKey, dict]" = {}
         for cohort_key in order:
             key, residual = cohort_key
             state, members = cohorts[cohort_key]

@@ -19,8 +19,8 @@ __all__ = ["MonitorMetrics"]
 #: Queue-depth sample cap (mirrors PoolMetrics' bound).
 _MAX_QUEUE_SAMPLES = 10_000
 
-#: Counter fields summed when merging per-shard metrics or checkpoint
-#: snapshots (``max_formula_size`` and ``wall_s`` take the max instead).
+#: Counter and phase-time fields summed when merging per-shard metrics or
+#: checkpoint snapshots (``max_formula_size`` and ``wall_s`` take the max).
 _SUMMED_FIELDS = (
     "records_ingested",
     "malformed_records",
@@ -40,6 +40,8 @@ _SUMMED_FIELDS = (
     "cache_evictions",
     "cache_trims",
     "ticks",
+    "parse_s",
+    "progress_s",
 )
 
 
@@ -66,6 +68,8 @@ class MonitorMetrics:
       :class:`~repro.quickltl.ProgressionCaches` dropped;
     * ``queue_depth_samples`` -- ingest-queue depths sampled per drain;
     * ``ticks`` -- processing rounds run;
+    * ``parse_s`` / ``progress_s`` -- seconds spent decoding wire lines
+      and progressing rounds (phases of ``wall_s``);
     * ``wall_s`` -- wall-clock of the run (set by the service).
     """
 
@@ -90,6 +94,8 @@ class MonitorMetrics:
     max_formula_size: int = 0
     queue_depth_samples: List[int] = field(default_factory=list)
     ticks: int = 0
+    parse_s: float = 0.0
+    progress_s: float = 0.0
     wall_s: float = 0.0
 
     # -- recording (hot path: keep cheap) ------------------------------
@@ -181,6 +187,8 @@ class MonitorMetrics:
             "max_formula_size": self.max_formula_size,
             "max_queue_depth": self.max_queue_depth,
             "ticks": self.ticks,
+            "parse_s": round(self.parse_s, 4),
+            "progress_s": round(self.progress_s, 4),
             "wall_s": round(self.wall_s, 4),
             "states_per_s": round(self.states_per_s, 1),
         }
@@ -196,5 +204,7 @@ class MonitorMetrics:
             f"evicted={self.sessions_evicted} "
             f"queue={queue_depth} "
             f"malformed={self.malformed_records} "
-            f"dropped={self.dropped_records}"
+            f"dropped={self.dropped_records} "
+            f"parse={self.parse_s * 1000:.0f}ms "
+            f"progress={self.progress_s * 1000:.0f}ms"
         )

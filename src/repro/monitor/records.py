@@ -22,19 +22,27 @@ The ``state`` payload mirrors :class:`~repro.specstrom.state.StateSnapshot`::
 
 ``version``/``timestamp_ms`` are optional bookkeeping -- spec evaluation
 never reads them, so they are *excluded* from :attr:`MonitorRecord.state_key`,
-the canonical cohort key the batcher groups by: two sessions observing
+the cohort key the batcher groups by: two sessions observing
 semantically identical states land in one cohort even when their stream
 positions differ.  ELEMENT payloads omit fields at their defaults
-(``element_to_json``), and the key is computed from the canonical
-*re-encoding* of the parsed state, so input formatting (key order,
-whitespace, explicit defaults) can never split a cohort.
+(``element_to_json``).
+
+A record is decoded in one pass: each element is validated, then
+interned by its validated fields (built only on a miss), and each row
+(one selector's elements) by its elements' ids.  The cohort key is the
+sorted ``(selector, row id)`` pairs plus ``happened``, so hashing it
+never re-hashes an element, and formatting (key order, whitespace,
+explicit defaults) can never split a cohort.  Ids are never reused and
+a full table resets whole, so a reset or a thread race can only split
+a cohort, never merge two different states.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from ..specstrom.state import ElementSnapshot, StateSnapshot
 
@@ -56,13 +64,17 @@ class RecordError(ValueError):
     """A malformed monitor record (quarantined by the ingest layer)."""
 
 
+#: Sorted ``(selector, row id)`` pairs, then ``happened``.
+StateKey = Tuple[Tuple[Tuple[str, int], ...], Tuple[str, ...]]
+
+
 @dataclass(frozen=True)
 class MonitorRecord:
     """One parsed frame: a state observation or an end-of-session mark."""
 
     session_id: str
     state: Optional[StateSnapshot]  # None for end records
-    state_key: Optional[str]  # canonical cohort key; None for end records
+    state_key: Optional[StateKey]  # cohort key; None for end records
     end: bool = False
 
 
@@ -73,6 +85,15 @@ class MonitorRecord:
 #: Fields serialised only when they differ from the element defaults.
 _ELEMENT_DEFAULTS = ElementSnapshot(tag="")
 _ELEMENT_OPTIONAL = ("text", "value", "checked", "enabled", "visible", "focused")
+_OPTIONAL_DEFAULTS = [(n, getattr(_ELEMENT_DEFAULTS, n)) for n in _ELEMENT_OPTIONAL]
+
+#: Decode intern tables, process-wide since ``parse_record(line)`` takes
+#: nothing else; each resets whole at ``_TABLE_LIMIT`` entries:
+#: element fields -> (element, id) and element ids -> (row, id).
+_TABLE_LIMIT = 1 << 14
+_ELEMENTS: dict = {}
+_ROWS: dict = {}
+_ids = itertools.count()  # never reused: one id, one content
 
 
 def element_to_json(element: ElementSnapshot) -> dict:
@@ -89,26 +110,25 @@ def element_to_json(element: ElementSnapshot) -> dict:
     return data
 
 
-def element_from_json(data: object) -> ElementSnapshot:
+def _element_fields(data: object) -> tuple:
+    """Validate one element payload; its ``ElementSnapshot`` fields, in order."""
     if not isinstance(data, dict):
         raise RecordError(f"element payload must be an object, got {type(data).__name__}")
     tag = data.get("tag")
     if not isinstance(tag, str):
         raise RecordError("element payload needs a string 'tag'")
-    kwargs: dict = {}
-    for name in _ELEMENT_OPTIONAL:
-        if name not in data:
-            continue
-        value = data[name]
-        expected = type(getattr(_ELEMENT_DEFAULTS, name))
+    fields = [tag]
+    for name, default in _OPTIONAL_DEFAULTS:
+        value = data.get(name, default)
         # bool is an int subclass; demand the exact flavour the snapshot
-        # holds so round-trips (and cohort keys) stay canonical.
-        if type(value) is not expected:
+        # holds so round-trips stay canonical and an int can never look
+        # up a cached bool (True == 1, hash(True) == hash(1)).
+        if type(value) is not type(default):
             raise RecordError(
-                f"element field {name!r} must be {expected.__name__}, "
+                f"element field {name!r} must be {type(default).__name__}, "
                 f"got {type(value).__name__}"
             )
-        kwargs[name] = value
+        fields.append(value)
     classes = data.get("classes", [])
     if not isinstance(classes, list) or not all(isinstance(c, str) for c in classes):
         raise RecordError("element 'classes' must be a list of strings")
@@ -117,12 +137,40 @@ def element_from_json(data: object) -> ElementSnapshot:
         isinstance(k, str) and isinstance(v, str) for k, v in attributes.items()
     ):
         raise RecordError("element 'attributes' must map strings to strings")
-    return ElementSnapshot(
-        tag=tag,
-        classes=tuple(classes),
-        attributes=tuple(sorted(attributes.items())),
-        **kwargs,
-    )
+    fields.append(tuple(classes))
+    fields.append(tuple(sorted(attributes.items())))
+    return tuple(fields)
+
+
+def _remember(table: dict, key, value):
+    if len(table) >= _TABLE_LIMIT:
+        table.clear()
+    table[key] = value
+    return value
+
+
+def _decode_row(payloads: list) -> tuple:
+    """Validate and intern one selector's elements: ``(row, row id)``."""
+    entries = []
+    for payload in payloads:
+        fields = _element_fields(payload)
+        entry = _ELEMENTS.get(fields)
+        if entry is None:
+            entry = _remember(
+                _ELEMENTS, fields, (ElementSnapshot(*fields), next(_ids))
+            )
+        entries.append(entry)
+    ids = tuple([entry[1] for entry in entries])
+    row = _ROWS.get(ids)
+    if row is None:
+        row = _remember(
+            _ROWS, ids, (tuple([entry[0] for entry in entries]), next(_ids))
+        )
+    return row
+
+
+def element_from_json(data: object) -> ElementSnapshot:
+    return ElementSnapshot(*_element_fields(data))
 
 
 def snapshot_to_json(state: StateSnapshot, *, meta: bool = True) -> dict:
@@ -145,19 +193,22 @@ def snapshot_to_json(state: StateSnapshot, *, meta: bool = True) -> dict:
     return payload
 
 
-def snapshot_from_json(data: object) -> StateSnapshot:
+def _decode_state(data: object) -> Tuple[StateSnapshot, StateKey]:
+    """Validate a state payload in one pass: the snapshot and its key."""
     if not isinstance(data, dict):
         raise RecordError(f"state payload must be an object, got {type(data).__name__}")
     queries_data = data.get("queries", {})
     if not isinstance(queries_data, dict):
         raise RecordError("state 'queries' must be an object")
     queries = {}
+    rows = []
     for selector, elements in queries_data.items():
         if not isinstance(selector, str):
             raise RecordError("query selectors must be strings")
         if not isinstance(elements, list):
             raise RecordError(f"query {selector!r} must hold a list of elements")
-        queries[selector] = tuple(element_from_json(e) for e in elements)
+        queries[selector], row_id = _decode_row(elements)
+        rows.append((selector, row_id))
     happened = data.get("happened", [])
     if not isinstance(happened, list) or not all(isinstance(h, str) for h in happened):
         raise RecordError("state 'happened' must be a list of strings")
@@ -169,23 +220,27 @@ def snapshot_from_json(data: object) -> StateSnapshot:
         timestamp_ms = float(timestamp_ms)
     if not isinstance(timestamp_ms, float):
         raise RecordError("state 'timestamp_ms' must be a number")
-    return StateSnapshot(
+    happened = tuple(happened)
+    rows.sort()
+    state = StateSnapshot(
         queries=queries,
-        happened=tuple(happened),
+        happened=happened,
         version=version,
         timestamp_ms=timestamp_ms,
     )
+    return state, (tuple(rows), happened)
 
 
-def state_key(state: StateSnapshot) -> str:
-    """The canonical cohort key: semantically identical states (same
-    queries and happened set; version/timestamp excluded) get identical
-    keys, regardless of how the record was formatted on the wire."""
-    return json.dumps(
-        snapshot_to_json(state, meta=False),
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+def snapshot_from_json(data: object) -> StateSnapshot:
+    return _decode_state(data)[0]
+
+
+def state_key(state: StateSnapshot) -> StateKey:
+    """The cohort key :func:`parse_record` gives any wire line carrying
+    ``state``: semantically identical states (same queries and happened
+    set; version/timestamp excluded) get equal keys.  Raises
+    :class:`RecordError` for a state the wire format cannot carry."""
+    return _decode_state(snapshot_to_json(state, meta=False))[1]
 
 
 # ----------------------------------------------------------------------
@@ -243,12 +298,8 @@ def parse_record(line: str) -> Optional[MonitorRecord]:
                              end=True)
     if not has_state:
         raise RecordError("record carries neither 'state' nor 'end'")
-    snapshot = snapshot_from_json(data["state"])
-    return MonitorRecord(
-        session_id=session,
-        state=snapshot,
-        state_key=state_key(snapshot),
-    )
+    state, key = _decode_state(data["state"])
+    return MonitorRecord(session_id=session, state=state, state_key=key)
 
 
 def trace_records(

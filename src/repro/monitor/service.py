@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, IO, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, IO, Iterable, List, Optional, Tuple
 
 from ..checker.compiled import CompiledProperty
 from ..quickltl import ProgressionCaches, Verdict, force_verdict, intern_delta
@@ -39,7 +39,7 @@ from ..specstrom.module import CheckSpec
 from .batch import BatchProgressor
 from .ingest import IngestQueue
 from .metrics import MonitorMetrics
-from .records import MonitorRecord, RecordError, parse_record
+from .records import MonitorRecord, RecordError, StateKey, parse_record
 from .table import SessionEntry, SessionTable
 
 __all__ = ["SessionVerdict", "MonitorReport", "Monitor"]
@@ -167,6 +167,7 @@ class Monitor:
 
     def feed_line(self, line: str) -> None:
         """Ingest one wire line; malformed input is quarantined."""
+        started = time.perf_counter()
         try:
             record = parse_record(line)
         except RecordError as error:
@@ -174,6 +175,8 @@ class Monitor:
             if len(self._quarantine) < _QUARANTINE_SAMPLES:
                 self._quarantine.append((line.strip(), str(error)))
             return
+        finally:
+            self.metrics.parse_s += time.perf_counter() - started
         if record is not None:
             self.feed_record(record)
 
@@ -194,28 +197,28 @@ class Monitor:
     # -- processing ----------------------------------------------------
 
     def flush(self) -> None:
-        """Process every pending record in session-ordered rounds."""
+        """Process every pending record in session-ordered rounds: round
+        k holds the k-th pending record of every session, in arrival
+        order."""
         pending = self._pending
         self._pending = []
-        while pending:
+        rounds: List[List[MonitorRecord]] = []
+        ordinals: Dict[str, int] = {}
+        for record in pending:
+            ordinal = ordinals.get(record.session_id, 0)
+            ordinals[record.session_id] = ordinal + 1
+            if ordinal == len(rounds):
+                rounds.append([])
+            rounds[ordinal].append(record)
+        for round_records in rounds:
             self.metrics.ticks += 1
-            round_records: List[MonitorRecord] = []
-            leftovers: List[MonitorRecord] = []
-            claimed = set()
-            for record in pending:
-                if record.session_id in claimed:
-                    leftovers.append(record)
-                else:
-                    claimed.add(record.session_id)
-                    round_records.append(record)
             self._apply_round(round_records)
-            pending = leftovers
         self._sweep_idle()
         self.metrics.sessions_live = len(self.table)
 
     def _apply_round(self, records: List[MonitorRecord]) -> None:
         now = self._clock()
-        work: List[Tuple[SessionEntry, object, str]] = []
+        work: List[Tuple[SessionEntry, object, StateKey]] = []
         for record in records:
             entry = self.table.get(record.session_id)
             if entry is None:
@@ -232,7 +235,9 @@ class Monitor:
                 work.append((entry, record.state, record.state_key))
         if not work:
             return
+        started = time.perf_counter()
         outcomes = self.batcher.run_round(work)
+        self.metrics.progress_s += time.perf_counter() - started
         self.metrics.states_applied = self.batcher.session_steps
         self.metrics.cohort_steps = self.batcher.cohort_steps
         for (entry, _state, _key), outcome in zip(work, outcomes):

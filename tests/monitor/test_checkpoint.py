@@ -17,7 +17,7 @@ from repro.monitor import (
     feed_lines,
     read_checkpoint_header,
 )
-from repro.monitor.checkpoint import shard_checkpoint_path
+from repro.monitor.checkpoint import load_checkpoint_payload, shard_checkpoint_path
 from repro.monitor.synth import synth_lines
 from repro.specs import load_eggtimer_spec, spec_path
 
@@ -26,7 +26,7 @@ from repro.specs import load_eggtimer_spec, spec_path
 _RESTART_SENSITIVE = {
     "cohort_steps", "sharing_ratio", "intern_hits", "intern_misses",
     "intern_hit_ratio", "cache_evictions", "cache_trims", "ticks",
-    "wall_s", "states_per_s", "max_queue_depth",
+    "wall_s", "states_per_s", "max_queue_depth", "parse_s", "progress_s",
 }
 
 
@@ -126,6 +126,32 @@ class TestResumeEquivalence:
         second.flush()
         assert second.metrics.late_records == 1
         assert second.metrics.sessions_started == first.metrics.sessions_started
+
+    def test_checkpoint_without_phase_timings_restores_with_defaults(
+        self, check, lines, tmp_path
+    ):
+        """A checkpoint written before ``parse_s``/``progress_s`` existed
+        carries metrics without them: they restore as the class
+        defaults and accumulate from there."""
+        directory = str(tmp_path / "ckpt")
+        first = Monitor(check)
+        for line in lines[: len(lines) // 2]:
+            first.feed_line(line)
+        first.flush()
+        del first.metrics.parse_s, first.metrics.progress_s
+        path = first.checkpoint_to(directory)
+        _header, saved = load_checkpoint_payload(path)
+        assert "parse_s" not in vars(saved["metrics"])
+
+        second = Monitor(check)
+        second.restore_from(directory)
+        restored = second.metrics
+        assert restored.to_dict()["parse_s"] == 0.0
+        assert restored.to_dict()["progress_s"] == 0.0
+        assert restored.records_ingested == len(lines) // 2
+        report = second.run_lines(lines[len(lines) // 2:])
+        assert report.metrics.parse_s > 0
+        assert report.metrics.progress_s > 0
 
 
 class TestCheckpointContainer:

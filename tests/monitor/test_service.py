@@ -1,15 +1,19 @@
 """Monitor end-to-end: lifecycles, eviction, EOF, quarantine, errors."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.monitor.records import trace_records
+from repro.monitor.metrics import MonitorMetrics
+from repro.monitor.records import MonitorRecord, trace_records
 from repro.monitor.replay import interleave_sessions, monitor_verdicts
 from repro.monitor.service import Monitor
-from repro.monitor.synth import _countdown, synth_traces
+from repro.monitor.synth import _countdown, synth_lines, synth_traces
 from repro.quickltl import Always, Atom
 from repro.specs import spec_path
 from repro.specstrom import load_module_file
 from repro.specstrom.module import CheckSpec
+from tests.strategies import examples
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +201,105 @@ class TestQuarantine:
         report = monitor.run_lines("garbage" for _ in range(30))
         assert report.metrics.malformed_records == 30
         assert len(report.quarantine) == 20
+
+    def test_mixed_stream_pins_counts_and_sample_texts(self, safety):
+        lines = list(interleave_sessions({
+            "a": trace_records("a", _countdown(3)),
+            "b": trace_records("b", _countdown(3, fault_at=2)),
+        }))
+        # "checked": 0 equals (and hashes like) the default False that
+        # #remaining's well-formed elements decode to.
+        torn = '{"session": "a", "state": {"queries"'
+        int_flag = ('{"session": "c", "state": {"queries": {"#remaining": '
+                    '[{"tag": "span", "text": "3", "checked": 0}]}}}')
+        null_classes = ('{"session": "c", "state": {"queries": {"#toggle": '
+                        '[{"tag": "button", "classes": null}]}}}')
+        float_session = '{"session": 7.5, "end": true}'
+        stream = list(lines)
+        for position, line in sorted({
+            1: torn, 3: int_flag, 4: "   ", 6: null_classes, 8: float_session,
+        }.items(), reverse=True):
+            stream.insert(position, line)
+        monitor, verdicts = collect(safety)
+        report = monitor.run_lines(stream)
+        assert report.metrics.malformed_records == 4
+        assert report.metrics.records_ingested == len(lines) == 11
+        assert report.metrics.sessions_started == 2
+        assert report.metrics.states_applied == 9
+        assert report.quarantine == [
+            (torn, "invalid JSON: Expecting ':' delimiter: "
+                   "line 1 column 37 (char 36)"),
+            (int_flag, "element field 'checked' must be bool, got int"),
+            (null_classes, "element 'classes' must be a list of strings"),
+            (float_session, "record needs a non-empty 'session' tag"),
+        ]
+        assert [(v.session_id, v.verdict, v.disposition, v.states)
+                for v in verdicts] == [
+            ("b", "DEFINITELY_FALSE", "definitive", 4),
+            ("a", "PROBABLY_TRUE", "ended", 5),
+        ]
+
+
+def _rescanning_rounds(pending):
+    """The flush loop before bucketing, kept as the oracle: each round
+    re-scans every leftover record and claims one per session."""
+    rounds = []
+    while pending:
+        round_records, leftovers, claimed = [], [], set()
+        for record in pending:
+            if record.session_id in claimed:
+                leftovers.append(record)
+            else:
+                claimed.add(record.session_id)
+                round_records.append(record)
+        rounds.append(round_records)
+        pending = leftovers
+    return rounds
+
+
+class TestFlushRounds:
+    @given(sessions=st.lists(st.sampled_from("abcde"), max_size=40))
+    @examples(100)
+    def test_rounds_equal_the_rescanning_loop(self, safety, sessions):
+        monitor = Monitor(safety, batch_size=1000)
+        rounds = []
+        monitor._apply_round = rounds.append
+        records = [
+            MonitorRecord(session_id=s, state=None, state_key=None, end=True)
+            for s in sessions
+        ]
+        for record in records:
+            monitor.feed_record(record)
+        monitor.flush()
+
+        def identities(rounds):
+            return [[id(record) for record in r] for r in rounds]
+
+        assert identities(rounds) == identities(_rescanning_rounds(records))
+        assert monitor.metrics.ticks == len(rounds)
+
+
+class TestPhaseTimings:
+    def test_parse_and_progress_time_is_reported(self, safety):
+        monitor, _ = collect(safety)
+        report = monitor.run_lines(synth_lines(sessions=6, seed=1))
+        metrics = report.metrics
+        assert metrics.parse_s > 0
+        assert metrics.progress_s > 0
+        data = metrics.to_dict()
+        assert data["parse_s"] == round(metrics.parse_s, 4)
+        assert data["progress_s"] == round(metrics.progress_s, 4)
+        line = monitor.heartbeat_line(0)
+        assert f"parse={metrics.parse_s * 1000:.0f}ms " in line
+        assert f"progress={metrics.progress_s * 1000:.0f}ms" in line
+
+    def test_merged_sums_phase_timings(self):
+        merged = MonitorMetrics.merged([
+            MonitorMetrics(parse_s=0.25, progress_s=1.0),
+            MonitorMetrics(parse_s=0.5, progress_s=0.5),
+        ])
+        assert merged.parse_s == 0.75
+        assert merged.progress_s == 1.5
 
 
 class TestErrors:

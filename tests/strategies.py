@@ -214,8 +214,19 @@ def spec_values(max_depth: int = 2):
     )
 
 
-def element_snapshots():
-    """An immutable element snapshot with plausible widget state."""
+def element_snapshots(attributes: bool = False):
+    """An immutable element snapshot with plausible widget state.
+
+    ``attributes=True`` also draws attributes (sorted, as
+    ``ElementSnapshot.of_element`` stores them); it is opt-in so the
+    examples of tests that do not ask for it stay as they were.
+    """
+    extra = {}
+    if attributes:
+        extra["attributes"] = st.dictionaries(
+            st.sampled_from(("href", "id", "data-x", "for")),
+            st.text(alphabet="ab 01", max_size=4), max_size=3,
+        ).map(lambda mapping: tuple(sorted(mapping.items())))
     return st.builds(
         ElementSnapshot,
         tag=st.sampled_from(("div", "span", "button", "input", "li")),
@@ -229,19 +240,23 @@ def element_snapshots():
             st.sampled_from(("completed", "editing", "selected")),
             max_size=2, unique=True,
         ).map(tuple),
+        **extra,
     )
 
 
 @st.composite
-def state_snapshots(draw, selector_pool=SELECTORS, max_matches: int = 3):
-    """A state snapshot over a subset of the selector pool."""
+def state_snapshots(draw, selector_pool=SELECTORS, max_matches: int = 3,
+                    attributes: bool = False):
+    """A state snapshot over a subset of the selector pool
+    (``attributes`` as for :func:`element_snapshots`)."""
     chosen = draw(
         st.lists(st.sampled_from(selector_pool), min_size=1, max_size=3,
                  unique=True)
     )
     queries = {
         css: tuple(
-            draw(st.lists(element_snapshots(), max_size=max_matches))
+            draw(st.lists(element_snapshots(attributes),
+                          max_size=max_matches))
         )
         for css in chosen
     }
