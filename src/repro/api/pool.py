@@ -58,10 +58,13 @@ class PoolMetrics:
     * ``campaign_wall_s`` -- per-campaign wall-clock, label-keyed, from
       first merged result to campaign completion (campaigns overlap
       under pooling, so these may sum to more than ``wall_s``);
-    * ``intern_hits`` / ``intern_misses`` -- the formula hash-cons table
-      deltas summed over every test (see
-      :func:`repro.quickltl.intern_stats`): a high hit ratio means the
-      compiled engine reused existing nodes instead of allocating;
+    * ``intern_hits`` / ``intern_misses`` -- each test's hash-cons
+      lookups (:func:`repro.quickltl.push_intern_counter`), summed: a
+      high hit ratio means the compiled engine reused existing nodes
+      instead of allocating (a reused step constructs none);
+    * ``steps_reused`` -- steps the step table served (``to_dict`` adds
+      their share of observed states); like the intern counts it varies
+      with the transport, so JUnit and text reports leave both out;
     * ``max_formula_size`` -- the largest progressed-formula size any
       test's checker recorded;
     * ``query_width_sum`` / ``query_width_states`` -- total captured
@@ -83,6 +86,7 @@ class PoolMetrics:
     max_formula_size: int = 0
     query_width_sum: int = 0
     query_width_states: int = 0
+    steps_reused: int = 0
     queue_depth_samples: List[int] = field(default_factory=list)
     worker_tasks: Dict[int, int] = field(default_factory=dict)
     worker_busy_s: Dict[int, float] = field(default_factory=dict)
@@ -110,10 +114,11 @@ class PoolMetrics:
 
     def record_engine(self, result) -> None:
         """Fold one :class:`~repro.checker.result.TestResult`'s compiled-
-        engine statistics (intern deltas, peak formula size, captured
-        query widths) into the batch totals."""
+        engine statistics (intern counts, reused steps, peak formula
+        size, captured query widths) into the batch totals."""
         self.intern_hits += getattr(result, "intern_hits", 0)
         self.intern_misses += getattr(result, "intern_misses", 0)
+        self.steps_reused += getattr(result, "steps_reused", 0)
         self.max_formula_size = max(
             self.max_formula_size, getattr(result, "max_formula_size", 0)
         )
@@ -189,6 +194,8 @@ class PoolMetrics:
             "intern_hits": self.intern_hits,
             "intern_misses": self.intern_misses,
             "intern_hit_ratio": round(self.intern_hit_ratio, 4),
+            "steps_reused": self.steps_reused,
+            "step_reuse_ratio": round(self.steps_reused / max(self.query_width_states, 1), 4),
             "max_formula_size": self.max_formula_size,
             "mean_query_width": round(self.mean_query_width, 4),
             "max_queue_depth": self.max_queue_depth,

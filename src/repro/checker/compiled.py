@@ -30,13 +30,76 @@ The whole-module bundle that an artifact stores is
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional
 
-from ..quickltl import Formula, FormulaChecker, ProgressionCaches
+from ..quickltl import Defer, Formula, FormulaChecker, ProgressionCaches
 from ..specstrom.analysis import expr_selector_footprint, live_queries
+from ..specstrom.eval import Quote
 from ..specstrom.module import CheckSpec
+from ..specstrom.state import ElementSnapshot, StateSnapshot
 
-__all__ = ["CompiledProperty"]
+__all__ = ["CompiledProperty", "step_key"]
+
+#: (selector, element field tuples) -> row id.  Ids are never reused and
+#: a full table resets whole, so a reset or race only costs a miss.
+_ROW_LIMIT = 1024
+_ROWS: dict = {}
+_row_ids = itertools.count()
+
+
+def _wire_fields(element: object) -> Optional[tuple]:
+    """``element``'s fields, or ``None`` unless each has exactly the type
+    the monitor's wire format allows (``records._element_fields``)."""
+    if type(element) is not ElementSnapshot:
+        return None
+    fields = (element.tag, element.text, element.value, element.checked,
+              element.enabled, element.visible, element.focused,
+              element.classes, element.attributes)
+    tag, text, value, checked, enabled, visible, focused, classes, attributes = fields
+    if not (type(tag) is str and type(text) is str and type(value) is str
+            and type(checked) is bool and type(enabled) is bool
+            and type(visible) is bool and type(focused) is bool
+            and type(classes) is tuple and type(attributes) is tuple):
+        return None
+    for name in classes:
+        if type(name) is not str:
+            return None
+    for pair in attributes:
+        if (type(pair) is not tuple or len(pair) != 2
+                or type(pair[0]) is not str or type(pair[1]) is not str):
+            return None
+    return fields
+
+
+def step_key(state: object) -> Optional[tuple]:
+    """An exact step-table key for ``state``: the row id of each selector
+    (standing for the selector and its elements), in query order, then
+    ``happened``, without ``version`` and ``timestamp_ms``, as in the
+    monitor's cohort key.  A state with any value outside the wire
+    format's exact types gets ``None`` before any lookup, since
+    ``True == 1`` yet ``spec_equal(1, true)`` is false."""
+    if type(state) is not StateSnapshot:
+        return None
+    queries, happened = state.queries, state.happened
+    if (type(queries) is not dict or type(happened) is not tuple
+            or not all(type(name) is str for name in happened)):
+        return None
+    key = []
+    for selector, elements in queries.items():
+        if type(selector) is not str or type(elements) is not tuple:
+            return None
+        row = (selector, tuple(map(_wire_fields, elements)))
+        if None in row[1]:
+            return None
+        row_id = _ROWS.get(row)
+        if row_id is None:
+            if len(_ROWS) >= _ROW_LIMIT:
+                _ROWS.clear()
+            row_id = _ROWS[row] = next(_row_ids)
+        key.append(row_id)
+    key.append(happened)
+    return tuple(key)
 
 
 class CompiledProperty:
@@ -66,6 +129,14 @@ class CompiledProperty:
                     return None
                 selectors.update(footprint)
         return frozenset(selectors)
+
+    @property
+    def keyed(self) -> bool:
+        """Whether the runner keys steps by :func:`step_key`: only the
+        evaluator's formulas (a ``Defer`` over a ``Quote``) read nothing
+        but ``queries`` and ``happened``; an atom may read anything."""
+        formula = self.spec.formula
+        return type(formula) is Defer and type(formula.build) is Quote
 
     @property
     def supports_narrowing(self) -> bool:

@@ -44,7 +44,8 @@ class TestResult:
     narrowing achieved).  The intern counters are kept per thread
     (:func:`~repro.quickltl.push_intern_counter`), so they are exact
     under every transport, the thread transport included, where other
-    tests and shrink replays intern concurrently.
+    tests and shrink replays intern concurrently.  ``steps_reused``
+    counts the steps the property's step table served.
     """
 
     verdict: Verdict
@@ -60,6 +61,7 @@ class TestResult:
     intern_hits: int = 0
     intern_misses: int = 0
     query_width_sum: int = 0
+    steps_reused: int = 0
 
     @property
     def passed(self) -> bool:

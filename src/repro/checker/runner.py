@@ -39,7 +39,7 @@ from ..specstrom.eval import EvalContext, evaluate
 from ..specstrom.module import CheckSpec
 from ..specstrom.state import StateSnapshot
 from ..specstrom.values import ActionValue
-from .compiled import CompiledProperty
+from .compiled import CompiledProperty, step_key
 from .config import RunnerConfig
 from .result import TestResult
 
@@ -59,16 +59,18 @@ class TraceAccumulator:
     Shared by the random test loop and the replay loop (they used to
     carry near-identical ``absorb`` closures): every drained message
     becomes a :class:`TraceEntry`, advances the state count, and -- until
-    the verdict is definitive -- is observed by the formula checker.
+    the verdict is definitive -- is observed by the formula checker
+    (with its :func:`~repro.checker.compiled.step_key` when ``keyed``).
     """
 
     __slots__ = (
-        "checker", "trace", "states", "verdict", "current_state",
+        "checker", "keyed", "trace", "states", "verdict", "current_state",
         "query_width_sum",
     )
 
-    def __init__(self, checker: FormulaChecker) -> None:
+    def __init__(self, checker: FormulaChecker, keyed: bool) -> None:
         self.checker = checker
+        self.keyed = keyed
         self.trace: List[TraceEntry] = []
         self.states = 0
         self.verdict = Verdict.DEMAND
@@ -91,7 +93,8 @@ class TraceAccumulator:
             self.query_width_sum += len(state.queries)
             self.current_state = state
             if not self.verdict.is_definitive:
-                self.verdict = self.checker.observe(state)
+                key = step_key(state) if self.keyed else None
+                self.verdict = self.checker.observe(state, key)
 
 
 class QueryNarrower:
@@ -257,7 +260,7 @@ class Runner:
         narrower = self._narrower(executor, checker)
         counter, token = push_intern_counter()
         try:
-            acc = TraceAccumulator(checker)
+            acc = TraceAccumulator(checker, self.compiled_spec().keyed)
             fired: List[_FiredAction] = []
             actions_taken = 0
             stall_reason: Optional[str] = None
@@ -338,6 +341,7 @@ class Runner:
                 intern_hits=counter[0],
                 intern_misses=counter[1],
                 query_width_sum=acc.query_width_sum,
+                steps_reused=checker.steps_reused,
             )
         finally:
             pop_intern_counter(token)
@@ -404,7 +408,7 @@ class Runner:
         timeout_by_name = {a.name: a.timeout_ms for a in self.spec.actions}
         counter, token = push_intern_counter()
         try:
-            acc = TraceAccumulator(checker)
+            acc = TraceAccumulator(checker, self.compiled_spec().keyed)
             start_ms = executor.now_ms
             dispatched = 0  # the verdict can turn definitive mid-sequence
 
@@ -462,6 +466,7 @@ class Runner:
                 intern_hits=counter[0],
                 intern_misses=counter[1],
                 query_width_sum=acc.query_width_sum,
+                steps_reused=checker.steps_reused,
             )
         finally:
             pop_intern_counter(token)

@@ -23,14 +23,20 @@ caches persist across states *and across the checkers of a whole
 campaign* (``repro.checker.compiled.CompiledProperty`` shares one
 bundle per spec).  The caches are ordinary per-process dicts -- forked
 pool workers each inherit a copy-on-write instance, which is what makes
-sharing them fork-safe without any locking.  The unroll memo is state-dependent and
-therefore lives only for a single ``observe``.
+sharing them fork-safe without any locking.  The unroll memo holds
+forces against one state, so it lives only for a single ``observe``.
+
+A step is a pure function of the residual and the state, so the step
+table (``outcomes``) maps ``(residual, key)`` to the step's result for
+every test of the property, where *equal keys mean the formula cannot
+tell the two states apart* (``repro.checker.compiled.step_key``); it
+resets whole at ``_STEP_LIMIT`` steps and never pickles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from .simplify import simplify
 from .step import presumptive_valuation, step
@@ -66,14 +72,18 @@ __all__ = [
 #: hard bound so a pathological campaign cannot grow without limit.
 _CACHE_LIMIT = 100_000
 
+#: Steps the step table holds before it resets whole.
+_STEP_LIMIT = 4096
+
 
 class ProgressionCaches:
     """Shared memo tables for the progression phases.
 
     One bundle may serve many checkers (every test of a campaign checks
-    the same formula, so the tables converge after the first test).  All
-    three tables key hash-consed nodes; ``sizes`` additionally backs the
-    DAG-aware :func:`formula_size`.
+    the same formula, so the tables converge after the first test).
+    Four tables key hash-consed nodes; ``sizes`` additionally backs the
+    DAG-aware :func:`formula_size`.  The fifth, ``outcomes``, is the
+    step table of the module docs, bounded on its own.
 
     ``max_entries`` lowers the built-in safety bound for long-lived
     processes (the online monitor runs for days over an unbounded stream
@@ -87,7 +97,7 @@ class ProgressionCaches:
     """
 
     __slots__ = ("simplify", "step", "valuation", "sizes", "max_entries",
-                 "evicted_entries", "trims")
+                 "evicted_entries", "trims", "outcomes")
 
     def __init__(self, max_entries: Optional[int] = None) -> None:
         if max_entries is not None and max_entries < 1:
@@ -103,9 +113,19 @@ class ProgressionCaches:
         self.evicted_entries = 0
         #: Number of wholesale resets (trim-triggered or explicit).
         self.trims = 0
+        self.outcomes: dict = {}
+
+    def __getstate__(self):
+        # The default slot state minus the process-local step table (last).
+        return None, {name: getattr(self, name) for name in self.__slots__[:-1]}
+
+    def __setstate__(self, state) -> None:
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self.outcomes = {}
 
     def __len__(self) -> int:
-        """Combined entry count across all four tables."""
+        """Combined entry count of the four node tables."""
         return (
             len(self.simplify) + len(self.step) + len(self.valuation)
             + len(self.sizes)
@@ -129,11 +149,13 @@ class ProgressionCaches:
             "step": len(self.step),
             "valuation": len(self.valuation),
             "sizes": len(self.sizes),
+            "outcomes": len(self.outcomes),
         }
         self.simplify.clear()
         self.step.clear()
         self.valuation.clear()
         self.sizes.clear()
+        self.outcomes.clear()
         total = sum(dropped.values())
         dropped["total"] = total
         if total:
@@ -259,6 +281,7 @@ class FormulaChecker:
     ``CompiledProperty.checker()`` does) means later tests replay earlier
     tests' simplify/step work as dict hits.  Without one the checker
     builds a private bundle, so memoization is always on.
+    ``steps_reused`` counts the steps served by the step table.
 
     ``simplify_each_step`` exists for the ablation study only; turning it
     off makes progression follow the naive expansion.
@@ -271,6 +294,7 @@ class FormulaChecker:
     _verdict: Verdict = field(default=Verdict.DEMAND, init=False)
     _states_seen: int = field(default=0, init=False)
     _sizes: List[int] = field(default_factory=list, init=False, repr=False)
+    steps_reused: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         self._current = self.formula
@@ -328,18 +352,29 @@ class FormulaChecker:
 
         return force_verdict(self._current)
 
-    def observe(self, state: object) -> Verdict:
+    def observe(self, state: object, key: Optional[Hashable] = None) -> Verdict:
         """Feed the next trace state and return the updated verdict.
 
         Observing further states after a definitive verdict is a no-op
         (``top``/``bottom`` are fixpoints of unrolling), so callers need
-        not special-case early termination.
+        not special-case early termination.  With a ``key`` (see the module
+        docs) the step comes from the step table, computed only on a miss.
         """
         caches = self.caches
         if self.simplify_each_step:
             # The production path is the pure per-state step shared with
             # the online monitor's batcher.
-            verdict, residual, size = progress(self._current, state, caches)
+            outcomes = caches.outcomes
+            outcome = None if key is None else outcomes.get((self._current, key))
+            if outcome is not None:
+                self.steps_reused += 1
+            else:
+                outcome = progress(self._current, state, caches)
+                if key is not None:
+                    if len(outcomes) >= _STEP_LIMIT:
+                        outcomes.clear()
+                    outcomes[self._current, key] = outcome
+            verdict, residual, size = outcome
             self._states_seen += 1
             self._sizes.append(size)
             self._verdict = verdict

@@ -138,8 +138,8 @@ def intern_stats() -> Tuple[int, int]:
     """``(hits, misses)`` of the intern table since process start.
 
     A *hit* is a construction that returned an already-live node; a
-    *miss* allocated a new one.  The checker records per-test deltas and
-    the pool metrics aggregate them into the intern-table hit rate.
+    *miss* allocated a new one.  The totals count every thread; the
+    checker runner counts each test on a :func:`push_intern_counter`.
     """
     return _STATS[0], _STATS[1]
 
@@ -206,9 +206,9 @@ def intern_delta() -> InternDelta:
             ...build formulas...
         print(delta.hits, delta.misses, delta.hit_ratio)
 
-    Replaces the hand-rolled ``intern_stats()`` subtraction everywhere a
-    component reports sharing over a region (the runner's per-test
-    deltas, the monitor's sharing report, ``bench_progression``).
+    Replaces the hand-rolled ``intern_stats()`` subtraction (the
+    monitor's sharing report, ``bench_progression``); like it, it counts
+    every thread, so per-test counts use :func:`push_intern_counter`.
     """
     return InternDelta()
 

@@ -359,3 +359,12 @@ class TestEngineMetrics:
         for key in ("intern_hits", "intern_misses", "intern_hit_ratio",
                     "max_formula_size", "mean_query_width"):
             assert key in payload
+
+    def test_reused_steps_are_summed_into_the_payload(self):
+        batch = CheckSession().check_many(self._one_target(), session=SessionConfig(jobs=1))
+        results = batch.results[0].results
+        reused = sum(r.steps_reused for r in results)
+        states = sum(r.states_observed for r in results)
+        payload = batch.metrics.to_dict()
+        assert payload["steps_reused"] == reused > 0
+        assert payload["step_reuse_ratio"] == round(reused / states, 4)

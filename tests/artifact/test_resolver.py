@@ -2,12 +2,16 @@
 
 import base64
 
+from repro.api import CheckSession
+from repro.apps.eggtimer import egg_timer_app
 from repro.artifact import (
     SpecResolver,
     compile_spec,
     content_hash,
     save_artifact,
 )
+from repro.artifact.codec import decode, encode
+from repro.checker import RunnerConfig
 from repro.checker.compiled import CompiledProperty
 from repro.specs import spec_path
 from repro.specstrom.module import CheckSpec
@@ -95,3 +99,35 @@ class TestRemoteFields:
         second = resolver.remote_fields(spec_path("eggtimer.strom"))
         assert first == second
         assert len(resolver._encoded) == 1
+
+
+class TestStepTableStaysLocal:
+    """The step table keys process-local row ids, so no encoding of a
+    bundle carries it, however full local campaigns left it."""
+
+    CONFIG = RunnerConfig(tests=4, scheduled_actions=15, demand_allowance=10,
+                          seed=7)
+
+    def verdicts(self, bundle):
+        result = CheckSession(egg_timer_app()).check(
+            bundle, property="safety", config=self.CONFIG
+        )
+        return [(r.verdict, r.states_observed) for r in result.results]
+
+    def test_encodings_after_a_campaign_carry_no_steps(self):
+        resolver = SpecResolver()
+        bundle = resolver.load(spec_path("eggtimer.strom"))
+        local = self.verdicts(bundle)
+        assert bundle.caches.outcomes
+        payload = encode(bundle)
+        decoded = decode(payload)
+        shipped = SpecResolver().load_bytes(
+            resolver.encoded(bundle), source_hash=bundle.source_hash
+        )
+        for copy in (decoded, shipped):
+            assert copy.caches.outcomes == {}
+            assert copy.caches.simplify  # the node tables do travel
+            assert self.verdicts(copy) == local
+            assert copy.properties["safety"].caches.outcomes
+        bundle.caches.outcomes.clear()
+        assert encode(bundle) == payload

@@ -419,6 +419,14 @@ class TestSessionWork:
         ) == self.COLD
 
 
+def fresh_row_table(patch):
+    """Empty the step keys' row table for one pinned run, so no reset
+    of it (whatever ran earlier in the process) falls mid-campaign."""
+    import repro.checker.compiled as compiled_module
+
+    patch.setattr(compiled_module, "_ROWS", {}, raising=False)
+
+
 class TestDeferSharing:
     """Quoted temporal bodies built and shared on fixed-seed campaigns
     of freshly elaborated specs: every ``Defer`` the evaluator builds
@@ -426,10 +434,15 @@ class TestDeferSharing:
     summed per-test intern-table hits and misses.  A quote is a value,
     so re-quoting a body over the same captured values must return the
     node already built -- the distinct count stays far below the built
-    count, and progression's constructions hit the table."""
+    count, and progression's constructions hit the table.  A step the
+    step table serves forces no body and constructs no node, so
+    ``built`` and the intern counts drop only by the steps
+    :class:`TestProgressionWork` counts as reused (before the step
+    table: built 154 and 146, hits 642 and 411, misses 460 and 721);
+    ``distinct`` does not move."""
 
-    EGG = {"built": 154, "distinct": 30, "intern_hits": 642, "intern_misses": 460}
-    VUE = {"built": 146, "distinct": 83, "intern_hits": 411, "intern_misses": 721}
+    EGG = {"built": 121, "distinct": 30, "intern_hits": 462, "intern_misses": 457}
+    VUE = {"built": 144, "distinct": 83, "intern_hits": 405, "intern_misses": 720}
 
     def target(self, name):
         from repro.api import CheckTarget
@@ -462,6 +475,7 @@ class TestDeferSharing:
             return defer
 
         with monkeypatch.context() as patch:
+            fresh_row_table(patch)
             patch.setattr(spec_eval, "_defer", counting)
             batch = CheckSession().check_many(
                 [self.target(name)], session=SessionConfig(jobs=1)
@@ -473,9 +487,11 @@ class TestDeferSharing:
         del built
         # Interning is counted on a second, unobserved run: holding
         # every Defer alive above turns re-created nodes into hits.
-        batch = CheckSession().check_many(
-            [self.target(name)], session=SessionConfig(jobs=1)
-        )
+        with monkeypatch.context() as patch:
+            fresh_row_table(patch)
+            batch = CheckSession().check_many(
+                [self.target(name)], session=SessionConfig(jobs=1)
+            )
         results = batch.results[0].results
         counts["intern_hits"] = sum(r.intern_hits for r in results)
         counts["intern_misses"] = sum(r.intern_misses for r in results)
@@ -489,6 +505,48 @@ class TestDeferSharing:
 
 
 
+class TestProgressionWork:
+    """Progression steps on the fixed-seed campaigns of
+    :class:`TestDeferSharing`: states observed, calls to ``progress``
+    (each computes one step) and steps the property's step table served
+    instead.  No test here turns definitive, so every observed state is
+    exactly one of the two."""
+
+    EGG = {"states": 147, "progress_calls": 117, "steps_reused": 30}
+    VUE = {"states": 142, "progress_calls": 141, "steps_reused": 1}
+
+    def work(self, monkeypatch, name):
+        import repro.quickltl.progression as progression
+        from repro.api import SessionConfig
+
+        calls = []
+        progress = progression.progress
+
+        def counting(*args):
+            calls.append(1)
+            return progress(*args)
+
+        with monkeypatch.context() as patch:
+            fresh_row_table(patch)
+            patch.setattr(progression, "progress", counting)
+            batch = CheckSession().check_many(
+                [TestDeferSharing().target(name)], session=SessionConfig(jobs=1)
+            )
+        assert batch.passed
+        results = batch.results[0].results
+        return {
+            "states": sum(r.states_observed for r in results),
+            "progress_calls": len(calls),
+            "steps_reused": sum(getattr(r, "steps_reused", 0) for r in results),
+        }
+
+    def test_egg_timer_safety(self, monkeypatch):
+        assert self.work(monkeypatch, "egg") == self.EGG
+
+    def test_todomvc_safety(self, monkeypatch):
+        assert self.work(monkeypatch, "vue") == self.VUE
+
+
 class TestEvaluatorWork:
     """The evaluator's work on the fixed-seed campaigns of
     :class:`TestDeferSharing`, counted from outside: states observed,
@@ -496,12 +554,17 @@ class TestEvaluatorWork:
     read goes through it), calls to the shared builtins' host
     functions, and the runner's guard and action-body evaluations.  How
     expressions are evaluated may get cheaper; what they evaluate must
-    not change."""
+    not change, except that a step the step table serves evaluates
+    nothing: forces, state reads and builtin calls drop only by the
+    steps :class:`TestProgressionWork` counts as reused, two forces
+    each here (before the step table: forces 294 and 284, state reads
+    1235 and 7119, builtin calls 438 and 6938).  ``states`` and
+    ``runner_evaluates`` do not move."""
 
-    EGG = {"states": 147, "forces": 294, "state_reads": 1235,
-           "builtin_calls": 438, "runner_evaluates": 471}
-    VUE = {"states": 142, "forces": 284, "state_reads": 7119,
-           "builtin_calls": 6938, "runner_evaluates": 1961}
+    EGG = {"states": 147, "forces": 234, "state_reads": 1076,
+           "builtin_calls": 369, "runner_evaluates": 471}
+    VUE = {"states": 142, "forces": 282, "state_reads": 7089,
+           "builtin_calls": 6910, "runner_evaluates": 1961}
 
     def work(self, monkeypatch, name):
         import repro.checker.runner as runner_module
@@ -521,6 +584,7 @@ class TestEvaluatorWork:
             return wrapper
 
         with monkeypatch.context() as patch:
+            fresh_row_table(patch)
             patch.setattr(Defer, "force", counting("forces", Defer.force))
             patch.setattr(StateSnapshot, "elements",
                           counting("state_reads", StateSnapshot.elements))

@@ -5,6 +5,7 @@ import pytest
 from repro.quickltl import (
     Always,
     And,
+    Atom,
     FormulaChecker,
     NextReq,
     ProgressionCaches,
@@ -74,7 +75,7 @@ class TestBoundedCaches:
         assert len(caches) > 0
         report = caches.clear()
         assert set(report) == {"simplify", "step", "valuation", "sizes",
-                               "total"}
+                               "outcomes", "total"}
         assert report["total"] == sum(
             count for table, count in report.items() if table != "total"
         )
@@ -116,3 +117,32 @@ class TestBoundedCaches:
         for state in trace:
             assert bounded.observe(state) is unbounded.observe(state)
         assert bounded.verdict is unbounded.verdict
+
+
+def reads_p(state):
+    # Module-level, so formulas over it pickle.
+    return state["p"]
+
+
+class TestStepTable:
+    def test_pickles_without_the_step_table(self):
+        import pickle
+
+        caches = ProgressionCaches(max_entries=64)
+        checker = FormulaChecker(Always(3, Atom("p", reads_p)), caches=caches)
+        checker.observe({"p": True}, key="p")
+        assert caches.outcomes
+        copy = pickle.loads(pickle.dumps(caches))
+        assert copy.outcomes == {}
+        assert copy.simplify == caches.simplify
+        assert (copy.max_entries, copy.trims) == (64, 0)
+
+    def test_a_full_table_resets_whole(self, monkeypatch):
+        import repro.quickltl.progression as progression
+
+        monkeypatch.setattr(progression, "_STEP_LIMIT", 2)
+        caches = ProgressionCaches()
+        checker = FormulaChecker(Always(3, And(P, Q)), caches=caches)
+        for key in ("a", "b", "c"):
+            checker.observe({"p": True, "q": True}, key=key)
+        assert len(caches.outcomes) == 1
