@@ -72,11 +72,6 @@ class EventTarget:
         if handler in handlers:
             handlers.remove(handler)
 
-    def listeners_for(
-        self, element: Element, event_type: str, capture: bool
-    ) -> List[Callable[[Event], None]]:
-        return list(self._listeners.get((element.node_id, event_type, capture), []))
-
 
 def dispatch(registry: EventTarget, event: Event) -> bool:
     """Dispatch ``event`` to its target through ``registry``.
@@ -112,5 +107,8 @@ def dispatch(registry: EventTarget, event: Event) -> bool:
 
 def _invoke(registry: EventTarget, element: Element, event: Event, capture: bool) -> None:
     event.current_target = element
-    for handler in registry.listeners_for(element, event.type, capture):
-        handler(event)
+    handlers = registry._listeners.get((element.node_id, event.type, capture))
+    if handlers:
+        # A copy: a handler may add or remove listeners while it runs.
+        for handler in list(handlers):
+            handler(event)

@@ -14,12 +14,18 @@ exactly the surface Quickstrom observes and drives:
   which bump the document's mutation ``generation`` that its query cache
   and the executor's snapshot memo are keyed on.  So every change to the
   tree goes through the mutators here.
+
+An element also caches what it derives from its own attributes (class
+tokens, parsed ``style``, ``displayed``, sorted items), which are read
+far more often than written; so ``_attrs``, like ``children``, changes
+only through the mutators, whose attribute writers drop those caches.
+They depend on the element alone, so they hold while it is detached.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 __all__ = ["Node", "Text", "Element"]
 
@@ -84,7 +90,8 @@ class Text(Node):
 class Element(Node):
     """A DOM element with attributes, children and live widget state."""
 
-    __slots__ = ("tag", "_attrs", "children", "_value", "_checked")
+    __slots__ = ("tag", "_attrs", "children", "_value", "_checked",
+                 "_classes", "_style", "_displayed", "_items")
 
     def __init__(
         self,
@@ -95,7 +102,9 @@ class Element(Node):
     ) -> None:
         super().__init__()
         self.tag = tag.lower()
-        self._attrs: Dict[str, str] = dict(attrs or {})
+        # Strings, as ``set_attribute`` stores them.
+        self._attrs: Dict[str, str] = {k: str(v) for k, v in (attrs or {}).items()}
+        self._forget()
         #: Child nodes in document order.  Read freely, but change them
         #: only through the mutators below (``append_child``,
         #: ``insert_before``, ``remove_child``, ...): they bump the owning
@@ -113,16 +122,22 @@ class Element(Node):
     # Attributes and classes
     # ------------------------------------------------------------------
 
+    def _forget(self) -> None:
+        """Drop what is cached from ``_attrs``; every writer of it calls this."""
+        self._classes = self._style = self._displayed = self._items = None
+
     def get_attribute(self, name: str) -> Optional[str]:
         return self._attrs.get(name)
 
     def set_attribute(self, name: str, value: str) -> None:
         self._attrs[name] = str(value)
+        self._forget()
         self._notify()
 
     def remove_attribute(self, name: str) -> None:
         if name in self._attrs:
             del self._attrs[name]
+            self._forget()
             self._notify()
 
     def has_attribute(self, name: str) -> bool:
@@ -132,22 +147,37 @@ class Element(Node):
     def attributes(self) -> Dict[str, str]:
         return dict(self._attrs)
 
+    def attribute_items(self) -> Tuple[Tuple[str, str], ...]:
+        """The ``(name, value)`` pairs sorted by name; cached, shared."""
+        items = self._items
+        if items is None:
+            items = self._items = tuple(sorted(self._attrs.items()))
+        return items
+
     @property
     def id(self) -> Optional[str]:
         return self._attrs.get("id")
 
     @property
     def classes(self) -> List[str]:
-        return self._attrs.get("class", "").split()
+        return list(self.class_tuple())
+
+    def class_tuple(self) -> Tuple[str, ...]:
+        """The ``class`` attribute's tokens in order; cached, shared."""
+        classes = self._classes
+        if classes is None:
+            classes = self._classes = tuple(self._attrs.get("class", "").split())
+        return classes
 
     def has_class(self, name: str) -> bool:
-        return name in self.classes
+        return name in self.class_tuple()
 
     def add_class(self, name: str) -> None:
         classes = self.classes
         if name not in classes:
             classes.append(name)
             self._attrs["class"] = " ".join(classes)
+            self._forget()
             self._notify()
 
     def remove_class(self, name: str) -> None:
@@ -155,6 +185,7 @@ class Element(Node):
         if name in classes:
             classes.remove(name)
             self._attrs["class"] = " ".join(classes)
+            self._forget()
             self._notify()
 
     def toggle_class(self, name: str, on: Optional[bool] = None) -> None:
@@ -172,11 +203,17 @@ class Element(Node):
     @property
     def style(self) -> Dict[str, str]:
         """The parsed inline ``style`` attribute."""
-        parsed: Dict[str, str] = {}
-        for declaration in self._attrs.get("style", "").split(";"):
-            if ":" in declaration:
-                name, _, value = declaration.partition(":")
-                parsed[name.strip().lower()] = value.strip()
+        return dict(self._style_map())
+
+    def _style_map(self) -> Dict[str, str]:
+        """``style``, parsed once per write; shared, not to be changed."""
+        parsed = self._style
+        if parsed is None:
+            parsed = self._style = {}
+            for declaration in self._attrs.get("style", "").split(";"):
+                if ":" in declaration:
+                    name, _, value = declaration.partition(":")
+                    parsed[name.strip().lower()] = value.strip()
         return parsed
 
     def set_style(self, name: str, value: Optional[str]) -> None:
@@ -189,14 +226,19 @@ class Element(Node):
             self._attrs["style"] = "; ".join(f"{k}: {v}" for k, v in style.items())
         else:
             self._attrs.pop("style", None)
+        self._forget()
         self._notify()
 
     @property
     def displayed(self) -> bool:
         """Is this element itself not hidden (ignoring ancestors)?"""
-        if self.style.get("display") == "none":
-            return False
-        return not self.has_attribute("hidden")
+        displayed = self._displayed
+        if displayed is None:
+            displayed = self._displayed = (
+                self._style_map().get("display") != "none"
+                and "hidden" not in self._attrs
+            )
+        return displayed
 
     @property
     def visible(self) -> bool:

@@ -566,6 +566,8 @@ class FuzzReport:
     #: Detections whose minimized counterexample was timing-sensitive
     #: under replay and therefore not persisted (see run_campaign).
     nonreplayable_counterexamples: int = 0
+    #: (campaign index, fault) of every injected fault left undetected.
+    missed: List[Tuple[int, MachineFault]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -600,6 +602,10 @@ class FuzzReport:
             "nonreplayable_counterexamples": (
                 self.nonreplayable_counterexamples
             ),
+            "missed": [
+                {"campaign": index, "fault": fault.to_dict()}
+                for index, fault in self.missed
+            ],
         }
 
     def summary(self) -> str:
@@ -643,6 +649,8 @@ def run_fuzz(
         report.divergences.extend(outcome.divergences)
         for fault, detected in outcome.detections:
             report.scoreboard.setdefault(fault.kind, []).append(detected)
+            if not detected:
+                report.missed.append((index, fault))
         report.counterexamples += len(outcome.counterexamples)
         report.nonreplayable_counterexamples += outcome.nonreplayable
         if corpus_path is not None:

@@ -72,10 +72,10 @@ class ElementSnapshot:
             value=element.value,
             checked=element.checked,
             enabled=element.enabled,
-            visible=element.visible,
+            visible=element.visible if document is None else document.is_visible(element),
             focused=document is not None and document.active_element is element,
-            classes=tuple(element.classes),
-            attributes=tuple(sorted(element.attributes.items())),
+            classes=element.class_tuple(),
+            attributes=element.attribute_items(),
         )
 
 

@@ -7,6 +7,7 @@ from repro.dom.selector import query_all, query_one
 from repro.executors import DomExecutor
 from repro.protocol.messages import Act, Reset, Start
 from repro.specstrom.actions import ResolvedAction
+from tests.dom.coherence import assert_caches_coherent
 
 
 class TestLookup:
@@ -172,10 +173,32 @@ def _focus_toggle(doc):
     doc.focus(reference_one(doc, ".toggle"))
 
 
+def _restyle_detached(doc):
+    li = _li(doc, 1)
+    parent = li.parent
+    li.detach()
+    li.add_class("completed")
+    li.set_style("display", "none")
+    parent.append_child(li)
+
+
 #: (mutation, a selector whose answer it changes -- None when no
 #: selector can observe it, like ``value`` and text).
 MUTATIONS = {
     "set_attribute": (lambda doc: _li(doc, 1).set_attribute("id", "new"), "#new"),
+    "set_attribute_class": (
+        lambda doc: _li(doc, 1).set_attribute("class", "completed"),
+        "li.completed",
+    ),
+    "set_attribute_style": (
+        lambda doc: _li(doc, 0).set_attribute("style", "display: none"),
+        "li:visible",
+    ),
+    "set_attribute_hidden": (
+        lambda doc: reference_one(doc, "ul").set_attribute("hidden", ""),
+        "li:hidden",
+    ),
+    "restyle_detached": (_restyle_detached, "li.completed"),
     "remove_attribute": (
         lambda doc: reference_one(doc, "h1").remove_attribute("hidden"),
         "[hidden]",
@@ -207,13 +230,15 @@ MUTATIONS = {
 
 class TestQueryCache:
     """``Document.query_all`` is cached per mutation generation; after any
-    mutator it must answer exactly like the uncached reference."""
+    mutator it must answer exactly like the uncached reference, and every
+    element's cached attribute facts must equal a raw derivation."""
 
     @pytest.mark.parametrize("name", sorted(MUTATIONS))
     def test_every_mutator_invalidates(self, name):
         mutate, observed = MUTATIONS[name]
         doc = todo_document()
         before = {css: doc.query_all(css) for css in SELECTORS}
+        assert_caches_coherent(doc)  # and every cache is filled
         generation = doc.generation
         mutate(doc)
         assert doc.generation > generation
@@ -223,6 +248,7 @@ class TestQueryCache:
             assert doc.query_all(css) == reference(doc, css), css
             assert doc.query_one(css) is reference_one(doc, css), css
         assert doc.get_element_by_id("new") is reference_one(doc, "#new")
+        assert_caches_coherent(doc)
 
     def test_mutation_inside_nested_batches_invalidates(self):
         doc = todo_document()

@@ -1,7 +1,10 @@
 """Element tree: attributes, classes, style, visibility, widget state."""
 
 
-from repro.dom import Document, Element, Text
+from repro.checker.compiled import step_key
+from repro.dom import Document, Element, Text, matches
+from repro.monitor.records import state_key
+from repro.specstrom.state import ElementSnapshot, StateSnapshot
 
 
 class TestAttributes:
@@ -20,6 +23,19 @@ class TestAttributes:
     def test_id_property(self):
         assert Element("div", {"id": "main"}).id == "main"
         assert Element("div").id is None
+
+    def test_constructor_stores_strings_like_set_attribute(self):
+        built = Element("input", {"maxlength": 5})
+        written = Element("input")
+        written.set_attribute("maxlength", 5)
+        for el in (built, written):
+            assert el.get_attribute("maxlength") == "5"
+            assert matches(el, '[maxlength="5"]')
+        snapshot = ElementSnapshot.of_element(built, None)
+        assert snapshot.attributes == (("maxlength", "5"),)
+        state = StateSnapshot(queries={"input": (snapshot,)})
+        assert step_key(state) is not None
+        state_key(state)  # the wire format carries it
 
     def test_attributes_copy(self):
         el = Element("div", {"a": "1"})

@@ -174,21 +174,48 @@ class TestNarrowing:
         assert set(loaded.state.queries) == {"#field", "#go"}
 
 
+#: The ``Element`` methods that write ``_attrs``, and its constructor.
+ATTRIBUTE_WRITERS = (
+    "__init__", "set_attribute", "remove_attribute", "add_class",
+    "remove_class", "set_style",
+)
+
+
 class TestSnapshotWork:
     """Snapshot work follows DOM mutations, counted on a fixed-seed vue
     campaign: one tree walk per queried document generation, one
     ``ElementSnapshot`` per element and generation, one parse per
-    selector source."""
+    selector source, and at most one ``class`` and one ``style`` parse
+    per attribute write or element construction."""
 
     def test_vue_campaign_counts(self, monkeypatch):
         walks = 0
         generations = set()  # (document, generation) pairs queried
         sources = set()
         snapshotted = []  # (element, document, generation) per snapshot
+        writes = 0  # calls of ATTRIBUTE_WRITERS
+        parses = {"class": 0, "style": 0}
 
         iter_elements = Element.iter_elements
         query_all = Document.query_all
         of_element = ElementSnapshot.of_element
+        class_tuple = Element.class_tuple
+        style_map = Element._style_map
+
+        def counting_writer(method):
+            def writer(self, *args, **kwargs):
+                nonlocal writes
+                writes += 1
+                return method(self, *args, **kwargs)
+            return writer
+
+        def counting_class_tuple(self):
+            parses["class"] += self._classes is None
+            return class_tuple(self)
+
+        def counting_style_map(self):
+            parses["style"] += self._style is None
+            return style_map(self)
 
         def counting_iter_elements(self):
             nonlocal walks
@@ -210,6 +237,10 @@ class TestSnapshotWork:
         monkeypatch.setattr(
             ElementSnapshot, "of_element", classmethod(recording_of_element)
         )
+        for name in ATTRIBUTE_WRITERS:
+            monkeypatch.setattr(Element, name, counting_writer(getattr(Element, name)))
+        monkeypatch.setattr(Element, "class_tuple", counting_class_tuple)
+        monkeypatch.setattr(Element, "_style_map", counting_style_map)
         parse_selector.cache_clear()
         batch = CheckSession().check_many(
             [
@@ -227,3 +258,5 @@ class TestSnapshotWork:
         assert 0 < walks <= len(generations)
         assert 0 < len(snapshotted) <= len(set(snapshotted))
         assert 0 < parse_selector.cache_info().misses <= len(sources)
+        assert 0 < parses["class"] <= writes
+        assert 0 < parses["style"] <= writes

@@ -7,7 +7,10 @@ every state snapshot and every watch snapshot it takes is compared,
 at the moment it is taken, with one rebuilt from the uncached reference:
 :func:`repro.dom.selector.query_all` on the document root plus fresh
 :meth:`ElementSnapshot.of_element` calls.  Each run is a seeded walk of
-gestures that includes a ``reload`` and an executor ``reset``.
+gestures that includes a ``reload`` and an executor ``reset``.  Since
+the reference reads the same per-element and per-generation caches,
+every state snapshot also checks those caches, for every element of the
+document, against a raw derivation from attributes and parents.
 """
 
 import random
@@ -24,6 +27,7 @@ from repro.protocol.messages import Act, Reset, Start
 from repro.specs import load_todomvc_spec
 from repro.specstrom.actions import ResolvedAction
 from repro.specstrom.state import ElementSnapshot, StateSnapshot
+from tests.dom.coherence import assert_caches_coherent
 
 #: The spec's user actions as (kind, selector, key or text); ``"text"``
 #: draws an input string.  Adding items is listed twice so lists grow.
@@ -65,6 +69,7 @@ class ReferenceCheckedExecutor(DomExecutor):
         super().__init__(app_factory)
         self.checked_queries = 0
         self.checked_states = 0
+        self.checked_elements = 0
 
     def _query(self, css):
         snapshots = super()._query(css)
@@ -82,6 +87,7 @@ class ReferenceCheckedExecutor(DomExecutor):
             timestamp_ms=state.timestamp_ms,
         )
         self.checked_states += 1
+        self.checked_elements += assert_caches_coherent(document)
         return state
 
 
@@ -117,6 +123,7 @@ def drive(app_factory, check, gestures, seed):
             executor.await_events(rng.choice((50, 500)))
         executor.drain()
     assert executor.checked_states > STEPS
+    assert executor.checked_elements > executor.checked_states
     assert executor.checked_queries >= executor.checked_states * len(start.dependencies)
 
 

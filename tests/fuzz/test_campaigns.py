@@ -11,6 +11,7 @@ from repro.fuzz.campaigns import (
     run_fuzz,
 )
 from repro.fuzz.corpus import append_entry, read_corpus, replay_entry
+from repro.fuzz.machine import MachineFault
 from repro.specstrom.module import load_module
 
 JOBS = 2
@@ -58,6 +59,16 @@ class TestRunCampaign:
         )
         assert first.ok
         assert first.tests_run > 0
+
+    def test_report_lists_every_missed_fault(self):
+        report = run_fuzz(seed=0, campaigns=18, jobs=JOBS)
+        missed = report.to_dict()["missed"]
+        assert missed  # campaign 17 misses a drop_transition fault
+        for kind, detected, injected in report.scoreboard_rows():
+            assert sum(m["fault"]["kind"] == kind for m in missed) == injected - detected
+        for entry in missed:
+            campaign = generate_campaign(0, entry["campaign"])
+            assert MachineFault.from_dict(entry["fault"]) in campaign.faults
 
 
 class TestCorpus:
