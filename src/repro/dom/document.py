@@ -19,12 +19,12 @@ class Document:
     pick up asynchronous UI changes.
 
     ``generation`` counts mutations: every mutator in :mod:`repro.dom.node`
-    and every focus change bumps it, batched or not.  Query results and
-    each element's visibility are cached per generation, and each element
-    caches what it parses from its attributes until its next attribute
-    write, so the tree must only change through those mutators; writing
-    ``Element.children`` or ``_attrs`` directly leaves the generation or
-    the element's caches, and with them the cached answers, stale.
+    and every focus change bumps it, batched or not.  Query results are
+    cached per generation, and each element caches what it parses from
+    its attributes until its next attribute write, so the tree must only
+    change through those mutators; writing ``Element.children`` or
+    ``_attrs`` directly leaves the generation or the element's caches,
+    and with them the cached answers, stale.
     """
 
     def __init__(self) -> None:
@@ -45,8 +45,6 @@ class Document:
         self._buckets: Dict[str, Dict[str, List[Element]]] = {}
         #: Selector (source string or parsed) -> its matches.
         self._results: Dict[object, List[Element]] = {}
-        #: Element (and the root) -> is it and every ancestor displayed?
-        self._visible: Dict[Element, bool] = {}
 
     # ------------------------------------------------------------------
     # Queries
@@ -73,22 +71,13 @@ class Document:
         hits = self._buckets["id"].get(element_id)
         return hits[0] if hits else None
 
-    def is_visible(self, element: Element) -> bool:
-        """``element.visible``, read from this generation's index when it
-        is current and holds ``element`` (else the element's own walk)."""
-        if self._indexed == self.generation:
-            visible = self._visible.get(element)
-            if visible is not None:
-                return visible
-        return element.visible
-
     def _matches(self, selector) -> List[Element]:
         """The cached (shared, not to be mutated) matches of ``selector``."""
         self._index()
         hits = self._results.get(selector)
         if hits is None:
             parsed = parse_selector(selector) if isinstance(selector, str) else selector
-            key = rightmost_key(selector)
+            key = rightmost_key(parsed)
             if key is None:
                 candidates = self._elements
             else:
@@ -97,19 +86,14 @@ class Document:
         return hits
 
     def _index(self) -> None:
-        """Walk the tree into this generation's buckets and visibility,
-        unless done."""
+        """Walk the tree into this generation's buckets, unless done."""
         if self._indexed == self.generation:
             return
-        root = self.root
-        elements = list(root.iter_elements())
+        elements = list(self.root.iter_elements())
         by_id: Dict[str, List[Element]] = {}
         by_class: Dict[str, List[Element]] = {}
         by_tag: Dict[str, List[Element]] = {}
-        # Parents come before their children in document order.
-        visible = {root: root.displayed}
         for el in elements:
-            visible[el] = visible[el.parent] and el.displayed
             by_tag.setdefault(el.tag, []).append(el)
             element_id = el.id
             if element_id is not None:
@@ -118,7 +102,6 @@ class Document:
                 by_class.setdefault(name, []).append(el)
         self._elements = elements
         self._buckets = {"id": by_id, "class": by_class, "tag": by_tag}
-        self._visible = visible
         self._results = {}
         self._indexed = self.generation
 

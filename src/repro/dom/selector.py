@@ -288,11 +288,10 @@ def _matches_compound(element: Element, compound: Compound, document) -> bool:
         return False
     if compound.element_id is not None and element.id != compound.element_id:
         return False
-    if compound.classes:
-        element_classes = element.class_tuple()
-        for cls in compound.classes:
-            if cls not in element_classes:
-                return False
+    element_classes = element.class_tuple()
+    for cls in compound.classes:
+        if cls not in element_classes:
+            return False
     for test in compound.attributes:
         actual = element.get_attribute(test.name)
         if actual is None:
@@ -317,9 +316,10 @@ def _matches_pseudo(element: Element, pseudo: PseudoClass, document) -> bool:
         return element.checked
     if name == "focus":
         return document is not None and document.active_element is element
-    if name == "visible" or name == "hidden":
-        visible = element.visible if document is None else document.is_visible(element)
-        return visible if name == "visible" else not visible
+    if name == "visible":
+        return element.visible
+    if name == "hidden":
+        return not element.visible
     if name == "disabled":
         return element.disabled
     if name == "enabled":
@@ -406,9 +406,6 @@ def filter_candidates(
     candidates: Iterable[Element], selector: SelectorList, document=None
 ) -> List[Element]:
     """The candidates matching the parsed ``selector``, in their order."""
-    if len(selector.selectors) == 1:
-        (only,) = selector.selectors
-        return [el for el in candidates if _matches_selector(el, only, document)]
     return [
         el
         for el in candidates
@@ -416,16 +413,12 @@ def filter_candidates(
     ]
 
 
-@functools.lru_cache(maxsize=1024)
-def rightmost_key(selector) -> Optional[Tuple[str, str]]:
+def rightmost_key(selector: SelectorList) -> Optional[Tuple[str, str]]:
     """``("id" | "class" | "tag", name)`` that every element matching
-    ``selector`` (string or parsed) carries, taken from its rightmost
-    compound (an id before a class before a tag); None for a list of
-    several selectors and for a rightmost compound with none of the three
-    (universal, attribute- or pseudo-class-only), which must be matched
-    against every element.  Memoized like :func:`parse_selector`."""
-    if isinstance(selector, str):
-        selector = parse_selector(selector)
+    ``selector`` carries, taken from its rightmost compound (an id before
+    a class before a tag); None for a list of several selectors and for a
+    rightmost compound with none of the three (universal, attribute- or
+    pseudo-class-only), which must be matched against every element."""
     if len(selector.selectors) != 1:
         return None
     compound = selector.selectors[0].parts[-1]

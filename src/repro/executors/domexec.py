@@ -172,11 +172,10 @@ class DomExecutor(Executor):
         browser = self._require_browser()
         if action.selector is None:
             raise ActionFailed(f"{action.kind} needs a selector")
-        document = browser.document
         matches = [
             el
-            for el in document.query_all(action.selector)
-            if document.is_visible(el)
+            for el in browser.document.query_all(action.selector)
+            if el.visible
         ]
         index = action.index or 0
         if index >= len(matches):

@@ -72,7 +72,7 @@ class ElementSnapshot:
             value=element.value,
             checked=element.checked,
             enabled=element.enabled,
-            visible=element.visible if document is None else document.is_visible(element),
+            visible=element.visible,
             focused=document is not None and document.active_element is element,
             classes=element.class_tuple(),
             attributes=element.attribute_items(),
