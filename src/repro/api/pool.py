@@ -63,8 +63,9 @@ class PoolMetrics:
       high hit ratio means the compiled engine reused existing nodes
       instead of allocating (a reused step constructs none);
     * ``steps_reused`` -- steps the step table served (``to_dict`` adds
-      their share of observed states); like the intern counts it varies
-      with the transport, so JUnit and text reports leave both out;
+      the observed states, ``states_observed``, and their share); like
+      the intern counts it varies with the transport, so JUnit and text
+      reports leave both out;
     * ``max_formula_size`` -- the largest progressed-formula size any
       test's checker recorded;
     * ``query_width_sum`` / ``query_width_states`` -- total captured
@@ -194,6 +195,7 @@ class PoolMetrics:
             "intern_hits": self.intern_hits,
             "intern_misses": self.intern_misses,
             "intern_hit_ratio": round(self.intern_hit_ratio, 4),
+            "states_observed": self.query_width_states,
             "steps_reused": self.steps_reused,
             "step_reuse_ratio": round(self.steps_reused / max(self.query_width_states, 1), 4),
             "max_formula_size": self.max_formula_size,

@@ -53,7 +53,7 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import os
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..artifact import ArtifactError, CompiledSpec, SpecResolver
 from ..checker.compiled import CompiledProperty
@@ -205,6 +205,9 @@ class CheckSession:
         cfg = session if session is not None else SessionConfig()
         campaign_set = CampaignSet()
         batch_pair: Optional[Tuple[CheckSpec, Optional[CompiledProperty]]] = None
+        #: One compiled form per property without a bundle (a CheckSpec
+        #: or a SpecModule), so its step table serves every campaign.
+        compiled_for: Dict[int, CompiledProperty] = {}
         for position, target in enumerate(targets):
             target = self._coerce_target(target, position)
             target_spec = target.spec if target.spec is not None else spec
@@ -228,6 +231,12 @@ class CheckSession:
                 check_spec, compiled = self._resolve(
                     target_spec, target.property or property
                 )
+            if compiled is None:
+                compiled = compiled_for.get(id(check_spec))
+                if compiled is None:
+                    compiled = compiled_for[id(check_spec)] = CompiledProperty(
+                        check_spec
+                    )
             if target.app is not None:
                 factory = _coerce_executor_factory(target.app)
             elif self.executor_factory is not None:
@@ -397,8 +406,9 @@ class CheckSession:
 
         Paths (source or artifact) resolve through the session's
         :class:`SpecResolver`; already-compiled bundles pass through;
-        modules and bare checks have no bundle (``None``) and keep the
-        runner-compiles-its-own behaviour.
+        modules and bare checks have no bundle (``None``), and
+        :meth:`check_many` compiles each of their properties once per
+        batch.
         """
         if isinstance(spec, CompiledSpec):
             return spec

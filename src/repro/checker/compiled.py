@@ -39,7 +39,7 @@ from ..specstrom.eval import Quote
 from ..specstrom.module import CheckSpec
 from ..specstrom.state import ElementSnapshot, StateSnapshot
 
-__all__ = ["CompiledProperty", "step_key"]
+__all__ = ["CompiledProperty", "key_fields", "step_key"]
 
 #: (selector, element field tuples) -> row id.  Ids are never reused and
 #: a full table resets whole, so a reset or race only costs a miss.
@@ -48,15 +48,18 @@ _ROWS: dict = {}
 _row_ids = itertools.count()
 
 
-def _wire_fields(element: object) -> Optional[tuple]:
-    """``element``'s fields, or ``None`` unless each has exactly the type
-    the monitor's wire format allows (``records._element_fields``)."""
+def key_fields(element: object, observed: Optional[frozenset]) -> Optional[tuple]:
+    """``element``'s fields with its attributes projected onto
+    ``observed`` (``None``: all kept), or ``None`` unless each field read
+    has exactly the type the monitor's wire format allows
+    (``records._element_fields``).  With no attribute observed, the
+    formula never iterates them, so they are neither checked nor kept."""
     if type(element) is not ElementSnapshot:
         return None
-    fields = (element.tag, element.text, element.value, element.checked,
-              element.enabled, element.visible, element.focused,
-              element.classes, element.attributes)
-    tag, text, value, checked, enabled, visible, focused, classes, attributes = fields
+    tag, text, value, checked, enabled, visible, focused, classes, attributes = (
+        element.tag, element.text, element.value, element.checked,
+        element.enabled, element.visible, element.focused, element.classes,
+        element.attributes)
     if not (type(tag) is str and type(text) is str and type(value) is str
             and type(checked) is bool and type(enabled) is bool
             and type(visible) is bool and type(focused) is bool
@@ -65,19 +68,28 @@ def _wire_fields(element: object) -> Optional[tuple]:
     for name in classes:
         if type(name) is not str:
             return None
-    for pair in attributes:
-        if (type(pair) is not tuple or len(pair) != 2
-                or type(pair[0]) is not str or type(pair[1]) is not str):
-            return None
-    return fields
+    if observed is None or observed:
+        for pair in attributes:
+            if (type(pair) is not tuple or len(pair) != 2
+                    or type(pair[0]) is not str or type(pair[1]) is not str):
+                return None
+        if observed is not None:
+            attributes = tuple([pair for pair in attributes
+                                if pair[0] in observed])
+    else:
+        attributes = ()
+    return (tag, text, value, checked, enabled, visible, focused, classes,
+            attributes)
 
 
-def step_key(state: object) -> Optional[tuple]:
+def step_key(state: object, observed: Optional[frozenset] = None) -> Optional[tuple]:
     """An exact step-table key for ``state``: the row id of each selector
-    (standing for the selector and its elements), in query order, then
-    ``happened``, without ``version`` and ``timestamp_ms``, as in the
-    monitor's cohort key.  A state with any value outside the wire
-    format's exact types gets ``None`` before any lookup, since
+    (standing for the selector and its elements, their attributes
+    projected onto ``observed``, the names the formula can read), in
+    query order, then ``happened``, without ``version`` and
+    ``timestamp_ms``, as in the monitor's cohort key.  ``observed=None``
+    keeps every attribute.  A state with any value read outside the
+    wire format's exact types gets ``None`` before any lookup, since
     ``True == 1`` yet ``spec_equal(1, true)`` is false."""
     if type(state) is not StateSnapshot:
         return None
@@ -89,7 +101,8 @@ def step_key(state: object) -> Optional[tuple]:
     for selector, elements in queries.items():
         if type(selector) is not str or type(elements) is not tuple:
             return None
-        row = (selector, tuple(map(_wire_fields, elements)))
+        row = (selector, tuple([key_fields(element, observed)
+                                for element in elements]))
         if None in row[1]:
             return None
         row_id = _ROWS.get(row)
@@ -132,11 +145,16 @@ class CompiledProperty:
 
     @property
     def keyed(self) -> bool:
-        """Whether the runner keys steps by :func:`step_key`: only the
+        """Whether the runner keys steps by :meth:`key`: only the
         evaluator's formulas (a ``Defer`` over a ``Quote``) read nothing
         but ``queries`` and ``happened``; an atom may read anything."""
         formula = self.spec.formula
         return type(formula) is Defer and type(formula.build) is Quote
+
+    def key(self, state: object) -> Optional[tuple]:
+        """``state``'s step-table key for this property: :func:`step_key`
+        projected onto the attributes its formula can read."""
+        return step_key(state, self.spec.observed_attributes)
 
     @property
     def supports_narrowing(self) -> bool:

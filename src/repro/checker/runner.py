@@ -39,7 +39,7 @@ from ..specstrom.eval import EvalContext, evaluate
 from ..specstrom.module import CheckSpec
 from ..specstrom.state import StateSnapshot
 from ..specstrom.values import ActionValue
-from .compiled import CompiledProperty, step_key
+from .compiled import CompiledProperty
 from .config import RunnerConfig
 from .result import TestResult
 
@@ -60,17 +60,21 @@ class TraceAccumulator:
     carry near-identical ``absorb`` closures): every drained message
     becomes a :class:`TraceEntry`, advances the state count, and -- until
     the verdict is definitive -- is observed by the formula checker
-    (with its :func:`~repro.checker.compiled.step_key` when ``keyed``).
+    (with its step-table key, when a ``key`` function is given).
     """
 
     __slots__ = (
-        "checker", "keyed", "trace", "states", "verdict", "current_state",
+        "checker", "key", "trace", "states", "verdict", "current_state",
         "query_width_sum",
     )
 
-    def __init__(self, checker: FormulaChecker, keyed: bool) -> None:
+    def __init__(
+        self,
+        checker: FormulaChecker,
+        key: Optional[Callable[[StateSnapshot], Optional[tuple]]],
+    ) -> None:
         self.checker = checker
-        self.keyed = keyed
+        self.key = key
         self.trace: List[TraceEntry] = []
         self.states = 0
         self.verdict = Verdict.DEMAND
@@ -93,7 +97,7 @@ class TraceAccumulator:
             self.query_width_sum += len(state.queries)
             self.current_state = state
             if not self.verdict.is_definitive:
-                key = step_key(state) if self.keyed else None
+                key = None if self.key is None else self.key(state)
                 self.verdict = self.checker.observe(state, key)
 
 
@@ -213,6 +217,10 @@ class Runner:
             self._compiled = CompiledProperty(self.spec)
         return self._compiled
 
+    def _step_key(self) -> Optional[Callable[[StateSnapshot], Optional[tuple]]]:
+        compiled = self.compiled_spec()
+        return compiled.key if compiled.keyed else None
+
     def _start_message(self) -> Start:
         return Start(self.spec.dependencies, self.watched_events())
 
@@ -260,7 +268,7 @@ class Runner:
         narrower = self._narrower(executor, checker)
         counter, token = push_intern_counter()
         try:
-            acc = TraceAccumulator(checker, self.compiled_spec().keyed)
+            acc = TraceAccumulator(checker, self._step_key())
             fired: List[_FiredAction] = []
             actions_taken = 0
             stall_reason: Optional[str] = None
@@ -408,7 +416,7 @@ class Runner:
         timeout_by_name = {a.name: a.timeout_ms for a in self.spec.actions}
         counter, token = push_intern_counter()
         try:
-            acc = TraceAccumulator(checker, self.compiled_spec().keyed)
+            acc = TraceAccumulator(checker, self._step_key())
             start_ms = executor.now_ms
             dispatched = 0  # the verdict can turn definitive mid-sequence
 

@@ -4,7 +4,9 @@ This is where hash-consing pays for the monitoring workload.  Residuals
 are interned (structurally equal => the *same* node, its hash computed
 once at construction), and a state's cohort key holds only strings and
 integers -- sorted ``(selector, row id)`` pairs plus ``happened``
-(:mod:`repro.monitor.records`) -- so hashing it never walks an element.
+(:mod:`repro.monitor.records`), each row's attributes projected onto
+those the formula reads (``Monitor._cohort_key``) -- so hashing it
+never walks an element.
 Grouping a tick's work by ``(state_key, residual)`` is therefore an O(1)
 dict operation per session -- and for homogeneous traffic (many users
 driving the same screens through the same spec) almost every session of

@@ -13,7 +13,11 @@ Processing is organised in *rounds*: each flush claims at most one
 pending record per session (preserving per-session order across
 rounds), hands the round to the :class:`~repro.monitor.batch.BatchProgressor`
 (same-(residual, state) cohorts cost one progression step), applies the
-outcomes, then sweeps the idle TTL.  Sessions resolve by:
+outcomes, then sweeps the idle TTL.  A cohort's state is keyed on what
+the formula can read: each row's element attributes are projected onto
+the property's ``observed_attributes`` (:meth:`Monitor._cohort_key`), so
+sessions whose states differ only in unread attributes share a step.
+Sessions resolve by:
 
 * a **definitive** verdict mid-stream (``top``/``bottom`` residual),
 * an **end record** (final presumptive verdict; a still-demanding
@@ -33,7 +37,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, IO, Iterable, List, Optional, Tuple
 
-from ..checker.compiled import CompiledProperty
+from ..checker.compiled import CompiledProperty, key_fields
 from ..quickltl import ProgressionCaches, Verdict, force_verdict, intern_delta
 from ..specstrom.module import CheckSpec
 from .batch import BatchProgressor
@@ -50,6 +54,9 @@ _QUARANTINE_SAMPLES = 20
 #: The longest a quiet stream defers TTL sweeps, heartbeats and
 #: periodic checkpoints.
 _IDLE_WAIT_S = 0.5
+
+#: Entries each cohort-key projection table holds before it resets whole.
+_PROJECTION_LIMIT = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -140,6 +147,11 @@ class Monitor:
             self.compiled = CompiledProperty(check, caches=caches)
         self.formula = check.formula
         self.property_name = check.name
+        self._observed = check.observed_attributes
+        #: Decoder row id -> projected row id, and projected row content
+        #: -> the first decoder row id that had it (:meth:`_cohort_key`).
+        self._projected: Dict[int, int] = {}
+        self._projections: Dict[tuple, int] = {}
         self.table = SessionTable(
             max_sessions=max_sessions, idle_ttl_s=idle_ttl_s
         )
@@ -232,7 +244,7 @@ class Monitor:
             if record.end:
                 self._resolve_end(entry, reason="")
             else:
-                work.append((entry, record.state, record.state_key))
+                work.append((entry, record.state, self._cohort_key(record)))
         if not work:
             return
         started = time.perf_counter()
@@ -277,6 +289,37 @@ class Monitor:
                 self.metrics.sessions_finished += 1
                 self.metrics.record_verdict(outcome.verdict.name)
                 self.table.retire(entry.session_id, "finished")
+
+    def _cohort_key(self, record: MonitorRecord) -> StateKey:
+        """``record``'s state key with every row's attributes projected
+        onto the observed ones: a row's projected id is the first
+        decoder row id whose elements project to the same fields.
+        Decoder ids are never reused, so a table reset only splits
+        cohorts; ``None`` observed keeps the decoder's key."""
+        observed = self._observed
+        if observed is None:
+            return record.state_key
+        rows, happened = record.state_key
+        projected, projections = self._projected, self._projections
+        queries = record.state.queries
+        key = []
+        for selector, row_id in rows:
+            projected_id = projected.get(row_id)
+            if projected_id is None:
+                content = tuple([key_fields(element, observed)
+                                 for element in queries[selector]])
+                projected_id = projections.get(content)
+                if projected_id is None:
+                    projected_id = row_id
+                    if None not in content:  # else: off the wire types
+                        if len(projections) >= _PROJECTION_LIMIT:
+                            projections.clear()
+                        projections[content] = row_id
+                if len(projected) >= _PROJECTION_LIMIT:
+                    projected.clear()
+                projected[row_id] = projected_id
+            key.append((selector, projected_id))
+        return tuple(key), happened
 
     def _open_session(self, session_id: str, now: float) -> SessionEntry:
         entry, evicted = self.table.open(session_id, self.formula, now)

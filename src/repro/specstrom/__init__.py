@@ -25,7 +25,11 @@ from .values import (
 from .eval import EvalContext, evaluate, to_formula
 from .builtins import global_environment, BUILTIN_NAMES
 from .types import check_module
-from .analysis import selector_dependencies, module_definition_table
+from .analysis import (
+    module_definition_table,
+    observed_attributes,
+    selector_dependencies,
+)
 from .module import CheckSpec, SpecModule, load_module, load_module_file
 
 __all__ = [
@@ -58,6 +62,7 @@ __all__ = [
     "BUILTIN_NAMES",
     "check_module",
     "selector_dependencies",
+    "observed_attributes",
     "module_definition_table",
     "CheckSpec",
     "SpecModule",

@@ -30,6 +30,38 @@ capturing queries the residual can no longer mention.  ``None`` means
 "unknown" (a hand-built atom or defer), and callers must fall back to
 the full dependency set -- narrowing is an optimisation with a
 conservative escape hatch, never a soundness obligation.
+
+Observed attributes
+-------------------
+
+:func:`observed_attributes` answers a third question: which element
+*attributes* can the property's formula read?  The checker's step key
+and the monitor's cohort key keep only those (``repro.checker.compiled``,
+``repro.monitor.service``), so states that differ only in attributes no
+formula reads -- framework bookkeeping such as ``data-id`` or
+``data-reactid`` -- share one progression step.  The answer is a
+frozenset of names, or ``None`` ("every attribute") as soon as a whole
+element could escape into an operation that reads all of it: ``==``,
+a quote capture (whose key covers every field), printing, or data.
+The walk covers every expression the property reaches, like
+:func:`selector_dependencies`, but not action bodies and guards: the
+runner evaluates those outside the step.  The rules:
+
+* every ``Member`` name outside ``ElementSnapshot.property_names()`` is
+  read (this over-approximates for object fields, which is sound);
+* ``attribute``, ``props`` and ``visibleProps`` read their string-literal
+  name argument; any other name argument, or any other use of these
+  builtins, gives ``None``;
+* ``elements(...)`` and ``visibleElements(...)`` are the only sources of
+  element values, and their result may appear only as the argument of
+  ``count``, ``length`` or ``isEmpty``, or as the list argument of
+  ``findIndex``, ``all`` or ``any`` whose function argument names an
+  unshadowed top-level one-parameter function that uses its parameter
+  only as the object of a ``Member`` outside any temporal operator.
+  Any other use of a source gives ``None``.
+
+Function parameters and block bindings shadow builtins, so each rule
+applies only to names no local binding hides.
 """
 
 from __future__ import annotations
@@ -48,13 +80,19 @@ from ..quickltl.syntax import (
 from .ast_nodes import (
     ActionDef,
     Block,
+    Call,
     Expr,
     LetDef,
+    Lit,
+    Member,
     Module,
     SelectorLit,
+    TemporalBinary,
+    TemporalUnary,
     Var,
     expr_children,
 )
+from .state import ElementSnapshot
 from .values import (
     ActionValue,
     Environment,
@@ -66,6 +104,7 @@ from .values import (
 
 __all__ = [
     "selector_dependencies",
+    "observed_attributes",
     "module_definition_table",
     "expr_selector_footprint",
     "live_queries",
@@ -123,6 +162,127 @@ def selector_dependencies(
     for root in roots:
         walk(root, frozenset())
     return frozenset(selectors)
+
+
+# ----------------------------------------------------------------------
+# Observed attributes (the step and cohort keys' projection)
+# ----------------------------------------------------------------------
+
+#: Builtins whose result holds element snapshots.
+_ELEMENT_SOURCES = frozenset({"elements", "visibleElements"})
+#: Builtins that read only the length of an element list.
+_LENGTH_READERS = frozenset({"count", "length", "isEmpty"})
+#: Builtins that hand each element of a list to a function.
+_ELEMENT_VISITORS = frozenset({"findIndex", "all", "any"})
+#: Builtins that read the attribute their second argument names.
+_NAMED_READERS = frozenset({"attribute", "props", "visibleProps"})
+#: Member names that read a fixed element field, not an attribute.
+_FIXED_FIELDS = frozenset(ElementSnapshot("").property_names())
+
+
+class _Escape(Exception):
+    """Internal: a whole element, or an unknown attribute, may be read."""
+
+
+def observed_attributes(
+    roots: Iterable[Expr], module: Module
+) -> Optional[frozenset]:
+    """The element attributes ``roots`` can read, or ``None`` for every
+    attribute (see the module docs for the rules)."""
+    lets = {let.name: let for let in module.lets}
+    names: Set[str] = set()
+    visited: Set[str] = set()
+
+    def unshadowed(expr: Expr, group: frozenset, locals_: frozenset) -> bool:
+        return (type(expr) is Var and expr.name in group
+                and expr.name not in locals_)
+
+    def source(expr: Expr, locals_: frozenset) -> bool:
+        return (type(expr) is Call and len(expr.args) == 1
+                and unshadowed(expr.callee, _ELEMENT_SOURCES, locals_))
+
+    def member_only_function(expr: Expr, locals_: frozenset) -> bool:
+        if type(expr) is not Var or expr.name in locals_:
+            return False
+        let = lets.get(expr.name)
+        return (let is not None and let.params is not None
+                and len(let.params) == 1
+                and _member_object_only(let.body, let.params[0].name, False))
+
+    def walk(expr: Expr, locals_: frozenset) -> None:
+        if isinstance(expr, Var):
+            name = expr.name
+            if name in locals_:
+                return
+            if name in _ELEMENT_SOURCES or name in _NAMED_READERS:
+                raise _Escape()  # a builtin used other than as a vetted call
+            let = lets.get(name)
+            if let is not None and name not in visited:
+                visited.add(name)
+                params = frozenset(param.name for param in let.params or ())
+                walk(let.body, params)
+            return
+        if isinstance(expr, Member):
+            if expr.name not in _FIXED_FIELDS:
+                names.add(expr.name)
+            walk(expr.obj, locals_)
+            return
+        if isinstance(expr, Call):
+            callee, args = expr.callee, expr.args
+            if (unshadowed(callee, _LENGTH_READERS, locals_)
+                    and len(args) == 1 and source(args[0], locals_)):
+                walk(args[0].args[0], locals_)
+                return
+            if (unshadowed(callee, _ELEMENT_VISITORS, locals_)
+                    and len(args) == 2 and source(args[1], locals_)
+                    and member_only_function(args[0], locals_)):
+                walk(args[0], locals_)
+                walk(args[1].args[0], locals_)
+                return
+            if unshadowed(callee, _NAMED_READERS, locals_):
+                if (len(args) != 2 or type(args[1]) is not Lit
+                        or type(args[1].value) is not str):
+                    raise _Escape()
+                names.add(args[1].value)
+                for arg in args:
+                    walk(arg, locals_)
+                return
+        if isinstance(expr, Block):
+            inner = set(locals_)
+            for binding in expr.bindings:
+                walk(binding.expr, frozenset(inner))
+                inner.add(binding.name)
+            walk(expr.result, frozenset(inner))
+            return
+        for child in expr_children(expr):
+            walk(child, locals_)
+
+    try:
+        for root in roots:
+            walk(root, frozenset())
+    except _Escape:
+        return None
+    return frozenset(names)
+
+
+def _member_object_only(expr: Expr, name: str, quoted: bool) -> bool:
+    """Does ``expr`` use ``name`` only as the object of a ``Member``,
+    and never inside a temporal operator (whose quote would capture the
+    whole value)?"""
+    if isinstance(expr, Member) and type(expr.obj) is Var and expr.obj.name == name:
+        return not quoted
+    if isinstance(expr, Var):
+        return expr.name != name
+    if isinstance(expr, Block):
+        for binding in expr.bindings:
+            if not _member_object_only(binding.expr, name, quoted):
+                return False
+            if binding.name == name:
+                return True  # shadowed for the rest of the block
+        return _member_object_only(expr.result, name, quoted)
+    quoted = quoted or isinstance(expr, (TemporalUnary, TemporalBinary))
+    return all(_member_object_only(child, name, quoted)
+               for child in expr_children(expr))
 
 
 # ----------------------------------------------------------------------

@@ -34,6 +34,7 @@ checkpoint compiles its nodes again on first use.
 from __future__ import annotations
 
 import random
+from dataclasses import astuple
 from typing import Callable, Optional
 
 from ..quickltl import (
@@ -731,10 +732,12 @@ def _value_key(value) -> object:
     evaluator cannot tell them apart: scalars tagged by type (``true``,
     ``1`` and ``1.0`` stay apart), lists and objects by structure
     (objects in key order, which error messages show), formulas by
-    interned node, selectors and element snapshots by their frozen
-    fields, and everything else -- functions, thunks, actions,
-    builtins, ``happened`` -- by identity, which is sound because the
-    quote keeps the value, and so its id, alive."""
+    interned node, selectors by their frozen field, element snapshots
+    by their fields tagged by type like scalars (the dataclass's own
+    ``==`` has ``checked=1`` equal ``checked=true``), and everything
+    else -- functions, thunks, actions, builtins, ``happened`` -- by
+    identity, which is sound because the quote keeps the value, and so
+    its id, alive."""
     kind = type(value)
     if kind in _SCALAR_TYPES:
         return kind, value
@@ -744,9 +747,18 @@ def _value_key(value) -> object:
         return dict, tuple([(key, _value_key(item)) for key, item in value.items()])
     if kind is FormulaValue:
         return FormulaValue, value.formula
-    if kind is SelectorValue or kind is ElementSnapshot:
+    if kind is SelectorValue:
         return value
+    if kind is ElementSnapshot:
+        return ElementSnapshot, _typed(astuple(value))
     return id(value)
+
+
+def _typed(value) -> object:
+    """``value`` with every scalar in it tagged by its type."""
+    if type(value) is tuple or type(value) is list:
+        return type(value), tuple([_typed(item) for item in value])
+    return type(value), value
 
 
 def _data_copy(value):

@@ -9,7 +9,9 @@ ones are evaluated immediately, which is where a state query outside a
 * the QuickLTL formula (deferred over the first state),
 * the user actions the checker may fire and the events it may observe
   (restricted by ``with``, Section 3.2's ``timeUp`` trick),
-* the statically-computed selector dependency set, and
+* the statically-computed selector dependency set,
+* the element attributes the formula can read (``None``: every one),
+  which the step and cohort keys keep while dropping the rest, and
 * the event/timeout configuration the executor needs.
 """
 
@@ -19,7 +21,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..quickltl import DEFAULT_SUBSCRIPT, Formula
-from .analysis import module_definition_table, selector_dependencies
+from .analysis import (
+    module_definition_table,
+    observed_attributes,
+    selector_dependencies,
+)
 from .ast_nodes import Module, Var
 from .builtins import global_environment
 from .errors import SpecEvalError, SpecTypeError
@@ -41,6 +47,10 @@ class CheckSpec:
     events: List[ActionValue]
     dependencies: frozenset
     default_subscript: int = DEFAULT_SUBSCRIPT
+    #: The element attributes the formula can read, or ``None`` for
+    #: every one (:func:`~repro.specstrom.analysis.observed_attributes`).
+    #: The default keeps a spec pickled before the field existed exact.
+    observed_attributes: Optional[frozenset] = None
 
     def action_named(self, name: str) -> ActionValue:
         for action in self.actions + self.events:
@@ -139,6 +149,7 @@ def load_module(
                     events=[a for a in selected if a.is_event],
                     dependencies=dependencies,
                     default_subscript=default_subscript,
+                    observed_attributes=observed_attributes([prop], ast),
                 )
             )
     return SpecModule(ast, env, actions, checks, default_subscript)

@@ -320,7 +320,8 @@ class TestPoolMetrics:
         for key in ("jobs", "transport", "wall_s", "tasks_total",
                     "warm_hits", "cold_starts", "warm_hit_ratio",
                     "max_queue_depth", "worker_tasks",
-                    "worker_utilisation", "campaign_wall_s"):
+                    "worker_utilisation", "campaign_wall_s",
+                    "states_observed", "steps_reused"):
             assert key in payload
 
     def test_utilisation_is_busy_over_wall(self):

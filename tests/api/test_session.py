@@ -239,6 +239,44 @@ class TestSpecModuleMemoization:
         assert len(calls) == 2  # edited content recompiles
 
 
+class TestOneCompiledPropertyPerBatch:
+    """Whatever the spec form, a batch's campaigns of one property share
+    one compiled property, and so one step table: a second campaign
+    replaying the first's states takes every step from it."""
+
+    def reused(self, spec, **target):
+        from repro.api import CheckTarget, SessionConfig
+
+        batch = CheckSession(egg_timer_app()).check_many(
+            [CheckTarget("first", **target), CheckTarget("again", **target)],
+            spec=spec, config=QUICK, session=SessionConfig(jobs=1),
+        )
+        first, again = batch.results
+        assert first.results[0].steps_reused < first.results[0].states_observed
+        return [(r.steps_reused, r.states_observed) for r in again.results]
+
+    @pytest.mark.parametrize("form", ["check", "module", "path"])
+    def test_the_second_campaign_reuses_every_step(self, form):
+        module = load_eggtimer_spec()
+        spec = {"check": module.check_named("safety"), "module": module,
+                "path": spec_path("eggtimer.strom")}[form]
+        target = {} if form == "check" else {"property": "safety"}
+        for reused, states in self.reused(spec, **target):
+            assert reused == states > 0
+
+    def test_targets_with_their_own_check_spec_share_it_too(self):
+        from repro.api import CheckTarget, SessionConfig
+
+        check = load_eggtimer_spec().check_named("safety")
+        batch = CheckSession(egg_timer_app()).check_many(
+            [CheckTarget("first", spec=check), CheckTarget("again", spec=check)],
+            config=QUICK, session=SessionConfig(jobs=1),
+        )
+        again = batch.results[1].results
+        assert [r.steps_reused for r in again] == [
+            r.states_observed for r in again]
+
+
 class TestSessionConfig:
     """The consolidated knob bundle and its deprecation shims."""
 

@@ -153,6 +153,31 @@ class TestSpecModuleRoundTrip:
             assert (loaded.formula.selector_footprint()
                     == original.formula.selector_footprint())
 
+    def test_observed_attributes_round_trip(self):
+        bundle = compile_spec(spec_path("todomvc.strom"))
+        restored = decode(encode(bundle))
+        assert [c.observed_attributes for c in restored.module.checks] == [
+            frozenset(), frozenset()]
+        assert all(prop.spec.observed_attributes == frozenset()
+                   for prop in restored.properties.values())
+
+    def test_a_bundle_pickled_without_observed_attributes_keys_every_one(self):
+        # A bundle written before CheckSpec had the field decodes with
+        # the class default: every attribute stays in the step key.
+        from repro.checker.compiled import step_key
+
+        bundle = compile_spec(spec_path("todomvc.strom"))
+        for check in bundle.module.checks:
+            del check.__dict__["observed_attributes"]
+        restored = decode(encode(bundle))
+        state = StateSnapshot(queries={".todo-list li": (
+            ElementSnapshot("li", attributes=(("data-id", "7"),)),)})
+        for prop in restored.properties.values():
+            assert "observed_attributes" not in prop.spec.__dict__
+            assert prop.spec.observed_attributes is None
+            assert prop.key(state) == step_key(state) != step_key(
+                state, frozenset())
+
     def test_cycle_through_a_quoted_binding_round_trips(self):
         bundle = compile_source(CYCLE_SPEC)
         env = bundle.module.env

@@ -5,8 +5,9 @@ test here compares it with fresh, unkeyed checkers, the oracle: same
 verdict, same residual node, same size and same exception at every
 state.  The traps are the ways a naive memo goes wrong: an element
 equal to another under Python's ``True == 1`` that Specstrom tells
-apart, and a hand-built formula that reads more of a state than the
-key holds.
+apart, a hand-built formula that reads more of a state than the key
+holds, and an attribute the key projects away that the formula reads
+after all, directly or through a whole element.
 """
 
 import dataclasses
@@ -43,10 +44,13 @@ def observed(checker, state, key=None):
         return ("raised", type(error), str(error))
 
 
-def machine_state(machine, current, ticks, present, happened, version):
+def machine_state(machine, current, ticks, present, happened, version,
+                  attributes=()):
     """A state of ``machine``'s page; ``ticks=None`` leaves ``#ticks``
-    out, so a spec that reads it raises."""
-    queries = {"#state": (ElementSnapshot("span", text=current),)}
+    out, so a spec that reads it raises.  ``#state`` carries
+    ``attributes``."""
+    queries = {"#state": (ElementSnapshot("span", text=current,
+                                          attributes=attributes),)}
     if ticks is not None:
         queries["#ticks"] = (ElementSnapshot("span", text=ticks),)
     for button, shown in zip(machine.buttons, present):
@@ -56,15 +60,58 @@ def machine_state(machine, current, ticks, present, happened, version):
     return StateSnapshot(queries=queries, happened=happened, version=version)
 
 
+#: Attribute sets of ``#state``: bookkeeping (``data-id``) and ``k``,
+#: which some probes read.
+ATTRIBUTES = st.sampled_from([
+    (), (("data-id", "1"),), (("data-id", "2"),), (("k", "1"),),
+    (("data-id", "1"), ("k", "0")), (("data-id", "2"), ("k", "1")),
+])
+
+#: Conjuncts mixed into a generated property, and the attributes the
+#: analysis says each can read (``None``: every one, as it leaks a
+#: whole element).
+PROBES = [
+    ("true", frozenset()),
+    ('`#state`.k == "1"', frozenset({"k"})),
+    ('props(`#state`, "k") == ["1"]', frozenset({"k"})),
+    ("findIndex(hasK, elements(`#state`)) == 0", frozenset({"k"})),
+    ("count(elements(`#state`)) == 1", frozenset()),
+    ('attribute(first(elements(`#state`)), "k") == "1"', None),
+    ("first(elements(`#state`)) == last(elements(`#state`))", None),
+    ("{ let e = first(elements(`#state`)); "
+     "next (e == first(elements(`#state`))) }", None),
+]
+
+
+def mixed_spec_source(machine, seed, probe, connective, n):
+    """``random_spec_source``'s property combined with a probe:
+    ``fuzzed <connective> always{n} probe``."""
+    source = random_spec_source(machine, seed).replace(
+        "\ncheck fuzzed with",
+        '\nlet hasK(el) = el.k == "1";\n'
+        f"let ~probe = {probe};\n"
+        f"let ~mixed = fuzzed {connective} always{{{n}}} probe;\n"
+        "check mixed with",
+    )
+    assert "check mixed with" in source
+    return source
+
+
 @st.composite
 def specs_and_traces(draw):
-    """A generated spec, a pool of at most four states over its
-    machine's observables, and traces drawn from that pool, so that
-    (residual, state) pairs repeat within and across traces."""
+    """A generated spec, with a probe conjunct mixed in, a pool of at
+    most four states over its machine's observables with a twin of some
+    that differs only in ``#state``'s attributes, and traces drawn from
+    that pool, so that (residual, state) pairs repeat within and across
+    traces."""
     seed = draw(st.integers(min_value=0, max_value=400))
     machine = generate_machine(seed)
-    check = load_module(random_spec_source(machine, seed),
-                        default_subscript=3).checks[0]
+    probe, reads = draw(st.sampled_from(PROBES))
+    source = mixed_spec_source(
+        machine, seed, probe, draw(st.sampled_from(("&&", "||"))),
+        draw(st.integers(min_value=0, max_value=3)))
+    check = load_module(source, default_subscript=3).checks[0]
+    assert check.observed_attributes == reads
     events = [("loaded?",), ("tick?",), ()] + [
         (f"{button.name}!",) for button in machine.buttons
     ]
@@ -78,32 +125,64 @@ def specs_and_traces(draw):
                      max_size=len(machine.buttons)),
             st.sampled_from(events),
             st.integers(min_value=0, max_value=9),
+            ATTRIBUTES,
         ),
         min_size=1, max_size=4,
     ))
+    twins = [
+        with_state_attributes(state, draw(ATTRIBUTES))
+        for state in pool if draw(st.booleans())
+    ]
     traces = draw(st.lists(
-        st.lists(st.sampled_from(pool), min_size=1, max_size=8),
+        st.lists(st.sampled_from(pool + twins), min_size=1, max_size=8),
         min_size=1, max_size=4,
     ))
     return check, traces
 
 
+def with_state_attributes(state, attributes):
+    queries = dict(state.queries)
+    queries["#state"] = tuple(
+        dataclasses.replace(element, attributes=attributes)
+        for element in queries["#state"]
+    )
+    return dataclasses.replace(state, queries=queries)
+
+
 class TestDifferential:
-    @examples(80)
+    @examples(120)
     @given(specs_and_traces())
     def test_keyed_checkers_match_fresh_unkeyed_ones(self, drawn):
         check, traces = drawn
-        caches = ProgressionCaches()
+        compiled = CompiledProperty(check)
         for trace in traces:
-            keyed = FormulaChecker(check.formula, caches=caches)
+            keyed = FormulaChecker(check.formula, caches=compiled.caches)
             fresh = FormulaChecker(check.formula)
             for state in trace:
                 want = observed(fresh, state)
-                assert observed(keyed, state, step_key(state)) == want
+                assert observed(keyed, state, compiled.key(state)) == want
                 if type(want) is tuple:
                     break
                 assert keyed.residual is fresh.residual
                 assert keyed.formula_sizes == fresh.formula_sizes
+
+    @examples(40)
+    @given(specs_and_traces(), ATTRIBUTES)
+    def test_states_differing_in_unread_attributes_share_a_key(
+        self, drawn, attributes
+    ):
+        check, traces = drawn
+        compiled = CompiledProperty(check)
+        observed_names = check.observed_attributes
+        for state in traces[0]:
+            twin = with_state_attributes(state, attributes)
+            (before,) = state.queries["#state"]
+            if observed_names is None:
+                same = before.attributes == attributes
+            else:
+                same = ([p for p in before.attributes if p[0] in observed_names]
+                        == [p for p in attributes if p[0] in observed_names])
+            assert (compiled.key(twin) == compiled.key(state)) is same
 
     def test_repeated_pairs_are_served_by_the_table(self):
         check = load_module(COUNTER_SPEC).checks[0]
@@ -174,6 +253,25 @@ class TestStepKey:
             queries={"#box": (ElementSnapshot(
                 "input", attributes=(("id", 1),)),)}
         )) is None
+
+    def test_attributes_are_projected_onto_the_observed_names(self):
+        def state(*attributes):
+            return StateSnapshot(queries={"#box": (ElementSnapshot(
+                "input", attributes=attributes),)})
+
+        plain = state(("data-id", "1"), ("k", "a"))
+        renumbered = state(("data-id", "2"), ("k", "a"))
+        changed = state(("data-id", "1"), ("k", "b"))
+        assert step_key(renumbered) != step_key(plain)
+        assert step_key(renumbered, frozenset()) == step_key(plain, frozenset())
+        assert step_key(changed, frozenset()) == step_key(plain, frozenset())
+        assert step_key(renumbered, {"k"}) == step_key(plain, {"k"})
+        assert step_key(changed, {"k"}) != step_key(plain, {"k"})
+        # Unread attributes are never type-checked; read ones are.
+        odd = state(("data-id", 1), ("k", "a"))
+        assert step_key(odd, frozenset()) == step_key(plain, frozenset())
+        assert step_key(odd, {"k"}) is None
+        assert step_key(odd) is None
 
     def test_an_int_flag_never_hits_an_equal_bool_row(self):
         # ElementSnapshot(checked=1) == ElementSnapshot(checked=True), and

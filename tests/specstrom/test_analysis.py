@@ -193,3 +193,135 @@ class TestLiveQueries:
 
         assert live_queries(TOP) == frozenset()
         assert live_queries(BOTTOM) == frozenset()
+
+
+def observed_of(source_module, root):
+    from repro.specstrom import observed_attributes
+
+    return observed_attributes([parse_expression(root)],
+                               parse_module(source_module))
+
+
+class TestObservedAttributes:
+    """Which element attributes a formula can read; ``None`` whenever a
+    whole element, or an attribute named at run time, may be read."""
+
+    def test_fixed_fields_read_no_attribute(self):
+        fields = ("tag", "text", "value", "checked", "enabled", "disabled",
+                  "visible", "focused", "classes")
+        root = " && ".join(f"`#a`.{name} == null" for name in fields)
+        assert observed_of("", root) == frozenset()
+
+    def test_member_names_outside_the_fixed_fields_are_read(self):
+        assert observed_of("", '`#a`.href == "x"') == {"href"}
+        # An object field looks the same; over-approximating it is sound.
+        assert observed_of("", "{ let o = { k: 1 }; o.k == 1 }") == {"k"}
+
+    def test_literal_names_of_attribute_readers_are_read(self):
+        assert observed_of("", 'props(`#a`, "data-x") == []') == {"data-x"}
+        assert observed_of("", 'visibleProps(`#a`, "title") == []') == {"title"}
+        assert observed_of("", 'attribute(null, "role") == null') == {"role"}
+
+    def test_names_computed_at_run_time_read_every_attribute(self):
+        assert observed_of("", 'props(`#a`, "da" + "ta") == []') is None
+        assert observed_of('let name = "x";', "attribute(null, name) == null") is None
+
+    def test_attribute_readers_used_as_values_read_every_attribute(self):
+        assert observed_of("", 'map(attribute, []) == []') is None
+        assert observed_of("", "{ let f = props; true }") is None
+
+    def test_element_lengths_read_nothing(self):
+        for reader in ("count", "length"):
+            assert observed_of("", f"{reader}(elements(`li`)) == 0") == frozenset()
+        assert observed_of("", "isEmpty(visibleElements(`li`))") == frozenset()
+
+    def test_a_member_only_predicate_reads_its_member_names(self):
+        module = 'let isDone(el) = el.done == "yes" && el.checked;'
+        for visitor in ("findIndex", "all", "any"):
+            root = f"{visitor}(isDone, elements(`li`)) == 0"
+            assert observed_of(module, root) == {"done"}
+
+    def test_a_lazy_member_only_predicate_is_allowed(self):
+        module = "let isOn(~el) = el.checked;"
+        assert observed_of(module, "all(isOn, elements(`li`))") == frozenset()
+
+    def test_a_predicate_that_uses_its_element_whole_escapes(self):
+        for body in ("el == null", "[el] == []", "el.text == el",
+                     'attribute(el, "x") == null', "next (el.checked)",
+                     "{ let e = el; e.checked }"):
+            module = f"let p(el) = {body};"
+            assert observed_of(module, "any(p, elements(`li`))") is None, body
+
+    def test_a_predicate_may_rebind_its_parameter(self):
+        module = "let p(el) = el.checked && { let el = 1; el == 1 };"
+        assert observed_of(module, "any(p, elements(`li`))") == frozenset()
+
+    def test_element_values_escaping_anywhere_else(self):
+        module = """
+        let isOn(el) = el.checked;
+        let two(a, b) = a.checked;
+        let size(xs) = count(xs);
+        """
+        for root in ("first(elements(`li`)) == null",
+                     "elements(`li`) == []",
+                     "map(isOn, elements(`li`)) == []",
+                     "filter(isOn, elements(`li`)) == []",
+                     "size(elements(`li`)) == 0",
+                     "count(elements(`li`)[0]) == 0",
+                     "findIndex(two, elements(`li`)) == 0",
+                     "{ let xs = elements(`li`); count(xs) == 0 }",
+                     "{ let ~xs = elements(`li`); count(xs) == 0 }",
+                     "{ let f = elements; true }",
+                     "always{2} (nth(elements(`li`), 0) == null)"):
+            assert observed_of(module, root) is None, root
+
+    def test_shadowed_builtins_are_not_vetted(self):
+        module = "let isOn(el) = el.checked;"
+        # A local `count` is not the builtin: its argument escapes.
+        assert observed_of(
+            module, "{ let count = isOn; count(elements(`li`)) }"
+        ) is None
+        # A local predicate name is not the top-level function.
+        assert observed_of(
+            module, "{ let isOn = isOn; all(isOn, elements(`li`)) }"
+        ) is None
+        # A local `elements` is not a source; the builtin is never read.
+        module = "let pick(elements) = first(elements(1));"
+        assert observed_of(module, "pick(first) == null") == frozenset()
+
+    def test_reads_are_gathered_through_definitions(self):
+        module = """
+        let ~title = `#a`.title;
+        let ~roles = props(`li`, "role");
+        let ~both = title == "x" && roles == [];
+        let unused(el) = el.secret;
+        """
+        assert observed_of(module, "both") == {"title", "role"}
+
+    def test_action_bodies_and_guards_are_not_walked(self):
+        module = load_module(
+            """
+            let ~head = first(elements(`li`));
+            action poke! = click!(`#b`) when head == null;
+            let ~ok = `#a`.text == "x";
+            check always{0} (ok && (poke! in happened ==> true));
+            """
+        )
+        assert module.checks[0].observed_attributes == frozenset()
+
+    def test_bundled_specs(self):
+        from repro.specs import load_eggtimer_spec, load_todomvc_spec
+
+        observed = {
+            (spec, check.name): check.observed_attributes
+            for spec, module in (("todomvc", load_todomvc_spec()),
+                                 ("eggtimer", load_eggtimer_spec()))
+            for check in module.checks
+        }
+        assert observed == {
+            ("todomvc", "safety"): frozenset(),
+            ("todomvc", "persistence"): frozenset(),
+            ("eggtimer", "safety"): frozenset(),
+            ("eggtimer", "liveness"): frozenset(),
+            ("eggtimer", "timeUp"): frozenset(),
+        }

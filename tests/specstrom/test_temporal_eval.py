@@ -206,6 +206,36 @@ class TestQuotes:
             module, "txt", states("b")[0]
         )
 
+    def test_captured_elements_are_keyed_by_field_type(self):
+        # ElementSnapshot(checked=1) == ElementSnapshot(checked=True) and
+        # they hash alike, yet `1 == true` is false: a quote capturing
+        # one must not intern to the node capturing the other.
+        from repro.specstrom import ElementSnapshot, StateSnapshot
+
+        check = load_module(
+            """
+            let ~el = first(elements(`input`));
+            let ~prop = { let e = el; next (e.checked == true) };
+            check prop;
+            """
+        ).checks[0]
+
+        def box(checked):
+            return StateSnapshot(
+                queries={"input": (ElementSnapshot("input", checked=checked),)}
+            )
+
+        alone = FormulaChecker(check.formula)
+        alone.observe(box(1))
+        assert alone.observe(box(True)) is Verdict.DEFINITELY_FALSE
+        ticked = FormulaChecker(check.formula)
+        ticked.observe(box(True))
+        as_int = FormulaChecker(check.formula)
+        as_int.observe(box(1))
+        assert as_int.residual is not ticked.residual
+        assert as_int.observe(box(True)) is Verdict.DEFINITELY_FALSE
+        assert ticked.observe(box(True)) is Verdict.DEFINITELY_TRUE
+
     def test_strict_let_may_quote_later_definitions(self):
         # The body names an action and a let bound after the strict
         # ``p`` is evaluated; both are looked up once it is forced.
