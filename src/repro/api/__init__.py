@@ -12,8 +12,8 @@ This layer is the front door for running checking campaigns::
 aggregation.  Every call -- :meth:`CheckSession.check`, ``check_many``
 (the paper's 43-implementation audit shape), ``check_all`` -- runs on
 one campaign loop, :class:`PooledScheduler`; a :class:`PoolTransport`
-decides *where* its tests run (the caller's thread, forked workers,
-threads, or remote TCP workers) with identical verdicts on each;
+decides *where* its tests run (the caller's thread, forked workers, or
+remote TCP workers) with identical verdicts on each;
 :class:`Reporter` hooks observe progress -- console, JSON Lines, JUnit
 XML for CI, or a live TTY progress line.  The lower-level
 :class:`repro.checker.Runner` remains available as the single-test
@@ -45,7 +45,6 @@ from .transport import (
     PoolTransport,
     TaskFailure,
     TcpTransport,
-    ThreadTransport,
     WorkerCrashed,
 )
 
@@ -66,7 +65,6 @@ __all__ = [
     "PoolTransport",
     "ForkTransport",
     "InlineTransport",
-    "ThreadTransport",
     "TcpTransport",
     "TaskFailure",
     "WorkerCrashed",

@@ -20,10 +20,9 @@ Two kinds of knob live here, deliberately together because every
 caller sets them together:
 
 * **scheduling** -- ``jobs`` (a width, or ``"auto"``), ``transport``
-  (``None`` | ``"fork"`` | ``"thread"`` | a
-  :class:`~repro.api.transport.PoolTransport` instance such as
-  :class:`~repro.api.transport.TcpTransport`), ``reuse_executors``,
-  ``reporters``;
+  (``None`` or a :class:`~repro.api.transport.PoolTransport` instance
+  such as :class:`~repro.api.transport.TcpTransport`),
+  ``reuse_executors``, ``reporters``;
 * **runner overrides** -- ``stop_on_failure`` / ``narrow_queries`` /
   ``shrink``, tri-state (``None`` = keep whatever the
   :class:`RunnerConfig` says), overlaid by :meth:`SessionConfig.runner_config`.
@@ -36,6 +35,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from ..checker.config import RunnerConfig
+from .transport.base import PoolTransport
 
 __all__ = ["SessionConfig"]
 
@@ -49,11 +49,12 @@ class SessionConfig:
     #: batch's metrics, clamped to the transport capacity), or ``None``
     #: for the session default.
     jobs: Union[int, str, None] = None
-    #: Task delivery: ``None`` (platform default), ``"fork"``,
-    #: ``"thread"``, or a live ``PoolTransport`` (e.g. ``TcpTransport``
-    #: serving remote ``repro worker`` processes, or ``InlineTransport()``
-    #: keeping the batch in the caller's thread at any width).
-    transport: object = None
+    #: Task delivery: ``None`` (a fork pool for ``jobs > 1`` where the
+    #: platform has ``fork``, else the caller's thread) or a live
+    #: ``PoolTransport`` (e.g. ``TcpTransport`` serving remote ``repro
+    #: worker`` processes, or ``InlineTransport()`` keeping the batch in
+    #: the caller's thread at any width).
+    transport: Optional[PoolTransport] = None
     #: Keep executors warm between consecutive tests of one target.
     reuse_executors: bool = True
     #: Reporters for the batch; ``None`` = the session's reporters.
@@ -62,6 +63,15 @@ class SessionConfig:
     stop_on_failure: Optional[bool] = None
     narrow_queries: Optional[bool] = None
     shrink: Optional[bool] = None
+
+    def __post_init__(self) -> None:
+        if self.transport is not None and not isinstance(
+            self.transport, PoolTransport
+        ):
+            raise TypeError(
+                "transport must be None or a PoolTransport instance, "
+                f"got {self.transport!r}"
+            )
 
     def runner_config(
         self, base: Optional[RunnerConfig]

@@ -7,16 +7,17 @@ exactly the shape of the paper's 43-implementation audit and of
 ``check_all``'s many-properties x one-app batches).  This module
 amortises it:
 
-* :class:`ExecutorCache` holds a few *warm* executors per target
+* :class:`ExecutorCache` holds one *warm* executor per target
   identity.  One cache is created (empty) per batch, **before** the
   worker pool forks: each forked worker then owns a private
   copy-on-write instance, so warm executors never cross process
-  boundaries, while thread workers and the caller's thread share a
-  single locked instance.  Remote ``repro worker`` processes (the TCP
-  transport) are not forked from the coordinator at all -- each builds
-  its *own* per-process cache from the task's remote descriptor and
-  reports each lease's warm flag back inside result frames, so the
-  batch metrics still add up.
+  boundaries, while an inline batch uses the instance itself.  Remote
+  ``repro worker`` processes (the TCP transport) are not forked from
+  the coordinator at all -- each builds its *own* per-process cache
+  from the task's remote descriptor and reports each lease's warm flag
+  back inside result frames, so the batch metrics still add up.  Every
+  worker runs one test at a time, so no two leases of one cache
+  overlap, and one parked executor per target is all reuse needs.
 * :class:`ExecutorLease` is one test's claim on an executor.
   ``Runner.run_single_test`` calls ``checkout`` in place of construct +
   ``Start`` and ``checkin`` in place of ``stop``.  ``checkout`` prefers
@@ -88,18 +89,11 @@ class ExecutorCache:
     counters.
 
     ``max_entries`` bounds how many warm executors the cache may hold
-    at once (across all keys); checking in past the bound stops and
-    evicts the least-recently-used entry.  The scheduler sets it
-    so a forked worker that serves many targets over a long audit never
-    accumulates one live session per target ever seen.
-
-    ``depth`` bounds how many warm executors one *key* may hold.  The
-    default (1) is right for strictly sequential reuse; a shared cache
-    serving concurrent leases of the same target (the thread-fallback
-    pool, or a worker interleaving two targets' tasks under dynamic
-    dispatch) wants ``depth >= jobs`` -- with depth 1, two overlapping
-    leases of one key evict each other's executor at every checkin and
-    warm reuse silently degrades to cold starts.
+    at once (one per key); checking in past the bound stops and evicts
+    the least-recently-used entry.  The scheduler sets it so a forked
+    worker that serves many targets over a long audit never accumulates
+    one live session per target ever seen.  A checkin onto a key that
+    already holds an executor parks the newer one and stops the older.
     """
 
     def __init__(
@@ -108,21 +102,17 @@ class ExecutorCache:
         warm_hits=None,
         cold_starts=None,
         max_entries: Optional[int] = None,
-        depth: int = 1,
     ) -> None:
-        if depth < 1:
-            raise ValueError(f"depth must be at least 1, got {depth}")
         self.enabled = enabled
         self.max_entries = max_entries
-        self.depth = depth
         self.warm_hits = (
             warm_hits if warm_hits is not None else ThreadCounter(0)
         )
         self.cold_starts = (
             cold_starts if cold_starts is not None else ThreadCounter(0)
         )
-        #: key -> parked executors, oldest first; key order is recency.
-        self._entries: Dict[Hashable, List[object]] = {}
+        #: key -> parked executor; key order is recency.
+        self._entries: Dict[Hashable, object] = {}
         self._lock = threading.Lock()
 
     def lease(
@@ -133,52 +123,33 @@ class ExecutorCache:
         return ExecutorLease(self, factory, factory if key is None else key)
 
     def _checkout(self, key: Hashable) -> Optional[object]:
-        """Claim the most recent warm executor for ``key``, or None on a
-        miss.  The entry is *removed*: an executor is only ever owned by
-        one test, and LIFO order keeps sequential reuse on the same warm
-        session."""
+        """Claim the warm executor for ``key``, or None on a miss.  The
+        entry is *removed*: an executor is only ever owned by one
+        test."""
         with self._lock:
-            stack = self._entries.get(key)
-            if not stack:
-                return None
-            executor = stack.pop()
-            if not stack:
-                del self._entries[key]
-            return executor
+            return self._entries.pop(key, None)
 
     def _checkin_collect(self, key: Hashable, executor: object) -> List[object]:
-        """Park ``executor``; returns the executors evicted by the
-        depth/size bounds for the caller to stop."""
+        """Park ``executor``; returns the executors it displaced (an
+        older one of the same key, and any the size bound evicts) for
+        the caller to stop."""
         evicted: List[object] = []
         with self._lock:
-            stack = self._entries.pop(key, None)
-            if stack is None:
-                stack = []
-            if any(parked is executor for parked in stack):
-                # Cannot happen under the checkout-removes discipline,
-                # but a double checkin must not double-park a session.
-                self._entries[key] = stack
-                return evicted
-            stack.append(executor)
-            while len(stack) > self.depth:
-                evicted.append(stack.pop(0))
+            parked = self._entries.pop(key, None)
+            if parked is not None and parked is not executor:
+                evicted.append(parked)
             # Key insertion order doubles as recency: checkout/checkin
             # re-append, so the front key is least recently used.
-            self._entries[key] = stack
+            self._entries[key] = executor
             while (
                 self.max_entries is not None
-                and sum(len(s) for s in self._entries.values())
-                > self.max_entries
+                and len(self._entries) > self.max_entries
             ):
-                oldest_key = next(iter(self._entries))
-                oldest = self._entries[oldest_key]
-                evicted.append(oldest.pop(0))
-                if not oldest:
-                    del self._entries[oldest_key]
+                evicted.append(self._entries.pop(next(iter(self._entries))))
         return evicted
 
     def release(self, key: Hashable) -> None:
-        """Stop and drop every warm executor for ``key``.
+        """Stop and drop the warm executor for ``key``.
 
         The scheduler calls this when a target's *last* campaign
         finishes, so a long batch holds at most the executors of targets
@@ -188,26 +159,22 @@ class ExecutorCache:
         exit (the transport's ``worker_exit`` hook), bounding held
         executors by the worker's lifetime."""
         with self._lock:
-            stack = self._entries.pop(key, [])
-        for executor in stack:
+            executor = self._entries.pop(key, None)
+        if executor is not None:
             _stop_parked(executor)
 
     def close(self) -> None:
         """Stop and drop every warm executor (end of batch)."""
         with self._lock:
-            entries = [
-                executor
-                for stack in self._entries.values()
-                for executor in stack
-            ]
+            entries = list(self._entries.values())
             self._entries.clear()
         for executor in entries:
             _stop_parked(executor)
 
     def __len__(self) -> int:
-        """Number of parked warm executors (across all keys)."""
+        """Number of parked warm executors."""
         with self._lock:
-            return sum(len(stack) for stack in self._entries.values())
+            return len(self._entries)
 
 
 class ExecutorLease:

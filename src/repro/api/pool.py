@@ -5,11 +5,10 @@
 :class:`~repro.api.transport.PoolTransport` ran it:
 
 * :class:`~repro.api.transport.InlineTransport` -- the caller's thread
-  (every width-1 local batch);
+  (every width-1 local batch, and every batch where ``fork`` is
+  unavailable);
 * :class:`~repro.api.transport.ForkTransport` -- forked processes (the
-  default on POSIX; closures ship by copy-on-write);
-* :class:`~repro.api.transport.ThreadTransport` -- identical semantics
-  where ``fork`` is unavailable;
+  default for ``jobs > 1``; closures ship by copy-on-write);
 * :class:`~repro.api.transport.TcpTransport` -- remote ``repro worker``
   processes pulling task descriptors over TCP.
 
@@ -50,14 +49,16 @@ class PoolMetrics:
     * ``worker_tasks`` / ``worker_busy_s`` -- per-worker task counts and
       cumulative task runtime, keyed by worker id;
     * ``worker_hosts`` -- where each worker lives: ``"local"`` for
-      fork/thread workers, ``"pid@host"`` for remote ones, so crash
+      fork workers, ``"pid@host"`` for remote ones, so crash
       reports and utilisation tables attribute work to machines;
     * ``warm_hits`` / ``cold_starts`` -- executor checkouts served by a
       warm reset vs full construction (zero/zero when no lease layer is
       in play);
     * ``campaign_wall_s`` -- per-campaign wall-clock, label-keyed, from
-      first merged result to campaign completion (campaigns overlap
-      under pooling, so these may sum to more than ``wall_s``);
+      the start of the campaign's first test to its completion (after
+      any shrinking); each test's start is its arrival time less the
+      elapsed time its worker measured.  Campaigns overlap under
+      pooling, so these may sum to more than ``wall_s``;
     * ``intern_hits`` / ``intern_misses`` -- each test's hash-cons
       lookups (:func:`repro.quickltl.push_intern_counter`), summed: a
       high hit ratio means the compiled engine reused existing nodes
@@ -75,7 +76,7 @@ class PoolMetrics:
     """
 
     jobs: int = 1
-    transport: str = "serial"  # "serial" | "fork" | "thread" | "tcp"
+    transport: str = "serial"  # "serial" | "fork" | "tcp"
     wall_s: float = 0.0
     tasks_total: int = 0
     tasks_completed: int = 0
@@ -250,11 +251,12 @@ def suggest_jobs(
 
     ``capacity`` is the active transport's
     :meth:`~repro.api.transport.PoolTransport.capacity` report: the
-    local CPU count for fork/thread pools, but the *summed remote
-    slots* for a TCP fabric -- a coordinator driving 4 hosts x 8 cores
-    must be allowed to suggest 32 even though its own ``os.cpu_count()``
-    is small.  When ``capacity`` is omitted the local CPU count (or the
-    explicit ``cpu`` override) is the clamp, as before.
+    local CPU count for the fork pool, but the *connected remote
+    slots* for a TCP fabric -- a coordinator driving 32 ``repro
+    worker`` processes on 4 hosts must be allowed to suggest 32 even
+    though its own ``os.cpu_count()`` is small.  When ``capacity`` is
+    omitted the local CPU count (or the explicit ``cpu`` override) is
+    the clamp, as before.
 
     With no history (``None``, or a batch that recorded no per-worker
     work) it falls back to the clamp itself, like :func:`resolve_jobs`.

@@ -16,9 +16,10 @@ module is that loop, written once:
   one task list and hands it to one
   :class:`~repro.api.transport.PoolTransport`: an
   :class:`~repro.api.transport.InlineTransport` in the caller's thread
-  for width-1 local batches, a fork or thread pool started once per
-  batch (workers pull ``(campaign, index)`` tasks from a shared queue
-  and are reused across campaigns), or remote TCP workers.
+  for width-1 local batches (and for every batch where ``fork`` is
+  missing), a fork pool started once per batch (workers pull
+  ``(campaign, index)`` tasks from a shared queue and are reused across
+  campaigns), or remote TCP workers.
 
 Outcomes are merged through :class:`CampaignMerge` campaign by campaign
 in submission order, index by index within each, so every transport
@@ -42,7 +43,6 @@ from .pool import PoolMetrics, resolve_jobs
 from .reporters import Reporter
 from .transport import (
     SKIPPED,
-    InlineTransport,
     PoolTask,
     PoolTransport,
     TaskFailure,
@@ -208,9 +208,9 @@ def campaign_tasks(
     config = runner.config
     first_fail = transport.make_counter(config.tests)
     # Evaluate the watched events and compile the property before any
-    # worker forks or thread starts: forked workers inherit both
-    # copy-on-write.  A runner that came through the artifact pipeline
-    # adopted the artifact's pre-seeded bundle, so compiling is a no-op.
+    # worker forks: forked workers inherit both copy-on-write.  A runner
+    # that came through the artifact pipeline adopted the artifact's
+    # pre-seeded bundle, so compiling is a no-op.
     runner.watched_events()
     runner.compiled_spec()
     factory = runner.executor_factory
@@ -271,9 +271,9 @@ class CampaignMerge:
         self._stopped = False
         self._started = False
         self._finished: Optional[CampaignResult] = None
-        #: Wall-clock bracket (first consumed result -> finish), for
+        #: Wall-clock bracket (first test start -> finish), for
         #: PoolMetrics.campaign_wall_s.  Campaigns overlap under
-        #: pooling, so this measures merge-side latency, not CPU time.
+        #: pooling, so this is latency, not CPU time.
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
 
@@ -287,11 +287,16 @@ class CampaignMerge:
             return 0.0
         return self.finished_at - self.started_at
 
+    def test_started(self, at: float) -> None:
+        """Date one of the campaign's tests: the earliest start opens
+        the campaign's wall-clock bracket."""
+        if self.started_at is None or at < self.started_at:
+            self.started_at = at
+
     def start(self) -> None:
         if self._started:
             return
         self._started = True
-        self.started_at = time.perf_counter()
         for reporter in self.reporters:
             reporter.on_campaign_start(
                 self.runner.spec.name,
@@ -369,7 +374,8 @@ class PooledScheduler:
     """Runs a :class:`CampaignSet` on one transport.
 
     ``jobs`` bounds the pool width across the *whole batch* (default:
-    the CPU count).  At ``jobs=1`` a local batch runs on an
+    the CPU count).  At ``jobs=1``, or where the platform has no
+    ``fork``, a local batch runs on an
     :class:`~repro.api.transport.InlineTransport` in the caller's
     thread -- the serial loop, with no pool at all.  A remote transport
     is used at any width (its capacity lives on the workers), and so is
@@ -377,20 +383,11 @@ class PooledScheduler:
     """
 
     def __init__(
-        self, jobs: Optional[int] = None, transport: object = None
+        self, jobs: Optional[int] = None,
+        transport: Optional[PoolTransport] = None,
     ) -> None:
         self.jobs = resolve_jobs(jobs)
         self.transport = transport
-
-    def _transport(self) -> PoolTransport:
-        transport = self.transport
-        if isinstance(transport, PoolTransport) and (
-            transport.remote or isinstance(transport, InlineTransport)
-        ):
-            return transport
-        if self.jobs <= 1:
-            return InlineTransport()
-        return resolve_transport(transport)
 
     def run(
         self,
@@ -405,7 +402,7 @@ class PooledScheduler:
         for reporter in reporters:
             reporter.on_session_start(len(entries))
         started = time.perf_counter()
-        transport = self._transport()
+        transport = resolve_transport(self.transport, self.jobs)
         metrics = PoolMetrics(jobs=self.jobs, transport=transport.name)
         # Warm/cold counters come from the transport, so forked workers
         # -- each owning a private copy-on-write ExecutorCache --
@@ -414,13 +411,10 @@ class PooledScheduler:
         cold_starts = transport.make_counter(0)
         # Bound held-warm executors: a worker serving many targets over
         # a long audit must not accumulate one live session per target
-        # ever seen (LRU eviction at checkin).  A cache shared by
-        # overlapping sessions (thread workers) needs one warm slot per
-        # worker, or their checkins evict each other and reuse degrades
-        # to cold starts.
+        # ever seen (LRU eviction at checkin).
         cache = ExecutorCache(enabled=reuse, warm_hits=warm_hits,
                               cold_starts=cold_starts,
-                              max_entries=max(4, self.jobs), depth=self.jobs)
+                              max_entries=max(4, self.jobs))
         tasks: List[PoolTask] = []
         merges: List[CampaignMerge] = []
         for label, runner in entries:
@@ -435,6 +429,7 @@ class PooledScheduler:
             runner.executor_factory: position
             for position, (_, runner) in enumerate(entries)
         }
+        merge_for = {merge.label: merge for merge in merges}
         arrived: Dict[Tuple[str, int], object] = {}
         cursor = 0
 
@@ -457,12 +452,13 @@ class PooledScheduler:
                 factory = merge.runner.executor_factory
                 if last_use[factory] == cursor:
                     # Early release of the target's warm executor where
-                    # the cache is this process's (inline and thread
-                    # transports); forked workers' copies die with them.
+                    # the cache is this process's (the inline transport);
+                    # forked workers' copies die with them.
                     cache.release(factory)
                 cursor += 1
 
-        def on_result(task_id, outcome) -> None:
+        def on_result(task_id, outcome, elapsed) -> None:
+            merge_for[task_id[0]].test_started(time.perf_counter() - elapsed)
             if isinstance(outcome, TestResult):
                 metrics.record_engine(outcome)
             arrived[task_id] = outcome
@@ -477,7 +473,7 @@ class PooledScheduler:
                               metrics=metrics, worker_exit=cache.close)
         finally:
             # Stop any still-warm executors the per-target release
-            # missed (the cache is shared with in-process workers).
+            # missed.
             cache.close()
         advance()
         if cursor < len(merges):  # pragma: no cover - transports deliver all

@@ -186,8 +186,9 @@ class CheckSession:
           previous batch's recorded queue-depth/utilisation metrics
           (:func:`~repro.api.pool.suggest_jobs`), clamped to the
           transport's reported capacity.
-        * ``transport`` picks task delivery: ``None``/"fork"/"thread"
-          run locally; a live
+        * ``transport`` picks task delivery: ``None`` runs locally (a
+          fork pool for ``jobs > 1`` where the platform has ``fork``,
+          else the caller's thread); a live
           :class:`~repro.api.transport.TcpTransport` shards the batch
           over connected ``repro worker`` processes -- targets then
           need a ``remote`` descriptor saying where a remote host finds
@@ -458,13 +459,11 @@ class CheckSession:
         return check, compiled
 
 
-def _transport_capacity(transport) -> Optional[int]:
-    """The transport's parallel capacity, when it can report one --
-    what adaptive ``jobs="auto"`` clamps against instead of the local
-    CPU count (a TCP fabric's width lives on the worker hosts)."""
-    if isinstance(transport, PoolTransport):
-        return transport.capacity()
-    return None
+def _transport_capacity(transport: Optional[PoolTransport]) -> Optional[int]:
+    """An explicit transport's parallel capacity -- what adaptive
+    ``jobs="auto"`` clamps against instead of the local CPU count (a
+    TCP fabric's width lives on the worker hosts)."""
+    return None if transport is None else transport.capacity()
 
 
 def _validate_jobs(jobs) -> None:

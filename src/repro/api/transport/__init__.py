@@ -7,16 +7,14 @@ transport-agnostic: it builds
 collected ``(worker_id, elapsed, outcome)`` stream in deterministic
 campaign/index order.  Every worker behind it is a plain pull loop
 that runs one test at a time, start to finish; parallelism comes from
-more workers.  This package provides the seam and its four
+more workers.  This package provides the seam and its three
 implementations:
 
 * :class:`~repro.api.transport.local.InlineTransport` -- the caller's
-  thread: the serial loop,
+  thread: the serial loop, and every batch where ``fork`` is missing,
 * :class:`~repro.api.transport.local.ForkTransport` -- the classic
-  fork-once worker pool (POSIX; ships closures for free via CoW),
-* :class:`~repro.api.transport.local.ThreadTransport` -- identical
-  semantics on platforms without ``fork`` (less parallelism under the
-  GIL),
+  fork-once worker pool (POSIX; ships closures for free via CoW), the
+  one local parallel transport,
 * :class:`~repro.api.transport.tcp.TcpTransport` -- a coordinator-side
   work queue serving remote ``repro worker --connect HOST:PORT``
   processes over a length-prefixed JSON protocol, sharding a batch
@@ -37,7 +35,7 @@ from .base import (
     fork_context,
     resolve_transport,
 )
-from .local import ForkTransport, InlineTransport, ThreadTransport
+from .local import ForkTransport, InlineTransport
 from .tcp import TcpTransport
 
 __all__ = [
@@ -51,6 +49,5 @@ __all__ = [
     "resolve_transport",
     "ForkTransport",
     "InlineTransport",
-    "ThreadTransport",
     "TcpTransport",
 ]

@@ -8,7 +8,7 @@ behind :class:`PoolTransport`:
 * **collect** -- outcomes stream back as ``(worker_id, elapsed,
   outcome)`` tuples (folded into the caller's ``PoolMetrics`` and
   ``on_result`` callback in completion order; the *merge* order is the
-  caller's business);
+  caller's business, and ``elapsed`` lets it date each task's start);
 * **announce** -- every transport knows which task each worker is
   holding, so a dead worker is reported (or requeued) with the exact
   ``(campaign, index)`` it was running;
@@ -169,12 +169,13 @@ class PoolTransport(ABC):
 
     Implementations must key outcomes by ``task.id``, report per-task
     ``(worker_id, elapsed)`` through ``metrics.record_task``, call
-    ``on_result`` in completion order, and raise :class:`WorkerCrashed`
-    -- naming the in-flight task ids -- when work is lost for good.
+    ``on_result(task_id, outcome, elapsed)`` in completion order, and
+    raise :class:`WorkerCrashed` -- naming the in-flight task ids --
+    when work is lost for good.
     """
 
     #: Short name surfaced in ``PoolMetrics.transport`` and ``--format
-    #: json`` output ("fork" | "thread" | "tcp").
+    #: json`` output ("serial" | "fork" | "tcp").
     name: str = "?"
 
     #: True when workers live outside this process (task closures
@@ -182,7 +183,7 @@ class PoolTransport(ABC):
     #: transport outlives individual ``run`` calls).
     remote: bool = False
 
-    #: Worker handles of the most recent run (processes, threads, or
+    #: Worker handles of the most recent run (processes or
     #: remote-connection records); kept for post-mortem asserts.
     last_workers: List[object] = []
 
@@ -191,7 +192,7 @@ class PoolTransport(ABC):
         self,
         tasks: Sequence[PoolTask],
         jobs: int,
-        on_result: Optional[Callable[[Hashable, object], None]] = None,
+        on_result: Optional[Callable[[Hashable, object, float], None]] = None,
         metrics=None,
         worker_exit: Optional[Callable[[], None]] = None,
     ) -> Dict[Hashable, object]:
@@ -241,28 +242,24 @@ def fork_context():
         return None
 
 
-def resolve_transport(transport) -> PoolTransport:
-    """Turn a ``transport=`` knob into a :class:`PoolTransport`.
+def resolve_transport(transport: Optional[PoolTransport], jobs: int) -> PoolTransport:
+    """The transport a batch of width ``jobs`` runs on.
 
-    ``None`` picks the platform default (fork where available, threads
-    otherwise); ``"fork"`` and ``"thread"`` force a local mode; a
-    :class:`PoolTransport` instance is used as-is.
+    A remote or inline ``transport`` serves the batch at any width.
+    Otherwise a width-1 batch runs inline, and a wider one on
+    ``transport`` when given, else on a fork pool -- or inline where
+    the platform has no ``fork``.
     """
-    from .local import ForkTransport, ThreadTransport
+    from .local import ForkTransport, InlineTransport
 
-    if transport is None:
-        ctx = fork_context()
-        return ForkTransport(ctx) if ctx is not None else ThreadTransport()
-    if isinstance(transport, PoolTransport):
+    if transport is not None and (
+        transport.remote or isinstance(transport, InlineTransport)
+    ):
         return transport
-    if transport == "fork":
+    if jobs > 1:
+        if transport is not None:
+            return transport
         ctx = fork_context()
-        if ctx is None:
-            raise ValueError("transport='fork' is unavailable on this platform")
-        return ForkTransport(ctx)
-    if transport == "thread":
-        return ThreadTransport()
-    raise ValueError(
-        f"unknown transport {transport!r}; pass 'fork', 'thread' or a "
-        "PoolTransport instance (e.g. TcpTransport for remote workers)"
-    )
+        if ctx is not None:
+            return ForkTransport(ctx)
+    return InlineTransport()

@@ -1,31 +1,28 @@
-"""The local transports: the caller's thread, forked processes, threads.
+"""The local transports: the caller's thread and forked processes.
 
 * :class:`InlineTransport` -- no workers at all: tasks run in the
-  caller's thread, one at a time (the serial loop every width-1 local
-  batch uses).
+  caller's thread, one at a time.  Every width-1 batch runs here, and
+  so does a batch of any width on a platform without ``fork``.
 * :class:`ForkTransport` -- workers are created with the ``fork`` start
   method.  Task bodies are closures over executor factories, which
   ``spawn`` cannot pickle; fork ships them for free.  All tasks must
   therefore be known when :meth:`ForkTransport.run` forks -- the pool
   amortises fork cost by being forked once *per batch* (one batch = one
   multi-campaign audit), not once per campaign.
-* :class:`ThreadTransport` -- identical semantics on platforms without
-  ``fork`` (less parallelism under the GIL).  A thread cannot die the
-  way a process can, so task-level ``BaseException``\\ s are modelled as
-  worker crashes for behavioural parity.
 
-Dispatch is dynamic in the fork and thread transports: task ids flow
-through a queue and every worker is the same plain pull loop -- take the
-next id, run its task to completion, report, repeat until a sentinel --
-so a slow campaign cannot strand the pool the way static round-robin
-can.  Determinism is unaffected -- outcomes are keyed by task id and
-merged in submission order by the caller.
+Dispatch is dynamic in the fork transport: task ids flow through a
+queue and every worker is the same plain pull loop -- take the next id,
+run its task to completion, report, repeat until a sentinel -- so a
+slow campaign cannot strand the pool the way static round-robin can.
+Determinism is unaffected -- outcomes are keyed by task id and merged
+in submission order by the caller.
 
 ``KeyboardInterrupt``/``SystemExit`` inside a task are deliberately not
-caught in the worker: they must kill it promptly.  The parent's collect
-loop tears the pool down (terminate + join) on any error, including an
-interrupt delivered to the parent itself, so a Ctrl-C never leaks
-worker processes.
+caught: inline they propagate to the caller, as in a plain loop; in a
+forked worker they kill it promptly.  The parent's collect loop tears
+the pool down (terminate + join) on any error, including an interrupt
+delivered to the parent itself, so a Ctrl-C never leaks worker
+processes.
 """
 
 from __future__ import annotations
@@ -34,9 +31,9 @@ import queue as queue_module
 import time
 from typing import Dict, Hashable
 
-from .base import SKIPPED, PoolTransport, ThreadCounter, WorkerCrashed, run_task
+from .base import SKIPPED, PoolTransport, WorkerCrashed, run_task
 
-__all__ = ["ForkTransport", "InlineTransport", "ThreadTransport"]
+__all__ = ["ForkTransport", "InlineTransport"]
 
 #: Host label for local workers in ``PoolMetrics.worker_hosts``.
 LOCAL_HOST = "local"
@@ -46,9 +43,10 @@ class InlineTransport(PoolTransport):
     """Runs the batch in the caller's thread.
 
     Each task's thunk runs in submission order, so every width-1 local
-    batch starts its tests through ``Runner.run_single_test`` in the
-    caller's thread exactly as in a plain loop.  ``jobs`` and
-    ``worker_exit`` do not apply: there are no workers.
+    batch -- and every batch where ``fork`` is unavailable -- starts its
+    tests through ``Runner.run_single_test`` in the caller's thread
+    exactly as in a plain loop.  ``jobs`` and ``worker_exit`` do not
+    apply: there are no workers.
     """
 
     name = "serial"
@@ -70,7 +68,7 @@ class InlineTransport(PoolTransport):
             if metrics is not None:
                 metrics.record_task(0, elapsed, outcome == SKIPPED)
             if on_result is not None:
-                on_result(task.id, outcome)
+                on_result(task.id, outcome, elapsed)
         return outcomes
 
 
@@ -161,7 +159,7 @@ class ForkTransport(PoolTransport):
                     metrics.record_task(worker_id, elapsed, outcome == SKIPPED,
                                         host=LOCAL_HOST)
                 if on_result is not None:
-                    on_result(task_id, outcome)
+                    on_result(task_id, outcome, elapsed)
             completed = True
         finally:
             if completed:
@@ -217,7 +215,7 @@ class ForkTransport(PoolTransport):
                 metrics.record_task(worker_id, elapsed, outcome == SKIPPED,
                                     host=LOCAL_HOST)
             if on_result is not None:
-                on_result(task_id, outcome)
+                on_result(task_id, outcome, elapsed)
         lost = []
         for worker_id, process in dead:
             position = announce[worker_id]
@@ -248,103 +246,3 @@ class ForkTransport(PoolTransport):
             in_flight=[task_id for _, _, task_id in lost],
             unreported=unreported,
         )
-
-
-class ThreadTransport(PoolTransport):
-    """The thread fallback: same dispatch, same crash semantics.  Each
-    worker thread runs its tests start to finish, so a session's
-    protocol calls all stay on the thread that pulled its test."""
-
-    name = "thread"
-
-    def __init__(self) -> None:
-        self.last_workers = []
-
-    def make_counter(self, initial: int):
-        return ThreadCounter(initial)
-
-    def run(
-        self, tasks, jobs, on_result=None, metrics=None, worker_exit=None
-    ) -> Dict[Hashable, object]:
-        # ``worker_exit`` is ignored: thread workers share the caller's
-        # state, which the caller cleans up itself.
-        import threading
-
-        workers = min(jobs, len(tasks))
-        # Positions in the queue, like fork mode: user task ids never
-        # travel in-band, so no id can collide with a control signal.
-        task_queue: queue_module.Queue = queue_module.Queue()
-        result_queue: queue_module.Queue = queue_module.Queue()
-        for position in range(len(tasks)):
-            task_queue.put(position)
-        for _ in range(workers):
-            task_queue.put(-1)
-
-        def work(worker_id: int) -> None:
-            while True:
-                position = task_queue.get()
-                if position < 0:
-                    break
-                started = time.perf_counter()
-                try:
-                    outcome = run_task(tasks[position])
-                except BaseException as err:  # noqa: BLE001 - crash parity
-                    # A thread cannot die like a process; model the
-                    # fork-mode crash so callers see one behaviour.  The
-                    # collector aborts the batch and re-feeds sentinels
-                    # so sibling workers blocked in ``get`` unwind.
-                    result_queue.put(("crash", worker_id, position, err, 0.0))
-                    break
-                elapsed = time.perf_counter() - started
-                result_queue.put(("done", worker_id, position, outcome, elapsed))
-
-        threads = [
-            threading.Thread(target=work, args=(w,), daemon=True)
-            for w in range(workers)
-        ]
-        self.last_workers = threads
-        for thread in threads:
-            thread.start()
-        outcomes: Dict[Hashable, object] = {}
-        try:
-            while len(outcomes) < len(tasks):
-                if metrics is not None:
-                    metrics.sample_queue_depth(len(tasks) - len(outcomes))
-                try:
-                    # Poll like the fork loop: the timeout doubles as
-                    # the queue-depth sampling heartbeat while quiet.
-                    kind, worker_id, position, payload, elapsed = (
-                        result_queue.get(timeout=self._heartbeat_wait())
-                    )
-                except queue_module.Empty:
-                    continue
-                task_id = tasks[position].id
-                if kind == "crash":
-                    # The announced task is lost; waiting for it would
-                    # deadlock, so abort the batch like fork mode does.
-                    unreported = [t.id for t in tasks if t.id not in outcomes]
-                    raise WorkerCrashed(
-                        f"worker {worker_id} died while running task "
-                        f"{task_id!r}: {payload!r}",
-                        in_flight=[task_id],
-                        unreported=unreported,
-                    ) from payload
-                outcomes[task_id] = payload
-                if metrics is not None:
-                    metrics.record_task(worker_id, elapsed, payload == SKIPPED,
-                                        host=LOCAL_HOST)
-                if on_result is not None:
-                    on_result(task_id, payload)
-        finally:
-            # On abort, starve the surviving threads so they exit at the
-            # next queue read instead of working through dead campaigns.
-            try:
-                while True:
-                    task_queue.get_nowait()
-            except queue_module.Empty:
-                pass
-            for _ in range(len(threads)):
-                task_queue.put(-1)
-            for thread in threads:
-                thread.join(timeout=1.0)
-        return outcomes

@@ -220,7 +220,7 @@ class TcpTransport(PoolTransport):
         self,
         tasks: Sequence[PoolTask],
         jobs: int,
-        on_result: Optional[Callable[[Hashable, object], None]] = None,
+        on_result: Optional[Callable[[Hashable, object, float], None]] = None,
         metrics=None,
         worker_exit: Optional[Callable[[], None]] = None,
     ) -> Dict[Hashable, object]:
@@ -255,7 +255,7 @@ class TcpTransport(PoolTransport):
                     host=worker.label,
                 )
             if on_result is not None:
-                on_result(task.id, outcome)
+                on_result(task.id, outcome, elapsed)
 
         def dispatch(worker: _RemoteWorker) -> None:
             """Answer a ``next``: send one task, or ``wait``."""

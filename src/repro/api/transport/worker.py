@@ -34,15 +34,14 @@ the wire, matching the fork pool where they never cross process
 boundaries.  Every test is leased -- from a disabled cache when the
 batch turned reuse off -- and its result frame reports the lease's own
 warm flag, so the coordinator's warm/cold counts match a local run's.
-``--slots N`` forks N serving processes (threads where ``fork`` is
-unavailable), each with its own connection, cache and runner cache.
 
-Every slot is one pull loop on one connection: send ``next``, read the
-reply frame, run the task (if it is one) to completion through
-``Runner.run_single_test``, send its result, repeat.  Only a side
-thread's liveness pings share the connection, behind a send lock.  The
-coordinator's ``capacity()`` (and ``--jobs auto``) is the sum of the
-connected slots.
+A worker process is one slot: one pull loop on one connection.  It
+sends ``next``, reads the reply frame, runs the task (if it is one) to
+completion through ``Runner.run_single_test``, sends its result, and
+repeats.  Only a side thread's liveness pings share the connection,
+behind a send lock.  A host serves N tests at once by running N
+``repro worker`` processes; the coordinator's ``capacity()`` (and
+``--jobs auto``) is the number of connected slots.
 
 This module is imported lazily (the CLI's ``worker`` command, tests):
 it pulls in the spec front end and the session layer, which the
@@ -193,8 +192,8 @@ def _connect(host: str, port: int, timeout_s: float) -> socket.socket:
             time.sleep(0.1)
 
 
-def _serve_slot(host: str, port: int, connect_timeout_s: float, log) -> int:
-    """One slot: one connection, one pull loop.  Returns an exit code."""
+def _serve(host: str, port: int, connect_timeout_s: float, log) -> int:
+    """One connection, one pull loop.  Returns an exit code."""
     from ..lease import ExecutorCache
 
     # The dial timeout stays armed through the handshake: a coordinator
@@ -322,67 +321,27 @@ def _run_one(message: dict, runners: _RunnerCache, cache, send) -> None:
 def run_worker(
     host: str,
     port: int,
-    slots: int = 1,
     connect_timeout_s: float = 30.0,
     log_stream=None,
 ) -> int:
-    """Serve a coordinator at ``host:port`` with ``slots`` parallel
-    slots until it says shutdown (or the connection dies).
+    """Serve a coordinator at ``host:port`` until it says shutdown (or
+    the connection dies).
 
-    Each slot is its own process (forked; threads where ``fork`` is
-    unavailable) with a private connection, executor cache and runner
-    cache -- the same isolation discipline as the local fork pool.
-    Returns a process exit code: 0 on clean shutdown, non-zero when any
-    slot lost its connection or was rejected.
+    The process keeps a private executor cache and runner cache -- the
+    same isolation discipline as a fork-pool worker.  Returns a process
+    exit code: 0 on clean shutdown, non-zero when the connection was
+    lost or rejected.
     """
     stream = log_stream if log_stream is not None else sys.stderr
 
     def log(text: str) -> None:
         print(f"[repro worker] {text}", file=stream, flush=True)
 
-    if slots < 1:
-        raise ValueError(f"slots must be at least 1, got {slots}")
-    if slots == 1:
-        try:
-            return _serve_slot(host, port, connect_timeout_s, log)
-        except KeyboardInterrupt:
-            log("interrupted")
-            return 130
-        except OSError as err:
-            log(f"cannot reach coordinator at {host}:{port}: {err}")
-            return 1
-
-    import multiprocessing
-
     try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        ctx = None
-    if ctx is None:
-        import concurrent.futures
-
-        with concurrent.futures.ThreadPoolExecutor(max_workers=slots) as pool:
-            codes = list(pool.map(
-                lambda _: _serve_slot(host, port, connect_timeout_s, log),
-                range(slots),
-            ))
-        return max(codes)
-
-    def child() -> None:
-        sys.exit(_serve_slot(host, port, connect_timeout_s, log))
-
-    processes = [ctx.Process(target=child, daemon=True) for _ in range(slots)]
-    for process in processes:
-        process.start()
-    try:
-        for process in processes:
-            process.join()
+        return _serve(host, port, connect_timeout_s, log)
     except KeyboardInterrupt:
         log("interrupted")
-        for process in processes:
-            if process.is_alive():
-                process.terminate()
-        for process in processes:
-            process.join()
         return 130
-    return max((process.exitcode or 0) for process in processes)
+    except OSError as err:
+        log(f"cannot reach coordinator at {host}:{port}: {err}")
+        return 1

@@ -10,8 +10,8 @@ pipeline hangs its shared state off:
   work as dict hits.  The bundle is plain per-process state: the
   scheduler compiles *before* the worker pool forks, so every forked
   worker inherits a warm copy-on-write instance (fork-safe by
-  construction; the thread fallback shares one, which is safe because
-  entries are deterministic functions of their keys);
+  construction; threads of one process may share one, which is safe
+  because entries are deterministic functions of their keys);
 * the *action footprint*: every selector the spec's action guards,
   action bodies and watched events can read.  Per-state narrowing must
   always keep these -- the runner evaluates guards against every

@@ -42,9 +42,9 @@ class TestResult:
     replay) made, and ``query_width_sum`` totals the per-state captured
     query counts (``/ states_observed`` = the mean width query
     narrowing achieved).  The intern counters are kept per thread
-    (:func:`~repro.quickltl.push_intern_counter`), so they are exact
-    under every transport, the thread transport included, where other
-    tests and shrink replays intern concurrently.  ``steps_reused``
+    (:func:`~repro.quickltl.push_intern_counter`), so they count only
+    this test's (or replay's) constructions, whatever other threads of
+    the process intern meanwhile.  ``steps_reused``
     counts the steps the property's step table served.
     """
 

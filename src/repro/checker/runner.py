@@ -153,7 +153,7 @@ class Runner:
     which ``.strom`` file, property, application registry string and
     config -- for transports whose workers cannot receive the factory
     closure itself (see :mod:`repro.api.transport.worker`).  Runners
-    without one can only run on local (inline/fork/thread) transports.
+    without one can only run on local (inline/fork) transports.
 
     ``compiled`` is an optional pre-built :class:`CompiledProperty` for
     the same spec -- the ahead-of-time pipeline (:mod:`repro.artifact`)
@@ -260,8 +260,8 @@ class Runner:
         """THE session loop (paper, Sections 2.3 and 3.4).
 
         Interning is counted on a per-thread counter (not the global
-        table deltas), so tests running on sibling worker threads each
-        report their own work.
+        table deltas), so each test reports its own work whatever other
+        threads of the process intern meanwhile.
         """
         checker = self.compiled_spec().checker()
         config = self.config
@@ -404,8 +404,8 @@ class Runner:
         when the sequence is not replayable (an action lost its target).
 
         Like :meth:`_drive_test`, interning is counted on a per-thread
-        counter, so a shrink replay on the merging thread does not
-        count what worker threads intern meanwhile.
+        counter, so a shrink replay does not count what other threads
+        intern meanwhile.
         """
         executor = self.executor_factory()
         executor.start(self._start_message())

@@ -14,8 +14,10 @@ Usage (also via the ``quickstrom-repro`` console script)::
     python -m repro check SPEC.strom --app todomvc[:implementation]
     python -m repro check SPEC.strom --app eggtimer [--property NAME]
                                      [--jobs N] [--format json|junit]
+                                     [--listen HOST:PORT [--min-workers N]]
     python -m repro audit [--subscript N] [--tests N] [--jobs N]
                           [--format json|junit] [--report-file PATH]
+                          [--listen HOST:PORT [--min-workers N]]
                           [IMPLEMENTATION ...]
     python -m repro fuzz [--seed N] [--campaigns N] [--jobs N]
                          [--corpus PATH] [--replay PATH]
@@ -26,7 +28,7 @@ Usage (also via the ``quickstrom-repro`` console script)::
                             [--no-batch] [--cache-entries N]
                             [--shards N] [--resolve-at-eof] [--format json]
                             [--checkpoint DIR [--restore]]
-    python -m repro worker --connect HOST:PORT [--slots N]
+    python -m repro worker --connect HOST:PORT
     python -m repro list-implementations
 
 ``check`` loads a specification file and runs its properties against the
@@ -35,18 +37,19 @@ so ``--jobs`` spans every (property, test) task.  ``audit`` reproduces
 the paper's Table 1 workload over named (or all) TodoMVC
 implementations; its ``--jobs`` spans *campaigns* -- the whole batch
 runs on one shared worker pool (forked once, reused across
-implementations), with verdicts identical to a serial audit.  Both
-commands reuse warm executors across consecutive tests of the same
-target by default (``--no-reuse`` restores cold per-test construction;
-verdicts are identical either way).
+implementations; the caller's thread where ``fork`` is missing), with
+verdicts identical to a serial audit.  Both commands reuse warm
+executors across consecutive tests of the same target by default
+(``--no-reuse`` restores cold per-test construction; verdicts are
+identical either way).
 
-Distributed checking (:mod:`repro.api.transport`): pass ``--transport
-tcp --listen HOST:PORT`` to ``check`` or ``audit`` and the command
-becomes a coordinator that shards its ``(campaign, index)`` tasks over
-``repro worker`` processes connected from any host -- verdicts,
+Distributed checking (:mod:`repro.api.transport`): pass ``--listen
+HOST:PORT`` to ``check`` or ``audit`` and the command becomes a
+coordinator that shards its ``(campaign, index)`` tasks over ``repro
+worker`` processes connected from any host -- verdicts,
 counterexamples and reporter streams are identical to a local run with
-the same seed.  Each worker slot runs one test at a time; ``--slots N``
-(or more workers) is how a host serves more tests at once.
+the same seed.  Each worker runs one test at a time; a host serves N
+tests at once by running N workers.
 
 ``monitor`` is the online deployment mode (:mod:`repro.monitor`): it
 ingests framed session streams -- a JSONL file, stdin, or a TCP
@@ -258,14 +261,10 @@ def _build_parser() -> argparse.ArgumentParser:
     worker = sub.add_parser(
         "worker",
         help="serve a distributed checking coordinator "
-             "(a check/audit run with --transport tcp)",
+             "(a check/audit run with --listen)",
     )
     worker.add_argument("--connect", required=True, metavar="HOST:PORT",
                         help="the coordinator's --listen address")
-    worker.add_argument("--slots", type=_positive_int, default=1,
-                        metavar="N",
-                        help="parallel task slots to serve (each is its "
-                             "own process with a private executor cache)")
     worker.add_argument("--connect-timeout", type=float, default=30.0,
                         metavar="SECONDS",
                         help="keep retrying the dial this long (workers "
@@ -311,20 +310,15 @@ def _campaign_options(parser: argparse.ArgumentParser, jobs_help: str) -> None:
                              "snapshot instead of narrowing to what the "
                              "progressed formula still reads (verdicts "
                              "are identical; this is the full baseline)")
-    parser.add_argument("--transport", choices=("fork", "thread", "tcp"),
-                        default=None,
-                        help="task delivery: fork/thread pools on this "
-                             "host (default: platform pick), or tcp -- "
-                             "become a coordinator sharding tasks over "
-                             "'repro worker' processes")
     parser.add_argument("--listen", default=None, metavar="HOST:PORT",
-                        help="with --transport tcp: bind the coordinator "
-                             "here (port 0 picks a free port, printed to "
-                             "stderr for workers to connect to)")
+                        help="become a coordinator sharding tasks over "
+                             "'repro worker' processes: bind here (port 0 "
+                             "picks a free port, printed to stderr for "
+                             "workers to connect to)")
     parser.add_argument("--min-workers", type=_positive_int, default=1,
                         metavar="N",
-                        help="with --transport tcp: wait for N connected "
-                             "workers before dispatching")
+                        help="with --listen: wait for N connected workers "
+                             "before dispatching")
 
 
 def _progress_reporters() -> list:
@@ -335,16 +329,14 @@ def _progress_reporters() -> list:
 
 
 def _make_transport(args):
-    """The transport named by ``--transport`` (``None`` = platform
-    default).  ``tcp`` binds a live coordinator immediately so its
-    address is printable before any worker dials in."""
-    if args.transport != "tcp":
-        if args.listen is not None:
-            raise SystemExit("--listen requires --transport tcp")
-        return args.transport
+    """A TCP coordinator for ``--listen``, else ``None`` (local
+    checking).  The coordinator binds immediately so its address is
+    printable before any worker dials in."""
+    if args.listen is None:
+        return None
     from .api import TcpTransport
 
-    host, port = _parse_listen(args.listen or "127.0.0.1:0")
+    host, port = _parse_listen(args.listen)
     transport = TcpTransport(host=host, port=port,
                              min_workers=args.min_workers)
     print(f"[coordinator] listening on {transport.host}:{transport.port} "
@@ -364,9 +356,8 @@ def _session_config(args) -> SessionConfig:
 
 
 def _close_transport(cfg: SessionConfig) -> None:
-    close = getattr(cfg.transport, "close", None)
-    if close is not None:
-        close()
+    if cfg.transport is not None:
+        cfg.transport.close()
 
 
 def _validate_report_file(args) -> None:
@@ -432,7 +423,7 @@ def _cmd_check(args) -> int:
     # A remote worker rebuilds each campaign from this descriptor: the
     # .strom path and app registry string must resolve on *its* host.
     remote = None
-    if getattr(cfg.transport, "remote", False):
+    if cfg.transport is not None:
         remote = {"spec": args.spec, "app": args.app,
                   "subscript": args.subscript}
     # Every property rides the cross-campaign scheduler as its own
@@ -479,7 +470,7 @@ def _cmd_audit(args) -> int:
     session = CheckSession(reporters=reporters)
     cfg = _session_config(args)
     remote_spec = None
-    if getattr(cfg.transport, "remote", False):
+    if cfg.transport is not None:
         from .specs import spec_path
 
         remote_spec = str(spec_path("todomvc.strom"))
@@ -761,8 +752,7 @@ def _cmd_worker(args) -> int:
     from .api.transport.worker import run_worker
 
     host, port = _parse_listen(args.connect, flag="--connect")
-    return run_worker(host, port, slots=args.slots,
-                      connect_timeout_s=args.connect_timeout)
+    return run_worker(host, port, connect_timeout_s=args.connect_timeout)
 
 
 def _cmd_list(_args) -> int:

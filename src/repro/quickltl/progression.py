@@ -91,9 +91,8 @@ class ProgressionCaches:
     entry count crosses the bound the bundle resets wholesale -- entries
     are deterministic functions of their keys, so a reset costs only
     re-derivation, never correctness.  ``evicted_entries``/``trims``
-    count what the resets dropped; under the thread-fallback pool a
-    bundle may be shared across threads, so treat the counters as
-    advisory there.
+    count what the resets dropped; a bundle shared across threads makes
+    them advisory.
     """
 
     __slots__ = ("simplify", "step", "valuation", "sizes", "max_entries",
@@ -196,9 +195,9 @@ def formula_size(formula: Formula, sizes: Optional[dict] = None) -> int:
                 sizes[node] = 1 + sum(sizes[child] for child in kids)
         return sizes[formula]
     except KeyError:  # pragma: no cover - concurrent cache trim
-        # A shared `sizes` table (thread-fallback pools share one
-        # ProgressionCaches bundle) can be cleared by another thread's
-        # trim() mid-walk; redo the measurement on a private memo.
+        # A shared `sizes` table (threads sharing one ProgressionCaches
+        # bundle) can be cleared by another thread's trim() mid-walk;
+        # redo the measurement on a private memo.
         return formula_size(formula, {})
 
 

@@ -42,9 +42,9 @@ nothing for the unchanged bulk of an ``always``/``until`` residual.
 
 The intern table holds *weak* references, so formulas die normally; it
 is a plain per-process table -- ``fork`` gives every worker its own
-copy-on-write instance, and under the thread fallback a lost race simply
-builds an extra structurally-equal node (``__eq__`` keeps a structural
-fallback precisely so uninterned duplicates stay sound).
+copy-on-write instance, and between threads of one process a lost race
+simply builds an extra structurally-equal node (``__eq__`` keeps a
+structural fallback precisely so uninterned duplicates stay sound).
 :func:`intern_stats` exposes the hit/miss counters the pool metrics
 report as the intern-table hit rate.
 """
@@ -102,10 +102,10 @@ _INTERN: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
 #: ``[hits, misses]`` of the intern table, per process.
 _STATS = [0, 0]
 
-#: Optional *per-thread* ``[hits, misses]`` counter.  Thread workers
-#: run many tests at once in one process, so the classic "subtract two
+#: Optional *per-thread* ``[hits, misses]`` counter.  Threads of one
+#: process may construct formulas at once, so the classic "subtract two
 #: :func:`intern_stats` snapshots" trick would attribute every
-#: concurrent test's constructions to every other test.  A counter
+#: concurrent thread's constructions to the test being counted.  A counter
 #: installed here (via :func:`push_intern_counter`) is bumped alongside
 #: the global stats but lives in the ambient :mod:`contextvars` context
 #: -- each thread has its own, so per-test deltas stay exact while

@@ -18,12 +18,13 @@ language-specific values:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Optional
 
 from ..quickltl import Formula
 from .ast_nodes import Expr, Param
 from .errors import SpecEvalError
+from .state import ElementSnapshot
 
 __all__ = [
     "SelectorValue",
@@ -187,14 +188,48 @@ def is_plain_data(value: object) -> bool:
         return all(is_plain_data(v) for v in value)
     if isinstance(value, dict):
         return all(is_plain_data(v) for v in value.values())
-    from .state import ElementSnapshot
-
     return isinstance(value, (SelectorValue, ElementSnapshot))
 
 
+#: Types whose Python ``==`` already is ``spec_equal`` between two
+#: values of the same type: the fast path for the common comparison.
+_EXACT_TYPES = frozenset((type(None), bool, int, float, str))
+
+_ELEMENT_FIELDS = tuple(field.name for field in fields(ElementSnapshot))
+
+
 def spec_equal(a: object, b: object) -> bool:
-    """Structural equality (``==``), with action names comparing to
-    strings so that ``start! in happened`` works."""
+    """Structural equality (``==``), exact about types at every depth:
+    ``1 == true`` is false, and so are ``[1] == [true]`` and two
+    elements that differ only in ``checked: 1`` versus ``checked:
+    true``, while ``1 == 1.0`` holds.  Action names compare to strings,
+    so that ``start! in happened`` works."""
+    kind = type(a)
+    if kind is type(b):
+        if kind in _EXACT_TYPES:
+            return a == b
+        if kind is list or kind is tuple:
+            if len(a) != len(b):
+                return False
+            for x, y in zip(a, b):
+                item = type(x)
+                # The fast path above, inlined: lists of strings (item
+                # texts) compare at the cost of Python's own ``==``.
+                if item is type(y) and item in _EXACT_TYPES:
+                    if x != y:
+                        return False
+                elif not spec_equal(x, y):
+                    return False
+            return True
+        if kind is dict:
+            return a.keys() == b.keys() and all(
+                spec_equal(value, b[key]) for key, value in a.items()
+            )
+        if kind is ElementSnapshot:
+            return all(
+                spec_equal(getattr(a, name), getattr(b, name))
+                for name in _ELEMENT_FIELDS
+            )
     if isinstance(a, (ActionValue, BuiltinEvent)):
         a = a.name
     if isinstance(b, (ActionValue, BuiltinEvent)):
@@ -202,8 +237,6 @@ def spec_equal(a: object, b: object) -> bool:
     if isinstance(a, bool) != isinstance(b, bool):
         return False  # 1 == true is false; the type system is invisible,
         # not absent (paper, Section 3)
-    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        return float(a) == float(b)
     return a == b
 
 

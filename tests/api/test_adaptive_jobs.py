@@ -113,15 +113,14 @@ class TestSuggestJobsCapacity:
         """AUTO_JOBS over a PoolTransport asks the *transport* for its
         capacity (pinned: a fat fake transport widens a 1-CPU box)."""
         from repro.api.session import _transport_capacity
-        from repro.api.transport import ThreadTransport
+        from repro.api.transport import InlineTransport
 
-        class FatTransport(ThreadTransport):
+        class FatTransport(InlineTransport):
             def capacity(self):
                 return 32
 
         assert _transport_capacity(FatTransport()) == 32
         assert _transport_capacity(None) is None
-        assert _transport_capacity("fork") is None
         assert suggest_jobs(None, cpu=1,
                             capacity=FatTransport().capacity()) == 32
 

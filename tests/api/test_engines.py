@@ -10,7 +10,7 @@ to arrive.
 
 import pytest
 
-from repro.api import CheckSession, PooledScheduler, SessionConfig
+from repro.api import CheckSession, ForkTransport, PooledScheduler, SessionConfig
 from repro.api.transport import base as transport_base
 from repro.apps.eggtimer import egg_timer_app
 from repro.apps.todomvc import implementation_named
@@ -110,13 +110,16 @@ class TestTodoMvcEquivalence:
 class TestEngineConfiguration:
     def test_single_job_falls_back_to_serial_semantics(self):
         """A width-1 batch on a pool transport still runs inline."""
+        ctx = transport_base.fork_context()
+        if ctx is None:
+            pytest.skip("fork transport unavailable on this platform")
         spec = load_eggtimer_spec().check_named("safety")
         config = RunnerConfig(tests=2, scheduled_actions=10,
                               demand_allowance=5, seed=1, shrink=False)
         session = CheckSession(egg_timer_app())
         one_job = session.check(
             spec, config=config,
-            session=SessionConfig(jobs=1, transport="thread"),
+            session=SessionConfig(jobs=1, transport=ForkTransport(ctx)),
         )
         assert session.last_metrics.transport == "serial"
         serial = run_campaign(egg_timer_app(), spec, config)
@@ -139,19 +142,30 @@ class TestEngineConfiguration:
 
         assert PooledScheduler().jobs == (os.cpu_count() or 1)
 
-    def test_threaded_path_matches_serial(self, monkeypatch):
-        """The fork-free fallback must be equivalent too."""
+    def test_fork_free_path_runs_inline_and_matches_serial(self, monkeypatch):
+        """Without ``fork``, a wide batch runs in the caller's thread:
+        the serial loop's campaigns and reporter events."""
+        from tests.api.test_scheduler import RecordingReporter
+
         spec = load_eggtimer_spec().check_named("safety")
         config = RunnerConfig(tests=4, scheduled_actions=12,
                               demand_allowance=5, seed=3, shrink=False)
-        serial = run_campaign(egg_timer_app(), spec, config)
+
+        def run(jobs):
+            reporter = RecordingReporter()
+            session = CheckSession(egg_timer_app(), reporters=[reporter])
+            result = session.check(
+                spec, config=config, session=SessionConfig(jobs=jobs)
+            )
+            return result, reporter.events, session.last_metrics
+
+        serial, serial_events, _ = run(1)
         monkeypatch.setattr(transport_base, "fork_context", lambda: None)
-        session = CheckSession(egg_timer_app())
-        threaded = session.check(
-            spec, config=config, session=SessionConfig(jobs=4)
-        )
-        assert session.last_metrics.transport == "thread"
-        assert_campaigns_identical(serial, threaded)
+        wide, wide_events, metrics = run(4)
+        assert metrics.transport == "serial"
+        assert metrics.jobs == 4
+        assert_campaigns_identical(serial, wide)
+        assert wide_events == serial_events
 
     def test_worker_exception_propagates(self):
         class ExplodingExecutor:

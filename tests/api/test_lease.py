@@ -179,38 +179,33 @@ class TestStopFailures:
     ``release`` swallow the error as eviction does."""
 
     def park_two(self, cache):
-        """Park two executors of one key; the first refuses to stop."""
+        """Park one executor under each of two keys; the first refuses
+        to stop."""
 
         class RaisingStopExecutor(FakeExecutor):
             def stop(self):
                 super().stop()
                 raise RuntimeError("the session is already gone")
 
-        made = []
-
-        def factory():
-            executor = (RaisingStopExecutor if not made else FakeExecutor)()
-            made.append(executor)
-            return executor
-
-        leases = [cache.lease(factory), cache.lease(factory)]
-        executors = [checkout(lease) for lease in leases]
-        for lease, executor in zip(leases, executors):
-            checkin(lease, executor)
+        factories = [make_factory(cls=RaisingStopExecutor), make_factory()]
+        for factory in factories:
+            lease = cache.lease(factory)
+            checkin(lease, checkout(lease))
         assert len(cache) == 2
-        return factory, made
+        return factories, [factory.made[0] for factory in factories]
 
     def test_close_stops_every_parked_executor(self):
-        cache = ExecutorCache(depth=2)
+        cache = ExecutorCache()
         _, made = self.park_two(cache)
         cache.close()
         assert [executor.stopped for executor in made] == [1, 1]
         assert len(cache) == 0
 
     def test_release_stops_every_parked_executor(self):
-        cache = ExecutorCache(depth=2)
-        factory, made = self.park_two(cache)
-        cache.release(factory)
+        cache = ExecutorCache()
+        factories, made = self.park_two(cache)
+        for factory in factories:
+            cache.release(factory)
         assert [executor.stopped for executor in made] == [1, 1]
         assert len(cache) == 0
 
@@ -311,42 +306,6 @@ class TestSchedulerReleasesFinishedTargets:
         assert stops_so_far[-1] == ["first"]
         assert stopped == ["first", "second"]
 
-    def test_pooled_thread_batch_releases_finished_targets(self, monkeypatch):
-        """Thread fallback shares the cache: a target's warm executor
-        is freed when its last campaign merges, not at batch end."""
-        from repro.api import CheckSession, CheckTarget, SessionConfig
-        from repro.api.transport import base as transport_base
-        from repro.apps.eggtimer import egg_timer_app
-        from repro.checker import RunnerConfig
-        from repro.executors import DomExecutor
-        from repro.specs import load_eggtimer_spec
-
-        monkeypatch.setattr(transport_base, "fork_context", lambda: None)
-        stopped = []
-
-        class TrackedExecutor(DomExecutor):
-            def __init__(self, app_factory, name):
-                super().__init__(app_factory)
-                self.name = name
-
-            def stop(self):
-                stopped.append(self.name)
-
-        def tracked(name):
-            return lambda: TrackedExecutor(egg_timer_app(), name)
-
-        spec = load_eggtimer_spec().check_named("safety")
-        config = RunnerConfig(tests=2, scheduled_actions=8,
-                              demand_allowance=5, seed=3, shrink=False)
-        targets = [
-            CheckTarget("first", tracked("first"), spec=spec, config=config),
-            CheckTarget("second", tracked("second"), spec=spec, config=config),
-        ]
-        CheckSession().check_many(targets, session=SessionConfig(jobs=2))
-        # Both targets' warm executors were stopped by the end of the
-        # batch (per-target release plus the final cache.close()).
-        assert sorted(set(stopped)) == ["first", "second"]
-
 
 class TestResetFailureFallback:
     def test_a_raising_reset_falls_back_to_cold_start(self):
@@ -418,15 +377,10 @@ class TestBoundedCache:
 
 
 class TestDepth:
-    def test_depth_must_be_positive(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            ExecutorCache(depth=0)
-
     def test_default_depth_evicts_on_overlapping_checkins(self):
-        """The depth-1 baseline: two overlapping leases of one key park
-        two executors, and the second checkin evicts the first."""
+        """One parked executor per key: two overlapping leases of one
+        key park two executors, and the second checkin stops the
+        first."""
         cache = ExecutorCache()
         factory = make_factory()
         lease_a, lease_b = cache.lease(factory), cache.lease(factory)
@@ -435,54 +389,5 @@ class TestDepth:
         checkin(lease_a, executor_a)
         checkin(lease_b, executor_b)
         assert len(cache) == 1
-        assert executor_a.stopped == 1  # evicted by the deeper checkin
-
-    def test_depth_two_keeps_overlapping_leases_warm(self):
-        """A worker interleaving two tasks of the same target (thread
-        pool, dynamic dispatch) keeps both executors warm."""
-        cache = ExecutorCache(depth=2)
-        factory = make_factory()
-        lease_a, lease_b = cache.lease(factory), cache.lease(factory)
-        executor_a = checkout(lease_a)
-        executor_b = checkout(lease_b)
-        checkin(lease_a, executor_a)
-        checkin(lease_b, executor_b)
-        assert len(cache) == 2
-        assert executor_a.stopped == 0 and executor_b.stopped == 0
-        # The next overlapping pair is served entirely warm, LIFO:
-        # the most recently parked executor comes back first.
-        lease_c, lease_d = cache.lease(factory), cache.lease(factory)
-        assert checkout(lease_c) is executor_b
-        assert checkout(lease_d) is executor_a
-        assert lease_c.warm and lease_d.warm
-        assert cache.cold_starts.value == 2
-        assert cache.warm_hits.value == 2
-        assert len(factory.made) == 2  # no third construction, ever
-
-    def test_release_and_close_stop_every_parked_depth_entry(self):
-        cache = ExecutorCache(depth=3)
-        factory = make_factory()
-        leases = [cache.lease(factory) for _ in range(3)]
-        executors = [checkout(lease) for lease in leases]
-        for lease, executor in zip(leases, executors):
-            checkin(lease, executor)
-        assert len(cache) == 3
-        cache.release(factory)
-        assert len(cache) == 0
-        assert all(executor.stopped == 1 for executor in executors)
-
-    def test_max_entries_counts_executors_not_keys(self):
-        """The global bound is on live sessions: a deep key's oldest
-        executor is evicted first."""
-        cache = ExecutorCache(depth=2, max_entries=2)
-        factory_a, factory_b = make_factory(), make_factory()
-        lease_1, lease_2 = cache.lease(factory_a), cache.lease(factory_a)
-        executor_1, executor_2 = checkout(lease_1), checkout(lease_2)
-        checkin(lease_1, executor_1)
-        checkin(lease_2, executor_2)
-        lease_3 = cache.lease(factory_b)
-        checkin(lease_3, checkout(lease_3))
-        assert len(cache) == 2
-        assert executor_1.stopped == 1  # key A's oldest went first
-        assert executor_2.stopped == 0
-        assert factory_b.made[0].stopped == 0
+        assert executor_a.stopped == 1  # displaced by the newer checkin
+        assert checkout(cache.lease(factory)) is executor_b

@@ -1,9 +1,9 @@
 """The local pool transports, as the scheduler gets them.
 
-``PooledScheduler`` hands every batch wider than one to
-``resolve_transport(...)`` -- a fork pool where the platform has one, the
-thread fallback otherwise -- and calls its ``run`` directly.  These
-tests pin down, on exactly those transports, worker reuse across
+``PooledScheduler`` hands every batch to ``resolve_transport(...)`` --
+for a batch wider than one, a fork pool where the platform has one and
+the inline transport otherwise -- and calls its ``run`` directly.
+These tests pin down, on exactly those transports, worker reuse across
 campaigns (the fork-amortisation the scheduler exists for),
 exception/skip transport, precise crash attribution, metrics, and that
 no worker ever survives an aborted batch (KeyboardInterrupt included).
@@ -26,23 +26,19 @@ from repro.api.transport import (
 from repro.api.transport import base as transport_base
 
 
-def _no_fork(monkeypatch):
-    monkeypatch.setattr(transport_base, "fork_context", lambda: None)
-
-
 def _no_alive_workers(pool):
     return not any(w.is_alive() for w in pool.last_workers)
 
 
 class TestBasics:
     def test_runs_every_task_and_keys_by_id(self):
-        pool = resolve_transport(None)
+        pool = resolve_transport(None, 2)
         tasks = [PoolTask(i, (lambda i=i: i * i)) for i in range(7)]
         outcomes = pool.run(tasks, 2)
         assert outcomes == {i: i * i for i in range(7)}
 
     def test_empty_batch(self):
-        assert resolve_transport(None).run([], 2) == {}
+        assert resolve_transport(None, 2).run([], 2) == {}
 
     def test_rejects_non_positive_jobs(self):
         with pytest.raises(ValueError):
@@ -52,7 +48,7 @@ class TestBasics:
         def boom():
             raise RuntimeError("inside the worker")
 
-        outcomes = resolve_transport(None).run(
+        outcomes = resolve_transport(None, 2).run(
             [PoolTask("ok", lambda: 1), PoolTask("bad", boom)], 2
         )
         assert outcomes["ok"] == 1
@@ -60,7 +56,7 @@ class TestBasics:
         assert "inside the worker" in str(outcomes["bad"].error)
 
     def test_skip_predicate_short_circuits(self):
-        outcomes = resolve_transport(None).run(
+        outcomes = resolve_transport(None, 2).run(
             [
                 PoolTask("run", lambda: "ran"),
                 PoolTask("skip", lambda: "ran", skip=lambda: True),
@@ -72,9 +68,9 @@ class TestBasics:
 
     def test_on_result_sees_every_completion(self):
         seen = {}
-        resolve_transport(None).run(
+        resolve_transport(None, 2).run(
             [PoolTask(i, (lambda i=i: -i)) for i in range(5)], 2,
-            on_result=lambda task_id, outcome: seen.__setitem__(task_id, outcome),
+            on_result=lambda task_id, outcome, _: seen.__setitem__(task_id, outcome),
         )
         assert seen == {i: -i for i in range(5)}
 
@@ -85,7 +81,7 @@ class TestWorkerReuse:
         runs in one of at most two forked children (not the parent), and
         by pigeonhole some child serves more than one campaign -- the
         fork-amortisation that one-pool-per-campaign cannot give."""
-        pool = resolve_transport(None)
+        pool = resolve_transport(None, 2)
         if pool.name != "fork":
             pytest.skip("fork transport unavailable on this platform")
         campaigns = ["alpha", "beta", "gamma"]
@@ -104,7 +100,7 @@ class TestWorkerReuse:
         assert any(len(served) >= 2 for served in campaigns_by_pid.values())
 
     def test_shared_counter_is_visible_to_workers(self):
-        pool = resolve_transport(None)
+        pool = resolve_transport(None, 2)
         counter = pool.make_counter(100)
 
         def bump():
@@ -121,7 +117,7 @@ class TestCrashAttribution:
     running, instead of losing the index."""
 
     def test_worker_death_names_the_in_flight_task(self):
-        pool = resolve_transport(None)
+        pool = resolve_transport(None, 2)
         if pool.name != "fork":
             pytest.skip("fork transport unavailable on this platform")
 
@@ -139,7 +135,9 @@ class TestCrashAttribution:
         assert _no_alive_workers(pool)
 
     def test_keyboard_interrupt_in_worker_kills_it_and_is_attributed(self):
-        pool = resolve_transport(None)
+        pool = resolve_transport(None, 2)
+        if pool.name != "fork":
+            pytest.skip("fork transport unavailable on this platform")
 
         def interrupted():
             raise KeyboardInterrupt()
@@ -152,25 +150,13 @@ class TestCrashAttribution:
         assert "ctrl-c" in str(excinfo.value)
         assert _no_alive_workers(pool)
 
-    def test_thread_fallback_attributes_crashes_too(self, monkeypatch):
-        _no_fork(monkeypatch)
-        pool = resolve_transport(None)
-        assert pool.name != "fork"
-
-        def explode():
-            raise SystemExit(2)
-
-        with pytest.raises(WorkerCrashed, match="boom-task"):
-            pool.run([PoolTask("boom-task", explode)], 2)
-        assert _no_alive_workers(pool)
-
 
 class TestCleanShutdown:
     def test_parent_side_interrupt_tears_the_pool_down(self):
         """A Ctrl-C landing in the parent's collect loop (modelled by a
         reporter callback raising KeyboardInterrupt) must terminate and
         join every worker before propagating."""
-        pool = resolve_transport(None)
+        pool = resolve_transport(None, 2)
 
         def slow(value):
             time.sleep(0.05)
@@ -178,7 +164,7 @@ class TestCleanShutdown:
 
         tasks = [PoolTask(i, (lambda i=i: slow(i))) for i in range(8)]
 
-        def interrupt_on_first(task_id, outcome):
+        def interrupt_on_first(task_id, outcome, elapsed):
             raise KeyboardInterrupt()
 
         with pytest.raises(KeyboardInterrupt):
@@ -186,78 +172,58 @@ class TestCleanShutdown:
         assert _no_alive_workers(pool)
 
     def test_normal_completion_leaves_no_workers(self):
-        pool = resolve_transport(None)
+        pool = resolve_transport(None, 2)
         pool.run([PoolTask(i, (lambda i=i: i)) for i in range(6)], 3)
         assert _no_alive_workers(pool)
 
-    def test_thread_fallback_matches_fork_outcomes(self, monkeypatch):
-        _no_fork(monkeypatch)
-        pool = resolve_transport(None)
+
+class TestForkFreeFallback:
+    """Without ``fork``, a batch of any width runs inline: the serial
+    loop's outcomes, metrics and interrupt semantics."""
+
+    def _pool(self, monkeypatch):
+        monkeypatch.setattr(transport_base, "fork_context", lambda: None)
+        pool = resolve_transport(None, 4)
+        assert isinstance(pool, InlineTransport)
+        return pool
+
+    def test_matches_fork_outcomes(self, monkeypatch):
+        pool = self._pool(monkeypatch)
         outcomes = pool.run(
             [PoolTask(i, (lambda i=i: i + 10)) for i in range(5)]
             + [PoolTask("skipped", lambda: 0, skip=lambda: True)],
             3,
         )
         assert outcomes == {**{i: i + 10 for i in range(5)}, "skipped": SKIPPED}
-        assert _no_alive_workers(pool)
 
+    def test_fills_the_same_metrics(self, monkeypatch):
+        pool = self._pool(monkeypatch)
+        metrics = PoolMetrics()
+        pool.run(
+            [PoolTask(i, (lambda i=i: i)) for i in range(5)], 2, metrics=metrics
+        )
+        assert pool.name == "serial"
+        assert metrics.tasks_completed == 5
+        assert sum(metrics.worker_tasks.values()) == 5
+        assert metrics.queue_depth_samples
 
-class TestThreadFallbackCrashReporting:
-    """The `"crash"` branch of _run_threaded, in detail: attribution,
-    unreported accounting, and that completed work is not misreported."""
+    @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, SystemExit])
+    def test_task_interrupts_propagate(self, monkeypatch, interrupt):
+        pool = self._pool(monkeypatch)
+        ran, reported = [], []
 
-    def _thread_pool(self, monkeypatch):
-        _no_fork(monkeypatch)
-        pool = resolve_transport(None)
-        assert pool.name != "fork"
-        return pool
-
-    def test_crash_lists_in_flight_and_unreported(self, monkeypatch):
-        pool = self._thread_pool(monkeypatch)
-
-        def boom():
-            raise KeyboardInterrupt()
+        def stop():
+            raise interrupt()
 
         tasks = [
-            PoolTask("done-first", lambda: "ok"),
-            PoolTask("boom", boom),
-            PoolTask("never-ran", lambda: "unreachable"),
+            PoolTask("done-first", lambda: ran.append("done-first")),
+            PoolTask("stop", stop),
+            PoolTask("never-ran", lambda: ran.append("never-ran")),
         ]
-        with pytest.raises(WorkerCrashed) as excinfo:
-            pool.run(tasks, 1)
-        crash = excinfo.value
-        # One worker runs the queue in order: the finished task is not
-        # reported lost, the crashing one is in-flight, and everything
-        # without an outcome (crasher included) is unreported.
-        assert crash.in_flight == ["boom"]
-        assert crash.unreported == ["boom", "never-ran"]
-        assert "boom" in str(crash)
-        assert _no_alive_workers(pool)
-
-    def test_crash_chains_the_original_error(self, monkeypatch):
-        pool = self._thread_pool(monkeypatch)
-
-        def explode():
-            raise SystemExit(3)
-
-        with pytest.raises(WorkerCrashed) as excinfo:
-            pool.run([PoolTask("t", explode)], 1)
-        assert isinstance(excinfo.value.__cause__, SystemExit)
-
-    def test_surviving_threads_are_starved_after_crash(self, monkeypatch):
-        """Other workers exit at their next queue read instead of
-        draining the doomed batch."""
-        pool = self._thread_pool(monkeypatch)
-
-        def boom():
-            raise KeyboardInterrupt()
-
-        tasks = [PoolTask("boom", boom)] + [
-            PoolTask(i, time.monotonic) for i in range(20)
-        ]
-        with pytest.raises(WorkerCrashed):
-            pool.run(tasks, 2)
-        assert _no_alive_workers(pool)
+        with pytest.raises(interrupt):
+            pool.run(tasks, 2, on_result=lambda task_id, *_: reported.append(task_id))
+        assert ran == ["done-first"]
+        assert reported == ["done-first"]
 
 
 class TestPoolMetrics:
@@ -265,14 +231,14 @@ class TestPoolMetrics:
         return PoolMetrics()
 
     def test_fork_mode_fills_transport_and_worker_stats(self):
-        pool = resolve_transport(None)
+        pool = resolve_transport(None, 2)
         metrics = self._metrics()
         outcomes = pool.run(
             [PoolTask(i, (lambda i=i: i)) for i in range(6)], 2, metrics=metrics
         )
         assert len(outcomes) == 6
         assert pool.name == (
-            "fork" if transport_base.fork_context() is not None else "thread"
+            "fork" if transport_base.fork_context() is not None else "serial"
         )
         assert metrics.tasks_completed == 6
         assert metrics.tasks_skipped == 0
@@ -284,7 +250,7 @@ class TestPoolMetrics:
 
     def test_skipped_tasks_are_counted(self):
         metrics = self._metrics()
-        resolve_transport(None).run(
+        resolve_transport(None, 2).run(
             [
                 PoolTask("run", lambda: 1),
                 PoolTask("skip", lambda: 1, skip=lambda: True),
@@ -295,23 +261,11 @@ class TestPoolMetrics:
         assert metrics.tasks_skipped == 1
         assert metrics.tasks_completed == 2
 
-    def test_thread_mode_fills_the_same_fields(self, monkeypatch):
-        _no_fork(monkeypatch)
-        metrics = self._metrics()
-        pool = resolve_transport(None)
-        pool.run(
-            [PoolTask(i, (lambda i=i: i)) for i in range(5)], 2, metrics=metrics
-        )
-        assert pool.name == "thread"
-        assert metrics.tasks_completed == 5
-        assert sum(metrics.worker_tasks.values()) == 5
-        assert metrics.queue_depth_samples
-
     def test_to_dict_is_json_ready(self):
         import json
 
         metrics = self._metrics()
-        resolve_transport(None).run(
+        resolve_transport(None, 2).run(
             [PoolTask(i, (lambda i=i: i)) for i in range(3)], 2, metrics=metrics
         )
         metrics.wall_s = 0.5
@@ -335,7 +289,7 @@ class TestPoolMetrics:
 
 class TestWorkerExit:
     def test_worker_exit_runs_in_every_forked_worker(self):
-        pool = resolve_transport(None)
+        pool = resolve_transport(None, 2)
         if pool.name != "fork":
             pytest.skip("fork transport unavailable on this platform")
         ran = pool.make_counter(0)
@@ -351,50 +305,8 @@ class TestWorkerExit:
         assert ran.value == 2  # once per worker, in the children
 
     def test_worker_exit_is_optional(self):
-        outcomes = resolve_transport(None).run([PoolTask(0, lambda: 1)], 2)
+        outcomes = resolve_transport(None, 2).run([PoolTask(0, lambda: 1)], 2)
         assert outcomes == {0: 1}
-
-
-class TestWorkerThreads:
-    def test_thread_workers_keep_each_session_on_their_thread(
-        self, monkeypatch
-    ):
-        """Every protocol call of a session runs on the worker thread
-        that pulled its test."""
-        import threading
-
-        from repro.api import CheckSession, SessionConfig, ThreadTransport
-        from repro.apps.eggtimer import egg_timer_app
-        from repro.checker import RunnerConfig
-        from repro.executors import DomExecutor
-        from repro.specs import load_eggtimer_spec
-
-        calls = []
-        act = DomExecutor.act
-
-        def spy(self, message):
-            # Holding the executor keeps its id unique for the test.
-            calls.append((self, threading.get_ident()))
-            return act(self, message)
-
-        monkeypatch.setattr(DomExecutor, "act", spy)
-        transport = ThreadTransport()
-        # Cold executors, one per test: a session is one executor.
-        CheckSession(egg_timer_app()).check(
-            load_eggtimer_spec().check_named("safety"),
-            config=RunnerConfig(tests=6, scheduled_actions=8,
-                                demand_allowance=5, seed=3, shrink=False),
-            session=SessionConfig(jobs=2, transport=transport,
-                                  reuse_executors=False),
-        )
-        workers = {thread.ident for thread in transport.last_workers}
-        threads_by_session = {}
-        for executor, thread in calls:
-            threads_by_session.setdefault(id(executor), set()).add(thread)
-        assert len(threads_by_session) == 6
-        for threads in threads_by_session.values():
-            assert len(threads) == 1
-            assert threads <= workers
 
 
 class TestInlineTransport:
@@ -410,7 +322,7 @@ class TestInlineTransport:
         ]
         order = []
         InlineTransport().run(
-            tasks, 1, on_result=lambda task_id, _: order.append(task_id)
+            tasks, 1, on_result=lambda task_id, *_: order.append(task_id)
         )
         assert seen == [(i, threading.get_ident()) for i in range(4)]
         assert order == [0, 1, 2, 3]

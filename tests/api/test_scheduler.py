@@ -327,6 +327,33 @@ class TestInlineWidthOne:
             )
 
 
+class TestCampaignWallClock:
+    """A campaign's wall clock opens when its first test starts, so a
+    campaign that stopped after one failing test reports at least that
+    test's run time, never 0.0."""
+
+    @pytest.mark.parametrize("jobs, transport", [(1, "serial"), (2, "fork")])
+    def test_one_failing_test_counts_its_own_run_time(self, jobs, transport):
+        from repro.api.transport import fork_context
+
+        if transport == "fork" and fork_context() is None:
+            pytest.skip("fork transport unavailable on this platform")
+        target = CheckTarget(
+            "faulty", egg_timer_app(decrement=2),
+            spec=load_eggtimer_spec().check_named("safety"),
+            config=eggtimer_config(tests=1, scheduled_actions=20),
+        )
+        batch = CheckSession().check_many(
+            [target], session=SessionConfig(jobs=jobs)
+        )
+        metrics = batch.metrics
+        assert metrics.transport == transport
+        assert not batch.passed
+        busy = sum(metrics.worker_busy_s.values())
+        assert metrics.campaign_wall_s["faulty"] >= busy > 0
+        assert metrics.to_dict()["campaign_wall_s"]["faulty"] > 0
+
+
 class TestEngineMetrics:
     """Compiled-engine statistics flow from TestResults into PoolMetrics."""
 

@@ -107,9 +107,11 @@ class TestEngineSelection:
         assert self._width(CheckSession(egg_timer_app())) == (1, "serial")
 
     def test_jobs_selects_parallel(self):
+        from repro.api.transport import fork_context
+
         jobs, transport = self._width(CheckSession(egg_timer_app(), jobs=4))
         assert jobs == 4
-        assert transport in ("fork", "thread")
+        assert transport == ("fork" if fork_context() is not None else "serial")
 
     def test_jobs_one_stays_serial(self):
         session = CheckSession(egg_timer_app(), jobs=1)
@@ -294,6 +296,14 @@ class TestSessionConfig:
         assert (cfg.stop_on_failure, cfg.narrow_queries, cfg.shrink) == \
                (None, None, None)
 
+    @pytest.mark.parametrize("name", ["fork", "thread", "tcp"])
+    def test_transport_names_are_not_transports(self, name):
+        """A transport is ``None`` or a ``PoolTransport`` instance."""
+        from repro.api import SessionConfig
+
+        with pytest.raises(TypeError, match="PoolTransport"):
+            SessionConfig(transport=name)
+
     def test_runner_config_overlay(self):
         from repro.api import SessionConfig
 
@@ -387,7 +397,7 @@ class TestSessionConfig:
 
         result = CheckSession(egg_timer_app()).check(
             self._spec(), config=QUICK,
-            session=SessionConfig(jobs=2, transport="thread"),
+            session=SessionConfig(jobs=2),
         )
         assert result.passed
         assert result.tests_run == QUICK.tests

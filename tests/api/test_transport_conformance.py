@@ -1,8 +1,8 @@
 """Transport conformance: every PoolTransport yields the serial truth.
 
 The ``PoolTransport`` seam promises that *how* tasks reach workers --
-forked processes, threads, or ``repro worker`` processes on the far end
-of a TCP socket -- never changes *what* the batch reports: verdicts,
+forked processes or ``repro worker`` processes on the far end of a TCP
+socket -- never changes *what* the batch reports: verdicts,
 counterexamples (shrunk included) and the deterministic reporter event
 stream must be byte-identical to the serial loop with the same seeds.
 
@@ -71,9 +71,9 @@ def worker_env() -> dict:
     return env
 
 
-def start_worker(port: int, slots: int = 1) -> subprocess.Popen:
+def start_worker(port: int) -> subprocess.Popen:
     argv = [sys.executable, "-m", "repro", "worker",
-            "--connect", f"127.0.0.1:{port}", "--slots", str(slots)]
+            "--connect", f"127.0.0.1:{port}"]
     return subprocess.Popen(
         argv, env=worker_env(), cwd=str(REPO_ROOT),
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
@@ -125,12 +125,12 @@ def tcp_fabric():
     subprocesses, torn down (and reaped) after the test."""
     transports, procs = [], []
 
-    def make(workers: int = 2, slots: int = 1, **kwargs) -> TcpTransport:
-        kwargs.setdefault("min_workers", workers * slots)
+    def make(workers: int = 2, **kwargs) -> TcpTransport:
+        kwargs.setdefault("min_workers", workers)
         transport = TcpTransport(**kwargs)
         transports.append(transport)
         for _ in range(workers):
-            procs.append(start_worker(transport.port, slots))
+            procs.append(start_worker(transport.port))
         return transport
 
     yield make
@@ -180,10 +180,10 @@ class TestTransportIdentity:
     def serial(self):
         return run_batch(SessionConfig(jobs=1))
 
-    @pytest.mark.parametrize("kind", ["fork", "thread"])
+    @pytest.mark.parametrize("kind", ["fork"])
     def test_local_transports_match_serial(self, kind, serial):
         serial_batch, serial_events = serial
-        batch, events = run_batch(SessionConfig(jobs=2, transport=kind))
+        batch, events = run_batch(SessionConfig(jobs=2))
         assert_batches_identical(serial_batch, batch)
         assert events == serial_events
         assert batch.metrics.transport == kind

@@ -170,15 +170,15 @@ class TestBatchEquivalence:
         metrics = warm.metrics
         completed = metrics.tasks_completed - metrics.tasks_skipped
         assert metrics.warm_hits + metrics.cold_starts == completed
-        assert metrics.transport in ("fork", "thread")
+        assert metrics.transport in ("fork", "serial")
 
 
 class TestWorkerWarmCounts:
-    @pytest.mark.parametrize("transport", ["thread", "fork"])
+    @pytest.mark.parametrize("transport", ["fork"])
     def test_each_worker_starts_each_target_at_most_once(self, transport):
-        """3 targets x 6 tests on two workers.  Synchronous sessions
-        park untagged, so a thread worker's loop takes the executor its
-        sibling parked instead of retiring it."""
+        """3 targets x 6 tests on two workers: each worker keeps one
+        warm executor per target, so it starts each target at most
+        once."""
         spec = load_eggtimer_spec().check_named("safety")
         config = RunnerConfig(tests=6, scheduled_actions=8,
                               demand_allowance=5, seed=3, shrink=False)
@@ -187,8 +187,9 @@ class TestWorkerWarmCounts:
             for i in range(3)
         ]
         metrics = CheckSession().check_many(
-            targets, session=SessionConfig(jobs=2, transport=transport)
+            targets, session=SessionConfig(jobs=2)
         ).metrics
+        assert metrics.transport == transport
         assert metrics.warm_hits + metrics.cold_starts == 18
         assert metrics.cold_starts <= 6
 

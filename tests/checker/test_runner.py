@@ -413,11 +413,6 @@ class TestSessionWork:
             monkeypatch, jobs=1, reuse_executors=False
         ) == self.COLD
 
-    def test_thread_pool_without_reuse_equals_serial(self, monkeypatch):
-        assert self.count_batch(
-            monkeypatch, jobs=2, transport="thread", reuse_executors=False
-        ) == self.COLD
-
 
 def fresh_row_table(patch):
     """Empty the step keys' row table for one pinned run, so no reset

@@ -365,10 +365,10 @@ class TestTransports:
             ))
         return seen, batch.metrics
 
-    def test_serial_and_thread_transports_agree(self):
+    def test_serial_and_fork_transports_agree(self):
         serial, metrics = self.results(jobs=1)
-        threaded, _ = self.results(jobs=2, transport="thread")
-        assert threaded == serial
+        forked, _ = self.results(jobs=2)
+        assert forked == serial
         assert [passed for passed, _, _ in serial] == [True, False]
         assert metrics.steps_reused > 0
 
@@ -383,10 +383,11 @@ check positive with tick?;
 
 class TestThreads:
     def test_racing_resets_only_cost_misses(self, monkeypatch):
-        # Thread workers share one bundle and the row table.  With a
-        # four-row table, resets race with lookups and inserts all the
-        # time, while the step table keeps every step: a row id that
-        # ever named two rows would hand one state the other's verdict.
+        # Threads of one process may share one bundle and the row
+        # table.  With a four-row table, resets race with lookups and
+        # inserts all the time, while the step table keeps every step: a
+        # row id that ever named two rows would hand one state the
+        # other's verdict.
         import sys
         import threading
 

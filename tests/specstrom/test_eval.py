@@ -44,6 +44,8 @@ class TestLiteralsAndOperators:
         assert run_expr("[1, 2] == [1, 2]") is True
         assert run_expr("{a: 1} == {a: 1}") is True
         assert run_expr("1 == 1.0") is True
+        assert run_expr("[1, {a: 2}] == [1.0, {a: 2.0}]") is True
+        assert run_expr('["a", "b"] == ["a", "c"]') is False
 
     def test_bool_not_equal_number(self):
         assert run_expr("true == 1") is False
@@ -75,6 +77,40 @@ class TestLiteralsAndOperators:
         assert run_expr('"a" in {a: 1}') is True
         with pytest.raises(SpecEvalError):
             run_expr("1 in 2")
+
+
+class TestTypeExactEquality:
+    """``==`` applies its own rules at every depth: a boolean never
+    equals a number, however deeply it is nested."""
+
+    @pytest.mark.parametrize("source", [
+        "[1] == [true]",
+        "{a: 1} == {a: true}",
+        "[[0]] == [[false]]",
+        "[{a: [1]}] == [{a: [true]}]",
+    ])
+    def test_booleans_never_equal_numbers_at_depth(self, source):
+        assert run_expr(source) is False
+        assert run_expr(source.replace("==", "!=")) is True
+
+    def test_membership_and_search_use_the_same_rules(self):
+        assert run_expr("[true] in [[1]]") is False
+        assert run_expr("contains([[1]], [true])") is False
+        assert run_expr("indexOf([[1], [true]], [true])") == 1
+        assert run_expr("isSubsequence([[true]], [[1]])") is False
+        assert run_expr("isSubsequence([[1]], [[0], [1.0]])") is True
+
+    def test_elements_compare_fields_by_type(self):
+        from repro.specstrom.values import spec_equal
+
+        ticked = element(tag="input", checked=True)
+        as_int = element(tag="input", checked=1)
+        assert not spec_equal(ticked, as_int)
+        assert spec_equal(ticked, element(tag="input", checked=True))
+        state = snapshot({"a": [ticked], "b": [as_int]})
+        assert run_expr(
+            "first(elements(`a`)) == first(elements(`b`))", state=state
+        ) is False
 
 
 class TestIfAndBlocks:

@@ -236,6 +236,36 @@ class TestQuotes:
         assert as_int.observe(box(True)) is Verdict.DEFINITELY_FALSE
         assert ticked.observe(box(True)) is Verdict.DEFINITELY_TRUE
 
+    def test_captured_element_equality_agrees_with_its_fields(self):
+        # Over a checked=1 then a checked=true state, `e.checked ==
+        # el.checked` is false, so `e == el` must be false too: element
+        # equality compares every field by Specstrom's own rules.
+        from repro.specstrom import ElementSnapshot, StateSnapshot
+
+        module = load_module(
+            """
+            let ~el = first(elements(`input`));
+            let ~same = { let e = el; next (e == el) };
+            let ~agrees = {
+              let e = el;
+              next ((e == el) == (e.checked == el.checked))
+            };
+            check same agrees;
+            """
+        )
+
+        def box(checked):
+            return StateSnapshot(
+                queries={"input": (ElementSnapshot("input", checked=checked),)}
+            )
+
+        expected = {"same": Verdict.DEFINITELY_FALSE,
+                    "agrees": Verdict.DEFINITELY_TRUE}
+        for check in module.checks:
+            checker = FormulaChecker(check.formula)
+            checker.observe(box(1))
+            assert checker.observe(box(True)) is expected[check.name]
+
     def test_strict_let_may_quote_later_definitions(self):
         # The body names an action and a let bound after the strict
         # ``p`` is evaluated; both are looked up once it is forced.

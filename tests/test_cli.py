@@ -320,3 +320,66 @@ class TestAudit:
         cold_out = capsys.readouterr().out
         assert code_warm == code_cold == 0
         assert warm_out == cold_out  # warm reuse never changes verdicts
+
+
+class TestTransportOptions:
+    """``--listen`` alone makes ``check``/``audit`` a TCP coordinator;
+    without it the batch runs locally."""
+
+    COMMANDS = {
+        "check": ["check", spec_path("eggtimer.strom"), "--app", "eggtimer"],
+        "audit": ["audit", "vue"],
+    }
+
+    def run(self, monkeypatch, command, *extra):
+        from repro.api import CampaignSetResult, CheckSession, TcpTransport
+
+        seen = {}
+
+        def check_many(self, targets, *, session=None, **_):
+            seen["transport"] = session.transport
+            seen["remote"] = [target.remote for target in targets]
+            return CampaignSetResult()
+
+        close = TcpTransport.close
+        closed = []
+
+        def tracked_close(transport):
+            closed.append(transport)
+            close(transport)
+
+        monkeypatch.setattr(CheckSession, "check_many", check_many)
+        monkeypatch.setattr(TcpTransport, "close", tracked_close)
+        assert main(self.COMMANDS[command] + list(extra)) == 0
+        return seen, closed
+
+    @pytest.mark.parametrize("command", ["check", "audit"])
+    def test_listen_builds_a_tcp_coordinator_and_closes_it(
+        self, monkeypatch, command
+    ):
+        from repro.api import TcpTransport
+
+        seen, closed = self.run(monkeypatch, command, "--listen", "127.0.0.1:0")
+        transport = seen["transport"]
+        assert isinstance(transport, TcpTransport)
+        assert closed == [transport]
+        assert all(remote is not None for remote in seen["remote"])
+
+    @pytest.mark.parametrize("command", ["check", "audit"])
+    def test_without_listen_the_batch_runs_locally(self, monkeypatch, command):
+        seen, closed = self.run(monkeypatch, command)
+        assert seen["transport"] is None
+        assert seen["remote"] == [None] * len(seen["remote"])
+        assert closed == []
+
+    @pytest.mark.parametrize("argv", [
+        ["audit", "vue", "--transport", "fork"],
+        ["check", spec_path("eggtimer.strom"), "--app", "eggtimer",
+         "--transport", "tcp"],
+        ["worker", "--connect", "127.0.0.1:1", "--slots", "2"],
+    ])
+    def test_removed_options_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
