@@ -22,7 +22,7 @@ import time
 
 import pytest
 
-from repro.api import CheckSession
+from repro.api import CheckSession, SessionConfig
 from repro.apps.todomvc import implementation_named
 from repro.checker import RunnerConfig
 
@@ -44,8 +44,9 @@ def _audit(jobs: int):
     start = time.perf_counter()
     for name in SAMPLE:
         impl = implementation_named(name)
-        session = CheckSession(impl.app_factory(), jobs=jobs)
-        outcomes[name] = session.check(spec, config=config)
+        session = CheckSession(impl.app_factory())
+        outcomes[name] = session.check(spec, config=config,
+                                       session=SessionConfig(jobs=jobs))
     elapsed = time.perf_counter() - start
     return outcomes, elapsed
 

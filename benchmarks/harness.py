@@ -31,7 +31,7 @@ import os
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.api import CheckSession
+from repro.api import CheckSession, SessionConfig
 from repro.apps.todomvc import Implementation, all_implementations
 from repro.checker import CampaignResult, RunnerConfig
 from repro.specs import load_todomvc_spec
@@ -91,8 +91,9 @@ def audit_implementation(
         shrink=shrink,
         stop_on_failure=True,
     )
-    session = CheckSession(impl.app_factory(), jobs=jobs)
-    result = session.check(spec, config=config)
+    session = CheckSession(impl.app_factory())
+    result = session.check(spec, config=config,
+                           session=SessionConfig(jobs=jobs))
     _audit_cache[key] = result
     return result
 

@@ -2,18 +2,19 @@
 
 This layer is the front door for running checking campaigns::
 
-    from repro.api import CheckSession, ConsoleReporter
+    from repro.api import CheckSession, ConsoleReporter, SessionConfig
 
-    session = CheckSession(todomvc_app(), jobs=4,
-                           reporters=[ConsoleReporter()])
-    result = session.check("specs/todomvc.strom", property="safety")
+    session = CheckSession(todomvc_app(), reporters=[ConsoleReporter()])
+    result = session.check("specs/todomvc.strom", property="safety",
+                           session=SessionConfig(jobs=4))
 
 ``CheckSession`` owns executor lifecycle, spec loading and result
 aggregation.  Every call -- :meth:`CheckSession.check`, ``check_many``
 (the paper's 43-implementation audit shape), ``check_all`` -- runs on
-one campaign loop, :class:`PooledScheduler`; a :class:`PoolTransport`
-decides *where* its tests run (the caller's thread, forked workers, or
-remote TCP workers) with identical verdicts on each;
+one campaign loop, :class:`PooledScheduler`; ``SessionConfig.jobs``
+says how many tests run at once, and a :class:`PoolTransport` decides
+*where* they run (the caller's thread, forked workers, or remote TCP
+workers) with identical verdicts on each;
 :class:`Reporter` hooks observe progress -- console, JSON Lines, JUnit
 XML for CI, or a live TTY progress line.  The lower-level
 :class:`repro.checker.Runner` remains available as the single-test
@@ -22,7 +23,7 @@ engine underneath.
 
 from .config import SessionConfig
 from .lease import ExecutorCache, ExecutorLease
-from .pool import PoolMetrics, suggest_jobs
+from .pool import PoolMetrics
 from .reporters import (
     ConsoleReporter,
     JsonlReporter,
@@ -37,7 +38,7 @@ from .scheduler import (
     CheckTarget,
     PooledScheduler,
 )
-from .session import AUTO_JOBS, CheckSession
+from .session import CheckSession
 from .transport import (
     ForkTransport,
     InlineTransport,
@@ -49,10 +50,8 @@ from .transport import (
 )
 
 __all__ = [
-    "AUTO_JOBS",
     "CheckSession",
     "SessionConfig",
-    "suggest_jobs",
     "CampaignOutcome",
     "CampaignSet",
     "CampaignSetResult",

@@ -1,40 +1,30 @@
-"""SessionConfig: the consolidated knob surface for scheduled checking.
+"""SessionConfig: how one scheduled batch runs.
 
-``CheckSession.check / check_many / check_all`` grew one keyword at a
-time -- ``jobs``, ``reuse_executors``, reporter lists, with runner
-flags (``stop_on_failure``, ``narrow_queries``, ``shrink``) squeezed
-into per-call :class:`~repro.checker.config.RunnerConfig` rebuilds --
-and the CLI re-assembled the same bundle from ``argparse`` flags by
-hand.  :class:`SessionConfig` is that bundle as one value::
+``CheckSession.check / check_many / check_all`` take their batch knobs
+as one value::
 
-    cfg = SessionConfig(jobs=8, reuse_executors=False,
-                        narrow_queries=False)
+    cfg = SessionConfig(jobs=8, reuse_executors=False)
     session.check_many(targets, spec=spec, session=cfg)
 
-The old bare keywords (``jobs=`` / ``reporters=`` /
-``reuse_executors=`` on the check methods) went through one release of
-``DeprecationWarning`` and are gone; ``session=`` is the only
-spelling.
+*What* a batch checks -- its targets, spec and
+:class:`~repro.checker.config.RunnerConfig` (tests, seed, shrinking,
+stop-on-failure, narrowing) -- lives elsewhere; *how* it runs lives
+here:
 
-Two kinds of knob live here, deliberately together because every
-caller sets them together:
-
-* **scheduling** -- ``jobs`` (a width, or ``"auto"``), ``transport``
-  (``None`` or a :class:`~repro.api.transport.PoolTransport` instance
-  such as :class:`~repro.api.transport.TcpTransport`),
-  ``reuse_executors``, ``reporters``;
-* **runner overrides** -- ``stop_on_failure`` / ``narrow_queries`` /
-  ``shrink``, tri-state (``None`` = keep whatever the
-  :class:`RunnerConfig` says), overlaid by :meth:`SessionConfig.runner_config`.
+* ``jobs`` -- how many tests run at once: a positive int, default 1
+  (the exact serial loop);
+* ``transport`` -- ``None`` or a
+  :class:`~repro.api.transport.PoolTransport` instance such as
+  :class:`~repro.api.transport.TcpTransport`;
+* ``reuse_executors`` and ``reporters``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from ..checker.config import RunnerConfig
+from .pool import validate_jobs
 from .transport.base import PoolTransport
 
 __all__ = ["SessionConfig"]
@@ -45,10 +35,8 @@ class SessionConfig:
     """How one scheduled batch should run (not *what* it checks --
     that's the targets/spec/``RunnerConfig``)."""
 
-    #: Pool width: an int, ``"auto"`` (adaptive from the previous
-    #: batch's metrics, clamped to the transport capacity), or ``None``
-    #: for the session default.
-    jobs: Union[int, str, None] = None
+    #: Pool width: how many tests run at once.
+    jobs: int = 1
     #: Task delivery: ``None`` (a fork pool for ``jobs > 1`` where the
     #: platform has ``fork``, else the caller's thread) or a live
     #: ``PoolTransport`` (e.g. ``TcpTransport`` serving remote ``repro
@@ -59,12 +47,9 @@ class SessionConfig:
     reuse_executors: bool = True
     #: Reporters for the batch; ``None`` = the session's reporters.
     reporters: Optional[Sequence[object]] = None
-    #: Tri-state RunnerConfig overrides (None = leave as configured).
-    stop_on_failure: Optional[bool] = None
-    narrow_queries: Optional[bool] = None
-    shrink: Optional[bool] = None
 
     def __post_init__(self) -> None:
+        validate_jobs(self.jobs)
         if self.transport is not None and not isinstance(
             self.transport, PoolTransport
         ):
@@ -72,27 +57,3 @@ class SessionConfig:
                 "transport must be None or a PoolTransport instance, "
                 f"got {self.transport!r}"
             )
-
-    def runner_config(
-        self, base: Optional[RunnerConfig]
-    ) -> Optional[RunnerConfig]:
-        """Overlay this config's runner-level overrides on ``base``
-        (returns ``base`` untouched when no override is set)."""
-        overrides = {
-            name: value
-            for name, value in (
-                ("stop_on_failure", self.stop_on_failure),
-                ("narrow_queries", self.narrow_queries),
-                ("shrink", self.shrink),
-            )
-            if value is not None
-        }
-        if not overrides:
-            return base
-        return dataclasses.replace(
-            base if base is not None else RunnerConfig(), **overrides
-        )
-
-    def merged(self, **updates) -> "SessionConfig":
-        """A copy with ``updates`` applied."""
-        return dataclasses.replace(self, **updates)

@@ -1,4 +1,4 @@
-"""Batch metrics and pool-width policy for the campaign loop.
+"""Batch metrics and pool-width validation for the campaign loop.
 
 :class:`PoolMetrics` is what one
 :class:`~repro.api.scheduler.PooledScheduler` batch reports, whichever
@@ -12,18 +12,16 @@
 * :class:`~repro.api.transport.TcpTransport` -- remote ``repro worker``
   processes pulling task descriptors over TCP.
 
-:func:`resolve_jobs` validates and defaults a ``jobs=`` width, and
-:func:`suggest_jobs` is the adaptive ``--jobs auto`` heuristic that
-reads a finished batch's metrics.
+:func:`validate_jobs` is the one check of a ``jobs=`` width, shared by
+:class:`~repro.api.config.SessionConfig` and the scheduler.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-__all__ = ["PoolMetrics", "resolve_jobs", "suggest_jobs"]
+__all__ = ["PoolMetrics", "validate_jobs"]
 
 #: Queue-depth sampling stops growing past this many points; enough to
 #: plot any realistic batch without unbounded memory on huge ones.
@@ -156,13 +154,6 @@ class PoolMetrics:
             return 0.0
         return self.query_width_sum / self.query_width_states
 
-    def mean_utilisation(self) -> float:
-        """Mean per-worker busy fraction (0.0 with no recorded work)."""
-        fractions = self.utilisation()
-        if not fractions:
-            return 0.0
-        return sum(fractions.values()) / len(fractions)
-
     def utilisation(self) -> Dict[int, float]:
         """Per-worker busy fraction of the batch's wall-clock."""
         if self.wall_s <= 0:
@@ -222,53 +213,10 @@ class PoolMetrics:
         }
 
 
-def resolve_jobs(jobs: Optional[int]) -> int:
-    """Validate and default a worker count (shared by every layer that
-    takes a ``jobs=`` knob, so the default lives in one place)."""
-    if jobs is not None and jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    return jobs if jobs is not None else (os.cpu_count() or 1)
-
-
-def suggest_jobs(
-    metrics: Optional["PoolMetrics"],
-    cpu: Optional[int] = None,
-    capacity: Optional[int] = None,
-) -> int:
-    """Pool width for the next batch, from a finished batch's metrics.
-
-    The adaptive ``--jobs auto`` heuristic (pinned by
-    ``tests/api/test_adaptive_jobs.py``), driven by the two signals
-    :class:`PoolMetrics` records for exactly this purpose:
-
-    * **scale up** (double, capped at the transport capacity) when the
-      task queue stayed deep (max depth over twice the pool width) *and*
-      the workers were genuinely busy (mean utilisation >= 75%) -- more
-      hands would have drained the backlog;
-    * **scale down** (halve, floor 1) when workers sat idle (mean
-      utilisation < 40%) -- the batch couldn't feed them;
-    * otherwise **keep** the recorded width (clamped to the capacity).
-
-    ``capacity`` is the active transport's
-    :meth:`~repro.api.transport.PoolTransport.capacity` report: the
-    local CPU count for the fork pool, but the *connected remote
-    slots* for a TCP fabric -- a coordinator driving 32 ``repro
-    worker`` processes on 4 hosts must be allowed to suggest 32 even
-    though its own ``os.cpu_count()`` is small.  When ``capacity`` is
-    omitted the local CPU count (or the explicit ``cpu`` override) is
-    the clamp, as before.
-
-    With no history (``None``, or a batch that recorded no per-worker
-    work) it falls back to the clamp itself, like :func:`resolve_jobs`.
-    """
-    cpu = cpu if cpu is not None else (os.cpu_count() or 1)
-    limit = max(capacity if capacity is not None else cpu, 1)
-    if metrics is None or metrics.jobs < 1 or not metrics.worker_busy_s:
-        return limit
-    width = metrics.jobs
-    busy = metrics.mean_utilisation()
-    if metrics.max_queue_depth > 2 * width and busy >= 0.75:
-        return min(limit, width * 2)
-    if busy < 0.40 and width > 1:
-        return max(1, width // 2)
-    return max(1, min(width, limit))
+def validate_jobs(jobs: object) -> int:
+    """Return ``jobs`` if it is a worker count (an ``int`` of at least
+    1), else raise ``ValueError`` -- a string, a float or a bool must
+    fail here, not as an opaque ``TypeError`` deep inside a batch."""
+    if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
+        raise ValueError(f"jobs must be an int of at least 1, got {jobs!r}")
+    return jobs

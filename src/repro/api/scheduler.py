@@ -39,7 +39,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..checker.result import CampaignResult, Counterexample, TestResult
 from ..checker.runner import Runner
 from .lease import ExecutorCache
-from .pool import PoolMetrics, resolve_jobs
+from .pool import PoolMetrics, validate_jobs
 from .reporters import Reporter
 from .transport import (
     SKIPPED,
@@ -373,20 +373,18 @@ def _record_failure(
 class PooledScheduler:
     """Runs a :class:`CampaignSet` on one transport.
 
-    ``jobs`` bounds the pool width across the *whole batch* (default:
-    the CPU count).  At ``jobs=1``, or where the platform has no
-    ``fork``, a local batch runs on an
-    :class:`~repro.api.transport.InlineTransport` in the caller's
-    thread -- the serial loop, with no pool at all.  A remote transport
-    is used at any width (its capacity lives on the workers), and so is
-    an explicit ``InlineTransport``.
+    ``jobs`` bounds the pool width across the *whole batch* (default
+    1).  At ``jobs=1``, or where the platform has no ``fork``, a local
+    batch runs on an :class:`~repro.api.transport.InlineTransport` in
+    the caller's thread -- the serial loop, with no pool at all.  A
+    remote transport is used at any width (its width is its connected
+    workers), and so is an explicit ``InlineTransport``.
     """
 
     def __init__(
-        self, jobs: Optional[int] = None,
-        transport: Optional[PoolTransport] = None,
+        self, jobs: int = 1, transport: Optional[PoolTransport] = None,
     ) -> None:
-        self.jobs = resolve_jobs(jobs)
+        self.jobs = validate_jobs(jobs)
         self.transport = transport
 
     def run(

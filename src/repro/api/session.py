@@ -17,8 +17,8 @@ The first argument is *what to test*: either an application factory
 (``Callable[[Page], app]``, wrapped in a fresh
 :class:`~repro.executors.DomExecutor` per test) or a zero-argument
 executor factory for any other backend -- the checker stays
-executor-agnostic (paper, Section 3.4).  ``jobs`` sets the default
-pool width and ``reporters`` observe progress.
+executor-agnostic (paper, Section 3.4).  ``reporters`` observe
+progress.
 
 Every call runs on the one campaign loop,
 :class:`~repro.api.scheduler.PooledScheduler`: :meth:`CheckSession.check`
@@ -26,12 +26,13 @@ is a one-target batch, and multi-target batches (the paper's
 43-implementation audit) go through :meth:`CheckSession.check_many`,
 which fans *whole campaigns* out over one shared worker pool::
 
-    session = CheckSession(jobs=8, reporters=[ProgressReporter()])
+    session = CheckSession(reporters=[ProgressReporter()])
     batch = session.check_many(
         [CheckTarget(impl.name, impl.app_factory())
          for impl in all_implementations()],
         spec=load_todomvc_spec().check_named("safety"),
         config=RunnerConfig(tests=8, shrink=False),
+        session=SessionConfig(jobs=8),
     )
 
 The pool is forked once for the batch, its workers are reused across
@@ -44,8 +45,9 @@ consecutive tasks on the same worker that test the same application
 reset a cached executor (the ``Reset`` protocol message) instead of
 paying construction + ``Start`` per test -- the per-session overhead
 that dominates batches of small campaigns.  Warm verdicts are
-bit-for-bit identical to cold ones; pass ``reuse_executors=False`` (or
-``--no-reuse`` on the CLI) for the cold baseline.
+bit-for-bit identical to cold ones; pass
+``SessionConfig(reuse_executors=False)`` (or ``--no-reuse`` on the CLI)
+for the cold baseline.
 """
 
 from __future__ import annotations
@@ -64,19 +66,11 @@ from ..executors.domexec import DomExecutor
 from ..quickltl import DEFAULT_SUBSCRIPT
 from ..specstrom.module import CheckSpec, SpecModule
 from .config import SessionConfig
-from .pool import PoolMetrics, suggest_jobs
+from .pool import PoolMetrics
 from .reporters import Reporter
 from .scheduler import CampaignSet, CampaignSetResult, CheckTarget, PooledScheduler
-from .transport import PoolTransport
 
-__all__ = ["CheckSession", "SessionConfig", "AUTO_JOBS"]
-
-#: Sentinel accepted wherever ``jobs=`` is: pick the pool width
-#: adaptively from the previous batch's recorded
-#: :class:`~repro.api.pool.PoolMetrics` (queue depth + utilisation, see
-#: :func:`~repro.api.pool.suggest_jobs`); the first batch of a session
-#: starts at the CPU count.
-AUTO_JOBS = "auto"
+__all__ = ["CheckSession", "SessionConfig"]
 
 SpecLike = Union[str, "os.PathLike[str]", SpecModule, CheckSpec, CompiledSpec]
 
@@ -96,24 +90,14 @@ class CheckSession:
         self,
         app_or_factory: Optional[Callable] = None,
         *,
-        jobs: Optional[int] = None,
         reporters: Sequence[Reporter] = (),
         default_subscript: int = DEFAULT_SUBSCRIPT,
     ) -> None:
-        _validate_jobs(jobs)
-        self.auto_jobs = jobs == AUTO_JOBS
-        if self.auto_jobs:
-            # Each batch picks its width from the previous batch's
-            # metrics (see check_many).
-            jobs = None
-        if jobs is not None and jobs < 1:
-            raise ValueError(f"jobs must be at least 1, got {jobs}")
         self.executor_factory = (
             None
             if app_or_factory is None
             else _coerce_executor_factory(app_or_factory)
         )
-        self.jobs = jobs
         self.reporters: List[Reporter] = list(reporters)
         self.default_subscript = default_subscript
         #: The one seam everything in this session resolves specs
@@ -121,8 +105,7 @@ class CheckSession:
         #: accepted, memoized by content hash, and re-encoded at most
         #: once for remote shipping.
         self.resolver = SpecResolver(default_subscript=default_subscript)
-        #: PoolMetrics of the session's most recent scheduled batch --
-        #: what ``jobs="auto"`` learns the next batch's width from.
+        #: PoolMetrics of the session's most recent scheduled batch.
         self.last_metrics: Optional[PoolMetrics] = None
 
     # ------------------------------------------------------------------
@@ -180,12 +163,8 @@ class CheckSession:
 
         ``session`` (a :class:`SessionConfig`) carries the batch knobs:
 
-        * ``jobs`` bounds the pool across the whole batch (default: the
-          session's ``jobs``, else 1 -- i.e. the exact serial loop).
-          :data:`AUTO_JOBS` (``"auto"``) picks the width from the
-          previous batch's recorded queue-depth/utilisation metrics
-          (:func:`~repro.api.pool.suggest_jobs`), clamped to the
-          transport's reported capacity.
+        * ``jobs`` bounds the pool across the whole batch (default 1
+          -- the exact serial loop).
         * ``transport`` picks task delivery: ``None`` runs locally (a
           fork pool for ``jobs > 1`` where the platform has ``fork``,
           else the caller's thread); a live
@@ -247,7 +226,7 @@ class CheckSession:
                     f"target {target.name!r} has no app and the session was "
                     "constructed without an application"
                 )
-            target_config = cfg.runner_config(
+            target_config = (
                 target.config if target.config is not None else config
             )
             remote = None
@@ -288,23 +267,7 @@ class CheckSession:
                 Runner(check_spec, factory, target_config,
                        remote=remote, compiled=compiled),
             )
-        capacity = _transport_capacity(cfg.transport)
-        jobs = cfg.jobs
-        _validate_jobs(jobs)
-        if jobs == AUTO_JOBS:
-            jobs = suggest_jobs(self.last_metrics, capacity=capacity)
-        elif jobs is None:
-            if self.auto_jobs:
-                jobs = suggest_jobs(self.last_metrics, capacity=capacity)
-            elif self.jobs is not None:
-                jobs = self.jobs
-            elif capacity is not None:
-                # A capacity-reporting transport (the TCP fabric) was
-                # handed over explicitly; use the width it advertises.
-                jobs = capacity
-            else:
-                jobs = 1
-        scheduler = PooledScheduler(jobs, transport=cfg.transport)
+        scheduler = PooledScheduler(cfg.jobs, transport=cfg.transport)
         active_reporters = (
             self.reporters if cfg.reporters is None else list(cfg.reporters)
         )
@@ -339,7 +302,7 @@ class CheckSession:
 
         The batch rides the cross-campaign scheduler: one campaign per
         property, all against this session's application, on one worker
-        pool (``jobs``, defaulting like :meth:`check_many`).  This is
+        pool (``session.jobs`` wide, as for :meth:`check_many`).  This is
         the *many properties x one app* fast path -- because every
         campaign shares the session's executor factory, warm executor
         reuse spans property boundaries, so a worker pays executor
@@ -457,26 +420,6 @@ class CheckSession:
             )
         compiled = bundle.properties[check.name] if bundle is not None else None
         return check, compiled
-
-
-def _transport_capacity(transport: Optional[PoolTransport]) -> Optional[int]:
-    """An explicit transport's parallel capacity -- what adaptive
-    ``jobs="auto"`` clamps against instead of the local CPU count (a
-    TCP fabric's width lives on the worker hosts)."""
-    return None if transport is None else transport.capacity()
-
-
-def _validate_jobs(jobs) -> None:
-    """Reject anything that is neither a worker count nor the ``"auto"``
-    sentinel -- a typo'd string or a float must fail here, not as an
-    opaque ``TypeError`` deep inside the scheduler."""
-    if jobs is None or jobs == AUTO_JOBS:
-        return
-    if not isinstance(jobs, int) or isinstance(jobs, bool):
-        raise ValueError(
-            f"jobs must be a positive integer or {AUTO_JOBS!r}, "
-            f"got {jobs!r}"
-        )
 
 
 def _coerce_executor_factory(app_or_factory: Callable) -> Callable[[], object]:

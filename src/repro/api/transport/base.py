@@ -14,11 +14,10 @@ behind :class:`PoolTransport`:
   ``(campaign, index)`` it was running;
 * **lifecycle** -- :meth:`PoolTransport.close` tears down whatever the
   transport owns (forked children die with the batch; remote workers
-  are told to shut down);
-* **capacity** -- :meth:`PoolTransport.capacity` reports how much
-  useful parallelism the transport can offer (the local CPU count, or
-  the summed slots of connected remote workers), which is what the
-  adaptive ``--jobs auto`` heuristic clamps against.
+  are told to shut down).
+
+The width is the caller's: ``run`` gets it, and no transport reports
+one back.
 
 The task vocabulary (:class:`PoolTask`, :data:`SKIPPED`,
 :class:`TaskFailure`, :class:`WorkerCrashed`) is shared by every
@@ -197,12 +196,6 @@ class PoolTransport(ABC):
         worker_exit: Optional[Callable[[], None]] = None,
     ) -> Dict[Hashable, object]:
         """Run every task, returning ``{task_id: outcome}``."""
-
-    def capacity(self) -> int:
-        """Maximum useful parallel width this transport can serve."""
-        import os
-
-        return os.cpu_count() or 1
 
     def make_counter(self, initial: int):
         """A shared integer (``.value`` + ``.get_lock()``) visible to

@@ -51,9 +51,6 @@ class InlineTransport(PoolTransport):
 
     name = "serial"
 
-    def capacity(self) -> int:
-        return 1
-
     def run(
         self, tasks, jobs, on_result=None, metrics=None, worker_exit=None
     ) -> Dict[Hashable, object]:
@@ -76,8 +73,7 @@ class ForkTransport(PoolTransport):
     """A bounded set of forked workers fed from a task queue.
 
     Each forked worker pulls positions from the queue and runs each
-    task start to finish on its own thread.  ``capacity()`` is the
-    local core count.
+    task start to finish on its own thread.
     """
 
     name = "fork"

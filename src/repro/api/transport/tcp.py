@@ -52,17 +52,16 @@ __all__ = ["TcpTransport"]
 
 
 class _RemoteWorker:
-    """Coordinator-side record of one connected worker slot."""
+    """Coordinator-side record of one connected worker."""
 
-    __slots__ = ("sock", "worker_id", "host", "pid", "slots", "last_seen",
+    __slots__ = ("sock", "worker_id", "host", "pid", "last_seen",
                  "in_flight", "alive")
 
-    def __init__(self, sock, worker_id, host, pid, slots, now) -> None:
+    def __init__(self, sock, worker_id, host, pid, now) -> None:
         self.sock = sock
         self.worker_id = worker_id
         self.host = host
         self.pid = pid
-        self.slots = slots
         self.last_seen = now
         #: wire ids (batch positions) dispatched but not yet reported.
         self.in_flight: Dict[int, None] = {}
@@ -154,7 +153,6 @@ class TcpTransport(PoolTransport):
             worker_id,
             host=str(hello.get("host", "?")),
             pid=int(hello.get("pid", 0)),
-            slots=max(1, int(hello.get("slots", 1))),
             now=self._now(),
         )
         try:
@@ -211,10 +209,10 @@ class TcpTransport(PoolTransport):
     # ------------------------------------------------------------------
 
     def capacity(self) -> int:
-        """Summed slots of currently-connected workers (min 1 so the
-        adaptive clamp never suggests zero before anyone joins)."""
+        """How many workers are connected now -- how many tests this
+        transport runs at once (each worker runs one)."""
         with self._lock:
-            return max(1, sum(w.slots for w in self._workers))
+            return len(self._workers)
 
     def run(
         self,
@@ -224,8 +222,8 @@ class TcpTransport(PoolTransport):
         metrics=None,
         worker_exit: Optional[Callable[[], None]] = None,
     ) -> Dict[Hashable, object]:
-        # ``jobs`` bounds nothing here -- width is however many worker
-        # slots are connected; ``worker_exit`` is a local-cache hook
+        # ``jobs`` bounds nothing here -- width is however many workers
+        # are connected; ``worker_exit`` is a local-cache hook
         # with no remote meaning (workers close their own caches).
         del jobs, worker_exit
         for task in tasks:
@@ -337,7 +335,7 @@ class TcpTransport(PoolTransport):
         return outcomes
 
     def _await_workers(self) -> None:
-        """Block until at least ``min_workers`` slots have joined.
+        """Block until at least ``min_workers`` workers have joined.
 
         Joins notify ``_join_condition`` directly, so the wait returns
         the instant the quorum lands -- batch start-up pays the TCP
@@ -347,15 +345,15 @@ class TcpTransport(PoolTransport):
         deadline = self._now() + self.connect_timeout_s
         with self._join_condition:
             while True:
-                joined = sum(w.slots for w in self._workers)
+                joined = len(self._workers)
                 if joined >= self.min_workers:
                     return
                 remaining = deadline - self._now()
                 if remaining <= 0:
                     raise WorkerCrashed(
-                        f"only {joined} of {self.min_workers} remote worker "
-                        f"slot(s) connected to {self.host}:{self.port} within "
-                        f"{self.connect_timeout_s:.0f}s"
+                        f"only {joined} of {self.min_workers} remote "
+                        f"worker(s) connected to {self.host}:{self.port} "
+                        f"within {self.connect_timeout_s:.0f}s"
                     )
                 self._join_condition.wait(timeout=remaining)
 

@@ -16,8 +16,9 @@ Frame vocabulary (``type`` field):
 frame                 sender   meaning
 ====================  =======  ==========================================
 ``hello``             worker   ``slots``/``host``/``pid``/``version``
+                               (``slots`` is always 1 and ignored)
 ``welcome``           coord    assigned ``worker_id``
-``next``              worker   a slot is free; send work
+``next``              worker   the worker is free; send work
 ``task``              coord    ``id`` (wire id), ``epoch``, ``body``
 ``wait``              coord    nothing pending; re-``next`` in ``for_s``
 ``result``            worker   ``id``/``epoch``/``elapsed``/``payload``

@@ -40,8 +40,8 @@ sends ``next``, reads the reply frame, runs the task (if it is one) to
 completion through ``Runner.run_single_test``, sends its result, and
 repeats.  Only a side thread's liveness pings share the connection,
 behind a send lock.  A host serves N tests at once by running N
-``repro worker`` processes; the coordinator's ``capacity()`` (and
-``--jobs auto``) is the number of connected slots.
+``repro worker`` processes.  The ``hello`` still announces ``slots:
+1``, but the coordinator ignores it: it counts connected workers.
 
 This module is imported lazily (the CLI's ``worker`` command, tests):
 it pulls in the spec front end and the session layer, which the

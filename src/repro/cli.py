@@ -283,18 +283,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _jobs_value(text: str):
-    """``--jobs N`` or ``--jobs auto`` (adaptive width from the previous
-    batch's pool metrics; first batch = the CPU count)."""
-    if text == "auto":
-        return "auto"
-    return _positive_int(text)
-
-
 def _campaign_options(parser: argparse.ArgumentParser, jobs_help: str) -> None:
-    parser.add_argument("--jobs", type=_jobs_value, default=1, metavar="N",
-                        help=jobs_help + "; 'auto' picks the width from "
-                             "recorded queue-depth/utilisation metrics")
+    parser.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
+                        help=jobs_help)
     parser.add_argument("--format", choices=("console", "json", "junit"),
                         default="console",
                         help="console output, one JSON object per event, "
@@ -315,10 +306,10 @@ def _campaign_options(parser: argparse.ArgumentParser, jobs_help: str) -> None:
                              "'repro worker' processes: bind here (port 0 "
                              "picks a free port, printed to stderr for "
                              "workers to connect to)")
-    parser.add_argument("--min-workers", type=_positive_int, default=1,
+    parser.add_argument("--min-workers", type=_positive_int, default=None,
                         metavar="N",
                         help="with --listen: wait for N connected workers "
-                             "before dispatching")
+                             "before dispatching (default 1)")
 
 
 def _progress_reporters() -> list:
@@ -338,7 +329,7 @@ def _make_transport(args):
 
     host, port = _parse_listen(args.listen)
     transport = TcpTransport(host=host, port=port,
-                             min_workers=args.min_workers)
+                             min_workers=args.min_workers or 1)
     print(f"[coordinator] listening on {transport.host}:{transport.port} "
           f"-- start workers with: repro worker "
           f"--connect {transport.host}:{transport.port}",
@@ -767,7 +758,11 @@ def _cmd_list(_args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "min_workers", None) is not None and args.listen is None:
+        parser.error(f"{args.command}: --min-workers only applies "
+                     "with --listen HOST:PORT")
     try:
         if args.command == "compile":
             return _cmd_compile(args)

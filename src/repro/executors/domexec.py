@@ -18,7 +18,7 @@ document whose generation starts over.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..browser.webdriver import Browser, NotInteractableError, Page
 from ..dom import Document, Element
@@ -63,7 +63,6 @@ class DomExecutor(Executor):
         self._watched = tuple(start.events)
         self.browser = Browser(self._app_factory)
         self.browser.load()
-        self._remember_watches()
         self._report("event", ("loaded?",))
 
     def reset(self, reset: Reset) -> bool:
@@ -84,9 +83,7 @@ class DomExecutor(Executor):
         self._watched = tuple(reset.events)
         self.recorder = TraceRecorder()
         self._outbox = []
-        self._last_watch_state = {}
         self.browser.reset()
-        self._remember_watches()
         self._report("event", ("loaded?",))
         return True
 
@@ -206,7 +203,7 @@ class DomExecutor(Executor):
             self._outbox.append(Timeout(state))
         else:
             self._outbox.append(Event(happened[0] if happened else "event?", state))
-        self._remember_watches()
+        self._remember_watches(state.queries)
 
     def _query(self, css: str) -> Tuple[ElementSnapshot, ...]:
         """Snapshots of the elements ``css`` matches now, in document order."""
@@ -224,9 +221,18 @@ class DomExecutor(Executor):
             snapshots.append(snapshot)
         return tuple(snapshots)
 
-    def _remember_watches(self) -> None:
+    def _remember_watches(
+        self, captured: Mapping[str, Tuple[ElementSnapshot, ...]]
+    ) -> None:
+        """Record what each watched selector matches now.  ``captured``
+        is the state ``_report`` just took in this very document
+        generation, so a selector it holds is taken from it: ``_query``
+        would return the same element snapshots again."""
         self._last_watch_state = {
-            event.selector: self._query(event.selector)
+            event.selector: (
+                captured[event.selector] if event.selector in captured
+                else self._query(event.selector)
+            )
             for _, event in self._watched
             if event.selector is not None
         }

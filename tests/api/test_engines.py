@@ -137,10 +137,8 @@ class TestEngineConfiguration:
         with pytest.raises(ValueError):
             PooledScheduler(jobs=0)
 
-    def test_default_jobs_uses_cpu_count(self):
-        import os
-
-        assert PooledScheduler().jobs == (os.cpu_count() or 1)
+    def test_default_jobs_is_one(self):
+        assert PooledScheduler().jobs == 1
 
     def test_fork_free_path_runs_inline_and_matches_serial(self, monkeypatch):
         """Without ``fork``, a wide batch runs in the caller's thread:

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from repro.api.pool import PoolMetrics, resolve_jobs
+from repro.api.pool import PoolMetrics, validate_jobs
 from repro.api.transport import (
     SKIPPED,
     InlineTransport,
@@ -42,7 +42,7 @@ class TestBasics:
 
     def test_rejects_non_positive_jobs(self):
         with pytest.raises(ValueError):
-            resolve_jobs(0)
+            validate_jobs(0)
 
     def test_exceptions_are_transported_not_raised(self):
         def boom():
@@ -285,6 +285,40 @@ class TestPoolMetrics:
         metrics.wall_s = 1.0
         assert metrics.utilisation() == {0: 0.25, 1: 0.75}
         assert metrics.warm_hit_ratio == 0.0
+
+
+class TestSerialBacklogSignal:
+    def test_serial_batches_record_queue_depth(self):
+        """A width-1 batch records its backlog too: a queue that never
+        drains is the sign that a wider ``--jobs`` would help."""
+        from repro.api import CheckSession, SessionConfig
+        from repro.checker import RunnerConfig
+        from repro.executors import CCSExecutor, parse_definitions
+        from repro.specstrom import load_module
+
+        defs, initial = parse_definitions(
+            "Idle = coin.Choose\nChoose = tea.Idle\nIdle"
+        )
+
+        def factory():
+            return CCSExecutor(initial, defs, tau_period_ms=0)
+
+        spec = load_module(
+            """
+            action coin! = ccs!("coin") when present(`coin`);
+            action tea!  = ccs!("tea")  when present(`tea`);
+            check always{4} (present(`coin`) || present(`tea`));
+            """
+        ).checks[0]
+        config = RunnerConfig(tests=3, scheduled_actions=4,
+                              demand_allowance=4, seed=0, shrink=False)
+        batch = CheckSession().check_many(
+            [("a", factory), ("b", factory)],
+            spec=spec, config=config, session=SessionConfig(jobs=1),
+        )
+        assert batch.metrics.transport == "serial"
+        # 2 campaigns x 3 tests: the first sample sees the whole batch.
+        assert batch.metrics.max_queue_depth == 6
 
 
 class TestWorkerExit:

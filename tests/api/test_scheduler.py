@@ -240,13 +240,16 @@ class TestSchedulerConfiguration:
         observed = {}
         original = PooledScheduler.__init__
 
-        def spy(self, jobs=None, transport=None):
+        def spy(self, jobs=1, transport=None):
             observed["jobs"] = jobs
             original(self, jobs, transport=transport)
 
         monkeypatch.setattr(PooledScheduler, "__init__", spy)
-        CheckSession(jobs=3).check_many(three_targets()[:1])
+        CheckSession().check_many(three_targets()[:1],
+                                  session=SessionConfig(jobs=3))
         assert observed["jobs"] == 3
+        CheckSession().check_many(three_targets()[:1])
+        assert observed["jobs"] == 1
 
 
 class TestCrashAttribution:

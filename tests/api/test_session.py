@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import CheckSession
+from repro.api import CheckSession, SessionConfig
 from repro.apps.eggtimer import egg_timer_app
 from repro.checker import RunnerConfig, Runner
 from repro.executors import CCSExecutor, DomExecutor, parse_definitions
@@ -95,35 +95,38 @@ class TestExecutorCoercion:
 
 
 class TestEngineSelection:
-    """``check`` runs on the scheduler at the session's width."""
+    """``check`` runs on the scheduler at the ``SessionConfig`` width."""
 
-    def _width(self, session):
-        session.check(load_eggtimer_spec().check_named("safety"),
-                      config=QUICK)
-        metrics = session.last_metrics
+    def _width(self, session=None):
+        checker = CheckSession(egg_timer_app())
+        checker.check(load_eggtimer_spec().check_named("safety"),
+                      config=QUICK, session=session)
+        metrics = checker.last_metrics
         return metrics.jobs, metrics.transport
 
     def test_default_engine_is_serial(self):
-        assert self._width(CheckSession(egg_timer_app())) == (1, "serial")
+        assert self._width() == (1, "serial")
 
     def test_jobs_selects_parallel(self):
         from repro.api.transport import fork_context
 
-        jobs, transport = self._width(CheckSession(egg_timer_app(), jobs=4))
+        jobs, transport = self._width(SessionConfig(jobs=4))
         assert jobs == 4
         assert transport == ("fork" if fork_context() is not None else "serial")
 
     def test_jobs_one_stays_serial(self):
-        session = CheckSession(egg_timer_app(), jobs=1)
-        assert self._width(session) == (1, "serial")
+        assert self._width(SessionConfig(jobs=1)) == (1, "serial")
 
     def test_engine_and_jobs_conflict(self):
-        """``engine=`` is gone: jobs and transports are the only knobs,
-        so passing an engine (with or without jobs) is a TypeError."""
+        """``engine=`` and ``CheckSession(jobs=)`` are gone: the width
+        is ``SessionConfig.jobs`` alone, so passing either to the
+        session is a TypeError."""
         with pytest.raises(TypeError):
             CheckSession(egg_timer_app(), engine=object(), jobs=2)
         with pytest.raises(TypeError):
             CheckSession(egg_timer_app(), engine=object())
+        with pytest.raises(TypeError):
+            CheckSession(egg_timer_app(), jobs=2)
 
 
 class TestCheckIsAOneTargetBatch:
@@ -147,6 +150,18 @@ class TestCheckIsAOneTargetBatch:
         metrics = session.last_metrics
         assert metrics is not None
         assert (metrics.cold_starts, metrics.warm_hits) == (1, 4)
+
+    def test_last_metrics_follow_each_batch(self):
+        spec = load_eggtimer_spec().check_named("safety")
+        session = CheckSession(egg_timer_app())
+        first = session.check_many(
+            [("a", egg_timer_app()), ("b", egg_timer_app())],
+            spec=spec, config=QUICK,
+        )
+        assert session.last_metrics is first.metrics
+        second = session.check_many([("a", egg_timer_app())], spec=spec,
+                                    config=QUICK)
+        assert session.last_metrics is second.metrics
 
     def test_check_emits_the_batch_shaped_stream(self):
         from repro.fuzz.oracles import RecordingReporter
@@ -280,7 +295,7 @@ class TestOneCompiledPropertyPerBatch:
 
 
 class TestSessionConfig:
-    """The consolidated knob bundle and its deprecation shims."""
+    """The batch knob bundle: defaults, validation, the only spelling."""
 
     def _spec(self):
         return load_eggtimer_spec().check_named("safety")
@@ -289,12 +304,20 @@ class TestSessionConfig:
         from repro.api import SessionConfig
 
         cfg = SessionConfig()
-        assert cfg.jobs is None
+        assert cfg.jobs == 1
         assert cfg.transport is None
         assert cfg.reuse_executors is True
         assert cfg.reporters is None
-        assert (cfg.stop_on_failure, cfg.narrow_queries, cfg.shrink) == \
-               (None, None, None)
+        # Runner flags live only on RunnerConfig.
+        for name in ("stop_on_failure", "narrow_queries", "shrink"):
+            assert not hasattr(cfg, name)
+
+    @pytest.mark.parametrize("jobs", [0, -1, "auto", "4", 1.5, True, None])
+    def test_jobs_is_validated_on_construction(self, jobs):
+        """A width is a positive int; anything else fails here, with
+        the value named, not deep inside a batch."""
+        with pytest.raises(ValueError, match="jobs must be an int of at least 1"):
+            SessionConfig(jobs=jobs)
 
     @pytest.mark.parametrize("name", ["fork", "thread", "tcp"])
     def test_transport_names_are_not_transports(self, name):
@@ -303,30 +326,6 @@ class TestSessionConfig:
 
         with pytest.raises(TypeError, match="PoolTransport"):
             SessionConfig(transport=name)
-
-    def test_runner_config_overlay(self):
-        from repro.api import SessionConfig
-
-        base = RunnerConfig(tests=5, shrink=True)
-        # No overrides: the base comes back untouched (same object).
-        assert SessionConfig().runner_config(base) is base
-        overlaid = SessionConfig(shrink=False,
-                                 stop_on_failure=False).runner_config(base)
-        assert overlaid.shrink is False
-        assert overlaid.stop_on_failure is False
-        assert overlaid.tests == 5          # untouched fields survive
-        assert base.shrink is True          # the base is not mutated
-        # A None base overlays onto the default RunnerConfig.
-        from_none = SessionConfig(narrow_queries=False).runner_config(None)
-        assert from_none.narrow_queries is False
-
-    def test_merged_returns_an_updated_copy(self):
-        from repro.api import SessionConfig
-
-        cfg = SessionConfig(jobs=2)
-        updated = cfg.merged(jobs=4, reuse_executors=False)
-        assert (updated.jobs, updated.reuse_executors) == (4, False)
-        assert cfg.jobs == 2  # original untouched
 
     def test_session_kwarg_does_not_warn(self, recwarn):
         import warnings
@@ -377,20 +376,26 @@ class TestSessionConfig:
         assert seen == [1]
 
     def test_config_runner_overrides_reach_the_campaign(self):
-        from repro.api import SessionConfig
+        """Runner flags travel in ``RunnerConfig``: a target's own
+        config replaces the batch-wide one for that campaign only."""
+        from repro.api import CheckTarget
 
         spec = self._spec()
         cfg = RunnerConfig(tests=2, scheduled_actions=8, demand_allowance=5,
                            seed=3, shrink=True)
+        no_shrink = RunnerConfig(tests=2, scheduled_actions=8,
+                                 demand_allowance=5, seed=3, shrink=False)
         batch = CheckSession(egg_timer_app(decrement=2)).check_many(
-            [("faulty", egg_timer_app(decrement=2))], spec=spec, config=cfg,
-            session=SessionConfig(jobs=1, shrink=False),
+            [CheckTarget("batch-config"),
+             CheckTarget("own-config", config=no_shrink)],
+            spec=spec, config=cfg, session=SessionConfig(jobs=1),
         )
-        result = batch[0].result
-        assert not result.passed
-        # shrink=False overlay: a counterexample, but no shrunk one.
-        assert result.counterexample is not None
-        assert result.shrunk_counterexample is None
+        shrunk, unshrunk = batch.results
+        assert not shrunk.passed and not unshrunk.passed
+        assert shrunk.shrunk_counterexample is not None
+        # shrink=False on the target: a counterexample, no shrunk one.
+        assert unshrunk.counterexample is not None
+        assert unshrunk.shrunk_counterexample is None
 
     def test_check_accepts_a_session_config(self):
         from repro.api import SessionConfig

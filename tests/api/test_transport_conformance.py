@@ -346,21 +346,49 @@ class TestTcpFailureSemantics:
 
 
 class TestTcpCapacity:
-    def test_capacity_sums_connected_worker_slots(self):
+    """The coordinator counts connected workers; the ``slots`` a hello
+    announces is ignored (each worker runs one task at a time)."""
+
+    @staticmethod
+    def _fat_hello(port: int) -> socket.socket:
+        """A connection whose hello claims three slots."""
+        sock = socket.create_connection(("127.0.0.1", port))
+        sock.settimeout(10.0)
+        send_frame(sock, {"type": "hello", "version": PROTOCOL_VERSION,
+                          "slots": 3, "host": "fat", "pid": 1})
+        assert recv_frame(sock)["type"] == "welcome"
+        return sock
+
+    def test_count_is_zero_before_any_worker_joins(self):
         transport = TcpTransport(min_workers=1)
         try:
-            assert transport.capacity() == 1  # floor before any join
-            single = FakeWorker(transport.port)
+            assert transport.capacity() == 0
+        finally:
+            transport.close()
+
+    def test_a_hello_announcing_three_slots_counts_as_one_worker(self):
+        transport = TcpTransport(min_workers=1)
+        try:
+            fat = self._fat_hello(transport.port)
             _await(lambda: len(transport._workers) == 1)
             assert transport.capacity() == 1
-            # slots announced in hello are what capacity() sums.
-            fat = socket.create_connection(("127.0.0.1", transport.port))
-            fat.settimeout(10.0)
-            send_frame(fat, {"type": "hello",
-                             "version": PROTOCOL_VERSION,
-                             "slots": 3, "host": "fat", "pid": 1})
-            assert recv_frame(fat)["type"] == "welcome"
-            _await(lambda: transport.capacity() == 4)
+            single = FakeWorker(transport.port)
+            _await(lambda: transport.capacity() == 2)
+            fat.close()
+            single.die()
+        finally:
+            transport.close()
+
+    def test_min_workers_waits_for_workers_not_slots(self):
+        transport = TcpTransport(min_workers=2, connect_timeout_s=1.0)
+        try:
+            fat = self._fat_hello(transport.port)
+            _await(lambda: len(transport._workers) == 1)
+            with pytest.raises(WorkerCrashed, match="only 1 of 2 remote"):
+                transport._await_workers()
+            single = FakeWorker(transport.port)
+            transport.connect_timeout_s = 30.0
+            transport._await_workers()  # the second worker is the quorum
             fat.close()
             single.die()
         finally:

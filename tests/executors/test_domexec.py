@@ -9,7 +9,7 @@ from repro.dom import Document, Element, parse_selector
 from repro.executors import ActionFailed, DomExecutor
 from repro.protocol.messages import Act, Start
 from repro.specs import load_todomvc_spec
-from repro.specstrom.actions import ResolvedAction
+from repro.specstrom.actions import PrimitiveEvent, ResolvedAction
 from repro.specstrom.state import ElementSnapshot
 
 
@@ -179,6 +179,43 @@ ATTRIBUTE_WRITERS = (
     "__init__", "set_attribute", "remove_attribute", "add_class",
     "remove_class", "set_style",
 )
+
+
+class TestWatchWork:
+    """``_report`` hands its snapshot to the watch bookkeeping: a
+    watched selector the state captured is not queried again."""
+
+    def _queries(self, monkeypatch, dependencies):
+        """``query_all`` calls of ``start``, then of one ``_report``,
+        with ``#field`` watched; and what the watch then remembers."""
+        calls = []
+        query_all = Document.query_all
+
+        def recording_query_all(self, selector):
+            calls.append(selector)
+            return query_all(self, selector)
+
+        monkeypatch.setattr(Document, "query_all", recording_query_all)
+        ex = DomExecutor(form_app)
+        ex.start(Start(frozenset(dependencies),
+                       (("typed?", PrimitiveEvent("changed", "#field")),)))
+        on_start = sorted(calls)
+        calls.clear()
+        ex._report("event", ("typed?",))
+        watched = [dict(el.attributes)["id"]
+                   for el in ex._last_watch_state["#field"]]
+        return on_start, sorted(calls), watched
+
+    def test_a_captured_watch_is_not_queried_again(self, monkeypatch):
+        on_start, on_report, watched = self._queries(
+            monkeypatch, {"#field", "#go"})
+        assert on_start == on_report == ["#field", "#go"]
+        assert watched == ["field"]
+
+    def test_a_watch_outside_the_capture_is_still_queried(self, monkeypatch):
+        on_start, on_report, watched = self._queries(monkeypatch, {"#go"})
+        assert on_start == on_report == ["#field", "#go"]
+        assert watched == ["field"]
 
 
 class TestSnapshotWork:

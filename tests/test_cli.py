@@ -289,6 +289,25 @@ class TestAudit:
             main(["check", spec_path("eggtimer.strom"), "--app", "eggtimer",
                   "--report-file", "report.xml"])
 
+    @pytest.mark.parametrize("jobs", ["0", "auto"])
+    def test_jobs_must_be_a_positive_int(self, jobs, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["audit", "vue", "--jobs", jobs])
+        assert excinfo.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_min_workers_requires_listen(self, capsys):
+        """A TCP-only option without ``--listen`` is a usage error, not
+        a local run that silently ignores it."""
+        for argv in (["audit", "vue", "--tests", "1", "--min-workers", "2"],
+                     ["check", spec_path("eggtimer.strom"), "--app",
+                      "eggtimer", "--min-workers", "2"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            assert "--min-workers only applies with --listen" in \
+                capsys.readouterr().err
+
     def test_audit_json_event_stream(self, capsys):
         import json
 
