@@ -1,9 +1,10 @@
-"""Batched monitor progression vs naive per-session stepping.
+"""Memoized monitor progression vs naive per-session stepping.
 
 The online monitor's claim (``src/repro/monitor``): with hash-consed
-residuals, sessions observing the same state with the same residual can
-be grouped in O(1) per session and progressed with **one** computation
-per cohort, so monitoring N homogeneous sessions costs roughly the
+residuals, a record's step is found in O(1) in the monitor's memo of
+``(state key, residual)`` steps, so every record observing the same
+state with the same residual costs **one** progression computation
+between them, and monitoring N homogeneous sessions costs roughly the
 progression work of a handful of distinct trajectories -- not N of
 them.  This bench holds it to that claim on the workload the subsystem
 is built for: a deterministic synthetic egg-timer population
@@ -17,7 +18,8 @@ the real ``safety`` property of ``src/repro/specs/eggtimer.strom``:
 * **unbatched** (``batch=False``): one progression step per
   (session, state), fresh unroll memo each -- what a per-session
   :class:`~repro.quickltl.FormulaChecker` farm would do;
-* **batched** (the default): cohort-grouped stepping through the shared
+* **batched** (the default): each record stepped on arrival through the
+  monitor's step memo, over the shared
   :class:`~repro.checker.compiled.CompiledProperty` caches.
 
 Both runs must produce **identical per-session verdicts** (verdict,

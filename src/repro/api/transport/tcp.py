@@ -134,12 +134,18 @@ class TcpTransport(PoolTransport):
             hello = recv_frame(sock)
             if hello.get("type") != "hello":
                 raise FrameError(f"expected hello, got {hello.get('type')!r}")
+            host, pid = hello.get("host", "?"), hello.get("pid", 0)
             if hello.get("version") != PROTOCOL_VERSION:
-                send_frame(sock, {
-                    "type": "error",
-                    "reason": f"protocol version {hello.get('version')} != "
-                              f"{PROTOCOL_VERSION}",
-                })
+                reason = (f"protocol version {hello.get('version')} != "
+                          f"{PROTOCOL_VERSION}")
+            elif not isinstance(host, str):
+                reason = f"hello 'host' must be a string, got {host!r}"
+            elif not isinstance(pid, int) or isinstance(pid, bool):
+                reason = f"hello 'pid' must be an integer, got {pid!r}"
+            else:
+                reason = None
+            if reason is not None:
+                send_frame(sock, {"type": "error", "reason": reason})
                 sock.close()
                 return
         except (OSError, FrameError):
@@ -148,13 +154,8 @@ class TcpTransport(PoolTransport):
         with self._lock:
             worker_id = self._next_worker_id
             self._next_worker_id += 1
-        worker = _RemoteWorker(
-            sock,
-            worker_id,
-            host=str(hello.get("host", "?")),
-            pid=int(hello.get("pid", 0)),
-            now=self._now(),
-        )
+        worker = _RemoteWorker(sock, worker_id, host=host, pid=pid,
+                               now=self._now())
         try:
             send_frame(sock, {"type": "welcome", "worker_id": worker_id})
         except OSError:

@@ -54,10 +54,15 @@ tests at once by running N workers.
 ``monitor`` is the online deployment mode (:mod:`repro.monitor`): it
 ingests framed session streams -- a JSONL file, stdin, or a TCP
 listener -- and progresses every session's residual through one shared
-compiled spec, emitting a verdict per session and a metrics summary at
-the end.  ``--shards N`` scales it across N worker processes (sessions
-are routed by a hash of their id; the merged verdict multiset is
-identical to a single-process run).
+compiled spec, record by record in arrival order, so each verdict is
+printed as soon as the record that decides it is read; a metrics
+summary follows at the end.  ``--shards N`` scales it across N worker
+processes (sessions are routed by a hash of their id; the merged
+verdict multiset is identical to a single-process run).
+
+Usage errors -- a malformed ``HOST:PORT``, an unknown ``--app``, a
+flag that needs another -- exit 2; input that cannot be used (a spec
+without checks, an unreadable artifact) exits 1.
 """
 
 from __future__ import annotations
@@ -86,6 +91,8 @@ __all__ = ["main"]
 
 
 def _app_factory(spec: str):
+    """The app ``--app`` names: ``todomvc[:implementation]`` or
+    ``eggtimer``.  Raises ``KeyError`` for any other name."""
     kind, _, variant = spec.partition(":")
     if kind == "todomvc":
         if variant:
@@ -93,7 +100,7 @@ def _app_factory(spec: str):
         return todomvc_app()
     if kind == "eggtimer":
         return egg_timer_app()
-    raise SystemExit(f"unknown app {spec!r}; use todomvc[:name] or eggtimer")
+    raise KeyError(spec)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -129,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                          "against an app")
     check.add_argument("spec", help="path to the Specstrom file or a "
                                     "compiled artifact")
-    check.add_argument("--app", required=True,
+    check.add_argument("--app", required=True, type=_app_name,
                        help="todomvc[:implementation] or eggtimer")
     check.add_argument("--property", dest="property_name", default=None,
                        help="check only this property")
@@ -195,7 +202,8 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--input", default="-", metavar="PATH",
                         help="JSONL record stream to read ('-' for stdin, "
                              "the default); EOF resolves the run")
-    source.add_argument("--listen", default=None, metavar="HOST:PORT",
+    source.add_argument("--listen", type=_host_port, default=None,
+                        metavar="HOST:PORT",
                         help="accept newline-framed records over TCP "
                              "(port 0 picks a free port); runs until "
                              "interrupted")
@@ -215,9 +223,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          default="block",
                          help="full-queue behaviour: stall producers, or "
                               "shed (and count) incoming lines")
-    monitor.add_argument("--batch-size", type=_positive_int, default=4096,
-                         metavar="N",
-                         help="records processed per round")
     monitor.add_argument("--shards", type=_positive_int, default=1,
                          metavar="N",
                          help="run N worker processes, each monitoring the "
@@ -225,10 +230,10 @@ def _build_parser() -> argparse.ArgumentParser:
                               "it; verdicts are merged and identical to a "
                               "single-process run (1 disables)")
     monitor.add_argument("--no-batch", action="store_true",
-                         help="step each session individually instead of "
-                              "batching same-(residual, state) cohorts "
-                              "(verdicts are identical; this is the naive "
-                              "baseline)")
+                         help="progress every record on its own instead "
+                              "of through the monitor's memo of "
+                              "(state, residual) steps (verdicts are "
+                              "identical; this is the naive baseline)")
     monitor.add_argument("--cache-entries", type=_positive_int, default=None,
                          metavar="N",
                          help="bound the shared progression caches to N "
@@ -263,7 +268,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="serve a distributed checking coordinator "
              "(a check/audit run with --listen)",
     )
-    worker.add_argument("--connect", required=True, metavar="HOST:PORT",
+    worker.add_argument("--connect", required=True, type=_host_port,
+                        metavar="HOST:PORT",
                         help="the coordinator's --listen address")
     worker.add_argument("--connect-timeout", type=float, default=30.0,
                         metavar="SECONDS",
@@ -281,6 +287,32 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _app_name(text: str) -> str:
+    """``--app``, checked while parsing and kept as text for remote
+    campaign descriptors."""
+    try:
+        _app_factory(text)
+    except KeyError:
+        raise argparse.ArgumentTypeError(
+            f"unknown app {text!r}; use todomvc[:name] or eggtimer") from None
+    return text
+
+
+def _host_port(text: str):
+    """``--listen``/``--connect``: ``HOST:PORT`` as ``(host, port)``."""
+    host, separator, port_text = text.rpartition(":")
+    if not separator or not host:
+        raise argparse.ArgumentTypeError(f"needs HOST:PORT, got {text!r}")
+    try:
+        port = int(port_text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"port must be an integer, got {port_text!r}") from None
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError(f"port out of range: {port}")
+    return host, port
 
 
 def _campaign_options(parser: argparse.ArgumentParser, jobs_help: str) -> None:
@@ -301,7 +333,8 @@ def _campaign_options(parser: argparse.ArgumentParser, jobs_help: str) -> None:
                              "snapshot instead of narrowing to what the "
                              "progressed formula still reads (verdicts "
                              "are identical; this is the full baseline)")
-    parser.add_argument("--listen", default=None, metavar="HOST:PORT",
+    parser.add_argument("--listen", type=_host_port, default=None,
+                        metavar="HOST:PORT",
                         help="become a coordinator sharding tasks over "
                              "'repro worker' processes: bind here (port 0 "
                              "picks a free port, printed to stderr for "
@@ -327,7 +360,7 @@ def _make_transport(args):
         return None
     from .api import TcpTransport
 
-    host, port = _parse_listen(args.listen)
+    host, port = args.listen
     transport = TcpTransport(host=host, port=port,
                              min_workers=args.min_workers or 1)
     print(f"[coordinator] listening on {transport.host}:{transport.port} "
@@ -349,14 +382,6 @@ def _session_config(args) -> SessionConfig:
 def _close_transport(cfg: SessionConfig) -> None:
     if cfg.transport is not None:
         cfg.transport.close()
-
-
-def _validate_report_file(args) -> None:
-    if args.report_file is not None and args.format != "junit":
-        raise SystemExit(
-            "--report-file only applies to --format junit "
-            f"(got --format {args.format})"
-        )
 
 
 def _cmd_compile(args) -> int:
@@ -383,7 +408,6 @@ def _cmd_inspect(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    _validate_report_file(args)
     reporters = list(_progress_reporters())
     if args.format == "json":
         reporters.append(JsonlReporter())
@@ -434,7 +458,6 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    _validate_report_file(args)
     from .specs import load_todomvc_spec
 
     spec = load_todomvc_spec(default_subscript=args.subscript).check_named("safety")
@@ -604,19 +627,6 @@ def _cmd_fuzz(args) -> int:
     return 0 if report.ok else 1
 
 
-def _parse_listen(text: str, flag: str = "--listen"):
-    host, separator, port_text = text.rpartition(":")
-    if not separator or not host:
-        raise SystemExit(f"{flag} needs HOST:PORT, got {text!r}")
-    try:
-        port = int(port_text)
-    except ValueError:
-        raise SystemExit(f"{flag} port must be an integer, got {port_text!r}")
-    if not 0 <= port <= 65535:
-        raise SystemExit(f"{flag} port out of range: {port}")
-    return host, port
-
-
 def _cmd_monitor(args) -> int:
     from .monitor import (
         IngestQueue,
@@ -627,8 +637,6 @@ def _cmd_monitor(args) -> int:
 
     from .artifact import SpecResolver
 
-    if args.restore and args.checkpoint is None:
-        raise SystemExit("--restore requires --checkpoint DIR")
     bundle = SpecResolver().load(args.spec,
                                  default_subscript=args.subscript)
     module = bundle.module
@@ -660,7 +668,6 @@ def _cmd_monitor(args) -> int:
             max_sessions=args.max_sessions,
             idle_ttl_s=args.idle_ttl,
             batch=not args.no_batch,
-            batch_size=args.batch_size,
             cache_entries=args.cache_entries,
             resolve_at_eof=args.resolve_at_eof,
             on_verdict=emit,
@@ -673,7 +680,6 @@ def _cmd_monitor(args) -> int:
             max_sessions=args.max_sessions,
             idle_ttl_s=args.idle_ttl,
             batch=not args.no_batch,
-            batch_size=args.batch_size,
             cache_entries=args.cache_entries,
             resolve_at_eof=args.resolve_at_eof,
             on_verdict=emit,
@@ -689,8 +695,7 @@ def _cmd_monitor(args) -> int:
     server = None
     stream = None
     if args.listen is not None:
-        host, port = _parse_listen(args.listen)
-        server = SocketIngestServer(host, port, queue)
+        server = SocketIngestServer(*args.listen, queue)
         server.start()
         print(f"[monitor] listening on {server.host}:{server.port} "
               f"(property {check.name!r}; interrupt to finish)",
@@ -742,7 +747,7 @@ def _cmd_monitor(args) -> int:
 def _cmd_worker(args) -> int:
     from .api.transport.worker import run_worker
 
-    host, port = _parse_listen(args.connect, flag="--connect")
+    host, port = args.connect
     return run_worker(host, port, connect_timeout_s=args.connect_timeout)
 
 
@@ -760,9 +765,16 @@ def _cmd_list(_args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # Usage errors exit 2 through the parser; errors in what the flags
+    # name (a spec without checks, an unreadable artifact) exit 1.
     if getattr(args, "min_workers", None) is not None and args.listen is None:
         parser.error(f"{args.command}: --min-workers only applies "
                      "with --listen HOST:PORT")
+    if getattr(args, "report_file", None) is not None and args.format != "junit":
+        parser.error(f"{args.command}: --report-file only applies to "
+                     f"--format junit (got --format {args.format})")
+    if getattr(args, "restore", False) and args.checkpoint is None:
+        parser.error(f"{args.command}: --restore requires --checkpoint DIR")
     try:
         if args.command == "compile":
             return _cmd_compile(args)

@@ -5,16 +5,17 @@ and checks it; the monitor is the other deployment mode the progression
 semantics make almost free -- *observe* arbitrarily many already-running
 sessions and progress each one's residual formula as its states stream
 in.  Everything heavy is shared through one
-:class:`~repro.checker.compiled.CompiledProperty`: hash-consed residuals,
-memoized progression, and batch stepping (sessions in the same
-(residual, state) cohort cost a single progression step).
+:class:`~repro.checker.compiled.CompiledProperty` (hash-consed
+residuals, memoized progression), and each monitor keeps one memo of
+whole steps on top: every record with the same (state, residual) costs
+a single progression step between them.
 
 Layers, bottom up:
 
 * :mod:`.records` -- the JSONL wire format and canonical state codec;
 * :mod:`.ingest`  -- sources (file/stdin/TCP) behind one bounded queue;
 * :mod:`.table`   -- the LRU/TTL-bounded per-session residual table;
-* :mod:`.batch`   -- cohort-grouped progression;
+* :mod:`.batch`   -- per-record progression through one bounded memo;
 * :mod:`.metrics` -- counters, heartbeat, JSON summary;
 * :mod:`.service` -- the :class:`Monitor` orchestrator and the one
   monitor loop (:meth:`Monitor.run_queue`);

@@ -1,38 +1,43 @@
-"""Batch progression: one step serves every same-(residual, state) session.
+"""Memoized progression: one step serves every same-(state, residual) record.
 
 This is where hash-consing pays for the monitoring workload.  Residuals
 are interned (structurally equal => the *same* node, its hash computed
-once at construction), and a state's cohort key holds only strings and
+once at construction), and a state's key holds only strings and
 integers -- sorted ``(selector, row id)`` pairs plus ``happened``
 (:mod:`repro.monitor.records`), each row's attributes projected onto
 those the formula reads (``Monitor._cohort_key``) -- so hashing it
 never walks an element.
-Grouping a tick's work by ``(state_key, residual)`` is therefore an O(1)
-dict operation per session -- and for homogeneous traffic (many users
-driving the same screens through the same spec) almost every session of
-a tick lands in one cohort.  Each cohort costs exactly one
-:func:`repro.quickltl.progress` call; members inherit the resulting
-``(verdict, residual', size)`` by assignment.  Cohorts that share a
-state but not a residual still share one unroll memo, so subterms
-common to *different* residuals unroll once per state per tick.
+
+Each record is stepped when it arrives.  :class:`BatchProgressor` owns
+one bounded memo per monitor, keyed by ``(state key, residual)``: a
+miss costs exactly one :func:`repro.quickltl.progress` call, and every
+later record with the same key and residual -- from any session --
+inherits the resulting ``(verdict, residual', size)``.  Records that
+share a state but not a residual share that state's unroll memo, so
+subterms common to *different* residuals unroll once per state.  The
+memo resets whole at ``_MEMO_LIMIT`` steps.  It depends only on the
+order of the records this monitor was fed, never on how ingest chunked
+them, so ``cohort_steps`` is a function of the input stream.
 
 ``enabled=False`` degrades to faithful per-session stepping (one
 ``progress`` per record, fresh unroll memo each -- exactly what a
 :class:`~repro.quickltl.FormulaChecker` per session would do).  The
-bench holds batching to >= 2x over that baseline at 10k sessions, and
+bench holds the memo to >= 2x over that baseline at 10k sessions, and
 ``tests/monitor`` assert the two modes produce identical verdicts.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..quickltl import Formula, ProgressionCaches, Verdict, progress
 from ..specstrom.state import StateSnapshot
 from .records import StateKey
-from .table import SessionEntry
 
 __all__ = ["StepOutcome", "BatchProgressor"]
+
+#: Steps a progressor's memo holds before it resets whole.
+_MEMO_LIMIT = 1 << 14
 
 
 class StepOutcome:
@@ -54,23 +59,27 @@ class StepOutcome:
 
 
 class BatchProgressor:
-    """Progresses one round of (session, state) work through shared caches."""
+    """Steps records through shared caches and one bounded memo."""
 
-    __slots__ = ("caches", "enabled", "session_steps", "cohort_steps")
+    __slots__ = ("caches", "enabled", "session_steps", "cohort_steps",
+                 "_outcomes", "_unrolls")
 
     def __init__(self, caches: ProgressionCaches, enabled: bool = True) -> None:
         self.caches = caches
         self.enabled = enabled
-        #: Session-states applied (one per (session, state) pair).
+        #: Session-states applied (one per stepped record).
         self.session_steps = 0
         #: Distinct progression computations actually performed.
         self.cohort_steps = 0
+        self._outcomes: Dict[Tuple[StateKey, Formula], StepOutcome] = {}
+        #: State key -> the unroll memo its steps share.
+        self._unrolls: Dict[StateKey, dict] = {}
 
     @property
     def sharing_ratio(self) -> float:
-        """Fraction of session-steps served by another session's work.
+        """Fraction of session-steps served by another step's work.
 
-        1 - cohorts/steps: 0.0 when every session needed its own
+        1 - cohorts/steps: 0.0 when every record needed its own
         computation, -> 1.0 when one computation served everyone.
         """
         if not self.session_steps:
@@ -78,46 +87,32 @@ class BatchProgressor:
         return 1.0 - self.cohort_steps / self.session_steps
 
     def run_round(
-        self,
-        work: List[Tuple[SessionEntry, StateSnapshot, StateKey]],
-    ) -> List[StepOutcome]:
-        """Progress each ``(entry, state, state_key)`` one step.
+        self, residual: Formula, state: StateSnapshot, key: StateKey
+    ) -> StepOutcome:
+        """Progress ``residual`` one step over ``state``, keyed ``key``.
 
-        At most one item per session (the service's round discipline);
-        returns outcomes positionally aligned with ``work``.  A failing
-        progression (e.g. a state missing a selector the formula reads)
-        becomes an ``error`` outcome for every member of its cohort --
-        one session's bad state never poisons another cohort.
+        One record's step; ``perfbench/tracing.py`` wraps this method
+        by name as the ``monitor.round`` layer.  A failing progression
+        (e.g. a state missing a selector the formula reads) becomes an
+        ``error`` outcome, memoized like any other: it quarantines each
+        session that reaches it, never another state or residual.
         """
-        outcomes: List[Optional[StepOutcome]] = [None] * len(work)
+        self.session_steps += 1
         if not self.enabled:
-            for index, (entry, state, _key) in enumerate(work):
-                outcomes[index] = self._step(entry.residual, state, None)
-                self.cohort_steps += 1
-                self.session_steps += 1
-            return outcomes  # type: ignore[return-value]
-        # cohort key -> (representative state, member indices)
-        cohorts: "dict[Tuple[StateKey, Formula], Tuple[StateSnapshot, List[int]]]" = {}
-        order: List[Tuple[StateKey, Formula]] = []
-        for index, (entry, state, key) in enumerate(work):
-            cohort_key = (key, entry.residual)
-            slot = cohorts.get(cohort_key)
-            if slot is None:
-                cohorts[cohort_key] = (state, [index])
-                order.append(cohort_key)
-            else:
-                slot[1].append(index)
-        unroll_memos: "dict[StateKey, dict]" = {}
-        for cohort_key in order:
-            key, residual = cohort_key
-            state, members = cohorts[cohort_key]
-            memo = unroll_memos.setdefault(key, {})
-            outcome = self._step(residual, state, memo)
             self.cohort_steps += 1
-            self.session_steps += len(members)
-            for index in members:
-                outcomes[index] = outcome
-        return outcomes  # type: ignore[return-value]
+            return self._step(residual, state, None)
+        outcomes = self._outcomes
+        outcome = outcomes.get((key, residual))
+        if outcome is None:
+            if len(outcomes) >= _MEMO_LIMIT:
+                outcomes.clear()
+                self._unrolls.clear()
+            memo = self._unrolls.get(key)
+            if memo is None:
+                memo = self._unrolls[key] = {}
+            outcome = outcomes[key, residual] = self._step(residual, state, memo)
+            self.cohort_steps += 1
+        return outcome
 
     def _step(
         self,
@@ -129,6 +124,6 @@ class BatchProgressor:
             verdict, next_residual, size = progress(
                 residual, state, self.caches, unroll_memo
             )
-        except Exception as error:  # noqa: BLE001 - quarantined per cohort
+        except Exception as error:  # noqa: BLE001 - quarantined per session
             return StepOutcome(error=f"{type(error).__name__}: {error}")
         return StepOutcome(verdict=verdict, residual=next_residual, size=size)

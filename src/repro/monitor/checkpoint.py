@@ -29,9 +29,9 @@ Discipline:
 * **atomic**: :func:`save_shard_checkpoint` writes tmp + fsync +
   rename, so a crash mid-write leaves the previous checkpoint intact,
   never a torn one;
-* **quiescent**: a checkpoint is taken between processing rounds (the
-  service flushes first), so there is no in-flight record to lose --
-  the header's ``records_ingested`` is exact;
+* **quiescent**: the monitor applies every record as it is fed, so a
+  checkpoint taken between two feeds has no in-flight record to lose
+  -- the header's ``records_ingested`` is exact;
 * **cumulative**: restored metrics are *baselines*, not resets -- a
   restored run's final report counts the whole logical stream, so
   ``kill -9`` + restore reports the same totals an uninterrupted run
@@ -138,8 +138,8 @@ def _empty_snapshot() -> dict:
 def snapshot_monitor(monitor) -> dict:
     """The monitor's restorable state as a payload dict.
 
-    The caller must have flushed: pending records are *not* captured
-    (the service's drivers checkpoint only between rounds).
+    The progressor's memo is not captured: a restored monitor starts
+    it empty, so its later ``cohort_steps`` can only be higher.
     """
     report = monitor.report()  # folds intern/cache deltas into metrics
     return {
@@ -161,8 +161,8 @@ def snapshot_monitor(monitor) -> dict:
 
 
 def checkpoint_bytes(monitor, index: int, shards: int) -> bytes:
-    """Serialize a flushed monitor, shard ``index`` of ``shards``, to
-    checkpoint container bytes."""
+    """Serialize a monitor, shard ``index`` of ``shards``, to checkpoint
+    container bytes."""
     snapshot = snapshot_monitor(monitor)
     header = {
         "format": _FORMAT,
@@ -321,7 +321,7 @@ def restore_snapshot(monitor, snapshot: dict) -> None:
     monitor._cache_base_trims = metrics.cache_trims
     monitor._started = now - metrics.wall_s
     # The batcher's counters are the metrics' source of truth for
-    # states_applied/cohort_steps on the next round; seed them.
+    # states_applied/cohort_steps from the next step on; seed them.
     monitor.batcher.session_steps = metrics.states_applied
     monitor.batcher.cohort_steps = metrics.cohort_steps
     from .service import _QUARANTINE_SAMPLES

@@ -39,7 +39,6 @@ _SUMMED_FIELDS = (
     "intern_misses",
     "cache_evictions",
     "cache_trims",
-    "ticks",
     "parse_s",
     "progress_s",
 )
@@ -56,8 +55,9 @@ class MonitorMetrics:
     * ``late_records`` -- frames for sessions already retired (finished
       or evicted) -- counted, never applied;
     * ``states_applied`` / ``cohort_steps`` -- session-states progressed
-      vs distinct progression computations; their gap is the batching
-      win (:attr:`sharing_ratio`);
+      vs progression computations actually run (misses of the
+      progressor's memo, a function of the input stream alone); their
+      gap is the memo's win (:attr:`sharing_ratio`);
     * ``sessions_*`` -- lifecycle counts (``evicted_lru``/``evicted_idle``
       break the eviction total down);
     * ``verdicts`` -- final dispositions by verdict name, plus
@@ -67,9 +67,9 @@ class MonitorMetrics:
     * ``cache_evictions``/``cache_trims`` -- what the bounded
       :class:`~repro.quickltl.ProgressionCaches` dropped;
     * ``queue_depth_samples`` -- ingest-queue depths sampled per drain;
-    * ``ticks`` -- processing rounds run;
     * ``parse_s`` / ``progress_s`` -- seconds spent decoding wire lines
-      and progressing rounds (phases of ``wall_s``);
+      and stepping records (memo lookups plus progression; phases of
+      ``wall_s``);
     * ``wall_s`` -- wall-clock of the run (set by the service).
     """
 
@@ -93,7 +93,6 @@ class MonitorMetrics:
     cache_trims: int = 0
     max_formula_size: int = 0
     queue_depth_samples: List[int] = field(default_factory=list)
-    ticks: int = 0
     parse_s: float = 0.0
     progress_s: float = 0.0
     wall_s: float = 0.0
@@ -117,8 +116,8 @@ class MonitorMetrics:
         the max; ``wall_s`` takes the max (shards run concurrently, so
         the slowest shard *is* the run's wall clock); ingest-queue
         depth samples concatenate up to the usual cap (in a sharded
-        run they live on shard 0, whose ticks carry the dispatcher's
-        samples).
+        run they live on shard 0, whose idle ticks carry the
+        dispatcher's samples).
         """
         out = cls()
         for part in parts:
@@ -140,7 +139,7 @@ class MonitorMetrics:
 
     @property
     def sharing_ratio(self) -> float:
-        """Fraction of applied states served by a cohort-mate's step."""
+        """Fraction of applied states served by an earlier step's memo entry."""
         if not self.states_applied:
             return 0.0
         return 1.0 - self.cohort_steps / self.states_applied
@@ -186,7 +185,6 @@ class MonitorMetrics:
             "cache_trims": self.cache_trims,
             "max_formula_size": self.max_formula_size,
             "max_queue_depth": self.max_queue_depth,
-            "ticks": self.ticks,
             "parse_s": round(self.parse_s, 4),
             "progress_s": round(self.progress_s, 4),
             "wall_s": round(self.wall_s, 4),

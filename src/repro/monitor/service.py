@@ -9,14 +9,16 @@ polarity rule, so replaying any recorded trace through the monitor
 yields exactly the offline verdict (asserted by ``tests/monitor`` and
 the fuzzer's fifth leg).
 
-Processing is organised in *rounds*: each flush claims at most one
-pending record per session (preserving per-session order across
-rounds), hands the round to the :class:`~repro.monitor.batch.BatchProgressor`
-(same-(residual, state) cohorts cost one progression step), applies the
-outcomes, then sweeps the idle TTL.  A cohort's state is keyed on what
-the formula can read: each row's element attributes are projected onto
-the property's ``observed_attributes`` (:meth:`Monitor._cohort_key`), so
-sessions whose states differ only in unread attributes share a step.
+Each record is applied when it arrives, in arrival order: its session
+is opened or touched, then ended or stepped through the
+:class:`~repro.monitor.batch.BatchProgressor`'s memo (same-(state,
+residual) records cost one progression step between them), and any
+verdict it decides goes out before the next record is read.  A
+record's state is keyed on what the formula can read: each row's
+element attributes are projected onto the property's
+``observed_attributes`` (:meth:`Monitor._cohort_key`), so sessions
+whose states differ only in unread attributes share a step.
+:meth:`Monitor.flush` is only the idle tick: it sweeps the idle TTL.
 Sessions resolve by:
 
 * a **definitive** verdict mid-stream (``top``/``bottom`` residual),
@@ -54,6 +56,9 @@ _QUARANTINE_SAMPLES = 20
 #: The longest a quiet stream defers TTL sweeps, heartbeats and
 #: periodic checkpoints.
 _IDLE_WAIT_S = 0.5
+
+#: Lines :meth:`Monitor.run_queue` takes from the ingest queue per drain.
+_DRAIN_LINES = 4096
 
 #: Entries each cohort-key projection table holds before it resets whole.
 _PROJECTION_LIMIT = 1 << 14
@@ -127,7 +132,6 @@ class Monitor:
         max_sessions: Optional[int] = None,
         idle_ttl_s: Optional[float] = None,
         batch: bool = True,
-        batch_size: int = 4096,
         cache_entries: Optional[int] = None,
         resolve_at_eof: bool = False,
         on_verdict: Optional[Callable[[SessionVerdict], None]] = None,
@@ -157,12 +161,10 @@ class Monitor:
         )
         self.batcher = BatchProgressor(self.compiled.caches, enabled=batch)
         self.metrics = MonitorMetrics()
-        self.batch_size = max(1, batch_size)
         self.resolve_at_eof = resolve_at_eof
         self.on_verdict = on_verdict
         self._clock = clock
         self._started = clock()
-        self._pending: List[MonitorRecord] = []
         self._quarantine: List[Tuple[str, str]] = []
         self._intern = intern_delta()
         self._finished = False
@@ -201,94 +203,55 @@ class Monitor:
             self.metrics.sample_queue_depth(depth)
 
     def feed_record(self, record: MonitorRecord) -> None:
-        self.metrics.records_ingested += 1
-        self._pending.append(record)
-        if len(self._pending) >= self.batch_size:
-            self.flush()
+        """Apply one record now: open or touch its session, then end it
+        or step it, emitting any verdict this record decides."""
+        metrics = self.metrics
+        metrics.records_ingested += 1
+        now = self._clock()
+        entry = self.table.get(record.session_id)
+        if entry is None:
+            if self.table.retired_reason(record.session_id) is not None:
+                # Late: the session already resolved (or was evicted).
+                metrics.late_records += 1
+                return
+            entry = self._open_session(record.session_id, now)
+        else:
+            self.table.touch(entry, now)
+        if record.end:
+            self._resolve_end(entry, reason="")
+            return
+        key = self._cohort_key(record)
+        batcher = self.batcher
+        started = time.perf_counter()
+        outcome = batcher.run_round(entry.residual, record.state, key)
+        metrics.progress_s += time.perf_counter() - started
+        metrics.states_applied = batcher.session_steps
+        metrics.cohort_steps = batcher.cohort_steps
+        if outcome.error is not None:
+            self._settle(entry, "error", reason=outcome.error)
+            metrics.sessions_errored += 1
+            self.table.retire(entry.session_id, "error")
+            return
+        entry.states_seen += 1
+        entry.verdict = outcome.verdict
+        entry.residual = outcome.residual
+        if outcome.size > entry.max_formula_size:
+            entry.max_formula_size = outcome.size
+        if outcome.size > metrics.max_formula_size:
+            metrics.max_formula_size = outcome.size
+        if outcome.verdict.is_definitive:
+            self._settle(entry, "definitive", outcome.verdict.name)
+            metrics.sessions_finished += 1
+            self.table.retire(entry.session_id, "finished")
 
     # -- processing ----------------------------------------------------
 
     def flush(self) -> None:
-        """Process every pending record in session-ordered rounds: round
-        k holds the k-th pending record of every session, in arrival
-        order."""
-        pending = self._pending
-        self._pending = []
-        rounds: List[List[MonitorRecord]] = []
-        ordinals: Dict[str, int] = {}
-        for record in pending:
-            ordinal = ordinals.get(record.session_id, 0)
-            ordinals[record.session_id] = ordinal + 1
-            if ordinal == len(rounds):
-                rounds.append([])
-            rounds[ordinal].append(record)
-        for round_records in rounds:
-            self.metrics.ticks += 1
-            self._apply_round(round_records)
+        """The idle tick: sweep sessions idle past the TTL and sample
+        the live count.  Records are applied as they arrive, so there
+        is nothing pending to process."""
         self._sweep_idle()
         self.metrics.sessions_live = len(self.table)
-
-    def _apply_round(self, records: List[MonitorRecord]) -> None:
-        now = self._clock()
-        work: List[Tuple[SessionEntry, object, StateKey]] = []
-        for record in records:
-            entry = self.table.get(record.session_id)
-            if entry is None:
-                if self.table.retired_reason(record.session_id) is not None:
-                    # Late: the session already resolved (or was evicted).
-                    self.metrics.late_records += 1
-                    continue
-                entry = self._open_session(record.session_id, now)
-            else:
-                self.table.touch(entry, now)
-            if record.end:
-                self._resolve_end(entry, reason="")
-            else:
-                work.append((entry, record.state, self._cohort_key(record)))
-        if not work:
-            return
-        started = time.perf_counter()
-        outcomes = self.batcher.run_round(work)
-        self.metrics.progress_s += time.perf_counter() - started
-        self.metrics.states_applied = self.batcher.session_steps
-        self.metrics.cohort_steps = self.batcher.cohort_steps
-        for (entry, _state, _key), outcome in zip(work, outcomes):
-            if self.table.get(entry.session_id) is not entry:
-                # Evicted mid-round by a later arrival's LRU overflow;
-                # its inconclusive disposition is already out.
-                continue
-            if outcome.error is not None:
-                self._emit(SessionVerdict(
-                    session_id=entry.session_id,
-                    verdict=None,
-                    forced=False,
-                    disposition="error",
-                    reason=outcome.error,
-                    states=entry.states_seen,
-                ))
-                self.metrics.sessions_errored += 1
-                self.metrics.record_verdict("error")
-                self.table.retire(entry.session_id, "error")
-                continue
-            entry.states_seen += 1
-            entry.verdict = outcome.verdict
-            entry.residual = outcome.residual
-            if outcome.size > entry.max_formula_size:
-                entry.max_formula_size = outcome.size
-            if outcome.size > self.metrics.max_formula_size:
-                self.metrics.max_formula_size = outcome.size
-            if outcome.verdict.is_definitive:
-                self._emit(SessionVerdict(
-                    session_id=entry.session_id,
-                    verdict=outcome.verdict.name,
-                    forced=False,
-                    disposition="definitive",
-                    reason="",
-                    states=entry.states_seen,
-                ))
-                self.metrics.sessions_finished += 1
-                self.metrics.record_verdict(outcome.verdict.name)
-                self.table.retire(entry.session_id, "finished")
 
     def _cohort_key(self, record: MonitorRecord) -> StateKey:
         """``record``'s state key with every row's attributes projected
@@ -336,16 +299,8 @@ class Monitor:
             # Exactly the offline checker's budget-exhausted resolution.
             verdict = force_verdict(entry.residual)
             forced = True
-        self._emit(SessionVerdict(
-            session_id=entry.session_id,
-            verdict=verdict.name,
-            forced=forced,
-            disposition="ended",
-            reason=reason,
-            states=entry.states_seen,
-        ))
+        self._settle(entry, "ended", verdict.name, reason, forced)
         self.metrics.sessions_finished += 1
-        self.metrics.record_verdict(verdict.name)
         self.table.retire(entry.session_id, "finished")
 
     def _sweep_idle(self) -> None:
@@ -354,32 +309,41 @@ class Monitor:
             self.metrics.evicted_idle += 1
 
     def _emit_eviction(self, entry: SessionEntry, reason: str) -> None:
-        self._emit(SessionVerdict(
-            session_id=entry.session_id,
-            verdict=None,
-            forced=False,
-            disposition="inconclusive",
-            reason=reason,
-            states=entry.states_seen,
-        ))
+        self._settle(entry, "inconclusive", reason=reason)
         self.metrics.sessions_evicted += 1
-        self.metrics.record_verdict("inconclusive")
 
-    def _emit(self, verdict: SessionVerdict) -> None:
+    def _settle(
+        self,
+        entry: SessionEntry,
+        disposition: str,
+        verdict: Optional[str] = None,
+        reason: str = "",
+        forced: bool = False,
+    ) -> None:
+        """Emit ``entry``'s final disposition, then count it under its
+        verdict name (the disposition when there is none)."""
         if self.on_verdict is not None:
-            self.on_verdict(verdict)
+            self.on_verdict(SessionVerdict(
+                session_id=entry.session_id,
+                verdict=verdict,
+                forced=forced,
+                disposition=disposition,
+                reason=reason,
+                states=entry.states_seen,
+            ))
+        self.metrics.record_verdict(verdict or disposition)
 
     # -- checkpointing -------------------------------------------------
 
     def checkpoint_to(self, directory: str) -> str:
-        """Flush, then atomically snapshot this monitor's state under
-        ``directory`` as shard 0 of width 1 (see
+        """Sweep the idle TTL, then atomically snapshot this monitor's
+        state under ``directory`` as shard 0 of width 1 (see
         :mod:`repro.monitor.checkpoint`).
 
-        Returns the checkpoint path.  Safe to call on any cadence: the
-        flush makes the snapshot quiescent, the write is atomic, and a
-        crash mid-write leaves the previous checkpoint intact.  Other
-        widths' files are pruned once this one is down.
+        Returns the checkpoint path.  Safe to call on any cadence: every
+        fed record is already applied, the write is atomic, and a crash
+        mid-write leaves the previous checkpoint intact.  Other widths'
+        files are pruned once this one is down.
         """
         from .checkpoint import prune_shard_checkpoints, save_shard_checkpoint
 
@@ -423,7 +387,7 @@ class Monitor:
         return self.report()
 
     def finish(self) -> MonitorReport:
-        """Flush, resolve/discard remaining sessions, freeze metrics."""
+        """Sweep, resolve/discard remaining sessions, freeze metrics."""
         if self._finished:
             return self.report()
         self._finished = True
@@ -432,15 +396,7 @@ class Monitor:
             if self.resolve_at_eof:
                 self._resolve_end(entry, reason="eof")
             else:
-                self._emit(SessionVerdict(
-                    session_id=entry.session_id,
-                    verdict=None,
-                    forced=False,
-                    disposition="inconclusive",
-                    reason="eof",
-                    states=entry.states_seen,
-                ))
-                self.metrics.record_verdict("inconclusive")
+                self._settle(entry, "inconclusive", reason="eof")
         self.metrics.sessions_live = 0
         return self.report()
 
@@ -470,8 +426,7 @@ class Monitor:
     #
     # The only monitor loop: ShardedMonitor binds these two functions
     # too, so they use nothing but feed_line, count_ingest, flush,
-    # checkpoint_to, suspend, finish, heartbeat_line, batch_size and
-    # _clock.
+    # checkpoint_to, suspend, finish, heartbeat_line and _clock.
 
     def run_lines(self, lines: Iterable[str]) -> MonitorReport:
         """Drive a finite in-memory/file stream to completion."""
@@ -490,17 +445,17 @@ class Monitor:
     ) -> MonitorReport:
         """Drain an :class:`IngestQueue` until its producers close it.
 
-        Each batch is fed, counted (the lines the queue shed since the
-        last batch, and its depth) and flushed; the flush runs even
-        when the wait comes back empty, so TTL sweeps never wait for
-        traffic.  ``heartbeat_s`` prints :meth:`heartbeat_line` to
-        ``heartbeat_stream`` on that period.
+        Each drain of up to ``_DRAIN_LINES`` lines is fed (every record
+        is applied as it is fed), counted (the lines the queue shed
+        since the last drain, and its depth) and flushed; the flush
+        runs even when the wait comes back empty, so TTL sweeps never
+        wait for traffic.  ``heartbeat_s`` prints :meth:`heartbeat_line`
+        to ``heartbeat_stream`` on that period.
 
         ``checkpoint_dir`` snapshots the monitor there every
-        ``checkpoint_period_s`` (between drains, so every checkpoint is
-        quiescent) and once more at EOF -- and switches EOF from
-        :meth:`finish` to :meth:`suspend`: open sessions live on in the
-        final checkpoint instead of resolving ``inconclusive``, so a
+        ``checkpoint_period_s`` and once more at EOF -- and switches EOF
+        from :meth:`finish` to :meth:`suspend`: open sessions live on in
+        the final checkpoint instead of resolving ``inconclusive``, so a
         ``--restore`` run continues them seamlessly.
         """
         wait = _IDLE_WAIT_S
@@ -511,7 +466,7 @@ class Monitor:
         last_beat = last_checkpoint = self._clock()
         counted = 0
         while True:
-            batch = queue.get_batch(self.batch_size, timeout_s=wait)
+            batch = queue.get_batch(_DRAIN_LINES, timeout_s=wait)
             if batch is None:
                 break
             depth = queue.depth() + len(batch) if batch else None

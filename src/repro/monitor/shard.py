@@ -389,7 +389,6 @@ class ShardedMonitor:
         max_sessions: Optional[int] = None,
         idle_ttl_s: Optional[float] = None,
         batch: bool = True,
-        batch_size: int = 4096,
         cache_entries: Optional[int] = None,
         resolve_at_eof: bool = False,
         on_verdict: Optional[Callable[[SessionVerdict], None]] = None,
@@ -418,7 +417,6 @@ class ShardedMonitor:
         self.transport = transport
         self.property_name = check.name
         self.on_verdict = on_verdict
-        self.batch_size = max(1, batch_size)
         self._clock = time.monotonic
         self._buffers: List[List[str]] = [[] for _ in range(shards)]
         self._dispatched = 0
@@ -443,7 +441,6 @@ class ShardedMonitor:
             max_sessions=max_sessions,
             idle_ttl_s=idle_ttl_s,
             batch=batch,
-            batch_size=batch_size,
             cache_entries=cache_entries,
             resolve_at_eof=resolve_at_eof,
         )
@@ -598,7 +595,7 @@ class ShardedMonitor:
                 samples.append(channel.depth() * _CHUNK_SIZE)
 
     def flush(self) -> None:
-        """Ship partial chunks and have every shard run its rounds.
+        """Ship partial chunks and send every shard its idle tick.
 
         Shard 0's tick carries the ingest and channel drops since the
         last tick, and the newest ingest depth.

@@ -408,6 +408,34 @@ class TestTcpCapacity:
         finally:
             transport.close()
 
+    @pytest.mark.parametrize("fields, field", [
+        ({"host": "x", "pid": "abc"}, "pid"),
+        ({"host": ["x"], "pid": 1}, "host"),
+    ], ids=["pid", "host"])
+    def test_malformed_hello_is_answered_with_an_error(
+        self, monkeypatch, fields, field
+    ):
+        """A hello whose ``pid`` or ``host`` has the wrong type gets an
+        ``error`` frame and a closed socket, like a version mismatch;
+        the handler thread does not die on it."""
+        crashes = []
+        monkeypatch.setattr(threading, "excepthook", crashes.append)
+        transport = TcpTransport(min_workers=1)
+        try:
+            sock = socket.create_connection(("127.0.0.1", transport.port))
+            sock.settimeout(10.0)
+            send_frame(sock, {"type": "hello", "version": PROTOCOL_VERSION,
+                              "slots": 1, **fields})
+            reply = recv_frame(sock)
+            assert reply["type"] == "error"
+            assert f"'{field}'" in reply["reason"]
+            assert sock.recv(1) == b""  # then EOF
+            sock.close()
+            assert transport.capacity() == 0
+            assert crashes == []
+        finally:
+            transport.close()
+
 
 class TestCoordinatorWakeup:
     def test_await_workers_wakes_on_join_not_on_a_poll_tick(self):

@@ -1,27 +1,23 @@
-"""Cohort-grouped progression: sharing accounting, batched == naive."""
+"""Memoized per-record progression: sharing accounting, memo == naive."""
 
+from repro.monitor import batch as batch_module
 from repro.monitor.batch import BatchProgressor
-from repro.monitor.table import SessionEntry
 from repro.quickltl import Always, And, Atom, ProgressionCaches, atom
 
 # One shared formula object: atoms carry predicate closures, so sharing
-# (and hence cohort grouping) requires reusing the node, exactly as a
-# Monitor reuses its spec's formula for every session.
+# (and hence memo hits) requires reusing the node, exactly as a Monitor
+# reuses its spec's formula for every session.
 P = atom("p")
 Q = atom("q")
 FORMULA = Always(5, And(P, Q))
-
-
-def entry(session_id, residual=FORMULA):
-    return SessionEntry(session_id=session_id, residual=residual)
 
 
 class TestBatching:
     def test_cohort_members_share_one_step(self):
         batcher = BatchProgressor(ProgressionCaches())
         state = {"p": True, "q": True}
-        work = [(entry(f"s{i}"), state, "key-same") for i in range(4)]
-        outcomes = batcher.run_round(work)
+        outcomes = [batcher.run_round(FORMULA, state, "key-same")
+                    for _ in range(4)]
         assert batcher.session_steps == 4
         assert batcher.cohort_steps == 1
         assert batcher.sharing_ratio == 0.75
@@ -30,14 +26,11 @@ class TestBatching:
 
     def test_different_states_split_cohorts(self):
         batcher = BatchProgressor(ProgressionCaches())
-        work = [
-            (entry("a"), {"p": True, "q": True}, "k1"),
-            (entry("b"), {"p": True, "q": False}, "k2"),
-        ]
-        outcomes = batcher.run_round(work)
+        first = batcher.run_round(FORMULA, {"p": True, "q": True}, "k1")
+        second = batcher.run_round(FORMULA, {"p": True, "q": False}, "k2")
         assert batcher.cohort_steps == 2
-        assert outcomes[0].verdict is not None
-        assert outcomes[0].residual is not outcomes[1].residual
+        assert first.verdict is not None
+        assert first.residual is not second.residual
 
     def test_batched_equals_naive_per_session(self):
         trace = [
@@ -48,13 +41,14 @@ class TestBatching:
 
         def run(enabled):
             batcher = BatchProgressor(ProgressionCaches(), enabled=enabled)
-            entries = [entry(f"s{i}") for i in range(6)]
+            residuals = [FORMULA] * 6
             seen = []
             for position, state in enumerate(trace):
-                work = [(e, state, f"state-{position}") for e in entries]
-                outcomes = batcher.run_round(work)
-                for e, outcome in zip(entries, outcomes):
-                    e.residual = outcome.residual
+                outcomes = [
+                    batcher.run_round(residual, state, f"state-{position}")
+                    for residual in residuals
+                ]
+                residuals = [outcome.residual for outcome in outcomes]
                 seen.append([
                     (outcome.verdict, outcome.residual, outcome.size)
                     for outcome in outcomes
@@ -66,9 +60,42 @@ class TestBatching:
     def test_disabled_batching_counts_every_step_as_a_cohort(self):
         batcher = BatchProgressor(ProgressionCaches(), enabled=False)
         state = {"p": True, "q": True}
-        batcher.run_round([(entry(f"s{i}"), state, "same") for i in range(3)])
+        for _ in range(3):
+            batcher.run_round(FORMULA, state, "same")
         assert batcher.cohort_steps == batcher.session_steps == 3
         assert batcher.sharing_ratio == 0.0
+
+
+class TestMemo:
+    def test_a_later_record_reuses_an_earlier_step(self):
+        """The memo outlives any ingest chunk: a step is computed once
+        per (state key, residual), whenever its records arrive."""
+        batcher = BatchProgressor(ProgressionCaches())
+        state = {"p": True, "q": True}
+        first = batcher.run_round(FORMULA, state, "k")
+        batcher.run_round(first.residual, state, "k")
+        again = batcher.run_round(FORMULA, state, "k")
+        assert again is first
+        assert (batcher.session_steps, batcher.cohort_steps) == (3, 2)
+
+    def test_residuals_of_one_state_share_its_unroll_memo(self):
+        batcher = BatchProgressor(ProgressionCaches())
+        state = {"p": True, "q": True}
+        first = batcher.run_round(FORMULA, state, "k")
+        batcher.run_round(first.residual, state, "k")
+        assert list(batcher._unrolls) == ["k"]
+        assert batcher._unrolls["k"]
+
+    def test_a_full_memo_resets_whole(self, monkeypatch):
+        monkeypatch.setattr(batch_module, "_MEMO_LIMIT", 2)
+        batcher = BatchProgressor(ProgressionCaches())
+        state = {"p": True, "q": True}
+        for key in ("a", "b", "c"):
+            batcher.run_round(FORMULA, state, key)
+        assert list(batcher._outcomes) == [("c", FORMULA)]
+        assert list(batcher._unrolls) == ["c"]
+        batcher.run_round(FORMULA, state, "a")  # reset: a miss again
+        assert batcher.cohort_steps == 4
 
 
 class TestErrorIsolation:
@@ -79,15 +106,15 @@ class TestErrorIsolation:
         bad = Always(5, Atom("boom", boom))
         batcher = BatchProgressor(ProgressionCaches())
         state = {"p": True, "q": True}
-        work = [
-            (entry("bad1", bad), state, "k"),
-            (entry("bad2", bad), state, "k"),
-            (entry("good"), state, "k"),
+        outcomes = [
+            batcher.run_round(bad, state, "k"),
+            batcher.run_round(bad, state, "k"),
+            batcher.run_round(FORMULA, state, "k"),
         ]
-        outcomes = batcher.run_round(work)
         assert outcomes[0].error is not None
         assert "KeyError" in outcomes[0].error
-        # Same cohort, same (shared) error outcome.
+        # Same state and residual, same (memoized) error outcome.
         assert outcomes[1].error == outcomes[0].error
+        assert batcher.cohort_steps == 2
         assert outcomes[2].error is None
         assert outcomes[2].verdict is not None

@@ -22,10 +22,10 @@ from repro.monitor.synth import synth_lines
 from repro.specs import load_eggtimer_spec, spec_path
 
 #: Metrics keys that legitimately differ across a process restart
-#: (cache warmth, round counts, wall clock).
+#: (cache and step-memo warmth, wall clock).
 _RESTART_SENSITIVE = {
     "cohort_steps", "sharing_ratio", "intern_hits", "intern_misses",
-    "intern_hit_ratio", "cache_evictions", "cache_trims", "ticks",
+    "intern_hit_ratio", "cache_evictions", "cache_trims",
     "wall_s", "states_per_s", "max_queue_depth", "parse_s", "progress_s",
 }
 

@@ -1,19 +1,20 @@
 """Monitor end-to-end: lifecycles, eviction, EOF, quarantine, errors."""
 
-import pytest
-from hypothesis import given
-from hypothesis import strategies as st
+import json
 
+import pytest
+
+from repro.monitor.ingest import IngestQueue
 from repro.monitor.metrics import MonitorMetrics
-from repro.monitor.records import MonitorRecord, trace_records
+from repro.monitor.records import trace_records
 from repro.monitor.replay import interleave_sessions, monitor_verdicts
 from repro.monitor.service import Monitor
+from repro.monitor.shard import ShardedMonitor
 from repro.monitor.synth import _countdown, synth_lines, synth_traces
 from repro.quickltl import Always, Atom
 from repro.specs import spec_path
 from repro.specstrom import load_module_file
 from repro.specstrom.module import CheckSpec
-from tests.strategies import examples
 
 
 @pytest.fixture(scope="module")
@@ -95,9 +96,7 @@ class TestLifecycles:
 class TestEviction:
     def test_lru_cap_bounds_live_sessions(self, safety):
         cap = 8
-        monitor, verdicts = collect(
-            safety, max_sessions=cap, batch_size=1
-        )
+        monitor, verdicts = collect(safety, max_sessions=cap)
         traces, _ = synth_traces(seed=0, sessions=50, fault_rate=0.0)
         encoded = {
             sid: trace_records(sid, trace, end=False)
@@ -240,43 +239,52 @@ class TestQuarantine:
         ]
 
 
-def _rescanning_rounds(pending):
-    """The flush loop before bucketing, kept as the oracle: each round
-    re-scans every leftover record and claims one per session."""
-    rounds = []
-    while pending:
-        round_records, leftovers, claimed = [], [], set()
-        for record in pending:
-            if record.session_id in claimed:
-                leftovers.append(record)
-            else:
-                claimed.add(record.session_id)
-                round_records.append(record)
-        rounds.append(round_records)
-        pending = leftovers
-    return rounds
+class _ChunkedQueue(IngestQueue):
+    """A closed queue holding ``lines`` that hands out at most ``chunk``
+    lines per ``get_batch``."""
+
+    def __init__(self, lines, chunk):
+        super().__init__(maxsize=len(lines) + 1)
+        self.chunk = chunk
+        for line in lines:
+            self.put(line)
+        self.close()
+
+    def get_batch(self, max_items, timeout_s=None):
+        return super().get_batch(min(max_items, self.chunk), timeout_s)
 
 
-class TestFlushRounds:
-    @given(sessions=st.lists(st.sampled_from("abcde"), max_size=40))
-    @examples(100)
-    def test_rounds_equal_the_rescanning_loop(self, safety, sessions):
-        monitor = Monitor(safety, batch_size=1000)
-        rounds = []
-        monitor._apply_round = rounds.append
-        records = [
-            MonitorRecord(session_id=s, state=None, state_key=None, end=True)
-            for s in sessions
-        ]
-        for record in records:
-            monitor.feed_record(record)
-        monitor.flush()
+class TestDeterminism:
+    """Ingest chunking is not observable: verdicts and step counts depend
+    on the input stream alone."""
 
-        def identities(rounds):
-            return [[id(record) for record in r] for r in rounds]
+    LINES = list(synth_lines(seed=0, sessions=60, fault_rate=0.2))
 
-        assert identities(rounds) == identities(_rescanning_rounds(records))
-        assert monitor.metrics.ticks == len(rounds)
+    def drive(self, monitor, chunk):
+        lines = []
+        monitor.on_verdict = lambda verdict: lines.append(
+            json.dumps(verdict.to_dict(), sort_keys=True))
+        if chunk is None:
+            report = monitor.run_lines(self.LINES)
+        else:
+            report = monitor.run_queue(_ChunkedQueue(self.LINES, chunk))
+        metrics = report.metrics
+        return lines, metrics.cohort_steps, metrics.states_applied
+
+    @pytest.mark.parametrize("chunk", [1, 7, len(LINES), None],
+                             ids=["1", "7", "all", "run_lines"])
+    def test_chunking_changes_no_verdict_and_no_step(self, safety, chunk):
+        expected = self.drive(Monitor(safety), len(self.LINES))
+        assert expected[1:] == (19, 332)
+        assert len(expected[0]) == 60
+        assert self.drive(Monitor(safety), chunk) == expected
+        sharded = [self.drive(ShardedMonitor(safety, shards=2,
+                                             transport="inline"), size)
+                   for size in (len(self.LINES), chunk)]
+        assert sharded[0][1:] == sharded[1][1:]
+        assert sharded[0][2] == 332
+        for lines, _steps, _states in sharded:
+            assert sorted(lines) == sorted(expected[0])
 
 
 class TestPhaseTimings:

@@ -174,10 +174,12 @@ class TestMonitorCheckpointCLI:
                     "sessions_finished", "states_applied", "verdicts"):
             assert resumed_end[key] == full_end[key], key
 
-    def test_restore_without_checkpoint_dir_is_rejected(self):
-        with pytest.raises(SystemExit, match="--checkpoint"):
+    def test_restore_without_checkpoint_dir_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
             main(["monitor", spec_path("eggtimer.strom"), "--restore",
                   "--input", "-"])
+        assert excinfo.value.code == 2
+        assert "--restore requires --checkpoint DIR" in capsys.readouterr().err
 
 
 class TestMonitorShardedCLI:
@@ -281,13 +283,16 @@ class TestAudit:
         root = ElementTree.fromstring(out)
         assert root.tag == "testsuites"
 
-    def test_report_file_requires_junit_format(self):
-        with pytest.raises(SystemExit, match="--format junit"):
-            main(["audit", "vue", "--format", "json",
-                  "--report-file", "out.json"])
-        with pytest.raises(SystemExit, match="--format junit"):
-            main(["check", spec_path("eggtimer.strom"), "--app", "eggtimer",
-                  "--report-file", "report.xml"])
+    def test_report_file_requires_junit_format(self, capsys):
+        for argv in (["audit", "vue", "--format", "json",
+                      "--report-file", "out.json"],
+                     ["check", spec_path("eggtimer.strom"), "--app",
+                      "eggtimer", "--report-file", "report.xml"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            assert "--report-file only applies to --format junit" in \
+                capsys.readouterr().err
 
     @pytest.mark.parametrize("jobs", ["0", "auto"])
     def test_jobs_must_be_a_positive_int(self, jobs, capsys):
@@ -402,3 +407,46 @@ class TestTransportOptions:
             main(argv)
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    """A usage error found after parsing exits 2 like one argparse
+    finds itself; an error in the input a flag names exits 1."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["check", spec_path("eggtimer.strom"), "--app", "eggtimer",
+          "--listen", "7311"], "needs HOST:PORT, got '7311'"),
+        (["audit", "vue", "--listen", "127.0.0.1:http"],
+         "port must be an integer, got 'http'"),
+        (["monitor", spec_path("eggtimer.strom"), "--listen",
+          "127.0.0.1:70000"], "port out of range: 70000"),
+        (["worker", "--connect", ":7311"], "needs HOST:PORT, got ':7311'"),
+    ], ids=["check-listen", "audit-listen", "monitor-listen", "connect"])
+    def test_malformed_address_exits_2(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("app", ["nope", "todomvc:nope"])
+    def test_unknown_app_exits_2(self, app, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["check", spec_path("eggtimer.strom"), "--app", app])
+        assert excinfo.value.code == 2
+        assert f"unknown app {app!r}" in capsys.readouterr().err
+
+    def test_removed_batch_size_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["monitor", spec_path("eggtimer.strom"), "--input", "-",
+                  "--batch-size", "1"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --batch-size" in \
+            capsys.readouterr().err
+
+    def test_a_spec_without_checks_exits_1(self, tmp_path):
+        spec = tmp_path / "empty.strom"
+        spec.write_text("let ~x = 1;\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["monitor", str(spec), "--input", "-"])
+        # A message, not a number: the interpreter exits 1.
+        assert "defines no check properties" in str(excinfo.value.code)
