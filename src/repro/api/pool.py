@@ -58,9 +58,11 @@ class PoolMetrics:
       elapsed time its worker measured.  Campaigns overlap under
       pooling, so these may sum to more than ``wall_s``;
     * ``intern_hits`` / ``intern_misses`` -- each test's hash-cons
-      lookups (:func:`repro.quickltl.push_intern_counter`), summed: a
-      high hit ratio means the compiled engine reused existing nodes
-      instead of allocating (a reused step constructs none);
+      lookups, summed: the process-wide delta around the test
+      (:func:`repro.quickltl.intern_delta`), exact because a worker
+      runs one test at a time.  A high hit ratio means the compiled
+      engine reused existing nodes instead of allocating (a reused step
+      constructs none);
     * ``steps_reused`` -- steps the step table served (``to_dict`` adds
       the observed states, ``states_observed``, and their share); like
       the intern counts it varies with the transport, so JUnit and text

@@ -194,8 +194,8 @@ def campaign_tasks(
     horizon: tasks past the earliest failure seen so far are skipped --
     those indices are unreachable in the serial loop, so skipping them
     never changes the outcome, it only saves work.  ``cache`` (created
-    before any worker forks) lets consecutive tasks on the same worker
-    reuse a warm executor for the campaign's target instead of paying
+    before any worker forks) lets a worker's consecutive tasks on the
+    campaign's target reuse its parked executor instead of paying
     construction + ``Start`` per test.
 
     Each task carries every face a transport may need: the ``thunk``
@@ -407,12 +407,8 @@ class PooledScheduler:
         # aggregate into one number the parent can report.
         warm_hits = transport.make_counter(0)
         cold_starts = transport.make_counter(0)
-        # Bound held-warm executors: a worker serving many targets over
-        # a long audit must not accumulate one live session per target
-        # ever seen (LRU eviction at checkin).
         cache = ExecutorCache(enabled=reuse, warm_hits=warm_hits,
-                              cold_starts=cold_starts,
-                              max_entries=max(4, self.jobs))
+                              cold_starts=cold_starts)
         tasks: List[PoolTask] = []
         merges: List[CampaignMerge] = []
         for label, runner in entries:
@@ -420,13 +416,6 @@ class PooledScheduler:
             tasks.extend(campaign_tasks(runner, transport, label, cache))
             merges.append(CampaignMerge(runner, reporters, label))
         metrics.tasks_total = len(tasks)
-        # A target's warm executor is held only while it still has
-        # campaigns ahead (check_all shares one factory across every
-        # campaign; an audit has one per target, released as it ends).
-        last_use = {
-            runner.executor_factory: position
-            for position, (_, runner) in enumerate(entries)
-        }
         merge_for = {merge.label: merge for merge in merges}
         arrived: Dict[Tuple[str, int], object] = {}
         cursor = 0
@@ -447,12 +436,6 @@ class PooledScheduler:
                     merge.step(arrived.pop(key))
                 merge.finish()
                 metrics.campaign_wall_s[merge.label] = merge.wall_s
-                factory = merge.runner.executor_factory
-                if last_use[factory] == cursor:
-                    # Early release of the target's warm executor where
-                    # the cache is this process's (the inline transport);
-                    # forked workers' copies die with them.
-                    cache.release(factory)
                 cursor += 1
 
         def on_result(task_id, outcome, elapsed) -> None:
@@ -465,13 +448,13 @@ class PooledScheduler:
         try:
             if tasks:
                 # worker_exit closes each forked worker's private cache
-                # (stopping its warm executors) as the worker drains its
+                # (stopping its parked executor) as the worker drains its
                 # sentinel -- per-worker state the parent cannot reach.
                 transport.run(tasks, self.jobs, on_result=on_result,
                               metrics=metrics, worker_exit=cache.close)
         finally:
-            # Stop any still-warm executors the per-target release
-            # missed.
+            # Stop the executor this process parked (the inline
+            # transport's).
             cache.close()
         advance()
         if cursor < len(merges):  # pragma: no cover - transports deliver all

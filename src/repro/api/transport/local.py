@@ -120,8 +120,8 @@ class ForkTransport(PoolTransport):
                     elapsed = time.perf_counter() - started
                     result_queue.put((position, outcome, worker_id, elapsed))
             finally:
-                # Clean worker shutdown: release per-worker state (warm
-                # executors) that only exists in this forked child.
+                # Clean worker shutdown: release per-worker state (the
+                # parked executor) that only exists in this forked child.
                 if worker_exit is not None:
                     worker_exit()
 

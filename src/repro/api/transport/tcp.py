@@ -23,9 +23,9 @@ Design points, in the order they bite:
   calling :attr:`PoolTask.record` as each result lands.
 * **Workers die.**  Any frame refreshes a worker's liveness (idle
   workers send ``ping``\\ s); a connection that goes quiet past the
-  heartbeat timeout, or EOFs, is declared dead -- its in-flight tasks
-  are requeued at the *front* of the queue so surviving workers retry
-  them first, and the loss is attributed to the exact task ids in
+  heartbeat timeout, or EOFs, is declared dead -- its in-flight task
+  is requeued at the *front* of the queue so surviving workers retry
+  it first, and the loss is attributed to the exact task id in
   :attr:`TcpTransport.requeue_log`.  Only when no worker remains (and
   none joins within the grace period) does the batch abort with
   :class:`WorkerCrashed` naming the in-flight and unreported ids.
@@ -63,8 +63,10 @@ class _RemoteWorker:
         self.host = host
         self.pid = pid
         self.last_seen = now
-        #: wire ids (batch positions) dispatched but not yet reported.
-        self.in_flight: Dict[int, None] = {}
+        #: The wire id (batch position) dispatched but not yet
+        #: reported: a worker asks for a task only after reporting its
+        #: last one, so it has at most one.
+        self.in_flight: Optional[int] = None
         self.alive = True
 
     @property
@@ -237,7 +239,7 @@ class TcpTransport(PoolTransport):
         epoch = self._epoch
         with self._lock:
             for worker in self._workers:
-                worker.in_flight.clear()  # stale entries from an abort
+                worker.in_flight = None  # stale from an abort
 
         pending: Deque[int] = collections.deque(range(len(tasks)))
         outcomes: Dict[Hashable, object] = {}
@@ -258,6 +260,11 @@ class TcpTransport(PoolTransport):
 
         def dispatch(worker: _RemoteWorker) -> None:
             """Answer a ``next``: send one task, or ``wait``."""
+            if worker.in_flight is not None:
+                # Asking again before reporting drops the task: it is
+                # retried first, like a dead worker's.
+                pending.appendleft(worker.in_flight)
+                worker.in_flight = None
             while pending:
                 position = pending.popleft()
                 task = tasks[position]
@@ -268,28 +275,26 @@ class TcpTransport(PoolTransport):
                 if task.skip is not None and task.skip():
                     settle(position, SKIPPED, worker, 0.0)
                     continue
-                worker.in_flight[position] = None
-                if self._send(worker, {
+                worker.in_flight = position
+                # A failed send queues a leave event, which requeues it.
+                self._send(worker, {
                     "type": "task",
                     "id": position,
                     "epoch": epoch,
                     "body": task.payload,
-                }):
-                    return
-                # Send failed; the leave event will requeue it.
+                })
                 return
             self._send(worker, {"type": "wait", "for_s": self._heartbeat_wait()})
 
         def reap(worker: _RemoteWorker, reason: str) -> None:
-            """Bury a dead worker, requeueing its in-flight tasks."""
+            """Bury a dead worker, requeueing its in-flight task."""
             if not worker.alive:
                 return
             self._drop_worker(worker)
-            for position in sorted(worker.in_flight, reverse=True):
-                if tasks[position].id not in outcomes:
-                    self.requeue_log.append((worker.label, tasks[position].id))
-                    pending.appendleft(position)
-            worker.in_flight.clear()
+            position, worker.in_flight = worker.in_flight, None
+            if position is not None and tasks[position].id not in outcomes:
+                self.requeue_log.append((worker.label, tasks[position].id))
+                pending.appendleft(position)
 
         no_worker_since: Optional[float] = None
         while len(outcomes) < len(tasks):
@@ -320,7 +325,8 @@ class TcpTransport(PoolTransport):
                 if message.get("epoch") != epoch:
                     continue  # straggler from an aborted batch
                 position = int(message["id"])
-                worker.in_flight.pop(position, None)
+                if worker.in_flight == position:
+                    worker.in_flight = None
                 if tasks[position].id in outcomes:
                     continue  # completed by a requeue race
                 if mtype == "result":

@@ -29,11 +29,13 @@ pickle bytes a fork-pool worker would enqueue -- is byte-identical no
 matter which host ran it.
 
 Executor reuse is per-process (a private
-:class:`~repro.api.lease.ExecutorCache`): warm executors never cross
-the wire, matching the fork pool where they never cross process
-boundaries.  Every test is leased -- from a disabled cache when the
-batch turned reuse off -- and its result frame reports the lease's own
-warm flag, so the coordinator's warm/cold counts match a local run's.
+:class:`~repro.api.lease.ExecutorCache`, which parks the last test's
+executor and stops it once the worker moves to another target): warm
+executors never cross the wire, matching the fork pool where they never
+cross process boundaries.  Every test is leased -- from a disabled
+cache when the batch turned reuse off -- and its result frame reports
+the lease's own warm flag, so the coordinator's warm/cold counts match
+a local run's.
 
 A worker process is one slot: one pull loop on one connection.  It
 sends ``next``, reads the reply frame, runs the task (if it is one) to
@@ -327,10 +329,10 @@ def run_worker(
     """Serve a coordinator at ``host:port`` until it says shutdown (or
     the connection dies).
 
-    The process keeps a private executor cache and runner cache -- the
-    same isolation discipline as a fork-pool worker.  Returns a process
-    exit code: 0 on clean shutdown, non-zero when the connection was
-    lost or rejected.
+    The process keeps a private executor cache (one parked executor)
+    and runner cache -- the same isolation discipline as a fork-pool
+    worker.  Returns a process exit code: 0 on clean shutdown, non-zero
+    when the connection was lost or rejected.
     """
     stream = log_stream if log_stream is not None else sys.stderr
 

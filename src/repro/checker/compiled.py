@@ -10,8 +10,7 @@ pipeline hangs its shared state off:
   work as dict hits.  The bundle is plain per-process state: the
   scheduler compiles *before* the worker pool forks, so every forked
   worker inherits a warm copy-on-write instance (fork-safe by
-  construction; threads of one process may share one, which is safe
-  because entries are deterministic functions of their keys);
+  construction, and each worker runs one test at a time);
 * the *action footprint*: every selector the spec's action guards,
   action bodies and watched events can read.  Per-state narrowing must
   always keep these -- the runner evaluates guards against every

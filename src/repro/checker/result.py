@@ -41,10 +41,10 @@ class TestResult:
     ``intern_misses`` count the hash-cons table lookups the test (or
     replay) made, and ``query_width_sum`` totals the per-state captured
     query counts (``/ states_observed`` = the mean width query
-    narrowing achieved).  The intern counters are kept per thread
-    (:func:`~repro.quickltl.push_intern_counter`), so they count only
-    this test's (or replay's) constructions, whatever other threads of
-    the process intern meanwhile.  ``steps_reused``
+    narrowing achieved).  The intern counters are the process-wide
+    delta around the test or replay
+    (:func:`~repro.quickltl.intern_delta`); a worker runs one test at a
+    time, so they count only its constructions.  ``steps_reused``
     counts the steps the property's step table served.
     """
 

@@ -27,12 +27,7 @@ from typing import Callable, List, Optional, Tuple
 from ..executors.base import ActionFailed
 from ..protocol.messages import Acted, Act, Narrow, Start, Timeout
 from ..protocol.session import TraceEntry
-from ..quickltl import (
-    FormulaChecker,
-    Verdict,
-    pop_intern_counter,
-    push_intern_counter,
-)
+from ..quickltl import FormulaChecker, Verdict, intern_delta
 from ..specstrom.actions import PrimitiveAction, PrimitiveEvent, ResolvedAction
 from ..specstrom.errors import SpecEvalError
 from ..specstrom.eval import EvalContext, evaluate
@@ -259,15 +254,13 @@ class Runner:
     def _drive_test(self, executor, rng: random.Random) -> TestResult:
         """THE session loop (paper, Sections 2.3 and 3.4).
 
-        Interning is counted on a per-thread counter (not the global
-        table deltas), so each test reports its own work whatever other
-        threads of the process intern meanwhile.
+        Interning is counted as the process-wide delta around the test:
+        a worker runs one test at a time, so it is this test's work.
         """
         checker = self.compiled_spec().checker()
         config = self.config
         narrower = self._narrower(executor, checker)
-        counter, token = push_intern_counter()
-        try:
+        with intern_delta() as interning:
             acc = TraceAccumulator(checker, self._step_key())
             fired: List[_FiredAction] = []
             actions_taken = 0
@@ -346,13 +339,11 @@ class Runner:
                 actions=[(f.name, f.resolved) for f in fired],
                 stall_reason=stall_reason,
                 max_formula_size=checker.max_formula_size,
-                intern_hits=counter[0],
-                intern_misses=counter[1],
+                intern_hits=interning.hits,
+                intern_misses=interning.misses,
                 query_width_sum=acc.query_width_sum,
                 steps_reused=checker.steps_reused,
             )
-        finally:
-            pop_intern_counter(token)
 
     # ------------------------------------------------------------------
     # Action selection
@@ -403,9 +394,8 @@ class Runner:
         """Re-run a concrete action sequence; returns the result, or None
         when the sequence is not replayable (an action lost its target).
 
-        Like :meth:`_drive_test`, interning is counted on a per-thread
-        counter, so a shrink replay does not count what other threads
-        intern meanwhile.
+        Like :meth:`_drive_test`, interning is counted as the
+        process-wide delta around the replay.
         """
         executor = self.executor_factory()
         executor.start(self._start_message())
@@ -414,8 +404,7 @@ class Runner:
         narrower = self._narrower(executor, checker)
         actions_by_name = {a.name: a for a in self.spec.actions}
         timeout_by_name = {a.name: a.timeout_ms for a in self.spec.actions}
-        counter, token = push_intern_counter()
-        try:
+        with intern_delta() as interning:
             acc = TraceAccumulator(checker, self._step_key())
             start_ms = executor.now_ms
             dispatched = 0  # the verdict can turn definitive mid-sequence
@@ -471,10 +460,8 @@ class Runner:
                 trace=acc.trace,
                 actions=list(actions),
                 max_formula_size=checker.max_formula_size,
-                intern_hits=counter[0],
-                intern_misses=counter[1],
+                intern_hits=interning.hits,
+                intern_misses=interning.misses,
                 query_width_sum=acc.query_width_sum,
                 steps_reused=checker.steps_reused,
             )
-        finally:
-            pop_intern_counter(token)

@@ -212,7 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="cap live sessions; admitting past the cap "
                               "evicts least-recently-active sessions as "
                               "inconclusive")
-    monitor.add_argument("--idle-ttl", type=float, default=None,
+    monitor.add_argument("--idle-ttl", type=_positive_float, default=None,
                          metavar="SECONDS",
                          help="evict sessions silent this long as "
                               "inconclusive")
@@ -238,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          metavar="N",
                          help="bound the shared progression caches to N "
                               "entries (trimmed wholesale when exceeded)")
-    monitor.add_argument("--heartbeat", type=float, default=10.0,
+    monitor.add_argument("--heartbeat", type=_heartbeat_period, default=10.0,
                          metavar="SECONDS",
                          help="stderr heartbeat period (0 disables)")
     monitor.add_argument("--resolve-at-eof", action="store_true",
@@ -255,7 +255,8 @@ def _build_parser() -> argparse.ArgumentParser:
                               "suspends open sessions into the final "
                               "checkpoint instead of resolving them "
                               "inconclusive")
-    monitor.add_argument("--checkpoint-period", type=float, default=5.0,
+    monitor.add_argument("--checkpoint-period", type=_positive_float,
+                         default=5.0,
                          metavar="SECONDS",
                          help="how often to checkpoint (default: 5)")
     monitor.add_argument("--restore", action="store_true",
@@ -286,6 +287,22 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
+def _heartbeat_period(text: str) -> float:
+    """``--heartbeat``: a positive period, or 0 to disable heartbeats."""
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(
+            f"must be positive, or 0 to disable, got {text}")
     return value
 
 

@@ -15,8 +15,8 @@ activity during those advances produces ``Event`` messages, which is how
 the staleness scenario of Figure 10 arises.
 
 The protocol is synchronous: a session holds its worker (the caller's
-thread, a pool thread or process, a remote worker slot) from ``start``
-to ``stop``, and parallelism comes from running more workers.
+thread, a fork worker or a ``repro worker`` process) from ``start`` to
+``stop``, and parallelism comes from running more workers.
 """
 
 from __future__ import annotations

@@ -400,10 +400,15 @@ class Monitor:
         self.metrics.sessions_live = 0
         return self.report()
 
-    def report(self) -> MonitorReport:
-        """The current report (finalised counters, live or finished)."""
+    def _stamp_wall(self) -> MonitorMetrics:
+        """The metrics, with ``wall_s`` read off the monitor's clock."""
         metrics = self.metrics
         metrics.wall_s = max(0.0, self._clock() - self._started)
+        return metrics
+
+    def report(self) -> MonitorReport:
+        """The current report (finalised counters, live or finished)."""
+        metrics = self._stamp_wall()
         metrics.intern_hits = self._intern_base_hits + self._intern.hits
         metrics.intern_misses = (
             self._intern_base_misses + self._intern.misses
@@ -420,7 +425,7 @@ class Monitor:
 
     def heartbeat_line(self, queue_depth: int) -> str:
         """The periodic stderr one-liner (:meth:`MonitorMetrics.heartbeat_line`)."""
-        return self.metrics.heartbeat_line(queue_depth)
+        return self._stamp_wall().heartbeat_line(queue_depth)
 
     # -- drivers -------------------------------------------------------
     #
@@ -456,8 +461,13 @@ class Monitor:
         ``checkpoint_period_s`` and once more at EOF -- and switches EOF
         from :meth:`finish` to :meth:`suspend`: open sessions live on in
         the final checkpoint instead of resolving ``inconclusive``, so a
-        ``--restore`` run continues them seamlessly.
+        ``--restore`` run continues them seamlessly.  Both periods must
+        be positive (``heartbeat_s=None`` disables heartbeats).
         """
+        for name, period in (("checkpoint_period_s", checkpoint_period_s),
+                             ("heartbeat_s", heartbeat_s)):
+            if period is not None and not period > 0:
+                raise ValueError(f"{name} must be positive, got {period}")
         wait = _IDLE_WAIT_S
         if heartbeat_s is not None:
             wait = min(wait, heartbeat_s)

@@ -39,8 +39,6 @@ from .syntax import (
     intern_stats,
     intern_table_size,
     intern_delta,
-    push_intern_counter,
-    pop_intern_counter,
     InternDelta,
     DEFAULT_SUBSCRIPT,
 )
@@ -98,8 +96,6 @@ __all__ = [
     "intern_stats",
     "intern_table_size",
     "intern_delta",
-    "push_intern_counter",
-    "pop_intern_counter",
     "InternDelta",
     "DEFAULT_SUBSCRIPT",
     "unroll",

@@ -91,8 +91,7 @@ class ProgressionCaches:
     entry count crosses the bound the bundle resets wholesale -- entries
     are deterministic functions of their keys, so a reset costs only
     re-derivation, never correctness.  ``evicted_entries``/``trims``
-    count what the resets dropped; a bundle shared across threads makes
-    them advisory.
+    count what the resets dropped.
     """
 
     __slots__ = ("simplify", "step", "valuation", "sizes", "max_entries",
@@ -180,25 +179,19 @@ def formula_size(formula: Formula, sizes: Optional[dict] = None) -> int:
         return _tree_size(formula)
     if cached is not None:
         return cached
-    try:
-        stack = [formula]
-        while stack:
-            node = stack.pop()
-            if node in sizes:
-                continue
-            kids = _size_children(node)
-            pending = [child for child in kids if child not in sizes]
-            if pending:
-                stack.append(node)
-                stack.extend(pending)
-            else:
-                sizes[node] = 1 + sum(sizes[child] for child in kids)
-        return sizes[formula]
-    except KeyError:  # pragma: no cover - concurrent cache trim
-        # A shared `sizes` table (threads sharing one ProgressionCaches
-        # bundle) can be cleared by another thread's trim() mid-walk;
-        # redo the measurement on a private memo.
-        return formula_size(formula, {})
+    stack = [formula]
+    while stack:
+        node = stack.pop()
+        if node in sizes:
+            continue
+        kids = _size_children(node)
+        pending = [child for child in kids if child not in sizes]
+        if pending:
+            stack.append(node)
+            stack.extend(pending)
+        else:
+            sizes[node] = 1 + sum(sizes[child] for child in kids)
+    return sizes[formula]
 
 
 def _size_children(node: Formula):

@@ -42,16 +42,16 @@ nothing for the unchanged bulk of an ``always``/``until`` residual.
 
 The intern table holds *weak* references, so formulas die normally; it
 is a plain per-process table -- ``fork`` gives every worker its own
-copy-on-write instance, and between threads of one process a lost race
-simply builds an extra structurally-equal node (``__eq__`` keeps a
-structural fallback precisely so uninterned duplicates stay sound).
-:func:`intern_stats` exposes the hit/miss counters the pool metrics
-report as the intern-table hit rate.
+copy-on-write instance (``__eq__`` keeps a structural fallback so
+uninterned or unpickled duplicates stay sound).  :func:`intern_stats`
+exposes the per-process hit/miss counters; each worker runs one test
+at a time, so an :func:`intern_delta` around a test counts that test's
+constructions, which the pool metrics report as the intern-table hit
+rate.
 """
 
 from __future__ import annotations
 
-import contextvars
 import weakref
 from typing import Callable, Optional, Tuple
 
@@ -82,8 +82,6 @@ __all__ = [
     "intern_stats",
     "intern_table_size",
     "intern_delta",
-    "push_intern_counter",
-    "pop_intern_counter",
     "InternDelta",
     "DEFAULT_SUBSCRIPT",
 ]
@@ -102,44 +100,12 @@ _INTERN: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
 #: ``[hits, misses]`` of the intern table, per process.
 _STATS = [0, 0]
 
-#: Optional *per-thread* ``[hits, misses]`` counter.  Threads of one
-#: process may construct formulas at once, so the classic "subtract two
-#: :func:`intern_stats` snapshots" trick would attribute every
-#: concurrent thread's constructions to the test being counted.  A counter
-#: installed here (via :func:`push_intern_counter`) is bumped alongside
-#: the global stats but lives in the ambient :mod:`contextvars` context
-#: -- each thread has its own, so per-test deltas stay exact while
-#: sibling threads intern.  ``None`` (the default) costs one
-#: ``ContextVar.get`` per construction and nothing else.
-_LOCAL_STATS: "contextvars.ContextVar[Optional[list]]" = contextvars.ContextVar(
-    "quickltl_intern_local", default=None
-)
-
-
-def push_intern_counter() -> Tuple[list, object]:
-    """Install a fresh per-thread ``[hits, misses]`` counter.
-
-    Returns ``(counter, token)``; pass the token to
-    :func:`pop_intern_counter` when the region ends.  The counter sees
-    exactly the constructions made by this thread between push and pop,
-    regardless of what other threads intern concurrently -- unlike the
-    global :func:`intern_stats` deltas.
-    """
-    counter = [0, 0]
-    return counter, _LOCAL_STATS.set(counter)
-
-
-def pop_intern_counter(token: object) -> None:
-    """Uninstall a counter installed by :func:`push_intern_counter`."""
-    _LOCAL_STATS.reset(token)
-
 
 def intern_stats() -> Tuple[int, int]:
     """``(hits, misses)`` of the intern table since process start.
 
     A *hit* is a construction that returned an already-live node; a
-    *miss* allocated a new one.  The totals count every thread; the
-    checker runner counts each test on a :func:`push_intern_counter`.
+    *miss* allocated a new one.
     """
     return _STATS[0], _STATS[1]
 
@@ -206,9 +172,9 @@ def intern_delta() -> InternDelta:
             ...build formulas...
         print(delta.hits, delta.misses, delta.hit_ratio)
 
-    Replaces the hand-rolled ``intern_stats()`` subtraction (the
-    monitor's sharing report, ``bench_progression``); like it, it counts
-    every thread, so per-test counts use :func:`push_intern_counter`.
+    It counts the whole process, like :func:`intern_stats`: the checker
+    runner wraps each test and each replay in one, and the monitor its
+    whole stream.
     """
     return InternDelta()
 
@@ -252,15 +218,10 @@ class _InternedMeta(type):
             node = _INTERN.get(key)
         except TypeError:  # unhashable field value
             return _uninterned(cls, args, {})
-        local = _LOCAL_STATS.get()
         if node is not None:
             _STATS[0] += 1
-            if local is not None:
-                local[0] += 1
             return node
         _STATS[1] += 1
-        if local is not None:
-            local[1] += 1
         node = type.__call__(cls, *args)
         object.__setattr__(node, "_hash", hash(key))
         _INTERN[key] = node

@@ -160,54 +160,113 @@ class TestDisabled:
 
 class TestClose:
     def test_close_stops_every_warm_executor(self):
+        """One slot: parking B's executor stops A's, and close stops
+        B's, so every warm executor is stopped by the end."""
         cache = ExecutorCache()
         factory_a, factory_b = make_factory(), make_factory()
         for factory in (factory_a, factory_b):
             lease = cache.lease(factory)
             checkin(lease, checkout(lease))
-        assert len(cache) == 2
+        assert len(cache) == 1
         cache.close()
         assert len(cache) == 0
         assert factory_a.made[0].stopped == 1
         assert factory_b.made[0].stopped == 1
 
 
+class RaisingStopExecutor(FakeExecutor):
+    def stop(self):
+        super().stop()
+        raise RuntimeError("the session is already gone")
+
 
 class TestStopFailures:
     """A parked executor whose ``stop()`` raises must neither leak the
-    executors parked after it nor fail the batch: ``close`` and
-    ``release`` swallow the error as eviction does."""
-
-    def park_two(self, cache):
-        """Park one executor under each of two keys; the first refuses
-        to stop."""
-
-        class RaisingStopExecutor(FakeExecutor):
-            def stop(self):
-                super().stop()
-                raise RuntimeError("the session is already gone")
-
-        factories = [make_factory(cls=RaisingStopExecutor), make_factory()]
-        for factory in factories:
-            lease = cache.lease(factory)
-            checkin(lease, checkout(lease))
-        assert len(cache) == 2
-        return factories, [factory.made[0] for factory in factories]
+    executor parked after it nor fail the batch: ``close`` swallows the
+    error as displacement does."""
 
     def test_close_stops_every_parked_executor(self):
         cache = ExecutorCache()
-        _, made = self.park_two(cache)
-        cache.close()
+        made = []
+        for cls in (RaisingStopExecutor, RaisingStopExecutor):
+            factory = make_factory(cls=cls)
+            lease = cache.lease(factory)
+            checkin(lease, checkout(lease))
+            made.append(factory.made[0])
+        assert len(cache) == 1
+        cache.close()  # the second one's stop raises too
         assert [executor.stopped for executor in made] == [1, 1]
         assert len(cache) == 0
 
-    def test_release_stops_every_parked_executor(self):
+
+class TestOneSlot:
+    """A worker parks one executor: the last test's."""
+
+    def test_parking_b_stops_the_parked_a(self):
         cache = ExecutorCache()
-        factories, made = self.park_two(cache)
-        for factory in factories:
-            cache.release(factory)
-        assert [executor.stopped for executor in made] == [1, 1]
+        factory_a, factory_b = make_factory(), make_factory()
+        lease_a = cache.lease(factory_a)
+        executor_a = checkout(lease_a)
+        executor_b = checkout(cache.lease(factory_b))
+        checkin(lease_a, executor_a)
+        checkin(cache.lease(factory_b), executor_b)
+        assert executor_a.stopped == 1
+        assert executor_b.stopped == 0
+        assert len(cache) == 1
+        assert checkout(cache.lease(factory_b)) is executor_b
+
+    def test_parking_b_survives_an_a_whose_stop_raises(self):
+        cache = ExecutorCache()
+        factory_a = make_factory(cls=RaisingStopExecutor)
+        factory_b = make_factory()
+        lease_a, lease_b = cache.lease(factory_a), cache.lease(factory_b)
+        executor_a, executor_b = checkout(lease_a), checkout(lease_b)
+        checkin(lease_a, executor_a)
+        checkin(lease_b, executor_b)  # must not raise
+        assert executor_a.stopped == 1
+        assert len(cache) == 1
+        assert checkout(cache.lease(factory_b)) is executor_b
+
+    def test_checkout_for_b_stops_the_parked_a_before_constructing(self):
+        cache = ExecutorCache()
+        events = []
+
+        class Logged(FakeExecutor):
+            def __init__(self, name):
+                super().__init__()
+                self.name = name
+                events.append(("construct", name))
+
+            def stop(self):
+                super().stop()
+                events.append(("stop", self.name))
+
+        def factory_a():
+            return Logged("a")
+
+        def factory_b():
+            return Logged("b")
+
+        lease = cache.lease(factory_a)
+        checkin(lease, checkout(lease))
+        lease_b = cache.lease(factory_b)
+        checkout(lease_b)
+        assert events == [("construct", "a"), ("stop", "a"), ("construct", "b")]
+        assert not lease_b.warm
         assert len(cache) == 0
+        assert (cache.warm_hits.value, cache.cold_starts.value) == (0, 2)
+
+    def test_close_stops_the_parked_executor(self):
+        cache = ExecutorCache()
+        factory = make_factory()
+        lease = cache.lease(factory)
+        checkin(lease, checkout(lease))
+        cache.close()
+        assert factory.made[0].stopped == 1
+        assert len(cache) == 0
+        cache.close()  # nothing parked: a no-op
+        assert factory.made[0].stopped == 1
+
 
 class TestCountersAcrossLeases:
     def test_counts_accumulate_over_a_campaign_shape(self):
@@ -221,45 +280,15 @@ class TestCountersAcrossLeases:
         assert cache.warm_hits.value == 4
         assert len(factory.made) == 1
 
-    def test_lease_key_override(self):
-        """Explicit keys group factories built per call."""
-        cache = ExecutorCache()
-        executors = []
-        for _ in range(3):
-            factory = make_factory()  # a fresh factory object each time
-            lease = cache.lease(factory, key="shared-target")
-            executors.append(checkout(lease))
-            checkin(lease, executors[-1])
-        assert executors[1] is executors[0]
-        assert executors[2] is executors[0]
-        assert cache.warm_hits.value == 2
-
     def test_lease_is_exported_type(self):
         cache = ExecutorCache()
         assert isinstance(cache.lease(make_factory()), ExecutorLease)
 
 
-class TestRelease:
-    def test_release_stops_and_drops_the_entry(self):
-        cache = ExecutorCache()
-        factory = make_factory()
-        lease = cache.lease(factory)
-        checkin(lease, checkout(lease))
-        assert len(cache) == 1
-        cache.release(factory)
-        assert len(cache) == 0
-        assert factory.made[0].stopped == 1
-
-    def test_release_of_a_missing_key_is_a_no_op(self):
-        cache = ExecutorCache()
-        cache.release("never-seen")  # must not raise
-        assert len(cache) == 0
-
-
 class TestSchedulerReleasesFinishedTargets:
     def test_serial_batch_holds_at_most_one_live_executor_per_target_in_play(self):
-        """A target's warm executor is stopped when its last campaign
-        finishes, not kept until the end of the batch."""
+        """A target's warm executor is stopped as soon as the worker
+        moves to another target, not kept until the end of the batch."""
         from repro.api import CheckSession, CheckTarget, SessionConfig
         from repro.apps.eggtimer import egg_timer_app
         from repro.checker import RunnerConfig
@@ -301,8 +330,8 @@ class TestSchedulerReleasesFinishedTargets:
             targets, session=SessionConfig(jobs=1)
         )
         # The first target's executor was stopped by the time the
-        # second campaign ended (released at its last use), and both
-        # are stopped when the batch completes.
+        # second campaign ended (its first checkout displaced it), and
+        # both are stopped when the batch completes.
         assert stops_so_far[-1] == ["first"]
         assert stopped == ["first", "second"]
 
@@ -337,43 +366,6 @@ class TestResetFailureFallback:
         assert factory.made[0].stopped == 1  # retirement was attempted
         assert cache.warm_hits.value == 0
         assert cache.cold_starts.value == 2
-
-
-class TestBoundedCache:
-    def test_checkin_past_the_bound_evicts_least_recently_used(self):
-        cache = ExecutorCache(max_entries=2)
-        factories = [make_factory() for _ in range(3)]
-        for factory in factories:
-            lease = cache.lease(factory)
-            checkin(lease, checkout(lease))
-        assert len(cache) == 2
-        # The first-parked executor was evicted and stopped.
-        assert factories[0].made[0].stopped == 1
-        assert factories[1].made[0].stopped == 0
-        assert factories[2].made[0].stopped == 0
-
-    def test_recently_reused_entries_survive_eviction(self):
-        cache = ExecutorCache(max_entries=2)
-        factory_a, factory_b, factory_c = (make_factory() for _ in range(3))
-        for factory in (factory_a, factory_b):
-            lease = cache.lease(factory)
-            checkin(lease, checkout(lease))
-        # Touch A again: it becomes most recently used.
-        lease = cache.lease(factory_a)
-        checkin(lease, checkout(lease))
-        lease = cache.lease(factory_c)
-        checkin(lease, checkout(lease))
-        # B (least recently used) was evicted; A survived.
-        assert factory_b.made[0].stopped == 1
-        assert factory_a.made[0].stopped == 0
-
-    def test_unbounded_by_default(self):
-        cache = ExecutorCache()
-        factories = [make_factory() for _ in range(10)]
-        for factory in factories:
-            lease = cache.lease(factory)
-            checkin(lease, checkout(lease))
-        assert len(cache) == 10
 
 
 class TestDepth:

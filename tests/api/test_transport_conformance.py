@@ -16,6 +16,8 @@ hand-rolled fake worker speaking the wire protocol:
 * a worker that dies mid-task has exactly that ``(campaign, index)``
   requeued (and logged) -- surviving workers finish the batch with
   verdicts still identical to serial;
+* a worker that asks for work again before reporting its task is
+  handed that task again;
 * when *every* worker dies, the batch aborts with a
   :class:`WorkerCrashed` naming the exact in-flight ``(campaign,
   index)`` ids;
@@ -256,7 +258,91 @@ class TestTcpExecutorCounts:
         assert (remote.warm_hits, remote.cold_starts) == counts
 
 
+class TestRemoteWorkerParking:
+    """A ``repro worker`` parks one executor, however many targets it
+    serves."""
+
+    def test_a_three_target_batch_leaves_one_parked_executor(
+        self, monkeypatch
+    ):
+        import io
+
+        from repro.api import lease
+        from repro.api.transport.worker import run_worker
+
+        parked_at_close = []
+
+        class RecordingCache(lease.ExecutorCache):
+            def close(self):
+                parked_at_close.append(len(self))
+                super().close()
+
+        # The worker imports its cache class when it connects; the
+        # coordinator's scheduler keeps the real one.
+        monkeypatch.setattr(lease, "ExecutorCache", RecordingCache)
+        spec = load_eggtimer_spec().check_named("safety")
+        targets = [
+            CheckTarget(
+                f"egg-{seed}", egg_timer_app(), spec=spec,
+                config=RunnerConfig(tests=2, scheduled_actions=8,
+                                    demand_allowance=5, seed=seed,
+                                    shrink=False),
+                remote={"spec": spec_path("eggtimer.strom"), "app": "eggtimer"},
+            )
+            for seed in (1, 2, 3)
+        ]
+        transport = TcpTransport(min_workers=1)
+        codes = []
+        worker = threading.Thread(target=lambda: codes.append(run_worker(
+            "127.0.0.1", transport.port, log_stream=io.StringIO())))
+        worker.start()
+        try:
+            batch = CheckSession().check_many(
+                targets, session=SessionConfig(transport=transport))
+        finally:
+            transport.close()
+            worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert codes == [0]
+        assert batch.passed
+        # Each target's second test reused its first test's executor.
+        assert (batch.metrics.warm_hits, batch.metrics.cold_starts) == (3, 3)
+        assert parked_at_close == [1]
+
+
 class TestTcpFailureSemantics:
+    def test_a_second_next_before_reporting_gets_the_task_again(
+        self, tcp_fabric
+    ):
+        """A worker asks for work only after reporting its task; one
+        that asks again has dropped it, and is handed it again."""
+        transport = tcp_fabric(workers=0, min_workers=1,
+                               heartbeat_timeout_s=30.0)
+        fake = FakeWorker(transport.port)
+        box = {}
+
+        def drive():
+            try:
+                box["metrics"] = TestTcpExecutorCounts._egg_batch(
+                    transport, reuse=True)
+            except BaseException as err:  # pragma: no cover - surfaced below
+                box["error"] = err
+
+        thread = threading.Thread(target=drive)
+        thread.start()
+        first = fake.take_task()
+        again = fake.take_task()
+        assert again["id"] == first["id"] == 0
+        fake.die()
+        proc = start_worker(transport.port)
+        thread.join(timeout=120)
+        assert not thread.is_alive(), "batch never completed after requeue"
+        assert "error" not in box, box.get("error")
+        assert box["metrics"].tasks_completed == 3
+        assert transport.requeue_log == [(fake.label, ("egg", 0))]
+        transport.close()
+        assert proc.wait(timeout=15) == 0
+
     def test_dead_worker_task_is_requeued_and_attributed(self, tcp_fabric):
         serial_batch, _ = run_batch(SessionConfig(jobs=1))
         transport = tcp_fabric(workers=0, min_workers=1,

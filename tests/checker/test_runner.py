@@ -206,11 +206,11 @@ class TestReplayAccounting:
     """Runner.replay must report only the actions it actually
     dispatched: the verdict can turn definitive mid-sequence."""
 
-    def _failing_runner(self, executor_factory=None):
+    def _failing_runner(self):
         spec = load_eggtimer_spec().check_named("safety")
         return Runner(
             spec,
-            executor_factory or (lambda: DomExecutor(egg_timer_app(decrement=2))),
+            lambda: DomExecutor(egg_timer_app(decrement=2)),
             RunnerConfig(tests=5, scheduled_actions=20, demand_allowance=10,
                          seed=3, shrink=True),
         )
@@ -243,39 +243,6 @@ class TestReplayAccounting:
         assert replayed is not None
         assert replayed.actions_taken == len(prefix)
 
-    def test_replay_counts_only_its_own_interning(self):
-        # Under the thread transport the merging thread replays shrink
-        # candidates while worker threads keep interning.
-        import threading
-
-        from repro.quickltl import Atom
-
-        def interning_elsewhere():
-            executor = DomExecutor(egg_timer_app(decrement=2))
-            act = executor.act
-
-            def act_meanwhile(message):
-                noise = threading.Thread(
-                    target=lambda: [Atom(f"noise{i}", bool) for i in range(50)]
-                )
-                noise.start()
-                noise.join(timeout=10)
-                assert not noise.is_alive()
-                return act(message)
-
-            executor.act = act_meanwhile
-            return executor
-
-        runner = self._failing_runner()
-        campaign = check(runner.spec, runner.executor_factory, runner.config)
-        actions = list(campaign.shrunk_counterexample.actions)
-        # Fresh runners, so neither replay starts from the other's caches.
-        alone = self._failing_runner().replay(actions)
-        busy = self._failing_runner(interning_elsewhere).replay(actions)
-        assert alone.intern_hits + alone.intern_misses > 0
-        assert (busy.intern_hits, busy.intern_misses) == (
-            alone.intern_hits, alone.intern_misses
-        )
 
 
 class TestWatchedEventsCache:

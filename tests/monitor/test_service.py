@@ -310,6 +310,28 @@ class TestPhaseTimings:
         assert merged.progress_s == 1.5
 
 
+class TestHeartbeat:
+    def test_rate_reads_the_monitor_clock(self, safety):
+        now = [100.0]
+        monitor = Monitor(safety, clock=lambda: now[0])
+        for line in synth_lines(sessions=6, seed=1):
+            monitor.feed_line(line)
+        states = monitor.metrics.states_applied
+        assert states > 0
+        now[0] += 2.0
+        assert f"states={states} ({states / 2.0:.0f}/s) " in \
+            monitor.heartbeat_line(0)
+
+    @pytest.mark.parametrize("periods", [
+        {"checkpoint_period_s": 0}, {"checkpoint_period_s": -1.0},
+        {"heartbeat_s": 0}, {"heartbeat_s": -1.0},
+    ], ids=["checkpoint-0", "checkpoint-negative", "heartbeat-0",
+            "heartbeat-negative"])
+    def test_run_queue_rejects_non_positive_periods(self, safety, periods):
+        with pytest.raises(ValueError, match="must be positive"):
+            Monitor(safety).run_queue(_ChunkedQueue([], 1), **periods)
+
+
 class TestErrors:
     def test_progression_error_quarantines_only_that_session(self):
         def reads_x(state):

@@ -435,6 +435,22 @@ class TestUsageErrors:
         assert excinfo.value.code == 2
         assert f"unknown app {app!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--idle-ttl", "0", "must be positive, got 0"),
+        ("--idle-ttl", "-1", "must be positive, got -1"),
+        ("--checkpoint-period", "0", "must be positive, got 0"),
+        ("--checkpoint-period", "-1", "must be positive, got -1"),
+        ("--heartbeat", "-1", "must be positive, or 0 to disable, got -1"),
+    ])
+    def test_non_positive_monitor_period_exits_2(
+        self, flag, value, message, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["monitor", spec_path("eggtimer.strom"), "--input", "-",
+                  flag, value])
+        assert excinfo.value.code == 2
+        assert f"{flag}: {message}" in capsys.readouterr().err
+
     def test_removed_batch_size_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["monitor", spec_path("eggtimer.strom"), "--input", "-",
