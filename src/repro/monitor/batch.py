@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from ..quickltl import Formula, ProgressionCaches, Verdict, progress
+from ..quickltl import Formula, ProgressionCaches, Verdict, intern_stats, progress
 from ..specstrom.state import StateSnapshot
 from .records import StateKey
 
@@ -62,7 +62,7 @@ class BatchProgressor:
     """Steps records through shared caches and one bounded memo."""
 
     __slots__ = ("caches", "enabled", "session_steps", "cohort_steps",
-                 "_outcomes", "_unrolls")
+                 "intern_hits", "intern_misses", "_outcomes", "_unrolls")
 
     def __init__(self, caches: ProgressionCaches, enabled: bool = True) -> None:
         self.caches = caches
@@ -71,6 +71,10 @@ class BatchProgressor:
         self.session_steps = 0
         #: Distinct progression computations actually performed.
         self.cohort_steps = 0
+        #: Hash-cons hits and misses of those computations alone: other
+        #: monitors in the process (inline shards) count their own.
+        self.intern_hits = 0
+        self.intern_misses = 0
         self._outcomes: Dict[Tuple[StateKey, Formula], StepOutcome] = {}
         #: State key -> the unroll memo its steps share.
         self._unrolls: Dict[StateKey, dict] = {}
@@ -120,10 +124,15 @@ class BatchProgressor:
         state: StateSnapshot,
         unroll_memo: Optional[dict],
     ) -> StepOutcome:
+        hits, misses = intern_stats()
         try:
             verdict, next_residual, size = progress(
                 residual, state, self.caches, unroll_memo
             )
         except Exception as error:  # noqa: BLE001 - quarantined per session
             return StepOutcome(error=f"{type(error).__name__}: {error}")
+        finally:
+            after = intern_stats()
+            self.intern_hits += after[0] - hits
+            self.intern_misses += after[1] - misses
         return StepOutcome(verdict=verdict, residual=next_residual, size=size)

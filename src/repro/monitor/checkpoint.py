@@ -141,7 +141,7 @@ def snapshot_monitor(monitor) -> dict:
     The progressor's memo is not captured: a restored monitor starts
     it empty, so its later ``cohort_steps`` can only be higher.
     """
-    report = monitor.report()  # folds intern/cache deltas into metrics
+    report = monitor.report()  # folds intern/cache counts into metrics
     return {
         "entries": [
             {
@@ -293,9 +293,10 @@ def restore_snapshot(monitor, snapshot: dict) -> None:
     * live sessions re-enter the table with their residuals (already
       re-interned by the codec) and their observed idle time, measured
       against the restoring clock -- downtime does not count as idle;
-    * counters restore verbatim; intern/cache deltas and wall clock
-      restore as baselines the new process's deltas add to, so the
-      final report covers the whole logical stream.
+    * counters restore verbatim, the progressor's step and intern
+      counts with them; cache counts and wall clock restore as
+      baselines the new process's deltas add to, so the final report
+      covers the whole logical stream.
     """
     now = monitor._clock()
     for item in snapshot["entries"]:
@@ -313,17 +314,19 @@ def restore_snapshot(monitor, snapshot: dict) -> None:
     metrics = snapshot["metrics"]
     metrics.sessions_live = len(monitor.table)
     monitor.metrics = metrics
-    # Deltas measured against process-wide tables restart at zero in a
-    # new process; fold the checkpointed totals in as baselines.
-    monitor._intern_base_hits = metrics.intern_hits
-    monitor._intern_base_misses = metrics.intern_misses
+    # The property's cache counters restart at zero in a new process;
+    # fold the checkpointed totals in as baselines.
     monitor._cache_base_evictions = metrics.cache_evictions
     monitor._cache_base_trims = metrics.cache_trims
     monitor._started = now - metrics.wall_s
     # The batcher's counters are the metrics' source of truth for
-    # states_applied/cohort_steps from the next step on; seed them.
-    monitor.batcher.session_steps = metrics.states_applied
-    monitor.batcher.cohort_steps = metrics.cohort_steps
+    # states_applied/cohort_steps and the intern counts from the next
+    # step on; seed them.
+    batcher = monitor.batcher
+    batcher.session_steps = metrics.states_applied
+    batcher.cohort_steps = metrics.cohort_steps
+    batcher.intern_hits = metrics.intern_hits
+    batcher.intern_misses = metrics.intern_misses
     from .service import _QUARANTINE_SAMPLES
 
     for line, error in snapshot["quarantine"]:

@@ -62,8 +62,9 @@ class MonitorMetrics:
       break the eviction total down);
     * ``verdicts`` -- final dispositions by verdict name, plus
       ``"inconclusive"`` (evicted/EOF without a verdict) and ``"error"``;
-    * ``intern_hits``/``intern_misses`` -- hash-cons deltas over the run
-      (via :func:`repro.quickltl.intern_delta`);
+    * ``intern_hits``/``intern_misses`` -- hash-cons hits and misses of
+      this monitor's progression steps (counted around each memo miss,
+      so other monitors in the process never add to them);
     * ``cache_evictions``/``cache_trims`` -- what the bounded
       :class:`~repro.quickltl.ProgressionCaches` dropped;
     * ``queue_depth_samples`` -- ingest-queue depths sampled per drain;

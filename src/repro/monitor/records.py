@@ -21,26 +21,34 @@ The ``state`` payload mirrors :class:`~repro.specstrom.state.StateSnapshot`::
      "version": 0, "timestamp_ms": 0.0}
 
 ``version``/``timestamp_ms`` are optional bookkeeping -- spec evaluation
-never reads them, so they are *excluded* from :attr:`MonitorRecord.state_key`,
-the cohort key the batcher groups by: two sessions observing
-semantically identical states land in one cohort even when their stream
-positions differ.  ELEMENT payloads omit fields at their defaults
-(``element_to_json``).
+never reads them, so they are *excluded* from :attr:`MonitorRecord.state_key`:
+two sessions observing semantically identical states get equal keys
+even when their stream positions differ.  ELEMENT payloads omit fields
+at their defaults (``element_to_json``).
 
-A record is decoded in one pass: each element is validated, then
-interned by its validated fields (built only on a miss), and each row
-(one selector's elements) by its elements' ids.  The cohort key is the
+A record is decoded in one pass.  Each selector's row payload is first
+looked up by its type-exact bytes (``marshal`` version 2, where
+``true``, ``1`` and ``1.0`` differ and ``str``/``list``/``dict``
+subclasses refuse to serialise), so a row seen before costs one
+serialisation and one dict lookup.  A new row takes the slow path:
+each element is validated, then interned by its validated fields
+(built only on a miss), and the row by its elements' ids; only a row
+that validated is remembered under its bytes, so every
+:class:`RecordError` comes from the slow path.  The state key is the
 sorted ``(selector, row id)`` pairs plus ``happened``, so hashing it
 never re-hashes an element, and formatting (key order, whitespace,
-explicit defaults) can never split a cohort.  Ids are never reused and
-a full table resets whole, so a reset or a thread race can only split
-a cohort, never merge two different states.
+explicit defaults) can never split a key: a differently formatted row
+misses the bytes table and reaches its canonical row id through the
+element and row tables.  Ids are never reused and a full table resets
+whole, so a reset or a thread race can only split a key, never merge
+two different states.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import marshal
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -89,10 +97,12 @@ _OPTIONAL_DEFAULTS = [(n, getattr(_ELEMENT_DEFAULTS, n)) for n in _ELEMENT_OPTIO
 
 #: Decode intern tables, process-wide since ``parse_record(line)`` takes
 #: nothing else; each resets whole at ``_TABLE_LIMIT`` entries:
-#: element fields -> (element, id) and element ids -> (row, id).
+#: element fields -> (element, id), element ids -> (row, id), and the
+#: bytes of each validated row payload -> that row's (row, id).
 _TABLE_LIMIT = 1 << 14
 _ELEMENTS: dict = {}
 _ROWS: dict = {}
+_PAYLOADS: dict = {}
 _ids = itertools.count()  # never reused: one id, one content
 
 
@@ -151,6 +161,16 @@ def _remember(table: dict, key, value):
 
 def _decode_row(payloads: list) -> tuple:
     """Validate and intern one selector's elements: ``(row, row id)``."""
+    try:
+        # Version 2 writes no back-references, so equal payloads give
+        # equal bytes whichever objects the JSON decoder shared.
+        key = marshal.dumps(payloads, 2)
+    except ValueError:  # a subclass or too deep: validate it every time
+        key = None
+    else:
+        row = _PAYLOADS.get(key)
+        if row is not None:
+            return row
     entries = []
     for payload in payloads:
         fields = _element_fields(payload)
@@ -166,6 +186,8 @@ def _decode_row(payloads: list) -> tuple:
         row = _remember(
             _ROWS, ids, (tuple([entry[0] for entry in entries]), next(_ids))
         )
+    if key is not None:
+        _remember(_PAYLOADS, key, row)
     return row
 
 
@@ -217,7 +239,10 @@ def _decode_state(data: object) -> Tuple[StateSnapshot, StateKey]:
         raise RecordError("state 'version' must be an integer")
     timestamp_ms = data.get("timestamp_ms", 0.0)
     if isinstance(timestamp_ms, int) and not isinstance(timestamp_ms, bool):
-        timestamp_ms = float(timestamp_ms)
+        try:
+            timestamp_ms = float(timestamp_ms)
+        except OverflowError:
+            raise RecordError("state 'timestamp_ms' is out of range") from None
     if not isinstance(timestamp_ms, float):
         raise RecordError("state 'timestamp_ms' must be a number")
     happened = tuple(happened)
@@ -269,7 +294,8 @@ def parse_record(line: str) -> Optional[MonitorRecord]:
     """Parse one wire line; blank lines give ``None``.
 
     Raises :class:`RecordError` for anything malformed: invalid JSON
-    (including a partial line from a torn write), a missing/ill-typed
+    (including a partial line from a torn write, and nesting deeper
+    than the interpreter's recursion limit), a missing/ill-typed
     session tag, a record that is neither a state nor an end mark, or a
     state payload that fails validation.
     """
@@ -280,6 +306,8 @@ def parse_record(line: str) -> Optional[MonitorRecord]:
         data = json.loads(text)
     except ValueError as error:
         raise RecordError(f"invalid JSON: {error}") from None
+    except RecursionError:
+        raise RecordError("invalid JSON: nested too deeply") from None
     if not isinstance(data, dict):
         raise RecordError(f"record must be an object, got {type(data).__name__}")
     session = data.get("session")

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, IO, Iterable, List, Optional, Tuple
 
 from ..checker.compiled import CompiledProperty, key_fields
-from ..quickltl import ProgressionCaches, Verdict, force_verdict, intern_delta
+from ..quickltl import ProgressionCaches, Verdict, force_verdict
 from ..specstrom.module import CheckSpec
 from .batch import BatchProgressor
 from .ingest import IngestQueue
@@ -166,14 +166,11 @@ class Monitor:
         self._clock = clock
         self._started = clock()
         self._quarantine: List[Tuple[str, str]] = []
-        self._intern = intern_delta()
         self._finished = False
-        # Checkpoint-restore baselines: deltas measured against
-        # process-wide tables (intern, caches) and the process clock
-        # restart at zero after a restore; report() adds these so the
-        # final report covers the whole logical stream.
-        self._intern_base_hits = 0
-        self._intern_base_misses = 0
+        # Checkpoint-restore baselines: the property's cache counters
+        # and the process clock restart at zero after a restore;
+        # report() adds these so the final report covers the whole
+        # logical stream.
         self._cache_base_evictions = 0
         self._cache_base_trims = 0
 
@@ -409,10 +406,8 @@ class Monitor:
     def report(self) -> MonitorReport:
         """The current report (finalised counters, live or finished)."""
         metrics = self._stamp_wall()
-        metrics.intern_hits = self._intern_base_hits + self._intern.hits
-        metrics.intern_misses = (
-            self._intern_base_misses + self._intern.misses
-        )
+        metrics.intern_hits = self.batcher.intern_hits
+        metrics.intern_misses = self.batcher.intern_misses
         metrics.cache_evictions = (
             self._cache_base_evictions + self.compiled.caches.evicted_entries
         )

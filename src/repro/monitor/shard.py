@@ -161,7 +161,10 @@ def peek_session_id(line: str) -> Optional[str]:
                     j += 1
                 if j == start or (j < n and text[j] in ".eE"):
                     return None  # not a plain integer
-                return str(int(text[i:j]))
+                try:
+                    return str(int(text[i:j]))
+                except ValueError:  # past the interpreter's digit limit
+                    return None
             continue
         if char in "{[":
             depth += 1
@@ -178,7 +181,9 @@ class ShardRouter:
 
     CRC32 rather than :func:`hash`: Python's string hash is salted per
     process, and the route must be identical across workers, restarts
-    and re-sharding restores.
+    and re-sharding restores.  Ids are hashed as UTF-8, with lone
+    surrogates (which a JSON ``\\ud800`` escape decodes to) passed
+    through rather than refused.
     """
 
     def __init__(self, shards: int) -> None:
@@ -187,7 +192,8 @@ class ShardRouter:
         self.shards = shards
 
     def shard_of(self, session_id: str) -> int:
-        return zlib.crc32(session_id.encode("utf-8")) % self.shards
+        encoded = session_id.encode("utf-8", "surrogatepass")
+        return zlib.crc32(encoded) % self.shards
 
     def route(self, line: str) -> int:
         """The shard for one wire line (0 when no session id peeks out)."""

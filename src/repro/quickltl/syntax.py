@@ -173,8 +173,9 @@ def intern_delta() -> InternDelta:
         print(delta.hits, delta.misses, delta.hit_ratio)
 
     It counts the whole process, like :func:`intern_stats`: the checker
-    runner wraps each test and each replay in one, and the monitor its
-    whole stream.
+    runner wraps each test and each replay in one.  The monitor's
+    progressor reads :func:`intern_stats` around each progression step
+    instead, so monitors sharing a process count only their own work.
     """
     return InternDelta()
 

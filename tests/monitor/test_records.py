@@ -1,6 +1,7 @@
 """The wire codec: round-trips, canonicalisation, malformed input."""
 
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -82,7 +83,44 @@ _MALFORMED = {
         "element payload must be an object, got list",
     '{"session": "a", "state": {"queries": {"#x": {"tag": "div"}}}}':
         "query '#x' must hold a list of elements",
+    # An integer too large for a float, and nesting past the recursion
+    # limit: neither may escape as OverflowError or RecursionError.
+    '{"session":"x","state":{"timestamp_ms":1' + "0" * 400 + '}}':
+        "state 'timestamp_ms' is out of range",
+    "[" * 100_000: "invalid JSON: nested too deeply",
 }
+
+#: Numbers that equal a bool under ``==``, and the wire fields a valid
+#: row may carry a bool in.
+_NUMBER_TRAPS = (1, 1.0, 0, 0.0)
+_BOOL_FIELDS = ("checked", "enabled", "visible", "focused")
+
+
+def _clear_decode_tables():
+    """Empty the three process-wide decode tables."""
+    for table in (records._ELEMENTS, records._ROWS, records._PAYLOADS):
+        table.clear()
+
+
+def _outcome(line: str):
+    """What ``parse_record`` makes of ``line``: the error text, or the
+    state's repr (which tells ``True`` from ``1``) and its key with row
+    ids renumbered by first appearance."""
+    try:
+        record = parse_record(line)
+    except RecordError as error:
+        return "error", str(error)
+    rows, happened = record.state_key
+    renamed = {}
+    key = tuple(
+        (selector, renamed.setdefault(row_id, len(renamed)))
+        for selector, row_id in rows
+    )
+    return "state", repr(record.state), (key, happened)
+
+
+def _state_line(elements: list) -> str:
+    return json.dumps({"session": "t", "state": {"queries": {"#x": elements}}})
 
 
 def _render(draw, value) -> str:
@@ -353,8 +391,7 @@ class TestDecodeWork:
             raise AssertionError("parse_record re-encoded a state")
 
         # Start from empty tables so that no reset can fall mid-stream.
-        records._ELEMENTS.clear()
-        records._ROWS.clear()
+        _clear_decode_tables()
         monkeypatch.setattr(records, "ElementSnapshot", counting_element)
         monkeypatch.setattr(json, "dumps", forbidden)
         monkeypatch.setattr(records, "snapshot_to_json", forbidden)
@@ -362,6 +399,33 @@ class TestDecodeWork:
         assert len(parsed) == len(states) + 3
         assert 0 < len(built) <= len(distinct)
         assert len(set(built)) == len(built)
+
+    def test_each_distinct_row_payload_is_validated_once(
+        self, recorded, monkeypatch
+    ):
+        lines, _states = recorded
+        rows = [
+            row
+            for line in lines
+            for row in json.loads(line).get("state", {"queries": {}})[
+                "queries"].values()
+        ]
+        bound = sum({json.dumps(row): len(row) for row in rows}.values())
+        validated = []
+        element_fields = records._element_fields
+
+        def counting_fields(payload):
+            validated.append(payload)
+            return element_fields(payload)
+
+        _clear_decode_tables()
+        monkeypatch.setattr(records, "_element_fields", counting_fields)
+        for line in lines:
+            parse_record(line)
+        # The stream repeats rows: validating every element occurrence
+        # would break the bound.
+        assert bound < sum(len(row) for row in rows)
+        assert 0 < len(validated) <= bound
 
     def test_cohort_keys_partition_like_state_equality(self, recorded):
         lines, _states = recorded
@@ -374,3 +438,90 @@ class TestDecodeWork:
                 )
         assert all(len(contents) == 1 for contents in groups.values())
         assert len(set().union(*groups.values())) == len(groups)
+
+
+class TestPayloadTable:
+    """The row-payload table in front of validation: a row seen before
+    is looked up by its type-exact bytes, so a value Python calls equal
+    but the wire format rejects must still be rejected, with the
+    message it gets from empty tables."""
+
+    @pytest.mark.parametrize("field", _BOOL_FIELDS)
+    @pytest.mark.parametrize("trap", _NUMBER_TRAPS)
+    def test_a_number_never_hits_a_primed_bool(self, field, trap):
+        valid = _state_line([{"tag": "div", field: bool(trap)}])
+        line = _state_line([{"tag": "div", field: trap}])
+        _clear_decode_tables()
+        cold = _outcome(line)
+        parse_record(valid)
+        assert _outcome(line) == cold == (
+            "error",
+            f"element field {field!r} must be bool, got {type(trap).__name__}",
+        )
+
+    @pytest.mark.parametrize("element, trap, message", [
+        ({"tag": "li", "classes": ["1"]}, {"tag": "li", "classes": [1]},
+         "element 'classes' must be a list of strings"),
+        ({"tag": "a", "attributes": {"x": "1"}},
+         {"tag": "a", "attributes": {"x": 1}},
+         "element 'attributes' must map strings to strings"),
+    ])
+    def test_a_number_never_hits_a_primed_string(self, element, trap, message):
+        line = _state_line([trap])
+        _clear_decode_tables()
+        cold = _outcome(line)
+        parse_record(_state_line([element]))
+        assert _outcome(line) == cold == ("error", message)
+
+    @given(state=state_snapshots(attributes=True), data=st.data())
+    @examples(150)
+    def test_warm_tables_decode_like_empty_ones(self, state, data):
+        """Any wire line, a valid one or one with a bool swapped for a
+        number, decodes to the same state, key or error text whether
+        its rows were seen before or every table was just emptied."""
+        primer = data.draw(wire_lines(state))
+        line = primer
+        bools = [match.span() for match in re.finditer("true|false", primer)]
+        if bools and data.draw(st.booleans()):
+            at, end = data.draw(st.sampled_from(bools))
+            trap = data.draw(st.sampled_from(_NUMBER_TRAPS))
+            line = primer[:at] + json.dumps(trap) + primer[end:]
+        parse_record(encode_record("p", state))
+        parse_record(primer)
+        warm = _outcome(line)
+        _clear_decode_tables()
+        assert _outcome(line) == warm
+
+    def test_hand_built_states_key_as_before(self):
+        """``state_key`` of snapshots the wire cannot carry exactly: a
+        ``str`` subclass is validated (and keyed like its plain twin)
+        every time, and a wrong type is refused even when an equal
+        value of the right type was keyed first."""
+
+        class Name(str):
+            pass
+
+        plain = ElementSnapshot(tag="div", classes=("a",),
+                                attributes=(("k", "v"),))
+
+        def key_of(element):
+            return state_key(StateSnapshot(queries={"#x": (element,)}))
+
+        expected = key_of(plain)
+        for twin in (replace(plain, tag=Name("div")),
+                     replace(plain, classes=(Name("a"),)),
+                     replace(plain, attributes=(("k", Name("v")),))):
+            assert key_of(twin) == expected
+            assert key_of(twin) == expected  # once more, tables warm
+        for wrong, right, message in (
+            (replace(plain, text=Name("x")), replace(plain, text="x"),
+             "element field 'text' must be str, got Name"),
+            (replace(plain, text=b"x"), replace(plain, text="x"),
+             "element field 'text' must be str, got bytes"),
+            (replace(plain, checked=1), replace(plain, checked=True),
+             "element field 'checked' must be bool, got int"),
+        ):
+            key_of(right)
+            with pytest.raises(RecordError) as raised:
+                key_of(wrong)
+            assert str(raised.value) == message

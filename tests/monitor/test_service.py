@@ -11,7 +11,7 @@ from repro.monitor.replay import interleave_sessions, monitor_verdicts
 from repro.monitor.service import Monitor
 from repro.monitor.shard import ShardedMonitor
 from repro.monitor.synth import _countdown, synth_lines, synth_traces
-from repro.quickltl import Always, Atom
+from repro.quickltl import Always, Atom, intern_delta
 from repro.specs import spec_path
 from repro.specstrom import load_module_file
 from repro.specstrom.module import CheckSpec
@@ -388,10 +388,14 @@ class TestReport:
         encoded = {
             sid: trace_records(sid, trace) for sid, trace in traces.items()
         }
-        report = monitor.run_lines(interleave_sessions(encoded))
+        with intern_delta() as delta:
+            report = monitor.run_lines(interleave_sessions(encoded))
         metrics = report.metrics
         assert report.ok
         assert metrics.sessions_finished == 30
+        # The run's own hash-cons work, all of it in progression steps.
+        assert delta.constructions > 0
+        assert (metrics.intern_hits, metrics.intern_misses) == delta.as_tuple()
         # 30 sessions over a 3-trajectory palette: heavy cohort sharing.
         assert metrics.sharing_ratio > 0.8
         assert metrics.cohort_steps < metrics.states_applied

@@ -3,6 +3,7 @@
 import collections
 import multiprocessing
 import os
+import zlib
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.monitor.checkpoint import (
     shard_checkpoint_path,
 )
 from repro.monitor.metrics import MonitorMetrics
+from repro.monitor.records import RecordError, parse_record
 from repro.monitor.replay import monitor_verdicts
 from repro.monitor.service import Monitor
 from repro.monitor.shard import (
@@ -25,7 +27,18 @@ from repro.monitor.shard import (
     split_snapshot,
 )
 from repro.monitor.synth import synth_lines, synth_traces
+from repro.quickltl import intern_delta
 from repro.specs import spec_path
+
+#: Malformed lines a monitor must quarantine, never raise on: a
+#: timestamp too large for a float, nesting past the recursion limit,
+#: and a session id past the interpreter's integer digit limit (where
+#: it has one).
+POISON = (
+    '{"session":"x","state":{"timestamp_ms":1' + "0" * 400 + '}}',
+    "[" * 100_000,
+    '{"session": 1' + "0" * 5000 + ', "end": true}',
+)
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +115,34 @@ class TestRouter:
         with pytest.raises(ValueError):
             ShardRouter(0)
 
+    def test_an_id_past_the_digit_limit_routes_like_parse_record(self):
+        """Where the interpreter caps integer digits, ``parse_record``
+        quarantines the line and the peek must give ``None`` (shard 0)
+        rather than raise; where it does not, both read the same id."""
+        line = POISON[2]
+        try:
+            expected = parse_record(line).session_id
+        except RecordError:
+            expected = None
+        assert peek_session_id(line) == expected
+        router = ShardRouter(2)
+        assert router.route(line) == (
+            0 if expected is None else router.shard_of(expected)
+        )
+
+    def test_lone_surrogate_ids_route_and_others_keep_their_shard(self):
+        line = '{"session": "\\ud800", "end": true}'
+        assert parse_record(line).session_id == "\ud800"
+        assert peek_session_id(line) == "\ud800"
+        router = ShardRouter(4)
+        assert router.route(line) == router.shard_of("\ud800")
+        assert 0 <= router.shard_of("\ud800") < 4
+        for session_id in ("a", "session-7", "\u00e9t\u00e9", "\u65e5\u672c",
+                           "\U0001f600"):
+            assert router.shard_of(session_id) == (
+                zlib.crc32(session_id.encode("utf-8")) % 4
+            )
+
 
 class TestInlineEquivalence:
     @pytest.mark.parametrize("shards", [1, 2, 4])
@@ -129,6 +170,36 @@ class TestInlineEquivalence:
         assert report.shard_metrics[0].malformed_records == 2
         assert all(m.malformed_records == 0
                    for m in report.shard_metrics[1:])
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_poison_lines_are_quarantined_never_fatal(
+        self, bundle, safety, shards
+    ):
+        lines = list(synth_lines(seed=0, sessions=20, fault_rate=0.2))
+        clean, _ = run_single(safety, lines)
+        poisoned = lines[:10] + list(POISON) + lines[10:]
+        single, single_report = run_single(safety, poisoned)
+        sharded, report = run_sharded(bundle, poisoned, shards, "inline")
+        assert verdict_multiset(single) == verdict_multiset(clean)
+        assert verdict_multiset(sharded) == verdict_multiset(clean)
+        assert single_report.metrics.malformed_records == 3
+        assert report.metrics.malformed_records == 3
+
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_intern_counts_sum_to_the_process_delta(self, bundle, shards):
+        """Each inline shard counts only its own progression steps, so
+        the merged counts are the process's, not ``shards`` times it."""
+        lines = list(synth_lines(seed=0, sessions=60, fault_rate=0.2))
+        monitor = ShardedMonitor(bundle, shards=shards,
+                                 property_name="safety", transport="inline")
+        with intern_delta() as delta:
+            report = monitor.run_lines(lines)
+        parts = report.shard_metrics
+        assert delta.constructions > 0
+        assert (sum(p.intern_hits for p in parts), report.metrics.intern_hits,
+                sum(p.intern_misses for p in parts),
+                report.metrics.intern_misses) == (
+            delta.hits, delta.hits, delta.misses, delta.misses)
 
     def test_replay_helper_agrees_with_offline(self, safety):
         traces, _ = synth_traces(seed=5, sessions=10, fault_rate=0.3)
