@@ -45,11 +45,8 @@ _HASH_TO_FILTER = {"": "all", "/": "all", "/active": "active", "/completed": "co
 class _Item:
     """Mutable item record (id-stable across renders)."""
 
-    _next_id = 1
-
-    def __init__(self, text: str, completed: bool = False) -> None:
-        self.id = _Item._next_id
-        _Item._next_id += 1
+    def __init__(self, item_id: int, text: str, completed: bool = False) -> None:
+        self.id = item_id
         self.text = text
         self.completed = completed
 
@@ -62,6 +59,9 @@ class TodoMvcApp:
         self.faults = faults or Faults()
         self.items: List[_Item] = []
         self.graveyard: List[_Item] = []  # P11 zombies
+        #: Items are numbered per mounted app, so the ``data-id`` a state
+        #: captures never depends on what earlier sessions created.
+        self._next_id = 1
         self.filter = "all"
         self.editing_id: Optional[int] = None
         self._editing_original: str = ""
@@ -124,7 +124,8 @@ class TodoMvcApp:
         stored = self.page.storage.get_json(_STORAGE_KEY, default=[])
         for entry in stored:
             self.items.append(
-                _Item(str(entry.get("title", "")), bool(entry.get("completed")))
+                self._new_item(str(entry.get("title", "")),
+                               bool(entry.get("completed")))
             )
         self.filter = _HASH_TO_FILTER.get(self.page.document.location_hash, "all")
 
@@ -152,6 +153,11 @@ class TodoMvcApp:
         if not self.faults.missing_filters:
             document.add_event_listener(document.root, "hashchange", self._on_hash_change)
 
+    def _new_item(self, text: str, completed: bool = False) -> _Item:
+        item = _Item(self._next_id, text, completed)
+        self._next_id += 1
+        return item
+
     def _item_of(self, element: Element) -> Optional[_Item]:
         node = element
         while node is not None and node.get_attribute("data-id") is None:
@@ -178,7 +184,7 @@ class TodoMvcApp:
             text = raw_text.strip()
             if not text:
                 return
-        self.items.append(_Item(text))
+        self.items.append(self._new_item(text))
         self.new_todo.value = ""
         if self.faults.add_resets_filter:
             self.filter = "all"
@@ -322,7 +328,7 @@ class TodoMvcApp:
     def _commit_pending_input(self) -> None:
         pending = self.new_todo.value.strip()
         if pending:
-            self.items.append(_Item(pending))
+            self.items.append(self._new_item(pending))
             self.new_todo.value = ""
             self._save()
 

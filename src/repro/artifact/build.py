@@ -93,12 +93,11 @@ class CompiledSpec:
     def default_subscript(self) -> int:
         return self.module.default_subscript
 
-    def check_named(self, name: Optional[str]) -> CheckSpec:
+    def check_named(self, name: str) -> CheckSpec:
         return self.module.check_named(name)
 
-    def property_named(self, name: Optional[str] = None) -> CompiledProperty:
-        """The compiled bundle for one ``check`` (the only one when
-        ``name`` is omitted and the module defines a single check)."""
+    def property_named(self, name: str) -> CompiledProperty:
+        """The compiled bundle for the ``check`` called ``name``."""
         return self.properties[self.module.check_named(name).name]
 
     # -- build-time work ----------------------------------------------

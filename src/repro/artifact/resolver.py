@@ -25,9 +25,7 @@ import base64
 import os
 from typing import Dict, Optional, Tuple
 
-from ..checker.compiled import CompiledProperty
 from ..quickltl import DEFAULT_SUBSCRIPT
-from ..specstrom.module import CheckSpec, SpecModule
 from .build import (
     CompiledSpec,
     artifact_bytes,
@@ -113,29 +111,6 @@ class SpecResolver:
         return compile_source(
             data.decode("utf-8"), source_path=path, default_subscript=subscript
         )
-
-    # -- convenience views --------------------------------------------
-
-    def resolve(
-        self, spec_like, property: Optional[str] = None
-    ) -> Tuple[CheckSpec, Optional[CompiledProperty]]:
-        """Anything spec-shaped to ``(check, compiled-or-None)``.
-
-        Accepts a path (source or artifact), a :class:`CompiledSpec`
-        bundle, a :class:`SpecModule`, or an already-picked
-        :class:`CheckSpec`.  The second element is the artifact-grade
-        :class:`CompiledProperty` when one exists (paths and bundles);
-        module/check inputs return ``None`` and the runner compiles its
-        own, exactly as before the artifact pipeline existed.
-        """
-        if isinstance(spec_like, CheckSpec):
-            return spec_like, None
-        if isinstance(spec_like, CompiledSpec):
-            return spec_like.check_named(property), spec_like.property_named(property)
-        if isinstance(spec_like, SpecModule):
-            return spec_like.check_named(property), None
-        bundle = self.load(os.fspath(spec_like))
-        return bundle.check_named(property), bundle.property_named(property)
 
     def encoded(self, bundle: CompiledSpec) -> bytes:
         """``bundle`` as artifact container bytes, memoized per content.

@@ -1,18 +1,26 @@
-"""The checker's test loop (paper, Sections 2.3 and 3.4).
+"""The checker's session loop (paper, Sections 2.3 and 3.4).
 
-For each generated test the runner:
+One loop drives every session.  After the initial ``loaded?`` event it
+asks an *action source* for the next action, fires it with a trace
+version (stale requests are dropped by the executor and the freshly
+arrived events are processed instead, Figure 10), and feeds every
+arriving state to the formula's progression checker, until the verdict
+is definitive or the source runs dry.  There are two sources:
 
-1. starts a fresh executor session (``Start`` with the dependency set and
-   watched events) and waits for the initial ``loaded?`` event,
-2. repeatedly picks a random *enabled* action -- guard satisfied and
-   primitive feasible in the current state -- fires it with the current
-   trace version (stale requests are dropped by the executor and the
-   freshly arrived events are processed instead, Figure 10), and feeds
-   every arriving state to the formula's progression checker,
-3. stops on a definitive verdict; otherwise runs ``scheduled_actions``
-   actions, extending the run while the formula demands more states, up
-   to ``demand_allowance`` extra actions, after which the verdict is
-   *forced* by the polarity rule.
+* a generated test (:meth:`Runner.run_single_test`) picks a random
+  *enabled* action -- guard satisfied and primitive feasible in the
+  current state -- for ``scheduled_actions`` actions, extending the run
+  while the formula demands more states, up to ``demand_allowance``
+  extra actions, after which the verdict is *forced* by the polarity
+  rule; with nothing enabled it waits for application events;
+* a replay (:meth:`Runner.replay`, used by shrinking and the fuzz
+  corpus) fires a recorded action sequence in order.  Each ``Act``
+  carries the version read after the decision latency, so it is never
+  stale.  The replay returns ``None`` when the spec lacks an action's
+  name, no state has been observed, an action's guard is not ``True``
+  where it would fire, or the executor raises ``ActionFailed``.  It has
+  no budget, state cap or idle wait, and it always runs on an executor
+  it constructs and stops, never on a leased one.
 
 A failing test (negative verdict) yields a counterexample, which is then
 shrunk by replay (:mod:`repro.checker.shrink`).
@@ -21,7 +29,7 @@ shrunk by replay (:mod:`repro.checker.shrink`).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from functools import partial
 from typing import Callable, List, Optional, Tuple
 
 from ..executors.base import ActionFailed
@@ -41,21 +49,13 @@ from .result import TestResult
 __all__ = ["Runner", "TraceAccumulator", "QueryNarrower"]
 
 
-@dataclass
-class _FiredAction:
-    name: str
-    resolved: ResolvedAction
-    timeout_ms: Optional[float]
-
-
 class TraceAccumulator:
     """Drains executor messages into a trace while feeding the checker.
 
-    Shared by the random test loop and the replay loop (they used to
-    carry near-identical ``absorb`` closures): every drained message
-    becomes a :class:`TraceEntry`, advances the state count, and -- until
-    the verdict is definitive -- is observed by the formula checker
-    (with its step-table key, when a ``key`` function is given).
+    Every drained message becomes a :class:`TraceEntry` of the
+    session's one trace, advances the state count, and -- until the
+    verdict is definitive -- is observed by the formula checker (with
+    its step-table key, when a ``key`` function is given).
     """
 
     __slots__ = (
@@ -239,7 +239,7 @@ class Runner:
             executor = self.executor_factory()
             executor.start(start)
         try:
-            result = self._drive_test(executor, rng)
+            result = self._drive(executor, partial(self._random_actions, rng))
         except BaseException:
             # The session is in an unknown state (e.g. ActionFailed from
             # a vanished target): never park it warm, never leak it.
@@ -251,8 +251,31 @@ class Runner:
             executor.stop()
         return result
 
-    def _drive_test(self, executor, rng: random.Random) -> TestResult:
+    def replay(self, actions: List[Tuple[str, ResolvedAction]]) -> Optional[TestResult]:
+        """Re-run a concrete action sequence; returns the result, or None
+        when the sequence is not replayable (an action lost its target,
+        or is unknown or guarded off where it would fire).
+
+        Always on a freshly constructed executor, stopped afterwards.
+        """
+        executor = self.executor_factory()
+        executor.start(self._start_message())
+        try:
+            return self._drive(executor, partial(self._recorded_actions, actions))
+        except ActionFailed:
+            return None
+        finally:
+            executor.stop()
+
+    def _drive(self, executor, source) -> TestResult:
         """THE session loop (paper, Sections 2.3 and 3.4).
+
+        ``source(executor, acc, fired)`` is a generator of the actions
+        to fire, as ``(action, resolved, version)``; a ``None`` version
+        means the executor's own once the decision latency has passed.
+        It yields ``None`` after waiting for events instead, and returns
+        the stall reason, if any.  A rejected (stale) act fires nothing,
+        and the source is asked again.
 
         Interning is counted as the process-wide delta around the test:
         a worker runs one test at a time, so it is this test's work.
@@ -262,59 +285,40 @@ class Runner:
         narrower = self._narrower(executor, checker)
         with intern_delta() as interning:
             acc = TraceAccumulator(checker, self._step_key())
-            fired: List[_FiredAction] = []
-            actions_taken = 0
+            fired: List[Tuple[str, ResolvedAction]] = []
             stall_reason: Optional[str] = None
             start_ms = executor.now_ms
 
             acc.absorb(executor)
-            while True:
-                if acc.verdict.is_definitive:
-                    break
+            actions = source(executor, acc, fired)
+            while not acc.verdict.is_definitive:
                 if narrower is not None:
                     # Every state the executor snapshots from here on only
                     # needs what the progressed formula (and the actions)
                     # can still read.
                     narrower.update()
-                if acc.states >= config.max_states:
-                    stall_reason = "max states reached"
+                try:
+                    picked = next(actions)
+                except StopIteration as stop:
+                    stall_reason = stop.value
                     break
-                budget_spent = actions_taken >= config.scheduled_actions
-                if budget_spent and acc.verdict is not Verdict.DEMAND:
-                    break
-                if actions_taken >= config.scheduled_actions + config.demand_allowance:
-                    break
-                if acc.current_state is None:
-                    stall_reason = "no initial state"
-                    break
-                enabled = self._enabled_actions(acc.current_state, rng)
-                if not enabled:
-                    # Nothing to do: wait for application events instead.
-                    before = acc.states
-                    executor.await_events(config.idle_wait_ms)
-                    acc.absorb(executor)
-                    if acc.states == before or acc.trace[-1].kind == "timeout":
-                        stall_reason = "no enabled actions and no events"
-                        break
+                if picked is None:
                     continue
-                action_value, primitive = enabled[rng.randrange(len(enabled))]
-                resolved = primitive.resolve(acc.current_state, rng)
-                decision_version = acc.states
+                action_value, resolved, version = picked
                 # The checker "thinks" for a while; asynchronous events during
                 # that window make the upcoming Act stale (Figure 10).
                 executor.pass_time(config.decision_latency_ms)
+                if version is None:
+                    version = executor.version
                 accepted = executor.act(
-                    Act(resolved, action_value.name, decision_version,
+                    Act(resolved, action_value.name, version,
                         action_value.timeout_ms)
                 )
                 if not accepted:
                     # pick up the events that made us stale
                     acc.absorb(executor)
                     continue
-                actions_taken += 1
-                fired.append(
-                    _FiredAction(action_value.name, resolved, action_value.timeout_ms)
-                )
+                fired.append((action_value.name, resolved))
                 acc.absorb(executor)
                 if action_value.timeout_ms is not None:
                     executor.await_events(action_value.timeout_ms)
@@ -330,13 +334,13 @@ class Runner:
                 verdict=verdict,
                 forced=forced,
                 states_observed=acc.states,
-                actions_taken=actions_taken,
+                actions_taken=len(fired),
                 stale_rejections=getattr(
                     getattr(executor, "recorder", None), "stale_rejections", 0
                 ),
                 elapsed_virtual_ms=executor.now_ms - start_ms,
                 trace=acc.trace,
-                actions=[(f.name, f.resolved) for f in fired],
+                actions=fired,
                 stall_reason=stall_reason,
                 max_formula_size=checker.max_formula_size,
                 intern_hits=interning.hits,
@@ -344,6 +348,54 @@ class Runner:
                 query_width_sum=acc.query_width_sum,
                 steps_reused=checker.steps_reused,
             )
+
+    # ------------------------------------------------------------------
+    # Action sources
+    # ------------------------------------------------------------------
+
+    def _random_actions(self, rng: random.Random, executor, acc, fired):
+        """A generated test: a random enabled action, decided on the
+        states seen so far, while the budget and demand allowance last."""
+        config = self.config
+        while True:
+            if acc.states >= config.max_states:
+                return "max states reached"
+            budget_spent = len(fired) >= config.scheduled_actions
+            if budget_spent and acc.verdict is not Verdict.DEMAND:
+                return None
+            if len(fired) >= config.scheduled_actions + config.demand_allowance:
+                return None
+            if acc.current_state is None:
+                return "no initial state"
+            enabled = self._enabled_actions(acc.current_state, rng)
+            if not enabled:
+                # Nothing to do: wait for application events instead.
+                before = acc.states
+                executor.await_events(config.idle_wait_ms)
+                acc.absorb(executor)
+                if acc.states == before or acc.trace[-1].kind == "timeout":
+                    return "no enabled actions and no events"
+                yield None
+                continue
+            action_value, primitive = enabled[rng.randrange(len(enabled))]
+            yield (action_value, primitive.resolve(acc.current_state, rng),
+                   acc.states)
+
+    def _recorded_actions(self, actions, executor, acc, fired):
+        """A replay: the recorded actions in order, never stale.  A
+        candidate is only valid if every action is *legal* where it
+        fires: the real runner never fires a guarded-off action, so a
+        shrink that would do so is rejected outright."""
+        by_name = {a.name: a for a in self.spec.actions}
+        for name, resolved in actions:
+            action_value = by_name.get(name)
+            if (
+                action_value is None
+                or acc.current_state is None
+                or not self._action_legal(action_value, acc.current_state)
+            ):
+                raise ActionFailed(f"{name} cannot fire here")
+            yield action_value, resolved, None
 
     # ------------------------------------------------------------------
     # Action selection
@@ -385,83 +437,3 @@ class Runner:
         )
         guard_value = evaluate(action.guard, action.env, ctx)
         return guard_value is True
-
-    # ------------------------------------------------------------------
-    # Replay (used by shrinking)
-    # ------------------------------------------------------------------
-
-    def replay(self, actions: List[Tuple[str, ResolvedAction]]) -> Optional[TestResult]:
-        """Re-run a concrete action sequence; returns the result, or None
-        when the sequence is not replayable (an action lost its target).
-
-        Like :meth:`_drive_test`, interning is counted as the
-        process-wide delta around the replay.
-        """
-        executor = self.executor_factory()
-        executor.start(self._start_message())
-        checker = self.compiled_spec().checker()
-        config = self.config
-        narrower = self._narrower(executor, checker)
-        actions_by_name = {a.name: a for a in self.spec.actions}
-        timeout_by_name = {a.name: a.timeout_ms for a in self.spec.actions}
-        with intern_delta() as interning:
-            acc = TraceAccumulator(checker, self._step_key())
-            start_ms = executor.now_ms
-            dispatched = 0  # the verdict can turn definitive mid-sequence
-
-            acc.absorb(executor)
-            for name, resolved in actions:
-                if acc.verdict.is_definitive:
-                    break
-                if narrower is not None:
-                    narrower.update()
-                # A candidate is only valid if every action is *legal* where
-                # it fires: the real runner never fires a guarded-off action,
-                # so a shrink that would do so is rejected outright.
-                action_value = actions_by_name.get(name)
-                if action_value is None or acc.current_state is None:
-                    executor.stop()
-                    return None
-                if not self._action_legal(action_value, acc.current_state):
-                    executor.stop()
-                    return None
-                executor.pass_time(config.decision_latency_ms)
-                try:
-                    accepted = executor.act(
-                        Act(resolved, name, executor.version, timeout_by_name.get(name))
-                    )
-                except ActionFailed:
-                    executor.stop()
-                    return None
-                if not accepted:  # pragma: no cover - version always current here
-                    executor.stop()
-                    return None
-                dispatched += 1
-                acc.absorb(executor)
-                timeout_ms = timeout_by_name.get(name)
-                if timeout_ms is not None:
-                    executor.await_events(timeout_ms)
-                executor.pass_time(config.settle_ms)
-                acc.absorb(executor)
-
-            verdict = acc.verdict
-            forced = False
-            if verdict is Verdict.DEMAND:
-                verdict = checker.force()
-                forced = True
-            executor.stop()
-            return TestResult(
-                verdict=verdict,
-                forced=forced,
-                states_observed=acc.states,
-                actions_taken=dispatched,
-                stale_rejections=0,
-                elapsed_virtual_ms=executor.now_ms - start_ms,
-                trace=acc.trace,
-                actions=list(actions),
-                max_formula_size=checker.max_formula_size,
-                intern_hits=interning.hits,
-                intern_misses=interning.misses,
-                query_width_sum=acc.query_width_sum,
-                steps_reused=checker.steps_reused,
-            )

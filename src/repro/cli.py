@@ -668,10 +668,13 @@ def _cmd_monitor(args) -> int:
         if args.format == "json":
             print(json.dumps(verdict.to_dict(), sort_keys=True), flush=True)
         else:
+            # A lone surrogate in the id prints escaped, as in JSON.
+            session = verdict.session_id.encode(
+                "utf-8", "backslashreplace").decode("utf-8")
             label = verdict.verdict or verdict.disposition
             detail = f" ({verdict.reason})" if verdict.reason else ""
             forced = " [forced]" if verdict.forced else ""
-            print(f"session {verdict.session_id}: {label}{forced} "
+            print(f"session {session}: {label}{forced} "
                   f"after {verdict.states} state(s)"
                   f" -- {verdict.disposition}{detail}", flush=True)
 

@@ -184,7 +184,7 @@ class CCSExecutor(Executor):
 
     def _report(self, kind: str, happened: Tuple[str, ...]) -> None:
         state = self._snapshot(happened)
-        self.recorder.append(kind, happened, state)
+        self.recorder.append()
         if kind == "acted":
             self._outbox.append(Acted(happened[0], state))
         elif kind == "timeout":

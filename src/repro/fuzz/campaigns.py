@@ -30,15 +30,19 @@ analogue of the paper's Table 2): the correct twin must pass, and a
 failing faulty twin counts as a detection whose minimized
 counterexample is persisted to the corpus.
 
-Any disagreement is *shrunk* (fewer tests, shorter action budget, while
-it still reproduces) and persisted as a replayable JSONL corpus entry.
+One pass over a batch's legs asks every oracle
+(:func:`_oracle_reports`): a campaign records each disagreement it
+yields, and divergence shrinking and corpus replay re-run the batch and
+ask only whether it yields any.  Any disagreement is *shrunk* (fewer
+tests, shorter action budget, while it still reproduces) and persisted
+as a replayable JSONL corpus entry.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..api.config import SessionConfig
 from ..api.scheduler import CampaignSetResult, CheckTarget
@@ -159,7 +163,9 @@ class Divergence:
 
     campaign_index: int
     target: str
-    kind: str  # "path" | "oracle" | "false_positive" | "event_stream"
+    #: "path" | "event_stream" | "narrow" | "oracle" | "monitor" |
+    #: "false_positive"
+    kind: str
     detail: str
     entry: CorpusEntry
 
@@ -214,31 +220,16 @@ def _run_paths(
     return runs
 
 
-def _campaign_divergences(
-    campaign: FuzzCampaign,
-    named_faults,
+def _oracle_reports(
     check: CheckSpec,
+    named_faults,
     runs,
-    jobs: int,
-) -> List[Divergence]:
-    """Path and trace-oracle disagreements of one batch run."""
-    divergences: List[Divergence] = []
+    spec_kind: str,
+) -> Iterator[Tuple[str, str, str]]:
+    """Every ``(target, kind, detail)`` the oracles report on one batch
+    run, lazily: :func:`run_campaign` records each as a divergence, and
+    divergence shrinking and corpus replay stop at the first."""
     serial_batch, serial_recorder = runs["serial"]
-    fault_by_target = dict(named_faults)
-
-    def record(target: str, kind: str, detail: str) -> None:
-        divergences.append(
-            Divergence(
-                campaign_index=campaign.index,
-                target=target,
-                kind=kind,
-                detail=detail,
-                entry=_divergence_entry(
-                    campaign, fault_by_target.get(target), kind, detail, jobs
-                ),
-            )
-        )
-
     for path in ("pooled", "warm"):
         batch, recorder = runs[path]
         for baseline, candidate in zip(serial_batch, batch):
@@ -248,9 +239,9 @@ def _campaign_divergences(
                 candidate.result,
             )
             if difference is not None:
-                record(baseline.target, "path", difference)
+                yield baseline.target, "path", difference
         if recorder.events != serial_recorder.events:
-            record(
+            yield (
                 "correct",
                 "event_stream",
                 f"{path} reporter event stream differs from serial",
@@ -267,20 +258,20 @@ def _campaign_divergences(
             narrowed_outcome.result,
         )
         if difference is not None:
-            record(full_outcome.target, "narrow", difference)
+            yield full_outcome.target, "narrow", difference
             continue
         for test_index, (full_result, narrowed_result) in enumerate(
             zip(full_outcome.result.results, narrowed_outcome.result.results)
         ):
             mismatch = narrowing_mismatch(full_result, narrowed_result)
             if mismatch is not None:
-                record(
+                yield (
                     full_outcome.target,
                     "narrow",
                     f"test {test_index}: {mismatch}",
                 )
     if full_recorder.events != serial_recorder.events:
-        record(
+        yield (
             "correct",
             "narrow",
             "full-capture reporter event stream differs from narrowed",
@@ -292,18 +283,34 @@ def _campaign_divergences(
         for test_index, result in enumerate(outcome.result.results):
             mismatch = direct_oracle_mismatch(check, result)
             if mismatch is not None:
-                record(
-                    outcome.target,
-                    "oracle",
-                    f"test {test_index}: {mismatch}",
-                )
+                yield outcome.target, "oracle", f"test {test_index}: {mismatch}"
     # The fifth leg: the full leg's recorded traces replayed through the
     # online monitor as interleaved concurrent sessions.
     for outcome in full_batch:
         mismatch = monitor_oracle_mismatch(check, outcome.result.results)
         if mismatch is not None:
-            record(outcome.target, "monitor", mismatch)
-    return divergences
+            yield outcome.target, "monitor", mismatch
+    # A false positive is the model spec failing its correct twin.
+    if spec_kind == "model":
+        for (name, fault), outcome in zip(named_faults, serial_batch):
+            if fault is None and not outcome.result.passed:
+                yield (
+                    name,
+                    "false_positive",
+                    "the generated model specification failed its own "
+                    f"correct twin: {outcome.result.summary()}",
+                )
+
+
+def _corpus_config(config: RunnerConfig) -> dict:
+    """The :class:`RunnerConfig` fields a corpus entry replays with."""
+    return {
+        "tests": config.tests,
+        "scheduled_actions": config.scheduled_actions,
+        "demand_allowance": config.demand_allowance,
+        "seed": config.seed,
+        "shrink": config.shrink,
+    }
 
 
 def _divergence_entry(
@@ -313,7 +320,6 @@ def _divergence_entry(
     detail: str,
     jobs: int,
 ) -> CorpusEntry:
-    config = campaign.config()
     return CorpusEntry(
         kind="divergence",
         detail=f"[{kind}] {detail}",
@@ -321,13 +327,7 @@ def _divergence_entry(
         fault=fault,
         spec_source=campaign.spec_source,
         spec_kind=campaign.spec_kind,
-        config={
-            "tests": config.tests,
-            "scheduled_actions": config.scheduled_actions,
-            "demand_allowance": config.demand_allowance,
-            "seed": config.seed,
-            "shrink": config.shrink,
-        },
+        config=_corpus_config(campaign.config()),
         default_subscript=campaign.default_subscript,
         campaign_seed=campaign.seed,
         extra={
@@ -360,46 +360,18 @@ def _entry_batch(entry: CorpusEntry) -> List[Tuple[str, Optional[MachineFault]]]
 
 
 def _target_diverges(entry: CorpusEntry, jobs: Optional[int] = None) -> bool:
-    """Re-run one corpus entry's batch through all oracles.  Used by
+    """Re-run one corpus entry's batch: does any oracle report?  Used by
     divergence shrinking and by corpus replay."""
     if jobs is None:
         jobs = int(entry.extra.get("jobs", 2))
     check = load_module(
         entry.spec_source, default_subscript=entry.default_subscript
     ).checks[0]
-    config = RunnerConfig(**entry.config)
     named = _entry_batch(entry)
-    runs = _run_paths(entry.machine, named, check, config, jobs)
-    serial_batch, serial_recorder = runs["serial"]
-    for path in ("pooled", "warm", "full"):
-        batch, recorder = runs[path]
-        for baseline, candidate in zip(serial_batch, batch):
-            if compare_campaigns("replay", baseline.result,
-                                 candidate.result) is not None:
-                return True
-        if recorder.events != serial_recorder.events:
-            return True
-    full_batch, _ = runs["full"]
-    for full_outcome, narrowed_outcome in zip(full_batch, serial_batch):
-        for full_result, narrowed_result in zip(
-            full_outcome.result.results, narrowed_outcome.result.results
-        ):
-            if narrowing_mismatch(full_result, narrowed_result) is not None:
-                return True
-    for outcome in full_batch:
-        for result in outcome.result.results:
-            if direct_oracle_mismatch(check, result) is not None:
-                return True
-    for outcome in full_batch:
-        if monitor_oracle_mismatch(check, outcome.result.results) is not None:
-            return True
-    # A false positive is the model spec failing its correct twin.
-    if (
-        entry.extra.get("divergence_kind") == "false_positive"
-        and not serial_batch[0].result.passed
-    ):
-        return True
-    return False
+    runs = _run_paths(entry.machine, named, check,
+                      RunnerConfig(**entry.config), jobs)
+    reports = _oracle_reports(check, named, runs, entry.spec_kind)
+    return next(reports, None) is not None
 
 
 def _shrink_divergence(entry: CorpusEntry, jobs: int) -> CorpusEntry:
@@ -409,35 +381,20 @@ def _shrink_divergence(entry: CorpusEntry, jobs: int) -> CorpusEntry:
     for tests in (1, 2):
         if tests >= best.config["tests"]:
             break
-        candidate = _with_config(best, tests=tests)
+        candidate = replace(best, config={**best.config, "tests": tests})
         if _target_diverges(candidate, jobs):
             best = candidate
             break
     budget = best.config["scheduled_actions"]
     while budget > 1:
-        candidate = _with_config(best, scheduled_actions=budget // 2)
+        candidate = replace(
+            best, config={**best.config, "scheduled_actions": budget // 2}
+        )
         if not _target_diverges(candidate, jobs):
             break
         best = candidate
         budget //= 2
     return best
-
-
-def _with_config(entry: CorpusEntry, **overrides) -> CorpusEntry:
-    config = dict(entry.config)
-    config.update(overrides)
-    return CorpusEntry(
-        kind=entry.kind,
-        detail=entry.detail,
-        machine=entry.machine,
-        fault=entry.fault,
-        spec_source=entry.spec_source,
-        spec_kind=entry.spec_kind,
-        config=config,
-        default_subscript=entry.default_subscript,
-        campaign_seed=entry.campaign_seed,
-        extra=entry.extra,
-    )
 
 
 def replay_divergence(entry: CorpusEntry) -> Optional[str]:
@@ -457,13 +414,23 @@ def run_campaign(
     """Run one fuzz campaign through every oracle."""
     check = campaign.check_property()
     config = campaign.config()
-    named_faults = [
-        (name, fault)
-        for name, fault in campaign.targets()
-    ]
+    named_faults = campaign.targets()
     runs = _run_paths(campaign.machine, named_faults, check, config, jobs)
-    divergences = _campaign_divergences(campaign, named_faults, check, runs,
-                                        jobs)
+    fault_by_target = dict(named_faults)
+    divergences = [
+        Divergence(
+            campaign_index=campaign.index,
+            target=target,
+            kind=kind,
+            detail=detail,
+            entry=_divergence_entry(
+                campaign, fault_by_target.get(target), kind, detail, jobs
+            ),
+        )
+        for target, kind, detail in _oracle_reports(
+            check, named_faults, runs, campaign.spec_kind
+        )
+    ]
 
     serial_batch, _ = runs["serial"]
     detections: List[Tuple[MachineFault, bool]] = []
@@ -472,22 +439,6 @@ def run_campaign(
     tests_run = sum(o.result.tests_run for o in serial_batch)
     if campaign.spec_kind == "model":
         by_target = {o.target: o.result for o in serial_batch}
-        correct = by_target["correct"]
-        if not correct.passed:
-            detail = (
-                "the generated model specification failed its own correct "
-                f"twin: {correct.summary()}"
-            )
-            divergences.append(
-                Divergence(
-                    campaign_index=campaign.index,
-                    target="correct",
-                    kind="false_positive",
-                    detail=detail,
-                    entry=_divergence_entry(campaign, None,
-                                            "false_positive", detail, jobs),
-                )
-            )
         for name, fault in named_faults:
             if fault is None:
                 continue
@@ -506,13 +457,7 @@ def run_campaign(
                     fault=fault,
                     spec_source=campaign.spec_source,
                     spec_kind=campaign.spec_kind,
-                    config={
-                        "tests": config.tests,
-                        "scheduled_actions": config.scheduled_actions,
-                        "demand_allowance": config.demand_allowance,
-                        "seed": config.seed,
-                        "shrink": config.shrink,
-                    },
+                    config=_corpus_config(config),
                     default_subscript=campaign.default_subscript,
                     actions=list(best.actions),
                     verdict=best.verdict.name,

@@ -1,16 +1,17 @@
 """Session bookkeeping shared by checker and executor implementations.
 
-:class:`TraceRecorder` assembles the observed trace (for counterexample
-reporting) and implements the version arithmetic of Figure 10: every
-state appended bumps the trace length, and an ``Act`` carrying a version
-smaller than the current length is *stale* -- the checker decided before
-seeing the newest states -- and must be ignored.
+The checker assembles the one observed trace, as :class:`TraceEntry`
+records (:class:`repro.checker.runner.TraceAccumulator`).  An executor
+keeps only a :class:`TraceRecorder`: the version arithmetic of Figure
+10.  Every state reported bumps the trace length, and an ``Act``
+carrying a version smaller than the current length is *stale* -- the
+checker decided before seeing the newest states -- and must be ignored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 from ..specstrom.state import StateSnapshot
 
@@ -28,24 +29,14 @@ class TraceEntry:
 
 @dataclass
 class TraceRecorder:
-    """Accumulates trace entries and answers staleness queries."""
+    """Counts reported states (the version) and stale rejections."""
 
-    entries: List[TraceEntry] = field(default_factory=list)
-    stale_rejections: int = field(default=0)
+    length: int = 0
+    stale_rejections: int = 0
 
-    @property
-    def length(self) -> int:
-        return len(self.entries)
-
-    @property
-    def last_state(self) -> StateSnapshot:
-        if not self.entries:
-            raise RuntimeError("no states observed yet")
-        return self.entries[-1].state
-
-    def append(self, kind: str, happened: Tuple[str, ...], state: StateSnapshot) -> int:
-        """Record a state; returns the new trace length (the version)."""
-        self.entries.append(TraceEntry(kind, tuple(happened), state))
+    def append(self) -> int:
+        """Count one reported state; returns the new trace length."""
+        self.length += 1
         return self.length
 
     def is_stale(self, version: int) -> bool:
@@ -54,6 +45,3 @@ class TraceRecorder:
 
     def note_stale_rejection(self) -> None:
         self.stale_rejections += 1
-
-    def happened_sequence(self) -> List[Tuple[str, ...]]:
-        return [entry.happened for entry in self.entries]

@@ -572,3 +572,28 @@ def _await(condition, timeout_s: float = 10.0) -> None:
     while not condition():
         assert time.monotonic() < deadline, "condition never became true"
         time.sleep(0.05)
+
+
+class TestTraceIdentity:
+    """No state flows between tests: the fork pool's traces equal the
+    serial loop's state for state, TodoMVC ``data-id``s included."""
+
+    def traces(self, jobs: int):
+        spec = load_todomvc_spec().check_named("safety")
+        config = RunnerConfig(tests=4, scheduled_actions=20, seed=3)
+        targets = [
+            CheckTarget(name, implementation_named(name).app_factory(),
+                        spec=spec, config=config)
+            for name in ("vue", "react", "backbone")
+        ]
+        batch = CheckSession().check_many(
+            targets, session=SessionConfig(jobs=jobs)
+        )
+        return [
+            [entry.state for entry in result.trace]
+            for outcome in batch
+            for result in outcome.result.results
+        ]
+
+    def test_fork_traces_equal_serial_traces(self):
+        assert self.traces(2) == self.traces(1)

@@ -12,9 +12,7 @@ from repro.artifact import (
 )
 from repro.artifact.codec import decode, encode
 from repro.checker import RunnerConfig
-from repro.checker.compiled import CompiledProperty
 from repro.specs import spec_path
-from repro.specstrom.module import CheckSpec
 
 
 class TestContentMemo:
@@ -58,25 +56,6 @@ class TestContentMemo:
         second = resolver.load_bytes(data, source_hash=bundle.source_hash)
         assert second is first
         assert resolver.stats() == (1, 1)
-
-
-class TestResolve:
-    def test_path_resolves_to_check_plus_compiled_property(self):
-        resolver = SpecResolver()
-        check, compiled = resolver.resolve(
-            spec_path("eggtimer.strom"), property="safety"
-        )
-        assert isinstance(check, CheckSpec) and check.name == "safety"
-        assert isinstance(compiled, CompiledProperty)
-        assert compiled.spec is check
-
-    def test_bare_check_resolves_without_a_bundle(self):
-        resolver = SpecResolver()
-        bundle = resolver.load(spec_path("eggtimer.strom"))
-        check = bundle.check_named("safety")
-        resolved, compiled = resolver.resolve(check)
-        assert resolved is check
-        assert compiled is None
 
 
 class TestRemoteFields:

@@ -1,14 +1,17 @@
 """The checker's test loop: budgets, demand extension, forcing, seeds."""
 
+import random
+
 import pytest
 
 from repro.api import CheckSession
 from repro.apps.eggtimer import egg_timer_app
+from repro.apps.todomvc import implementation_named
 from repro.checker import Runner, RunnerConfig
 from repro.dom import Element
 from repro.executors import DomExecutor
 from repro.quickltl import Verdict
-from repro.specs import load_eggtimer_spec
+from repro.specs import load_eggtimer_spec, load_todomvc_spec
 from repro.specstrom import load_module
 
 
@@ -229,6 +232,7 @@ class TestReplayAccounting:
         assert replayed.failed
         assert replayed.actions_taken == len(shrunk.actions)
         assert replayed.actions_taken < len(padded)
+        assert replayed.actions == padded[:replayed.actions_taken]
         # The dispatched count agrees with the observed trace: no
         # phantom actions inflate the reporter's statistics.
         acted = sum(1 for entry in replayed.trace if entry.kind == "acted")
@@ -243,6 +247,35 @@ class TestReplayAccounting:
         assert replayed is not None
         assert replayed.actions_taken == len(prefix)
 
+
+
+class TestReplayReproducesTheLiveRun:
+    """A generated test that no stale rejection touched replays from its
+    own actions to the very same trace: nothing but the actions (not
+    what earlier sessions in the process did) drives the application."""
+
+    @pytest.mark.parametrize("app", ["eggtimer", "vue", "jquery"])
+    def test_replay_reproduces_the_trace(self, app):
+        if app == "eggtimer":
+            spec = load_eggtimer_spec().check_named("safety")
+            factory = egg_timer_app()
+        else:
+            spec = load_todomvc_spec().check_named("safety")
+            factory = implementation_named(app).app_factory()
+        runner = Runner(spec, lambda: DomExecutor(factory),
+                        RunnerConfig(scheduled_actions=20, demand_allowance=10))
+        replayed = 0
+        for seed in range(8):
+            live = runner.run_single_test(random.Random(seed))
+            if live.stale_rejections:
+                continue
+            replay = runner.replay(live.actions)
+            assert replay is not None
+            assert replay.trace == live.trace, seed
+            assert replay.actions == live.actions
+            assert replay.verdict is live.verdict
+            replayed += 1
+        assert replayed >= 4
 
 
 class TestWatchedEventsCache:

@@ -110,27 +110,42 @@ class TestDivergenceHandling:
             lambda check, result: "synthetic disagreement",
         )
 
-    def test_divergence_is_detected_shrunk_and_persisted(
-        self, broken_oracle, tmp_path
-    ):
+    #: Every oracle of the pass, and the kind it reports under.
+    ORACLES = (
+        ("compare_campaigns", "path"),
+        ("narrowing_mismatch", "narrow"),
+        ("direct_oracle_mismatch", "oracle"),
+        ("monitor_oracle_mismatch", "monitor"),
+    )
+
+    def test_divergence_is_detected_shrunk_and_persisted(self, monkeypatch):
+        """Each oracle, made to reject everything (a synthetic checker
+        bug), is reported under its own kind, and its divergence is
+        shrunk, persisted and replayed."""
         campaign = generate_campaign(SEED, 0)
-        outcome = run_campaign(campaign, jobs=JOBS)
-        assert outcome.divergences
-        divergence = outcome.divergences[0]
-        assert divergence.kind == "oracle"
-        # Shrinking drove the reproduction down to the smallest
-        # configuration that still diverges (everything, here).
-        assert divergence.entry.config["tests"] == 1
-        assert divergence.entry.config["scheduled_actions"] == 1
-        # The entry records the original batch shape and pool width, so
-        # replay re-runs the campaign that diverged, not a one-target
-        # approximation of it.
-        assert divergence.entry.extra["jobs"] == JOBS
-        assert divergence.entry.extra["twins"] == [
-            fault.to_dict() for fault in campaign.faults
-        ]
-        # While the bug "exists", the corpus entry reproduces.
-        assert replay_entry(divergence.entry) is None
+        for oracle, kind in self.ORACLES:
+            with monkeypatch.context() as patch:
+                patch.setattr(campaigns_module, oracle,
+                              lambda *args: "synthetic disagreement")
+                outcome = run_campaign(campaign, jobs=JOBS)
+                assert outcome.divergences, oracle
+                assert all("synthetic disagreement" in d.detail
+                           for d in outcome.divergences), oracle
+                divergence = outcome.divergences[0]
+                assert divergence.kind == kind, oracle
+                # Shrinking drove the reproduction down to the smallest
+                # configuration that still diverges (everything, here).
+                assert divergence.entry.config["tests"] == 1, oracle
+                assert divergence.entry.config["scheduled_actions"] == 1, oracle
+                # The entry records the original batch shape and pool
+                # width, so replay re-runs the campaign that diverged,
+                # not a one-target approximation of it.
+                assert divergence.entry.extra["jobs"] == JOBS
+                assert divergence.entry.extra["twins"] == [
+                    fault.to_dict() for fault in campaign.faults
+                ]
+                # While the bug "exists", the corpus entry reproduces.
+                assert replay_entry(divergence.entry) is None, oracle
 
     def test_fixed_divergence_no_longer_reproduces(self, tmp_path):
         entry_holder = {}

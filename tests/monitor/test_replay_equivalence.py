@@ -81,18 +81,34 @@ class TestOfflineEquivalence:
         assert "test 0" in mismatch
 
 
+def stamped(state, session):
+    """``state`` with a ``data-session`` attribute on every element."""
+    return dataclasses.replace(state, queries={
+        selector: tuple(
+            dataclasses.replace(
+                element,
+                attributes=element.attributes + (("data-session", session),),
+            )
+            for element in elements
+        )
+        for selector, elements in state.queries.items()
+    })
+
+
 class TestProjectedCohorts:
     """Three passing TodoMVC implementations, one seed: their tests
-    replay the same states up to each item's ``data-id``, which the
-    safety property never reads.  Keyed on what the formula can read,
-    the monitor steps those states once; keyed on every attribute (the
-    analysis's ``None``), once per implementation.  Rounds are
-    deterministic under ``run_lines``, so both counts are pinned."""
+    replay the same states, ``data-id``s included, since every mounted
+    app numbers its items from 1.  Keyed on what the formula can read or
+    on every attribute (the analysis's ``None``), the monitor steps
+    those states once.  Stamped with a per-session attribute the safety
+    property never reads, they still step once per projected state
+    until a projection-table reset splits their cohorts.  Steps are
+    deterministic under ``run_lines``, so the counts are pinned."""
 
-    COHORT_STEPS = {"projected": 81, "every_attribute": 177}
+    COHORT_STEPS = {"projected": 81, "every_attribute": 81}
     SESSION_STEPS = 246
 
-    def campaign(self):
+    def campaign(self, stamp=False):
         safety = load_todomvc_spec().check_named("safety")
         batch = CheckSession().check_many(
             [CheckTarget(name, implementation_named(name).app_factory())
@@ -103,12 +119,14 @@ class TestProjectedCohorts:
             session=SessionConfig(jobs=1),
         )
         assert batch.passed
-        encoded = {
-            f"{outcome.target}/{index}": trace_records(
-                f"{outcome.target}/{index}", test.trace)
-            for outcome in batch.outcomes
-            for index, test in enumerate(outcome.result.results)
-        }
+        encoded = {}
+        for outcome in batch.outcomes:
+            for index, test in enumerate(outcome.result.results):
+                session = f"{outcome.target}/{index}"
+                states = [entry.state for entry in test.trace]
+                if stamp:
+                    states = [stamped(state, session) for state in states]
+                encoded[session] = trace_records(session, states)
         return safety, list(interleave_sessions(encoded))
 
     def replay(self, check, lines):
@@ -137,8 +155,9 @@ class TestProjectedCohorts:
     def test_table_resets_only_split_cohorts(self, monkeypatch):
         import repro.monitor.service as service
 
-        safety, lines = self.campaign()
-        _, want = self.replay(safety, lines)
+        safety, lines = self.campaign(stamp=True)
+        steps, want = self.replay(safety, lines)
+        assert steps == self.COHORT_STEPS["projected"]
         monkeypatch.setattr(service, "_PROJECTION_LIMIT", 2)
         steps, verdicts = self.replay(safety, lines)
         assert verdicts == want

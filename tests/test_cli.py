@@ -221,6 +221,24 @@ class TestMonitorShardedCLI:
                   "--shards", "0"])
 
 
+class TestMonitorConsole:
+    @pytest.mark.parametrize("shards", ["1", "2"])
+    def test_lone_surrogate_session_id_prints_escaped(
+        self, capsys, tmp_path, shards
+    ):
+        stream = tmp_path / "stream.jsonl"
+        stream.write_text('{"session": "\\ud800", "end": true}\n'
+                          '{"session": "plain", "end": true}\n')
+        code = main(["monitor", spec_path("eggtimer.strom"),
+                     "--heartbeat", "0", "--input", str(stream),
+                     "--shards", shards])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "session \\ud800: " in out
+        assert "session plain: " in out
+        assert "monitored 2 session(s)" in out
+
+
 class TestAudit:
     def test_audit_named_implementations(self, capsys):
         code = main(
